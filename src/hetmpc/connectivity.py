@@ -17,13 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import primitives
-from .simcore import Cluster, RunFailed, distribute_edges
+from .simcore import Cluster, ConfigError, RunFailed, distribute_edges
 
 
 # ---------------------------------------------------------------------------
 # field arithmetic (prime q > n^4, int64-safe split multiplication)
 
-_SPLIT = 21  # valid while q < 2^42, i.e. n <= 1024
+_SPLIT = 21  # exact while q < 2^41, i.e. n <= 1217 (see field_prime)
 
 
 def _is_prime(x):
@@ -50,15 +50,25 @@ def _is_prime(x):
 
 
 def field_prime(n):
-    """Smallest prime above n^4 (checksums live in this field)."""
+    """Smallest prime above n^4 (checksums live in this field).
+
+    Raises ConfigError when the prime reaches 2^41: past that, the split
+    product in `_mulmod` can exceed int64 (n=1300 already gives wrong
+    products).
+    """
     q = n ** 4 + 1
     while not _is_prime(q):
         q += 1
+    if q >= 1 << 41:
+        raise ConfigError(
+            f"n={n} needs a sketch field prime of {q.bit_length()} bits; "
+            "the int64 field arithmetic is exact only below 2^41"
+        )
     return q
 
 
 def _mulmod(a, b, q):
-    """(a*b) % q on int64 numpy arrays, a,b in [0,q), q < 2^42."""
+    """(a*b) % q on int64 numpy arrays, a,b in [0,q), q < 2^41."""
     hi = b >> _SPLIT
     lo = b & ((1 << _SPLIT) - 1)
     return ((a * hi % q << _SPLIT) + a * lo) % q

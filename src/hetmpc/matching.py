@@ -17,7 +17,6 @@ from .simcore import (
     LARGE,
     Cluster,
     ConfigError,
-    MachineId,
     RunFailed,
     distribute_edges,
 )
@@ -61,7 +60,7 @@ def degree_split(cluster: Cluster, graph) -> MatchingState:
 
 
 def _owner(cluster, v):
-    return MachineId("S", 1 + v % len(cluster.small_ids))
+    return 1 + v % len(cluster.small_ids)
 
 
 MAX_PHASE1_ITERS = 200
@@ -284,41 +283,46 @@ def phase3_residual(cluster: Cluster, graph, state: MatchingState):
 def maximal_matching(cluster: Cluster, graph, placement="seeded"):
     """Maximal matching of the stored graph; returns (edges, report).
 
-    One full retry on a Phase-3 overflow, then RunFailed.
+    One full retry on a Phase-3 overflow, then RunFailed.  The retry
+    draws from fresh substreams; the caller's config seed is restored.
     """
-    for attempt in range(2):
-        distribute_edges(
-            cluster,
-            [(e[0], e[1]) for e in graph.edges],
-            placement=placement,
-        )
-        if graph.m == 0:
-            return [], {"d": 1, "v_high": 0, "phase_sizes": [0, 0, 0],
-                        "residual": 0, "phase1_rounds": 0}
-        state = degree_split(cluster, graph)
-        pre = cluster.sink_rounds
-        phase1_low_degree(cluster, graph, state)
-        phase1_rounds = cluster.sink_rounds - pre
-        phase2_high_degree(cluster, graph, state)
-        m3 = phase3_residual(cluster, graph, state)
-        if m3 is None:
-            if attempt == 1:
-                raise RunFailed("residual exceeded 2n twice")
-            cluster.config.seed += 1 << 32  # fresh substreams for the retry
-            continue
-        M = sorted(state.m1 + state.m2 + state.m3)
-        report = {
-            "d": state.d,
-            "v_high": len(state.v_high),
-            "phase_sizes": [len(state.m1), len(state.m2), len(state.m3)],
-            "residual": state.residual_count,
-            "phase1_rounds": phase1_rounds,
-            "post_phase1_rounds": cluster.sink_rounds - pre - phase1_rounds,
-            "size": len(M),
-            "retried": attempt,
-        }
-        return M, report
-    raise RunFailed("unreachable")
+    seed = cluster.config.seed
+    try:
+        for attempt in range(2):
+            distribute_edges(
+                cluster,
+                [(e[0], e[1]) for e in graph.edges],
+                placement=placement,
+            )
+            if graph.m == 0:
+                return [], {"d": 1, "v_high": 0, "phase_sizes": [0, 0, 0],
+                            "residual": 0, "phase1_rounds": 0}
+            state = degree_split(cluster, graph)
+            pre = cluster.sink_rounds
+            phase1_low_degree(cluster, graph, state)
+            phase1_rounds = cluster.sink_rounds - pre
+            phase2_high_degree(cluster, graph, state)
+            m3 = phase3_residual(cluster, graph, state)
+            if m3 is None:
+                if attempt == 1:
+                    raise RunFailed("residual exceeded 2n twice")
+                cluster.config.seed += 1 << 32  # fresh substreams for the retry
+                continue
+            M = sorted(state.m1 + state.m2 + state.m3)
+            report = {
+                "d": state.d,
+                "v_high": len(state.v_high),
+                "phase_sizes": [len(state.m1), len(state.m2), len(state.m3)],
+                "residual": state.residual_count,
+                "phase1_rounds": phase1_rounds,
+                "post_phase1_rounds": cluster.sink_rounds - pre - phase1_rounds,
+                "size": len(M),
+                "retried": attempt,
+            }
+            return M, report
+        raise RunFailed("unreachable")
+    finally:
+        cluster.config.seed = seed
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
-from .simcore import LARGE, CapacityError, Cluster, MachineId
+from .simcore import LARGE, CapacityError, Cluster
 
 
 # ---------------------------------------------------------------------------
@@ -39,9 +39,8 @@ def aggregate_rounds(gamma):
     return global_tree_depth(gamma) + 1
 
 
-def disseminate_rounds(gamma, known_ranges=True):
-    d = global_tree_depth(gamma) + 1
-    return d if known_ranges else 2 * d
+def disseminate_rounds(gamma):
+    return global_tree_depth(gamma) + 1
 
 
 def sort_rounds(gamma):
@@ -110,10 +109,6 @@ class AggregationTree:
         return self.levels[level + 1][idx // self.b][0]
 
 
-def _mid(i: int) -> MachineId:
-    return MachineId("S", i)
-
-
 # ---------------------------------------------------------------------------
 # broadcast
 
@@ -124,22 +119,22 @@ def tree_broadcast(cluster: Cluster, value, pad=True):
     start = cluster.sink_rounds
     K = len(cluster.small_ids)
     tree = AggregationTree.build(1, K, branching(cluster))
-    cluster.round([(LARGE, _mid(tree.root), value)])
+    cluster.round([(LARGE, tree.root, value)])
     for level in range(tree.depth, 0, -1):
         sends = []
         for idx, (lo, hi) in enumerate(tree.levels[level]):
             rep = lo
             for clo, chi in _children(tree, level, idx):
                 if clo != rep:  # first child shares the machine: free
-                    sends.append((_mid(rep), _mid(clo), value))
+                    sends.append((rep, clo, value))
         cluster.round(sends)
     if pad:
         _pad(cluster, start, broadcast_rounds(cluster.config.gamma))
 
 
 def _children(tree, level, idx):
-    lo, hi = tree.levels[level][idx]
-    return [nd for nd in tree.levels[level - 1] if lo <= nd[0] and nd[1] <= hi]
+    b = tree.b
+    return tree.levels[level - 1][idx * b:(idx + 1) * b]
 
 
 # ---------------------------------------------------------------------------
@@ -198,14 +193,21 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
     keyf = key or (lambda r: r)
     skey = lambda r: (keyf(r), r)
 
+    # keyed[i]: the sort keys of machine i's sorted shard, computed once
+    # per shard and kept machine-local between rounds
+    keyed = {}
+
+    def store(i, records):
+        keys = sorted(map(skey, records))
+        keyed[i] = keys
+        cluster.machines[i].put(state_key, [k[1] for k in keys])
+        return keys
+
     # local sort + seeded-position sample to the large machine
     sends = []
-    for i, mid in enumerate(cluster.small_ids, start=1):
-        mach = cluster.machines[mid]
-        shard = sorted(mach.state.get(state_key) or [], key=skey)
-        mach.put(state_key, shard)
-        sample = _even_sample([skey(r) for r in shard], b)
-        sends.append((mid, LARGE, [len(shard)] + sample))
+    for i in cluster.small_ids:
+        keys = store(i, cluster.machines[i].state.get(state_key) or [])
+        sends.append((i, LARGE, [len(keys)] + _even_sample(keys, b)))
     inbox = cluster.round(sends)
 
     samples = [(p[0], p[1:]) for _, p in inbox.get(LARGE, [])]
@@ -218,73 +220,65 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
     # route each record to a machine of its target group (balanced by
     # sender index)
     sends = []
-    for i, mid in enumerate(cluster.small_ids, start=1):
-        mach = cluster.machines[mid]
-        shard = mach.pop(state_key) or []
+    for i in cluster.small_ids:
+        cluster.machines[i].pop(state_key)
         buckets = {}
-        for r in shard:
-            gi = bisect_right(gsplit, skey(r))
-            lo, hi = groups[gi]
+        for k in keyed[i]:
+            lo, hi = groups[bisect_right(gsplit, k)]
             dst = lo + (i % (hi - lo + 1))
-            buckets.setdefault(dst, []).append(r)
+            buckets.setdefault(dst, []).append(k[1])
         for dst, recs in buckets.items():
-            sends.append((mid, _mid(dst), recs))
+            sends.append((i, dst, recs))
     inbox = cluster.round(sends)
-    for i, mid in enumerate(cluster.small_ids, start=1):
-        recs = [r for _, batch in inbox.get(mid, []) for r in batch]
-        recs.sort(key=skey)
-        cluster.machines[mid].put(state_key, recs)
+    for i in cluster.small_ids:
+        store(i, [r for _, batch in inbox.get(i, []) for r in batch])
 
     # phase 2: per-group splitters chosen by the group leader
     sends = []
     for lo, hi in groups:
         for i in range(lo, hi + 1):
-            shard = cluster.machines[_mid(i)].state.get(state_key) or []
-            sample = _even_sample([skey(r) for r in shard], 2 * (hi - lo + 1))
-            sends.append((_mid(i), _mid(lo), [len(shard)] + sample))
+            keys = keyed[i]
+            sends.append((i, lo, [len(keys)] + _even_sample(keys, 2 * (hi - lo + 1))))
     inbox = cluster.round(sends)
 
     leader_split = {}
     sends = []
     for lo, hi in groups:
-        samples = [(p[0], p[1:]) for _, p in inbox.get(_mid(lo), [])]
+        samples = [(p[0], p[1:]) for _, p in inbox.get(lo, [])]
         split = _pick_splitters(samples, hi - lo + 1)
         leader_split[lo] = split
         for i in range(lo, hi + 1):
             if i != lo:
-                sends.append((_mid(lo), _mid(i), split))
+                sends.append((lo, i, split))
     cluster.round(sends)
 
     sends = []
     for lo, hi in groups:
         split = leader_split[lo]
         for i in range(lo, hi + 1):
-            mach = cluster.machines[_mid(i)]
-            shard = mach.pop(state_key) or []
+            cluster.machines[i].pop(state_key)
             buckets = {}
-            for r in shard:
-                dst = lo + bisect_right(split, skey(r))
-                buckets.setdefault(dst, []).append(r)
+            for k in keyed[i]:
+                dst = lo + bisect_right(split, k)
+                buckets.setdefault(dst, []).append(k[1])
             for dst, recs in buckets.items():
-                sends.append((_mid(i), _mid(dst), recs))
+                sends.append((i, dst, recs))
     inbox = cluster.round(sends)
 
     sends = []
-    for i, mid in enumerate(cluster.small_ids, start=1):
-        recs = [r for _, batch in inbox.get(mid, []) for r in batch]
-        recs.sort(key=skey)
-        cluster.machines[mid].put(state_key, recs)
-        payload = [len(recs)]
-        if recs:
-            payload.append((skey(recs[0]), skey(recs[-1])))
+    for i in cluster.small_ids:
+        keys = store(i, [r for _, batch in inbox.get(i, []) for r in batch])
+        payload = [len(keys)]
+        if keys:
+            payload.append((keys[0], keys[-1]))
         if summarize is not None:
-            payload.append(summarize(recs))
-        sends.append((mid, LARGE, payload))
+            payload.append(summarize(cluster.machines[i].state[state_key]))
+        sends.append((i, LARGE, payload))
     inbox = cluster.round(sends)
 
     counts, boundaries, extras = [0] * K, [None] * K, [None] * K
     for src, payload in inbox.get(LARGE, []):
-        i = src.index - 1
+        i = src - 1
         counts[i] = payload[0]
         j = 1
         if payload[0]:
@@ -338,10 +332,10 @@ def aggregate(cluster: Cluster, state_key, part_fn, map_fn, reduce_fn,
             interior = {p: v for p, v in reduced.items() if pmin < p < pmax}
             boundary = {p: v for p, v in reduced.items() if p == pmin or p == pmax}
             if interior:
-                sends.append((_mid(rep), LARGE, interior))
+                sends.append((rep, LARGE, interior))
             if level == tree.depth:
                 if boundary:
-                    sends.append((_mid(rep), LARGE, boundary))
+                    sends.append((rep, LARGE, boundary))
             else:
                 pidx = idx // tree.b
                 prep = tree.parent_rep(level, idx)
@@ -349,7 +343,7 @@ def aggregate(cluster: Cluster, state_key, part_fn, map_fn, reduce_fn,
                 for p, v in boundary.items():
                     slot.setdefault(p, []).append(v)
                 if prep != rep and boundary:
-                    sends.append((_mid(rep), _mid(prep), boundary))
+                    sends.append((rep, prep, boundary))
         inbox = cluster.round(sends)
         for _, payload in inbox.get(LARGE, []):
             for p, v in payload.items():
@@ -372,21 +366,17 @@ def aggregate(cluster: Cluster, state_key, part_fn, map_fn, reduce_fn,
 # dissemination
 
 
-def disseminate(cluster: Cluster, values: dict, machine_ranges=None,
+def disseminate(cluster: Cluster, values: dict, machine_ranges: dict,
                 state_key=None):
     """Deliver values[i] to every small machine whose stored items include
-    part i.  machine_ranges maps machine index -> (min part, max part); if
-    None, ranges are first computed with an up-phase over the tree.
-    Requires parts contiguous in machine order.  Returns
-    {machine index: {part: value}}.
+    part i.  machine_ranges maps machine index -> (min part, max part), as
+    known after arranging or sorting the parts.  Requires parts contiguous
+    in machine order.  Returns {machine index: {part: value}}.
     """
     start = cluster.sink_rounds
     gamma = cluster.config.gamma
     K = len(cluster.small_ids)
     tree = AggregationTree.build(1, K, branching(cluster))
-    if machine_ranges is None:
-        raise ValueError("disseminate requires per-machine part ranges; "
-                         "arrange or sort the parts first")
 
     parts_sorted = sorted(values)
     node_range = {}
@@ -415,7 +405,7 @@ def disseminate(cluster: Cluster, values: dict, machine_ranges=None,
     top = node_range[(tree.depth, 0)]
     payloads = {(tree.depth, 0): overlap(top)}
     cluster.round(
-        [(LARGE, _mid(tree.root), payloads[(tree.depth, 0)])]
+        [(LARGE, tree.root, payloads[(tree.depth, 0)])]
         if payloads[(tree.depth, 0)]
         else []
     )
@@ -438,7 +428,7 @@ def disseminate(cluster: Cluster, values: dict, machine_ranges=None,
                 nxt[(level - 1, c)] = sub
                 crep = tree.levels[level - 1][c][0]
                 if crep != rep:
-                    sends.append((_mid(rep), _mid(crep), sub))
+                    sends.append((rep, crep, sub))
         cluster.round(sends)
         payloads = nxt
 
@@ -449,8 +439,8 @@ def disseminate(cluster: Cluster, values: dict, machine_ranges=None,
             i = tree.levels[0][idx][0]
             delivered[i] = got
             if state_key is not None:
-                cluster.machines[_mid(i)].put(state_key, got)
-    _pad(cluster, start, disseminate_rounds(gamma, known_ranges=True))
+                cluster.machines[i].put(state_key, got)
+    _pad(cluster, start, disseminate_rounds(gamma))
     return delivered
 
 
@@ -513,18 +503,18 @@ def query_k_lightest(cluster: Cluster, arranged: Arranged, k_of: dict,
             take = min(left, cnt)
             plans.setdefault(mi, []).append((v, take))
             left -= take
-    cluster.round([(LARGE, _mid(mi), qs) for mi, qs in plans.items()])
+    cluster.round([(LARGE, mi, qs) for mi, qs in plans.items()])
 
     sends = []
     for mi, qs in plans.items():
-        shard = cluster.machines[_mid(mi)].state.get(dst_key) or []
+        shard = cluster.machines[mi].state.get(dst_key) or []
         by_v = {}
         for r in shard:
             by_v.setdefault(r[0], []).append(r)
         reply = []
         for v, take in qs:
             reply.extend(by_v.get(v, [])[:take])
-        sends.append((_mid(mi), LARGE, reply))
+        sends.append((mi, LARGE, reply))
     inbox = cluster.round(sends)
 
     collected = {}
@@ -558,10 +548,10 @@ def gather_to_large(cluster: Cluster, state_key, select=None):
 def scatter_from_large(cluster: Cluster, shards: dict, state_key, extend=False):
     """Large machine sends shards[machine index] to each machine, stored
     under state_key.  One round."""
-    sends = [(LARGE, _mid(i), items) for i, items in shards.items() if items]
+    sends = [(LARGE, i, items) for i, items in shards.items() if items]
     cluster.round(sends)
     for i, items in shards.items():
-        mach = cluster.machines[_mid(i)]
+        mach = cluster.machines[i]
         if extend:
             cur = mach.state.get(state_key) or []
             mach.put(state_key, cur + list(items))
@@ -577,11 +567,11 @@ def neighbor_shift(cluster: Cluster, payload_fn):
     for i in range(1, K):
         p = payload_fn(i)
         if p is not None:
-            sends.append((_mid(i), _mid(i + 1), p))
+            sends.append((i, i + 1, p))
     inbox = cluster.round(sends)
     out = {}
     for i in range(2, K + 1):
-        got = inbox.get(_mid(i), [])
+        got = inbox.get(i, [])
         if got:
             out[i] = got[0][1]
     return out

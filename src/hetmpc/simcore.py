@@ -14,6 +14,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 
 class ConfigError(ValueError):
@@ -32,16 +33,14 @@ class RunFailed(RuntimeError):
     """A randomized algorithm exhausted its retries."""
 
 
-@dataclass(frozen=True, order=True)
-class MachineId:
-    role: str  # "L" (large) or "S" (small)
-    index: int
-
-    def __str__(self):
-        return "L" if self.role == "L" else f"S{self.index}"
+# Machine ids are plain ints: 0 is the large machine, 1..K the small ones,
+# so sorting ids puts the large machine first, then the small ones by index.
+LARGE = 0
 
 
-LARGE = MachineId("L", 0)
+def machine_name(mid: int) -> str:
+    """Export name of a machine id: "L" for the large one, "S<i>" otherwise."""
+    return "L" if mid == LARGE else f"S{mid}"
 
 
 @dataclass
@@ -74,7 +73,6 @@ class ClusterConfig:
             f = Fraction(self.f_exp)
             if f < Fraction(1, max(1, math.ceil(math.log2(self.n)))):
                 raise ConfigError(f"f_exp must be >= 1/log2(n), got {f}")
-            object.__setattr__ if False else None
             self.f_exp = f
 
     @property
@@ -116,6 +114,9 @@ class Packed:
         return max(1, math.ceil(self.bits / self._wb))
 
 
+_INT_ONLY = frozenset({int})
+
+
 def payload_words(obj) -> int:
     """Number of words a payload occupies when serialized.
 
@@ -123,14 +124,20 @@ def payload_words(obj) -> int:
     record (tuple of three ints) is three words.  Floats are rejected:
     all metered data is integral.
     """
-    if isinstance(obj, bool) or isinstance(obj, int):
-        return 1
     if isinstance(obj, (tuple, list)):
+        # Fast path for the common flat shapes: plain ints and tuples of
+        # plain ints are counted in this loop; anything else recurses.
         total = 0
         for x in obj:
-            total += 1 if type(x) is int else payload_words(x)
+            t = type(x)
+            if t is int:
+                total += 1
+            elif t is tuple and _INT_ONLY.issuperset(map(type, x)):
+                total += len(x)
+            else:
+                total += payload_words(x)
         return total
-    if obj is None or isinstance(obj, str):
+    if isinstance(obj, int) or obj is None or isinstance(obj, str):
         return 1
     if isinstance(obj, dict):
         return sum(payload_words(k) + payload_words(v) for k, v in obj.items())
@@ -150,27 +157,45 @@ class RoundTelemetry:
 
 
 class Machine:
-    __slots__ = ("mid", "budget", "state", "dirty")
+    """One machine: its word budget and its resident state.
+
+    State changes only through `put` and `pop`; `state` is read-only to
+    callers.  The word count of each state key is cached until that key is
+    put or popped again, so a value mutated in place must be put again to
+    be metered anew (the same object may be put again).
+    """
+
+    __slots__ = ("mid", "budget", "state", "_words", "_total")
 
     def __init__(self, mid, budget):
         self.mid = mid
         self.budget = budget
         self.state = {}
-        self.dirty = True
-
-    def touch(self):
-        self.dirty = True
+        self._words = {}  # key -> words of its value; absent until metered after a put
+        self._total = 0  # sum of _words
 
     def put(self, key, value):
         self.state[key] = value
-        self.dirty = True
+        self._total -= self._words.pop(key, 0)
 
     def pop(self, key):
-        self.dirty = True
+        self._total -= self._words.pop(key, 0)
         return self.state.pop(key, None)
 
     def resident_words(self) -> int:
-        return sum(payload_words(v) for v in self.state.values())
+        """Words of the resident state; meters only keys put since the
+        last call."""
+        words = self._words
+        if len(words) != len(self.state):
+            for key, value in self.state.items():
+                if key not in words:
+                    w = payload_words(value)
+                    words[key] = w
+                    self._total += w
+        return self._total
+
+
+_SENDER = itemgetter(0)
 
 
 class Cluster:
@@ -186,13 +211,11 @@ class Cluster:
         self.config = config
         self.strict = strict
         self.machines = {LARGE: Machine(LARGE, config.large_budget)}
-        self.small_ids = [MachineId("S", i) for i in range(1, config.num_small + 1)]
+        self.small_ids = list(range(1, config.num_small + 1))
         for mid in self.small_ids:
             self.machines[mid] = Machine(mid, config.small_budget)
         self.telemetry: list[RoundTelemetry] = []
         self._sinks = [self.telemetry]
-        self._resident_cache = {mid: 0 for mid in self.machines}
-        self.inboxes = {}
 
     # -- basic accessors -------------------------------------------------
 
@@ -201,7 +224,7 @@ class Cluster:
         return self.machines[LARGE]
 
     def small(self, i: int) -> Machine:
-        return self.machines[MachineId("S", i)]
+        return self.machines[i]
 
     @property
     def rounds_used(self) -> int:
@@ -227,44 +250,50 @@ class Cluster:
         """
         sent, received = {}, {}
         inbox = {}
-        for seq, (src, dst, payload) in enumerate(sends):
+        for src, dst, payload in sends:
             w = payload_words(payload)
             sent[src] = sent.get(src, 0) + w
             received[dst] = received.get(dst, 0) + w
-            inbox.setdefault(dst, []).append((src, seq, payload))
-        for dst in inbox:
-            inbox[dst].sort(key=lambda t: (t[0], t[1]))
-            inbox[dst] = [(src, payload) for src, _, payload in inbox[dst]]
+            box = inbox.get(dst)
+            if box is None:
+                inbox[dst] = [(src, payload)]
+            else:
+                box.append((src, payload))
+        # stable: messages of one sender stay in send order
+        for box in inbox.values():
+            box.sort(key=_SENDER)
 
+        machines = self.machines
         violations = []
         for mid, w in sent.items():
-            if w > self.machines[mid].budget:
+            if w > machines[mid].budget:
                 violations.append((mid, "SendBudget"))
         for mid, w in received.items():
-            if w > self.machines[mid].budget:
+            if w > machines[mid].budget:
                 violations.append((mid, "RecvBudget"))
-        for mid, mach in self.machines.items():
-            if mach.dirty:
-                self._resident_cache[mid] = mach.resident_words()
-                mach.dirty = False
-        for mid, w in self._resident_cache.items():
-            if w > self.machines[mid].budget:
+        resident = {}
+        for mid, mach in machines.items():
+            if len(mach._words) == len(mach.state):
+                w = mach._total  # no key put since the last barrier
+            else:
+                w = mach.resident_words()
+            resident[mid] = w
+            if w > mach.budget:
                 violations.append((mid, "StateBudget"))
 
         tel = RoundTelemetry(
             round=len(self._sinks[-1]),
             sent=sent,
             received=received,
-            resident=dict(self._resident_cache),
+            resident=resident,
             violations=violations,
         )
         self._sinks[-1].append(tel)
         if violations and self.strict:
             raise BudgetError(
                 "budget violations: "
-                + ", ".join(f"{mid}:{kind}" for mid, kind in violations)
+                + ", ".join(f"{machine_name(mid)}:{kind}" for mid, kind in violations)
             )
-        self.inboxes = inbox
         return inbox
 
     def empty_round(self):
@@ -310,22 +339,6 @@ def init_cluster(config: ClusterConfig, strict: bool = True) -> Cluster:
     return Cluster(config, strict=strict)
 
 
-def run_round(cluster: Cluster, program) -> RoundTelemetry:
-    """Run one round of a per-machine step program.
-
-    `program(machine, inbox) -> [(dst, payload), ...]` executes on every
-    machine (large first, then small machines in index order) with the
-    inbox delivered at the previous barrier.
-    """
-    sends = []
-    for mid in [LARGE] + cluster.small_ids:
-        out = program(cluster.machines[mid], cluster.inboxes.get(mid, []))
-        for dst, payload in out or []:
-            sends.append((mid, dst, payload))
-    cluster.round(sends)
-    return cluster.telemetry[-1] if cluster._sinks[-1] is cluster.telemetry else cluster._sinks[-1][-1]
-
-
 def distribute_edges(cluster: Cluster, edges, placement="seeded", shard_size=None):
     """Place edge records on the small machines (initial input placement).
 
@@ -360,7 +373,7 @@ def distribute_edges(cluster: Cluster, edges, placement="seeded", shard_size=Non
         raise ConfigError(f"unknown placement {placement!r}")
     for k, mid in enumerate(cluster.small_ids):
         if sum(payload_words(r) for r in shards[k]) > cluster.config.small_budget:
-            raise CapacityError(f"shard for {mid} exceeds its budget")
+            raise CapacityError(f"shard for {machine_name(mid)} exceeds its budget")
         cluster.machines[mid].put("E", shards[k])
 
 
@@ -368,30 +381,27 @@ def telemetry_json(cluster: Cluster) -> dict:
     """Telemetry export: one JSON-ready document per run."""
     rounds = []
     for t in cluster.telemetry:
-        machines = sorted(
-            set(t.sent) | set(t.received),
-            key=lambda mid: (mid.role, mid.index),
-        )
+        machines = sorted(set(t.sent) | set(t.received))
         rounds.append(
             {
                 "round": t.round,
                 "traffic": [
                     {
-                        "machine": str(mid),
+                        "machine": machine_name(mid),
                         "sent": t.sent.get(mid, 0),
                         "received": t.received.get(mid, 0),
                         "resident": t.resident.get(mid, 0),
                     }
                     for mid in machines
                 ],
-                "violations": [[str(mid), kind] for mid, kind in t.violations],
+                "violations": [[machine_name(mid), kind] for mid, kind in t.violations],
             }
         )
     return {
         "rounds_used": cluster.rounds_used,
         "rounds": rounds,
         "violations": [
-            [t.round, str(mid), kind]
+            [t.round, machine_name(mid), kind]
             for t in cluster.telemetry
             for mid, kind in t.violations
         ],

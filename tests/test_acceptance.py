@@ -16,7 +16,6 @@ from hetmpc.labels import flow_label_decode, flow_label_marker
 from hetmpc.simcore import (
     LARGE,
     ClusterConfig,
-    MachineId,
     distribute_edges,
     init_cluster,
 )
@@ -298,13 +297,13 @@ def test_criterion_12_budget_soundness(capsys):
     # forced violation through the CLI -> nonzero exit
     cfg = ClusterConfig(n=16, m=64, gamma=0.5, polylog_c=1, polylog_e=1)
     cl = init_cluster(cfg, strict=False)
-    cl.round([(MachineId("S", 1), LARGE, tuple(range(cfg.small_budget + 1)))])
+    cl.round([(1, LARGE, tuple(range(cfg.small_budget + 1)))])
     cl.empty_round()
     injected = [v for t in cl.telemetry for v in t.violations]
     code = cli_main(["run", "--algo", "mst", "--gen", "gnm", "--n", "64",
                      "--m", "512", "--weighted", "--polylog-c", "1",
                      "--seed", "1"])
-    ok = injected == [(MachineId("S", 1), "SendBudget")] and code != 0
+    ok = injected == [(1, "SendBudget")] and code != 0
     emit(capsys, 12, ok,
          f"injected overflow -> {len(injected)} violation(s); CLI exit {code}")
 

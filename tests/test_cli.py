@@ -100,6 +100,14 @@ def test_super_algos_require_f():
                    "--m", "512", "--weighted") == 2
 
 
+def test_cc_beyond_sketch_field_is_config_error(capsys):
+    code = run_cli("run", "--algo", "cc", "--gen", "gnm", "--n", "2048",
+                   "--m", "2048", "--seed", "1")
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+
+
 def test_missing_graph_file_is_io_error(tmp_path):
     assert run_cli("run", "--algo", "mst",
                    "--graph", str(tmp_path / "nope.txt")) == 5

@@ -1,11 +1,15 @@
 """Linear sketches, one-sparse decoding, and sketch connectivity."""
 
 import math
+import random
+
+import numpy as np
+import pytest
 
 from hetmpc import connectivity as cn
 from hetmpc import oracles
 from hetmpc.graphio import SimGraph, generate_graph
-from hetmpc.simcore import ClusterConfig, distribute_edges, init_cluster
+from hetmpc.simcore import ClusterConfig, ConfigError, distribute_edges, init_cluster
 
 
 def vertex_sketch(keys, table, n, v, edges):
@@ -24,6 +28,27 @@ def test_field_prime():
     q = cn.field_prime(16)
     assert q > 16 ** 4 and cn._is_prime(q)
     assert not cn._is_prime(q - 1)
+
+
+def test_field_prime_rejects_overflowing_n():
+    assert cn.field_prime(1024) > 1024 ** 4
+    cn.keys_from_seed(1, 1024)
+    with pytest.raises(ConfigError):
+        cn.field_prime(2048)
+    with pytest.raises(ConfigError):
+        cn.keys_from_seed(1, 2048)
+
+
+def test_mulmod_exact_at_largest_accepted_n():
+    n = 1217  # the last n whose field prime stays below 2^41
+    q = cn.field_prime(n)
+    with pytest.raises(ConfigError):
+        cn.field_prime(n + 1)
+    rng = random.Random(0)
+    a = [rng.randrange(q) for _ in range(2000)] + [q - 1]
+    b = [rng.randrange(q) for _ in range(2000)] + [q - 1]
+    got = cn._mulmod(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), q)
+    assert [int(x) for x in got] == [x * y % q for x, y in zip(a, b)]
 
 
 def test_sketch_params_scale():

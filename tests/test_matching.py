@@ -2,9 +2,11 @@
 
 from fractions import Fraction
 
+import pytest
+
 from hetmpc import matching, oracles
 from hetmpc.graphio import SimGraph, generate_graph
-from hetmpc.simcore import ClusterConfig, init_cluster
+from hetmpc.simcore import ClusterConfig, RunFailed, init_cluster
 
 
 def make_cluster(n, m, seed=0, f_exp=None):
@@ -124,3 +126,33 @@ def test_superlinear_requires_f():
     except Exception:
         return
     raise AssertionError("expected a configuration error without f")
+
+
+def test_retry_leaves_config_seed_unchanged(monkeypatch):
+    g = generate_graph("gnp", 64, seed=4, p=0.1)
+    real = matching.phase3_residual
+    calls = []
+
+    def fail_once(cluster, graph, state):
+        calls.append(1)
+        return None if len(calls) == 1 else real(cluster, graph, state)
+
+    monkeypatch.setattr(matching, "phase3_residual", fail_once)
+    cl = make_cluster(64, g.m, seed=7)
+    M, report = matching.maximal_matching(cl, g)
+    assert report["retried"] == 1 and len(calls) == 2
+    assert cl.config.seed == 7
+    assert oracles.is_maximal_matching(g, M)
+    # the retry drew from the substreams of seed + 2^32
+    monkeypatch.setattr(matching, "phase3_residual", real)
+    fresh, _ = matching.maximal_matching(make_cluster(64, g.m, seed=7 + (1 << 32)), g)
+    assert M == fresh
+
+
+def test_failed_retry_leaves_config_seed_unchanged(monkeypatch):
+    g = generate_graph("gnp", 64, seed=4, p=0.1)
+    monkeypatch.setattr(matching, "phase3_residual", lambda *args: None)
+    cl = make_cluster(64, g.m, seed=7)
+    with pytest.raises(RunFailed):
+        matching.maximal_matching(cl, g)
+    assert cl.config.seed == 7

@@ -155,6 +155,17 @@ def test_broadcast_round_charge_and_traffic():
     assert received >= 3 * (len(cl.small_ids) - primitives.global_tree_depth(0.5))
 
 
+def test_tree_children_are_contiguous_slices():
+    for K in range(1, 40):
+        for b in range(2, 6):
+            tree = primitives.AggregationTree.build(1, K, b)
+            for level in range(1, tree.depth + 1):
+                for idx, (lo, hi) in enumerate(tree.levels[level]):
+                    scan = [nd for nd in tree.levels[level - 1]
+                            if lo <= nd[0] and nd[1] <= hi]
+                    assert primitives._children(tree, level, idx) == scan
+
+
 def test_query_k_lightest_two_rounds():
     cl = make_cluster()
     g = generate_graph("gnp", 64, seed=5, p=0.15)

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetmpc.simcore import (
     LARGE,
@@ -11,10 +13,10 @@ from hetmpc.simcore import (
     Cluster,
     ClusterConfig,
     ConfigError,
-    MachineId,
     Packed,
     distribute_edges,
     init_cluster,
+    machine_name,
     payload_words,
     telemetry_json,
 )
@@ -51,8 +53,110 @@ def test_payload_words():
     assert payload_words((1, 2, 3)) == 3
     assert payload_words([(1, 2, 3), (4, 5, 6)]) == 6
     assert payload_words(Packed(0b1011, bits=40, word_bits=8)) == 5
-    with pytest.raises(TypeError):
-        payload_words(1.5)
+    for payload in (1.5, [(1, 2.0)], [1, [2, (3, 0.5)]], ((1, 2), 3.0), {1: [0.5]}):
+        with pytest.raises(TypeError):
+            payload_words(payload)
+
+
+def reference_words(obj):
+    """The metering rules, written out recursively."""
+    if isinstance(obj, (bool, int, str)) or obj is None:
+        return 1
+    if isinstance(obj, (tuple, list)):
+        return sum(reference_words(x) for x in obj)
+    if isinstance(obj, dict):
+        return sum(reference_words(k) + reference_words(v) for k, v in obj.items())
+    if isinstance(obj, Packed):
+        return obj.words()
+    raise TypeError(type(obj).__name__)
+
+
+_keys = st.one_of(st.integers(), st.booleans(), st.none(), st.text(max_size=3),
+                  st.tuples(st.integers(), st.integers()))
+_leaves = st.one_of(
+    st.integers(-(1 << 70), 1 << 70), st.booleans(), st.none(), st.text(max_size=3),
+    st.builds(Packed, st.integers(0, 255), st.integers(1, 200), st.integers(1, 16)),
+    st.floats(allow_nan=False),
+)
+_payloads = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.lists(st.integers(), max_size=6).map(tuple),  # flat int records
+        st.dictionaries(_keys, inner, max_size=3),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_payloads)
+def test_payload_words_matches_reference(payload):
+    try:
+        expected = reference_words(payload)
+    except TypeError:  # a float somewhere in the payload
+        with pytest.raises(TypeError):
+            payload_words(payload)
+    else:
+        assert payload_words(payload) == expected
+
+
+def test_machine_ids_are_ints():
+    cl = init_cluster(ClusterConfig(n=16, m=64, gamma=0.5))
+    assert LARGE == 0 and cl.large is cl.machines[0]
+    assert cl.small_ids == list(range(1, 17)) == sorted(cl.small_ids)
+    assert list(cl.machines) == sorted(cl.machines)
+    assert [machine_name(m) for m in (0, 1, 16)] == ["L", "S1", "S16"]
+
+
+def test_resident_words_follow_put_and_pop():
+    cl = init_cluster(ClusterConfig(n=16, m=64, gamma=0.5))
+    shared = [(1, 2, 3)]
+    steps = [
+        lambda: cl.small(1).put("E", shared),
+        lambda: cl.small(2).put("E", shared),  # one object on two machines
+        lambda: cl.small(1).put("X", {4: (5, 6)}),
+        lambda: (shared.append((7, 8)), cl.small(1).put("E", shared),
+                 cl.small(2).put("E", shared)),
+        lambda: cl.small(1).put("E", shared),  # same object, unchanged
+        lambda: cl.small(1).pop("X"),
+        lambda: cl.small(1).pop("missing"),
+        lambda: cl.large.put("E", [Packed(0, bits=40, word_bits=4), None, "s"]),
+        lambda: (shared.clear(), cl.small(1).put("E", shared), cl.small(2).put("E", shared)),
+        lambda: cl.small(3).put("E", []),
+    ]
+    for step in steps:
+        step()
+        cl.empty_round()
+        fresh = {mid: sum(payload_words(v) for v in mach.state.values())
+                 for mid, mach in cl.machines.items()}
+        assert cl.telemetry[-1].resident == fresh
+        assert {m: mach.resident_words() for m, mach in cl.machines.items()} == fresh
+    assert cl.telemetry[3].resident[1] == 5 + 3  # E re-metered after the mutation
+    assert cl.telemetry[5].resident[1] == 5
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["put", "pop", "mutate", "barrier"]),
+                          st.integers(0, 3), st.sampled_from("ABC"),
+                          st.lists(st.integers(), max_size=4)),
+                max_size=30))
+def test_resident_words_match_fresh_walk(ops):
+    cl = init_cluster(ClusterConfig(n=16, m=64, gamma=0.5))
+    for op, mid, key, value in ops:
+        mach = cl.machines[mid]
+        if op == "put":
+            mach.put(key, list(value))
+        elif op == "pop":
+            mach.pop(key)
+        elif op == "mutate" and key in mach.state:
+            mach.state[key].extend(value)
+            mach.put(key, mach.state[key])
+        cl.empty_round()
+        for m, mm in cl.machines.items():
+            assert cl.telemetry[-1].resident[m] == sum(
+                payload_words(v) for v in mm.state.values())
 
 
 def test_empty_round_all_zero():
@@ -65,7 +169,7 @@ def test_empty_round_all_zero():
 def test_send_overflow_strict_raises():
     cfg = ClusterConfig(n=16, m=64, gamma=0.5, polylog_c=1, polylog_e=1)
     cl = init_cluster(cfg)
-    src = MachineId("S", 1)
+    src = 1
     with pytest.raises(BudgetError):
         cl.round([(src, LARGE, tuple(range(17)))])
 
@@ -73,14 +177,14 @@ def test_send_overflow_strict_raises():
 def test_send_overflow_tolerant_logs_one_violation():
     cfg = ClusterConfig(n=16, m=64, gamma=0.5, polylog_c=1, polylog_e=1)
     cl = init_cluster(cfg, strict=False)
-    src = MachineId("S", 1)
+    src = 1
     cl.round([(src, LARGE, tuple(range(17)))])
     assert cl.telemetry[0].violations == [(src, "SendBudget")]
 
 
 def test_traffic_conservation():
     cl = init_cluster(ClusterConfig(n=16, m=64, gamma=0.5))
-    a, b = MachineId("S", 1), MachineId("S", 2)
+    a, b = 1, 2
     t5 = (1, 2, 3, 4, 5)
     cl.round([(a, b, t5), (b, a, t5)])
     t = cl.telemetry[0]
@@ -92,7 +196,7 @@ def test_state_budget_metered():
     cl = init_cluster(cfg, strict=False)
     cl.small(1).put("E", list(range(17)))
     cl.empty_round()
-    assert (MachineId("S", 1), "StateBudget") in cl.telemetry[0].violations
+    assert (1, "StateBudget") in cl.telemetry[0].violations
 
 
 def _four_machine_cluster():
@@ -133,7 +237,7 @@ def test_rng_substreams_deterministic():
 
 def test_branch_merge_takes_max_rounds_and_sums_traffic():
     cl = init_cluster(ClusterConfig(n=16, m=64, gamma=0.5))
-    a = MachineId("S", 1)
+    a = 1
     branches = []
     cl.start_branch()
     cl.round([(a, LARGE, 1)])
@@ -149,7 +253,7 @@ def test_branch_merge_takes_max_rounds_and_sums_traffic():
 
 def test_telemetry_json_shape():
     cl = init_cluster(ClusterConfig(n=16, m=64, gamma=0.5))
-    cl.round([(MachineId("S", 1), LARGE, (1, 2))])
+    cl.round([(1, LARGE, (1, 2))])
     doc = telemetry_json(cl)
     assert doc["rounds_used"] == 1
     assert doc["violations"] == []
