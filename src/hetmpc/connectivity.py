@@ -286,26 +286,6 @@ def l0_sample(sketch: SketchPartial, keys: SketchKeys, r: int, n: int):
 # connectivity by sketch Boruvka
 
 
-class _DSU:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
-
-
 def connected_components(cluster: Cluster, graph, state_key="E",
                          keys=None, table=None, tag="cc"):
     """Component label (smallest member id) per vertex; O(1) rounds.
@@ -330,7 +310,7 @@ def connected_components(cluster: Cluster, graph, state_key="E",
         sketches = sketch_build(cluster, keys, table, state_key)
         full = {v: sketches.get(v) for v in range(n)}
 
-        dsu = _DSU(n)
+        dsu = primitives.DSU(range(n))
         phases = 0
         ok = True
         for r in range(keys.R):

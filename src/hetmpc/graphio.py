@@ -87,11 +87,6 @@ def load_graph(path) -> SimGraph:
         return parse_graph(fh.read())
 
 
-def write_graph(graph: SimGraph, path):
-    with open(path, "w") as fh:
-        fh.write(format_graph(graph))
-
-
 def format_graph(graph: SimGraph) -> str:
     out = [f"{graph.n} {graph.m} w" if graph.weighted else f"{graph.n} {graph.m}"]
     for e in graph.edges:

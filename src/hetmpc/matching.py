@@ -236,48 +236,56 @@ def phase2_high_degree(cluster: Cluster, graph, state: MatchingState):
                 break
     state.m2 = m2
 
-    # matched statuses out to every machine, keyed by both edge endpoints
-    status = {v: (1 if v in matched else 0) for v in range(n)}
-    for side in (0, 1):
-        layout = primitives.het_sort(cluster, "E", key=lambda r: (r[side],))
-        ranges = {}
-        for i, b in enumerate(layout.boundaries, start=1):
-            if b is not None:
-                ranges[i] = (b[0][1][side], b[1][1][side])
-        primitives.disseminate(cluster, status, machine_ranges=ranges)
+    _keep_free_free(cluster, "E", matched)
     return m2
 
 
-def phase3_residual(cluster: Cluster, graph, state: MatchingState):
-    """Count the free-free residual edges; if at most 2n they ship to the
-    large machine for a final greedy pass, else this attempt fails."""
-    n = cluster.config.n
-    matched = state.matched_vertices()
+def _keep_free_free(cluster, key, matched):
+    """Deliver matched statuses by both edge endpoints; each machine drops
+    the edges whose endpoint it learned is matched, so the records left
+    under key are exactly the free-free edges."""
+    status = {v: (1 if v in matched else 0) for v in range(cluster.config.n)}
+    for side in (0, 1):
+        primitives.deliver_by_endpoint(
+            cluster, key, status, side,
+            apply=lambda es, got, side=side: [e for e in es if not got[e[side]]],
+        )
 
-    def residual(e):
-        return e[0] not in matched and e[1] not in matched
 
+def _count_round(cluster, key):
+    """Each machine reports its record count under key to the large
+    machine; one round; returns the total."""
     sends = []
     for mid in cluster.small_ids:
-        es = cluster.machines[mid].state.get("E") or []
-        sends.append((mid, LARGE, sum(1 for e in es if residual(e))))
+        es = cluster.machines[mid].state.get(key) or []
+        sends.append((mid, LARGE, len(es)))
     inbox = cluster.round(sends)
-    total = sum(c for _, c in inbox.get(LARGE, []))
-    state.residual_count = total
-    if total > 2 * n:
-        cluster.empty_round()
-        return None  # this attempt fails
+    return sum(c for _, c in inbox.get(LARGE, []))
 
-    shipped = primitives.gather_to_large(cluster, "E", select=residual)
-    m3 = []
-    for e in sorted(shipped):
-        u, v = e[0], e[1]
+
+def _greedy(edges):
+    """Greedy matching over the edges in ascending (min, max) order."""
+    matched, out = set(), []
+    for e in sorted(_pair(e[0], e[1]) for e in edges):
+        u, v = e
         if u not in matched and v not in matched:
-            m3.append(_pair(u, v))
+            out.append(e)
             matched.add(u)
             matched.add(v)
-    state.m3 = m3
-    return m3
+    return out
+
+
+def phase3_residual(cluster: Cluster, graph, state: MatchingState):
+    """Count the free-free residual edges left on the machines; if at most
+    2n they ship to the large machine for a final greedy pass, else this
+    attempt fails."""
+    total = _count_round(cluster, "E")
+    state.residual_count = total
+    if total > 2 * cluster.config.n:
+        cluster.empty_round()
+        return None  # this attempt fails
+    state.m3 = _greedy(primitives.gather_to_large(cluster, "E"))
+    return state.m3
 
 
 def maximal_matching(cluster: Cluster, graph, placement="seeded"):
@@ -374,20 +382,11 @@ class _Overflow(Exception):
     pass
 
 
-def _count_round(cluster, key):
-    sends = []
-    for mid in cluster.small_ids:
-        es = cluster.machines[mid].state.get(key) or []
-        sends.append((mid, LARGE, len(es)))
-    inbox = cluster.round(sends)
-    return sum(c for _, c in inbox.get(LARGE, []))
-
-
 def _super_rec(cluster, key, depth, cap, p, attempt):
     total = _count_round(cluster, key)
     if total <= cap:
         shipped = primitives.gather_to_large(cluster, key)
-        return _greedy(shipped, set()), depth
+        return _greedy(shipped), depth
 
     # sample each stored edge into the next level
     for i, mid in enumerate(cluster.small_ids, start=1):
@@ -401,37 +400,7 @@ def _super_rec(cluster, key, depth, cap, p, attempt):
         cluster.machines[mid].pop(key + "s")
 
     # matched statuses out, free-free edges back, then extend greedily
-    matched = {v for e in M for v in e}
-    status = {v: (1 if v in matched else 0) for v in range(cluster.config.n)}
-    for side in (0, 1):
-        layout = primitives.het_sort(cluster, key, key=lambda r: (r[side],))
-        ranges = {}
-        for i, b in enumerate(layout.boundaries, start=1):
-            if b is not None:
-                ranges[i] = (b[0][1][side], b[1][1][side])
-        primitives.disseminate(cluster, status, machine_ranges=ranges)
-
-    def residual(e):
-        return e[0] not in matched and e[1] not in matched
-
-    sends = []
-    for mid in cluster.small_ids:
-        es = cluster.machines[mid].state.get(key) or []
-        sends.append((mid, LARGE, sum(1 for e in es if residual(e))))
-    inbox = cluster.round(sends)
-    free_free = sum(c for _, c in inbox.get(LARGE, []))
-    if free_free > cap:
+    _keep_free_free(cluster, key, {v for e in M for v in e})
+    if _count_round(cluster, key) > cap:
         raise _Overflow
-    shipped = primitives.gather_to_large(cluster, key, select=residual)
-    return M + _greedy(shipped, matched), sub_depth
-
-
-def _greedy(edges, matched):
-    out = []
-    for e in sorted(_pair(e[0], e[1]) for e in edges):
-        u, v = e
-        if u not in matched and v not in matched:
-            out.append(e)
-            matched.add(u)
-            matched.add(v)
-    return out
+    return M + _greedy(primitives.gather_to_large(cluster, key)), sub_depth

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import oracles, primitives
+from . import primitives
 from .labels import DIFFERENT_COMPONENTS, flow_label_decode, flow_label_marker
 from .simcore import LARGE, CapacityError, Cluster, RunFailed, distribute_edges
 
@@ -45,28 +45,6 @@ def init_state(cluster: Cluster, graph, placement="seeded") -> ContractionState:
     return ContractionState(0, set(range(graph.n)), {v: v for v in range(graph.n)})
 
 
-class _DictDSU:
-    def __init__(self, vertices):
-        self.p = {v: v for v in vertices}
-
-    def find(self, x):
-        r = x
-        while self.p[r] != r:
-            r = self.p[r]
-        while self.p[x] != r:
-            self.p[x], x = r, self.p[x]
-        return r
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if rb < ra:  # smallest member id becomes the representative
-            ra, rb = rb, ra
-        self.p[rb] = ra
-        return True
-
-
 def _safe_merge(collected, deg_out, vertices):
     """Merge supervertices along collected edges, Boruvka-style.
 
@@ -77,7 +55,7 @@ def _safe_merge(collected, deg_out, vertices):
     used edge is then the true minimum over its cut, hence an MSF edge.
     Returns (used records, vertex -> new representative map).
     """
-    dsu = _DictDSU(vertices)
+    dsu = primitives.DSU(vertices)
     per_vertex = {v: sorted(es, key=wkey) for v, es in collected.items()}
     ptr = {v: 0 for v in per_vertex}
     used = []
@@ -115,29 +93,6 @@ def _safe_merge(collected, deg_out, vertices):
     return used, cmap
 
 
-def _rename_side(cluster, cmap, side):
-    """Sort edges by one endpoint, deliver the contraction map to the
-    holders, and rewrite that endpoint."""
-    layout = primitives.het_sort(cluster, "E", key=lambda r: (r[side],))
-    ranges = {}
-    for i, b in enumerate(layout.boundaries, start=1):
-        if b is not None:
-            ranges[i] = (b[0][1][side], b[1][1][side])
-    primitives.disseminate(cluster, cmap, machine_ranges=ranges)
-    # local rewrite (delivery recorded machine-side via the dissemination)
-    for i, mid in enumerate(cluster.small_ids, start=1):
-        mach = cluster.machines[mid]
-        es = mach.state.get("E") or []
-        if not es:
-            continue
-        out = []
-        for r in es:
-            e = list(r)
-            e[side] = cmap[e[side]]
-            out.append(tuple(e))
-        mach.put("E", out)
-
-
 def boruvka_step(cluster: Cluster, state: ContractionState, s: int) -> ContractionState:
     """One contraction step: collect min(s, deg) lightest outgoing edges
     per supervertex at the large machine, merge safely, rename, and
@@ -160,8 +115,15 @@ def boruvka_step(cluster: Cluster, state: ContractionState, s: int) -> Contracti
     forest = state.forest + [(min(r[3], r[4]), max(r[3], r[4]), r[2]) for r in used]
     new_vertices = set(cmap.values())
 
-    _rename_side(cluster, cmap, 0)
-    _rename_side(cluster, cmap, 1)
+    # deliver the contraction map by each endpoint and rewrite that
+    # endpoint from the delivered map
+    for side in (0, 1):
+        primitives.deliver_by_endpoint(
+            cluster, "E", cmap, side,
+            apply=lambda es, got, side=side: [
+                r[:side] + (got[r[side]],) + r[side + 1:] for r in es
+            ],
+        )
     for mid in cluster.small_ids:
         mach = cluster.machines[mid]
         es = [r for r in (mach.state.get("E") or []) if r[0] != r[1]]
@@ -231,7 +193,7 @@ def kkt_sample(cluster: Cluster, p, tag) -> list | None:
 
 
 def _kruskal_records(vertices, records):
-    dsu = _DictDSU(vertices)
+    dsu = primitives.DSU(vertices)
     chosen = []
     for r in sorted(records, key=wkey):
         if dsu.union(r[0], r[1]):
@@ -239,36 +201,28 @@ def _kruskal_records(vertices, records):
     return chosen
 
 
-def _disseminate_labels_and_filter(cluster, labels):
-    """Two label-delivery passes (by each endpoint), then the local
-    light-edge test: keep a record iff its endpoints lie in different
-    trees or its weight is at most the decoded path maximum."""
-    for side in (0, 1):
-        layout = primitives.het_sort(cluster, "E", key=lambda r: (r[side],))
-        ranges = {}
-        for i, b in enumerate(layout.boundaries, start=1):
-            if b is not None:
-                ranges[i] = (b[0][1][side], b[1][1][side])
-        primitives.disseminate(cluster, labels, machine_ranges=ranges)
-        for i, mid in enumerate(cluster.small_ids, start=1):
-            mach = cluster.machines[mid]
-            es = mach.state.get("E") or []
-            if side == 0:
-                mach.put("E", [r + (labels[r[0]],) for r in es])
-            else:
-                kept = []
-                for r in es:
-                    lu, lv = r[5], labels[r[1]]
-                    dec = flow_label_decode(lu, lv)
-                    if dec is DIFFERENT_COMPONENTS or r[2] <= dec:
-                        kept.append(r[:5])
-                mach.put("E", kept)
+def _keep_light(es, got):
+    """Local light-edge test on records carrying their side-0 label: keep
+    a record iff its endpoints lie in different trees or its weight is at
+    most the decoded path maximum."""
+    kept = []
+    for r in es:
+        dec = flow_label_decode(r[5], got[r[1]])
+        if dec is DIFFERENT_COMPONENTS or r[2] <= dec:
+            kept.append(r[:5])
+    return kept
 
 
 def f_light_filter(cluster: Cluster, labels, threshold):
     """Filter to light edges, count them, and ship them to the large
-    machine unless the count exceeds the abort threshold."""
-    _disseminate_labels_and_filter(cluster, labels)
+    machine unless the count exceeds the abort threshold.  The labels are
+    delivered by each endpoint: the first pass appends the side-0 label to
+    each record, the second keeps the light records."""
+    primitives.deliver_by_endpoint(
+        cluster, "E", labels, 0,
+        apply=lambda es, got: [r + (got[r[0]],) for r in es],
+    )
+    primitives.deliver_by_endpoint(cluster, "E", labels, 1, apply=_keep_light)
     counts = cluster.round(
         [(mid, LARGE, len(cluster.machines[mid].state.get("E") or []))
          for mid in cluster.small_ids]

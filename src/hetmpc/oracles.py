@@ -75,27 +75,6 @@ def bfs_dist(adj, src):
     return dist
 
 
-def check_stretch(graph, spanner_edges, bound):
-    """True iff every graph edge has a spanner path of length <= bound.
-
-    Edge stretch implies graph stretch, so checking edges suffices.
-    """
-    n = graph.n
-    adj = [[] for _ in range(n)]
-    for e in spanner_edges:
-        adj[e[0]].append(e[1])
-        adj[e[1]].append(e[0])
-    needed = sorted({e[0] for e in graph.edges})
-    dist_from = {}
-    for u in needed:
-        dist_from[u] = bfs_dist(adj, u)
-    for e in graph.edges:
-        d = dist_from[e[0]][e[1]]
-        if d < 0 or d > bound:
-            return False
-    return True
-
-
 def max_stretch(graph, spanner_edges):
     """Largest spanner distance over graph edges (None if disconnected in H)."""
     n = graph.n

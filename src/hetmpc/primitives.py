@@ -366,8 +366,7 @@ def aggregate(cluster: Cluster, state_key, part_fn, map_fn, reduce_fn,
 # dissemination
 
 
-def disseminate(cluster: Cluster, values: dict, machine_ranges: dict,
-                state_key=None):
+def disseminate(cluster: Cluster, values: dict, machine_ranges: dict):
     """Deliver values[i] to every small machine whose stored items include
     part i.  machine_ranges maps machine index -> (min part, max part), as
     known after arranging or sorting the parts.  Requires parts contiguous
@@ -438,9 +437,30 @@ def disseminate(cluster: Cluster, values: dict, machine_ranges: dict,
         if got:
             i = tree.levels[0][idx][0]
             delivered[i] = got
-            if state_key is not None:
-                cluster.machines[i].put(state_key, got)
     _pad(cluster, start, disseminate_rounds(gamma))
+    return delivered
+
+
+def deliver_by_endpoint(cluster: Cluster, state_key, values: dict, side,
+                        apply=None):
+    """Sort the records under state_key by r[side] and deliver values[v]
+    to every small machine holding a record whose endpoint r[side] is v.
+
+    If given, apply(records, got) replaces each machine's records, where
+    got is the dict that machine received and nothing else, so a rewrite
+    can only use delivered values.  Costs sort_rounds +
+    disseminate_rounds.  Returns {machine index: got}.
+    """
+    layout = het_sort(cluster, state_key, key=lambda r: (r[side],))
+    ranges = {}
+    for i, b in enumerate(layout.boundaries, start=1):
+        if b is not None:
+            ranges[i] = (b[0][1][side], b[1][1][side])
+    delivered = disseminate(cluster, values, machine_ranges=ranges)
+    if apply is not None:
+        for i in cluster.small_ids:
+            mach = cluster.machines[i]
+            mach.put(state_key, apply(mach.state[state_key], delivered.get(i, {})))
     return delivered
 
 
@@ -528,14 +548,12 @@ def query_k_lightest(cluster: Cluster, arranged: Arranged, k_of: dict,
 # small helpers with fixed 1-round charges
 
 
-def gather_to_large(cluster: Cluster, state_key, select=None):
-    """Each small machine ships (a selection of) its stored items to the
-    large machine in one round; returns the combined list."""
+def gather_to_large(cluster: Cluster, state_key):
+    """Each small machine ships its stored items to the large machine in
+    one round; returns the combined list."""
     sends = []
     for mid in cluster.small_ids:
         items = cluster.machines[mid].state.get(state_key) or []
-        if select is not None:
-            items = [r for r in items if select(r)]
         if items:
             sends.append((mid, LARGE, items))
     inbox = cluster.round(sends)
@@ -575,3 +593,32 @@ def neighbor_shift(cluster: Cluster, payload_fn):
         if got:
             out[i] = got[0][1]
     return out
+
+
+# ---------------------------------------------------------------------------
+# host-side union-find
+
+
+class DSU:
+    """Union-find whose root is always the smallest member, so find()
+    names a component by its smallest vertex."""
+
+    def __init__(self, vertices):
+        self.p = {v: v for v in vertices}
+
+    def find(self, x):
+        r = x
+        while self.p[r] != r:
+            r = self.p[r]
+        while self.p[x] != r:
+            self.p[x], x = r, self.p[x]
+        return r
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if rb < ra:
+            ra, rb = rb, ra
+        self.p[rb] = ra
+        return True

@@ -314,7 +314,11 @@ class Cluster:
         """Merge branch telemetries as if they ran concurrently.
 
         Round count is the maximum across branches; per-round traffic is
-        summed; violations are unioned.
+        summed; violations are unioned.  The summed traffic is not checked
+        against machine budgets: only each branch's own rounds were, so a
+        merged round can exceed a budget with no violation logged
+        (mst_weight_estimate on G(256, 0.05) with weights up to 8 merges
+        rounds in which one small machine moves 9.4 times its budget).
         """
         depth = max((len(b) for b in branches), default=0)
         for r in range(depth):

@@ -6,7 +6,7 @@ import pytest
 
 from hetmpc import matching, oracles
 from hetmpc.graphio import SimGraph, generate_graph
-from hetmpc.simcore import ClusterConfig, RunFailed, init_cluster
+from hetmpc.simcore import ClusterConfig, RunFailed, distribute_edges, init_cluster
 
 
 def make_cluster(n, m, seed=0, f_exp=None):
@@ -56,8 +56,6 @@ def test_complete_bipartite_k88():
 def test_degree_split_threshold():
     g = generate_graph("gnp", 64, seed=1, p=0.2)
     cl = make_cluster(64, g.m, seed=1)
-    from hetmpc.simcore import distribute_edges
-
     distribute_edges(cl, g.edges)
     state = matching.degree_split(cl, g)
     d = state.d
@@ -116,6 +114,37 @@ def test_superlinear_depth_bound_and_maximality():
         M, report = matching.matching_superlinear(cl, g)
         assert report["depth"] <= 3
         assert oracles.is_maximal_matching(g, M)
+
+
+def test_superlinear_recursion_depth2_maximal():
+    # stop_c=1 lowers the cap below m, so the recursion samples once and
+    # extends the sampled matching over the delivered free-free edges
+    for seed in range(3):
+        g = generate_graph("gnm", 128, seed=seed, m=2048)
+        cl = make_cluster(128, g.m, seed=seed, f_exp=Fraction(1, 2))
+        M, report = matching.matching_superlinear(cl, g, stop_c=1)
+        assert report["depth"] == 2
+        assert oracles.is_maximal_matching(g, M)
+
+
+def test_phase2_leaves_exactly_free_free_edges():
+    # hubs 0 and 1 see every other vertex; 2..251 pair up, so phase 1
+    # matches them and a hub's collected edges may all lead to matched
+    # vertices, leaving hub edges to the free vertices 252..255
+    n = 256
+    edges = [(h, v) for h in (0, 1) for v in range(2, n)]
+    edges += [(v, v + 1) for v in range(2, 252, 2)]
+    g = SimGraph(n, edges)
+    cl = make_cluster(n, g.m, seed=0)
+    distribute_edges(cl, g.edges)
+    state = matching.degree_split(cl, g)
+    matching.phase1_low_degree(cl, g, state)
+    matching.phase2_high_degree(cl, g, state)
+    matched = state.matched_vertices()
+    want = {e for e in g.edges if e[0] not in matched and e[1] not in matched}
+    held = [e for mid in cl.small_ids for e in cl.machines[mid].state.get("E") or []]
+    assert want
+    assert sorted(held) == sorted(want)
 
 
 def test_superlinear_requires_f():

@@ -144,6 +144,49 @@ def test_disseminate_delivers_per_part():
             assert got.get(i, {}).get(v) == v * 10
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)),
+             min_size=1, max_size=200),
+    st.sets(st.integers(0, 60), max_size=30),
+    st.sampled_from([0, 1]),
+)
+def test_deliver_by_endpoint_covers_held_endpoints(edges, extra, side):
+    cl = make_cluster()
+    scatter_items(cl, edges)
+    values = {v: 3 * v + 1 for v in {e[side] for e in edges} | extra}
+    before = cl.sink_rounds
+    got = primitives.deliver_by_endpoint(cl, "E", values, side)
+    assert cl.sink_rounds - before == (primitives.sort_rounds(0.5)
+                                       + primitives.disseminate_rounds(0.5))
+    for i in cl.small_ids:
+        held = cl.small(i).state.get("E") or []
+        mine = got.get(i, {})
+        assert all(r[side] in mine for r in held)
+        if held:
+            first, last = held[0][side], held[-1][side]
+            want = {v: x for v, x in values.items() if first <= v <= last}
+        else:
+            want = {}
+        assert mine == want
+
+
+def test_deliver_by_endpoint_apply_reads_only_delivered():
+    cl = make_cluster()
+    g = generate_graph("gnp", 64, seed=4, p=0.1)
+    distribute_edges(cl, g.edges)
+    values = {v: v * 10 for v in range(64)}
+
+    def apply(records, got):
+        values.clear()  # from the first rewrite on, only got is left
+        return [r + (got[r[1]],) for r in records]
+
+    primitives.deliver_by_endpoint(cl, "E", values, 1, apply=apply)
+    held = gathered(cl)
+    assert sorted(r[:2] for r in held) == sorted(g.edges)
+    assert all(r[2] == r[1] * 10 for r in held)
+
+
 def test_broadcast_round_charge_and_traffic():
     cl = make_cluster()
     before = cl.sink_rounds
