@@ -151,7 +151,7 @@ class CoordTable:
         self.index = {int(c): i for i, c in enumerate(self.coords)}
         q, R, L = keys.q, keys.R, keys.L
         mc = len(self.coords)
-        self.member = np.zeros((mc, R, L), dtype=np.int64)
+        self.member = np.zeros((mc, R, L), dtype=bool)
         self.check = np.zeros((mc, R), dtype=np.int64)
         for r in range(R):
             for l in range(L):
@@ -252,34 +252,70 @@ EMPTY = "empty"
 FAIL = "fail"
 
 
-def l0_sample(sketch: SketchPartial, keys: SketchKeys, r: int, n: int):
-    """Decode one edge from instance r of a summed sketch.
+def _decode(count, idsum, check, keys: SketchKeys, r: int, n: int,
+            table: CoordTable | None = None):
+    """Decode one edge per row of instance-r cells, all rows at once.
 
-    Scans the levels sparsest-first for a verifying one-sparse cell
-    (count = +-1, integral recovered coordinate, checksum match).
-    Returns an edge (a, b), EMPTY, or FAIL.
+    count, idsum and check are (G, L) int64 arrays, one row per summed
+    sketch.  A cell verifies when count != 0, the id-sum is a multiple
+    of the count, the coordinate x = idsum/count lies in [0, n^2),
+    (count mod q) * g_r(x) = check (mod q) for the instance-r checksum
+    polynomial g_r, and x = a*n + b with a < b.  g_r(x) is read from
+    `table` when x is one of its coordinates and evaluated otherwise, so
+    the result does not depend on the table.  Each row decodes to the
+    edge of its highest verifying level; an all-zero row is EMPTY and
+    any other row without a verifying cell is FAIL.
+    Returns a list of (a, b), EMPTY or FAIL, one per row.
     """
     q = keys.q
-    if (not sketch.count[r].any() and not sketch.idsum[r].any()
-            and not sketch.check[r].any()):
-        return EMPTY
-    for l in range(keys.L - 1, -1, -1):
-        c = int(sketch.count[r, l])
-        if c == 0:
-            continue
-        ids = int(sketch.idsum[r, l])
-        if ids % c:
-            continue
-        x = ids // c
-        if not (0 <= x < n * n):
-            continue
-        gx = int(_poly_eval(keys.check_coeffs[r],
-                            np.array([x], dtype=np.int64), q)[0])
-        if (c % q) * gx % q == sketch.check[r, l] % q:
-            a, b = divmod(x, n)
-            if a < b < n:
-                return (a, b)
-    return FAIL
+    nonzero = count != 0
+    div = np.where(nonzero, count, 1)
+    x = idsum // div
+    cand = nonzero & (idsum % div == 0) & (x >= 0) & (x < n * n)
+    xs = x[cand]
+    gx = np.empty_like(xs)
+    miss = np.ones(xs.shape, dtype=bool)
+    if table is not None and len(table.coords):
+        at = np.minimum(np.searchsorted(table.coords, xs),
+                        len(table.coords) - 1)
+        miss = table.coords[at] != xs
+        gx[~miss] = table.check[at[~miss], r]
+    if miss.any():
+        gx[miss] = _poly_eval(keys.check_coeffs[r], xs[miss], q)
+    valid = np.zeros(count.shape, dtype=bool)
+    valid[cand] = ((_mulmod(count[cand] % q, gx, q) == check[cand] % q)
+                   & (xs // n < xs % n))
+    top = count.shape[1] - 1 - np.argmax(valid[:, ::-1], axis=1)
+    found = valid.any(axis=1).tolist()
+    empty = ~(count.any(axis=1) | idsum.any(axis=1) | check.any(axis=1))
+    best = x[np.arange(len(top)), top].tolist()
+    return [EMPTY if e else divmod(xv, n) if f else FAIL
+            for e, f, xv in zip(empty.tolist(), found, best)]
+
+
+def l0_sample(sketch: SketchPartial, keys: SketchKeys, r: int, n: int,
+              table: CoordTable | None = None):
+    """Decode one edge from instance r of one summed sketch.
+
+    Scans the levels sparsest-first for a verifying one-sparse cell:
+    nonzero count, id-sum / count the coordinate of an edge (a, b) with
+    a < b, checksum match.  This is `_decode` on one row, the same
+    decoder that decodes a whole Boruvka phase.  With `table`, the
+    checksum of a coordinate in the table is looked up, and evaluated
+    otherwise.  Returns an edge (a, b), EMPTY, or FAIL.
+    """
+    return _decode(sketch.count[r][None], sketch.idsum[r][None],
+                   sketch.check[r][None], keys, r, n, table)[0]
+
+
+def _stack(sketches, keys: SketchKeys, n: int):
+    """Per-vertex sketches as one (n, R, 3, L) array holding the count,
+    id-sum and checksum cells of each instance; a vertex without a
+    sketch is a zero row."""
+    stack = np.zeros((n, keys.R, 3, keys.L), np.int64)
+    for v, s in sketches.items():
+        stack[v] = np.stack((s.count, s.idsum, s.check), axis=1)
+    return stack
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +328,8 @@ def connected_components(cluster: Cluster, graph, state_key="E",
 
     Boruvka on sketches: each phase sums the per-vertex sketches inside
     every current supernode and draws one cut edge from a fresh sampler
-    instance.  A run whose samplers fail outright is retried once with
-    fresh keys.
+    instance, decoding all supernodes in one pass.  A run whose samplers
+    fail outright is retried once with fresh keys.
     """
     n = cluster.config.n
     for attempt in range(2):
@@ -307,24 +343,23 @@ def connected_components(cluster: Cluster, graph, state_key="E",
                 for e in cluster.machines[mid].state.get(state_key) or []
             })
             table = CoordTable(keys, coords)
-        sketches = sketch_build(cluster, keys, table, state_key)
-        full = {v: sketches.get(v) for v in range(n)}
+        stack = _stack(sketch_build(cluster, keys, table, state_key), keys, n)
 
         dsu = primitives.DSU(range(n))
         phases = 0
         ok = True
         for r in range(keys.R):
-            groups = {}
-            for v in range(n):
-                groups.setdefault(dsu.find(v), []).append(v)
+            # supernodes in ascending root, which is also the order of
+            # their first members, since a root is its smallest member
+            roots = np.fromiter((dsu.find(v) for v in range(n)), np.int64, n)
+            _, group = np.unique(roots, return_inverse=True)
+            sums = np.zeros((group.max() + 1, 3, keys.L), np.int64)
+            np.add.at(sums, group, stack[:, r])
+            sums[:, 2] %= keys.q
             merged_any = False
             failed_any = False
-            for root, members in groups.items():
-                s = SketchPartial.zero(keys)
-                for v in members:
-                    if full[v] is not None:
-                        s.add(full[v])
-                res = l0_sample(s, keys, r, n)
+            for res in _decode(sums[:, 0], sums[:, 1], sums[:, 2], keys, r, n,
+                               table):
                 if res == EMPTY:
                     continue
                 if res == FAIL:

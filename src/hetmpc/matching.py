@@ -219,8 +219,11 @@ def phase2_high_degree(cluster: Cluster, graph, state: MatchingState):
         for mid in cluster.small_ids:
             cluster.machines[mid].pop("D")
             cluster.machines[mid].pop("R")
-        ranks_seen = [r[2] for recs in collected.values() for r in recs]
-        if len(ranks_seen) == len(set(ranks_seen)):
+        # a high-high edge can be collected by both endpoints; only two
+        # different edges with one rank are a collision
+        ranked = {(_pair(r[0], r[1]), r[2])
+                  for recs in collected.values() for r in recs}
+        if len(ranked) == len({rank for _, rank in ranked}):
             break
         if attempt == 1:
             raise RunFailed("edge ranks collided twice")

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hetmpc import connectivity as cn
 from hetmpc import oracles
@@ -138,6 +140,109 @@ def test_cut_sampling_frequencies():
     for e, c in counts.items():
         assert abs(c / succ - p) <= 5 * sigma
 
+
+def l0_sample_reference(sketch, keys, r, n):
+    """One-cell-at-a-time decode, the reference for the batched decoder."""
+    q = keys.q
+    if (not sketch.count[r].any() and not sketch.idsum[r].any()
+            and not sketch.check[r].any()):
+        return cn.EMPTY
+    for l in range(keys.L - 1, -1, -1):
+        c = int(sketch.count[r, l])
+        if c == 0:
+            continue
+        ids = int(sketch.idsum[r, l])
+        if ids % c:
+            continue
+        x = ids // c
+        if not (0 <= x < n * n):
+            continue
+        gx = int(cn._poly_eval(keys.check_coeffs[r],
+                               np.array([x], dtype=np.int64), q)[0])
+        if (c % q) * gx % q == sketch.check[r, l] % q:
+            a, b = divmod(x, n)
+            if a < b < n:
+                return (a, b)
+    return cn.FAIL
+
+
+DN = 16
+DKEYS = cn.keys_from_seed(5, DN)
+# half of the edge coordinates; a verifying cell on any other coordinate
+# takes the polynomial fallback
+DTABLE = cn.CoordTable(DKEYS, [cn.edge_coord(DN, a, b) for a in range(DN)
+                               for b in range(a + 1, DN) if (a + b) % 2])
+
+
+def checksum(r, x):
+    g = 0
+    for c in DKEYS.check_coeffs[r]:
+        g = (g * x + int(c)) % DKEYS.q
+    return g
+
+
+def one_sparse(r, x, c, shift=0):
+    """A cell holding coordinate x with count c; shift spoils its checksum."""
+    return (c, c * x, (c % DKEYS.q * checksum(r, x) + shift) % DKEYS.q)
+
+
+@st.composite
+def decode_batches(draw):
+    r = draw(st.integers(0, DKEYS.R - 1))
+    q, nn = DKEYS.q, DN * DN
+    cell = st.one_of(
+        st.just((0, 0, 0)),
+        st.builds(lambda x, c, shift: one_sparse(r, x, c, shift),
+                  st.integers(0, nn - 1), st.sampled_from([1, -1]),
+                  st.sampled_from([0, 0, 1, q - 1])),
+        st.tuples(st.integers(-4, 4), st.integers(-4 * nn, 4 * nn),
+                  st.integers(0, q - 1)),
+    )
+    row = st.one_of(st.just([(0, 0, 0)] * DKEYS.L),
+                    st.lists(cell, min_size=DKEYS.L, max_size=DKEYS.L))
+    return r, draw(st.lists(row, min_size=1, max_size=6))
+
+
+CRAFTED = [
+    [(0, 0, 0)] * DKEYS.L,  # EMPTY
+    [one_sparse(3, cn.edge_coord(DN, 2, 9), 1)] * DKEYS.L,  # in the table
+    [one_sparse(3, cn.edge_coord(DN, 2, 8), -1)] * DKEYS.L,  # fallback
+    [one_sparse(3, 9 * DN + 2, 1)] * DKEYS.L,  # verifies, but a >= b
+    [one_sparse(3, 5 * DN + 5, -1)] * DKEYS.L,  # a == b
+    [(0, 0, 0)] * (DKEYS.L - 2)  # top levels spoiled, a lower one decodes
+    + [one_sparse(3, cn.edge_coord(DN, 1, 4), -1)]
+    + [one_sparse(3, cn.edge_coord(DN, 1, 6), 1, shift=1)],
+    [(2, -2 * cn.edge_coord(DN, 0, 3), 7)] * DKEYS.L,  # FAIL
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(decode_batches())
+@example((3, CRAFTED))
+def test_batched_decode_matches_reference(batch):
+    r, rows = batch
+    cells = np.array(rows, dtype=np.int64)  # (G, L, 3)
+    count, idsum, check = (np.ascontiguousarray(cells[..., i])
+                           for i in range(3))
+    want = []
+    for i in range(len(rows)):
+        s = cn.SketchPartial.zero(DKEYS)
+        s.count[r], s.idsum[r], s.check[r] = count[i], idsum[i], check[i]
+        want.append(l0_sample_reference(s, DKEYS, r, DN))
+        assert cn.l0_sample(s, DKEYS, r, DN) == want[-1]
+        assert cn.l0_sample(s, DKEYS, r, DN, DTABLE) == want[-1]
+    assert cn._decode(count, idsum, check, DKEYS, r, DN, DTABLE) == want
+    assert cn._decode(count, idsum, check, DKEYS, r, DN) == want
+
+
+def test_crafted_decode_cases():
+    cells = np.array(CRAFTED, dtype=np.int64)
+    got = cn._decode(cells[..., 0], cells[..., 1], cells[..., 2],
+                     DKEYS, 3, DN, DTABLE)
+    assert cn.edge_coord(DN, 2, 9) in DTABLE.index
+    assert cn.edge_coord(DN, 2, 8) not in DTABLE.index
+    assert got == [cn.EMPTY, (2, 9), (2, 8), cn.FAIL, cn.FAIL, (1, 4),
+                   cn.FAIL]
 
 def run_cc(graph, seed=0):
     cl = init_cluster(

@@ -1,12 +1,12 @@
 """Simulated-cost fingerprint: rounds, words sent and peak resident words of
-fixed MST, spanner and matching runs.  A host-speed change must leave all
-three bit-identical."""
+fixed MST, spanner, matching and sketch runs.  A host-speed change must
+leave all three bit-identical."""
 
 import pytest
 
-from hetmpc import matching, mst, spanner
+from hetmpc import connectivity, matching, mst, oracles, spanner
 from hetmpc.graphio import generate_graph
-from hetmpc.simcore import ClusterConfig, init_cluster
+from hetmpc.simcore import ClusterConfig, distribute_edges, init_cluster
 
 # seed -> (words sent, max resident words) for mst on weighted G(256, 4096)
 MST_FINGERPRINT = {
@@ -33,6 +33,18 @@ MATCHING_FINGERPRINT = {
     1: (75, 144_234, 1217),
     2: (69, 147_538, 623),
 }
+
+# (rounds, words sent, max resident words) for connected_components on
+# G(128, p=1.5/128) seed 0 (30 components, 6 Boruvka phases)
+CC_FINGERPRINT = (18, 172_286, 138)
+
+# (rounds, words sent, max resident words, estimate, components per
+# threshold) for mst_weight_estimate on weighted G(64, p=0.1), W=8,
+# eps=0.25, seed 0
+ESTIMATE_FINGERPRINT = (
+    18, 1_147_822, 205, 138.68413543701172,
+    [33, 33, 33, 33, 19, 8, 8, 4, 3, 1, 1],
+)
 
 
 def sim_cost(cl):
@@ -64,3 +76,23 @@ def test_matching_fingerprint(seed):
     cl = init_cluster(ClusterConfig(n=512, m=g.m, gamma=0.5, seed=seed))
     matching.maximal_matching(cl, g)
     assert (cl.rounds_used, *sim_cost(cl)) == MATCHING_FINGERPRINT[seed]
+
+
+def test_cc_fingerprint():
+    g = generate_graph("gnp", 128, seed=0, p=1.5 / 128)
+    cl = init_cluster(ClusterConfig(n=128, m=g.m, gamma=0.5, seed=0))
+    distribute_edges(cl, g.edges)
+    labels, report = connectivity.connected_components(cl, g)
+    assert (cl.rounds_used, *sim_cost(cl)) == CC_FINGERPRINT
+    assert [labels[v] for v in range(128)] == oracles.components(128, g.edges)
+    assert len(set(labels.values())) == 30
+    assert (report["phases"], report["retried"]) == (6, 0)
+
+
+def test_estimate_fingerprint():
+    g = generate_graph("gnp", 64, seed=0, p=0.1, weighted=True, max_weight=8)
+    cl = init_cluster(ClusterConfig(n=64, m=g.m, gamma=0.5, seed=0))
+    est, report = connectivity.mst_weight_estimate(cl, g, eps=0.25,
+                                                   max_weight=8)
+    got = (cl.rounds_used, *sim_cost(cl), est, report["cc_per_threshold"])
+    assert got == ESTIMATE_FINGERPRINT

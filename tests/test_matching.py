@@ -99,6 +99,20 @@ def test_planted_hubs():
     assert all(h in matched for h in range(4))
 
 
+def test_adjacent_hubs_collect_their_shared_edges():
+    # each hub-hub edge is collected by both of its endpoints in phase 2,
+    # which must not count as a rank collision
+    edges = {(a, b) for a in range(4) for b in range(a + 1, 4)}
+    edges |= {(h, v) for h in range(4) for v in range(4, 256)
+              if (h + v) % 3 != 0}
+    edges |= {(v, v + 1) for v in range(4, 256, 2)}
+    g = SimGraph(256, sorted(edges))
+    assert g.m == 804
+    for seed in range(20):
+        _, M, _ = run_matching(g, seed=seed)
+        assert oracles.is_maximal_matching(g, M)
+
+
 def test_superlinear_small_input_depth1():
     g = generate_graph("gnm", 64, seed=3, m=128)
     cl = make_cluster(64, g.m, seed=3, f_exp=Fraction(1, 2))
