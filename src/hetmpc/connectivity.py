@@ -293,19 +293,18 @@ def _decode(count, idsum, check, keys: SketchKeys, r: int, n: int,
             for e, f, xv in zip(empty.tolist(), found, best)]
 
 
-def l0_sample(sketch: SketchPartial, keys: SketchKeys, r: int, n: int,
-              table: CoordTable | None = None):
+def l0_sample(sketch: SketchPartial, keys: SketchKeys, r: int, n: int):
     """Decode one edge from instance r of one summed sketch.
 
     Scans the levels sparsest-first for a verifying one-sparse cell:
     nonzero count, id-sum / count the coordinate of an edge (a, b) with
     a < b, checksum match.  This is `_decode` on one row, the same
-    decoder that decodes a whole Boruvka phase.  With `table`, the
-    checksum of a coordinate in the table is looked up, and evaluated
-    otherwise.  Returns an edge (a, b), EMPTY, or FAIL.
+    decoder that decodes a whole Boruvka phase, with every checksum
+    evaluated rather than looked up.  Returns an edge (a, b), EMPTY, or
+    FAIL.
     """
     return _decode(sketch.count[r][None], sketch.idsum[r][None],
-                   sketch.check[r][None], keys, r, n, table)[0]
+                   sketch.check[r][None], keys, r, n)[0]
 
 
 def _stack(sketches, keys: SketchKeys, n: int):

@@ -230,7 +230,6 @@ def test_batched_decode_matches_reference(batch):
         s.count[r], s.idsum[r], s.check[r] = count[i], idsum[i], check[i]
         want.append(l0_sample_reference(s, DKEYS, r, DN))
         assert cn.l0_sample(s, DKEYS, r, DN) == want[-1]
-        assert cn.l0_sample(s, DKEYS, r, DN, DTABLE) == want[-1]
     assert cn._decode(count, idsum, check, DKEYS, r, DN, DTABLE) == want
     assert cn._decode(count, idsum, check, DKEYS, r, DN) == want
 
