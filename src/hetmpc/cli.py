@@ -101,12 +101,12 @@ def merge_config(args, file_cfg):
     """Start from hard defaults, overlay the config file, then overlay
     explicitly given flags (flags win)."""
     cfg = dict(DEFAULTS)
+    flag = lambda s: s.lower() in ("1", "true", "yes")
     casts = {
         "n": int, "m": int, "p": float, "k": int, "eps": float,
         "gamma": float, "polylog_c": int, "polylog_e": int, "seed": int,
         "split": int, "max_weight": int,
-        "weighted": lambda s: s.lower() in ("1", "true", "yes"),
-        "verify": lambda s: s.lower() in ("1", "true", "yes"),
+        "weighted": flag, "verify": flag, "tolerant": flag, "strict": flag,
     }
     for key, val in file_cfg.items():
         cfg[key] = casts.get(key, str)(val)

@@ -144,7 +144,7 @@ def _children(tree, level, idx):
 @dataclass
 class SortedLayout:
     counts: list  # per small machine (index 0 = machine 1)
-    boundaries: list  # per machine: (min_sort_key, max_sort_key) or None
+    boundaries: list  # per machine: (first record, last record) or None
     extras: list  # per machine summarize() payloads (or None)
 
 
@@ -179,12 +179,30 @@ def _pick_splitters(weighted, parts):
     return splitters
 
 
+def _buckets(keys, split):
+    """Cut sorted `keys` at sorted splitters: (j, start, stop) for each
+    nonempty bucket j, which holds the keys k with split[j-1] <= k <
+    split[j] (so j is bisect_right(split, k)), in increasing j."""
+    out, a = [], 0
+    for j, s in enumerate(split):
+        c = bisect_left(keys, s, a)
+        if c > a:
+            out.append((j, a, c))
+            a = c
+    if a < len(keys):
+        out.append((len(split), a, len(keys)))
+    return out
+
+
 def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> SortedLayout:
     """Globally sort the records stored under state_key on the small
     machines (two-phase sample sort; fixed round charge).
 
-    Total order is (key(record), record).  `summarize(shard)` may attach a
-    per-machine payload to the final summary message to the large machine.
+    Total order is (key(record), record).  Samples, splitters and summary
+    boundaries travel as bare records and each receiver evaluates `key` on
+    them, so `key` must be a function of the record alone.
+    `summarize(shard)` may attach a per-machine payload to the final
+    summary message to the large machine.
     """
     start = cluster.sink_rounds
     gamma = cluster.config.gamma
@@ -193,42 +211,49 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
     keyf = key or (lambda r: r)
     skey = lambda r: (keyf(r), r)
 
-    # keyed[i]: the sort keys of machine i's sorted shard, computed once
-    # per shard and kept machine-local between rounds
-    keyed = {}
+    # keyed[i] / shard[i]: the sort keys and the records of machine i's
+    # sorted shard, side by side; computed once per shard and kept
+    # machine-local between rounds
+    keyed, shard = {}, {}
 
     def store(i, records):
         keys = sorted(map(skey, records))
-        keyed[i] = keys
-        cluster.machines[i].put(state_key, [k[1] for k in keys])
-        return keys
+        recs = [k[1] for k in keys]
+        keyed[i], shard[i] = keys, recs
+        cluster.machines[i].put(state_key, recs)
+        return recs
+
+    def sample_keys(msgs):
+        # a receiver keys the sampled records it got: [(count, [keys])]
+        return [(p[0], [skey(r) for r in p[1:]]) for _, p in msgs]
+
+    def route(sends, i, split, dsts):
+        # bucket j is one contiguous slice of the sorted shard, sent to dsts[j]
+        cluster.machines[i].pop(state_key)
+        recs = shard[i]
+        for j, a, c in _buckets(keyed[i], split):
+            sends.append((i, dsts[j], recs[a:c]))
 
     # local sort + seeded-position sample to the large machine
     sends = []
     for i in cluster.small_ids:
-        keys = store(i, cluster.machines[i].state.get(state_key) or [])
-        sends.append((i, LARGE, [len(keys)] + _even_sample(keys, b)))
+        recs = store(i, cluster.machines[i].state.get(state_key) or [])
+        sends.append((i, LARGE, [len(recs)] + _even_sample(recs, b)))
     inbox = cluster.round(sends)
 
-    samples = [(p[0], p[1:]) for _, p in inbox.get(LARGE, [])]
     g = max(1, math.ceil(math.sqrt(K)))
     size = math.ceil(K / g)
     groups = [(lo, min(lo + size - 1, K)) for lo in range(1, K + 1, size)]
-    gsplit = _pick_splitters(samples, len(groups))
-    tree_broadcast(cluster, gsplit)
+    # splitter keys; the machines they are broadcast to key the same
+    # records to the same values
+    gsplit = _pick_splitters(sample_keys(inbox.get(LARGE, [])), len(groups))
+    tree_broadcast(cluster, [k[1] for k in gsplit])
 
     # route each record to a machine of its target group (balanced by
-    # sender index)
+    # sender index); gsplit may hold fewer than len(groups) - 1 splitters
     sends = []
     for i in cluster.small_ids:
-        cluster.machines[i].pop(state_key)
-        buckets = {}
-        for k in keyed[i]:
-            lo, hi = groups[bisect_right(gsplit, k)]
-            dst = lo + (i % (hi - lo + 1))
-            buckets.setdefault(dst, []).append(k[1])
-        for dst, recs in buckets.items():
-            sends.append((i, dst, recs))
+        route(sends, i, gsplit, [lo + i % (hi - lo + 1) for lo, hi in groups])
     inbox = cluster.round(sends)
     for i in cluster.small_ids:
         store(i, [r for _, batch in inbox.get(i, []) for r in batch])
@@ -237,42 +262,34 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
     sends = []
     for lo, hi in groups:
         for i in range(lo, hi + 1):
-            keys = keyed[i]
-            sends.append((i, lo, [len(keys)] + _even_sample(keys, 2 * (hi - lo + 1))))
+            recs = shard[i]
+            sends.append((i, lo, [len(recs)] + _even_sample(recs, 2 * (hi - lo + 1))))
     inbox = cluster.round(sends)
 
     leader_split = {}
     sends = []
     for lo, hi in groups:
-        samples = [(p[0], p[1:]) for _, p in inbox.get(lo, [])]
-        split = _pick_splitters(samples, hi - lo + 1)
+        split = _pick_splitters(sample_keys(inbox.get(lo, [])), hi - lo + 1)
         leader_split[lo] = split
-        for i in range(lo, hi + 1):
-            if i != lo:
-                sends.append((lo, i, split))
+        split_recs = [k[1] for k in split]  # one object for the whole group
+        for i in range(lo + 1, hi + 1):
+            sends.append((lo, i, split_recs))
     cluster.round(sends)
 
     sends = []
     for lo, hi in groups:
-        split = leader_split[lo]
         for i in range(lo, hi + 1):
-            cluster.machines[i].pop(state_key)
-            buckets = {}
-            for k in keyed[i]:
-                dst = lo + bisect_right(split, k)
-                buckets.setdefault(dst, []).append(k[1])
-            for dst, recs in buckets.items():
-                sends.append((i, dst, recs))
+            route(sends, i, leader_split[lo], range(lo, hi + 1))
     inbox = cluster.round(sends)
 
     sends = []
     for i in cluster.small_ids:
-        keys = store(i, [r for _, batch in inbox.get(i, []) for r in batch])
-        payload = [len(keys)]
-        if keys:
-            payload.append((keys[0], keys[-1]))
+        recs = store(i, [r for _, batch in inbox.get(i, []) for r in batch])
+        payload = [len(recs)]
+        if recs:
+            payload.append((recs[0], recs[-1]))
         if summarize is not None:
-            payload.append(summarize(cluster.machines[i].state[state_key]))
+            payload.append(summarize(recs))
         sends.append((i, LARGE, payload))
     inbox = cluster.round(sends)
 
@@ -455,7 +472,7 @@ def deliver_by_endpoint(cluster: Cluster, state_key, values: dict, side,
     ranges = {}
     for i, b in enumerate(layout.boundaries, start=1):
         if b is not None:
-            ranges[i] = (b[0][1][side], b[1][1][side])
+            ranges[i] = (b[0][side], b[1][side])
     delivered = disseminate(cluster, values, machine_ranges=ranges)
     if apply is not None:
         for i in cluster.small_ids:

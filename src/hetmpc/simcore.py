@@ -196,6 +196,7 @@ class Machine:
 
 
 _SENDER = itemgetter(0)
+_NO_PAYLOAD = object()
 
 
 class Cluster:
@@ -247,11 +248,16 @@ class Cluster:
         """Deliver messages; returns {dst: [(src, payload), ...]}.
 
         `sends` is a list of (src, dst, payload) triples in send order.
+        Consecutive sends of one payload object are metered once and each
+        is charged its words.
         """
         sent, received = {}, {}
         inbox = {}
+        last = _NO_PAYLOAD
         for src, dst, payload in sends:
-            w = payload_words(payload)
+            if payload is not last:  # a repeated payload is metered once
+                w = payload_words(payload)
+                last = payload
             sent[src] = sent.get(src, 0) + w
             received[dst] = received.get(dst, 0) + w
             box = inbox.get(dst)

@@ -175,7 +175,7 @@ def clustering_graphs(cluster: Cluster, graph) -> ClusteringDecomposition:
     ranges = {}
     for i, b in enumerate(arranged.layout.boundaries, start=1):
         if b is not None:
-            ranges[i] = (b[0][1][0], b[1][1][0])
+            ranges[i] = (b[0][0], b[1][0])
     primitives.disseminate(
         cluster, {v: (i_of[v], 1 if v in need else 0) for v in deg},
         machine_ranges=ranges,

@@ -134,3 +134,22 @@ def test_algos_verify_exit_zero(tmp_path, algo, extra):
                    "--report", str(rep), *extra)
     assert code == 0
     assert json.loads(rep.read_text())["passed"] is True
+
+
+@pytest.mark.parametrize("line,code,error", [
+    ("tolerant = false", 3, "capacity"),  # strict: the violation raises
+    ("tolerant = yes", 1, None),  # tolerant: it is logged, the run fails
+])
+def test_config_file_tolerant_is_a_boolean(tmp_path, capsys, line, code,
+                                           error):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"{line}\npolylog_c = 2\n")
+    rep = tmp_path / "rep.json"
+    assert run_cli("run", "--algo", "spanner", "--gen", "gnp", "--n", "64",
+                   "--p", "0.1", "--seed", "1", "--config", str(cfgfile),
+                   "--report", str(rep)) == code
+    if error is None:
+        doc = json.loads(rep.read_text())
+        assert doc["runs"][0]["violations"]
+    else:
+        assert json.loads(capsys.readouterr().err)["error"] == error

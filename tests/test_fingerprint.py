@@ -1,6 +1,7 @@
 """Simulated-cost fingerprint: rounds, words sent and peak resident words of
 fixed MST, spanner, matching and sketch runs.  A host-speed change must
-leave all three bit-identical."""
+leave all three bit-identical.  The words are those of het_sort sending
+samples, splitters and summary boundaries as bare records."""
 
 import pytest
 
@@ -10,39 +11,39 @@ from hetmpc.simcore import ClusterConfig, distribute_edges, init_cluster
 
 # seed -> (words sent, max resident words) for mst on weighted G(256, 4096)
 MST_FINGERPRINT = {
-    0: (881_927, 360),
-    1: (887_418, 350),
-    2: (899_223, 330),
-    3: (894_296, 340),
-    4: (883_602, 335),
+    0: (655_651, 360),
+    1: (659_977, 350),
+    2: (668_515, 330),
+    3: (665_029, 340),
+    4: (656_783, 335),
 }
 
 # seed -> (rounds, words sent, max resident words) for spanner(k=2) on
 # G(256, p=0.1)
 SPANNER_FINGERPRINT = {
-    0: (105, 498_830, 545),
-    1: (105, 486_573, 192),
-    2: (105, 509_069, 299),
+    0: (105, 447_098, 545),
+    1: (105, 435_937, 192),
+    2: (105, 456_024, 299),
 }
 
 # seed -> (rounds, words sent, max resident words) for maximal_matching on
 # G(512, p=8/512); statuses are delivered by both endpoints and each sort
 # carries only the edges still free-free
 MATCHING_FINGERPRINT = {
-    0: (81, 143_071, 1556),
-    1: (75, 144_234, 1217),
-    2: (69, 147_538, 623),
+    0: (81, 113_569, 1556),
+    1: (75, 114_565, 1217),
+    2: (69, 117_233, 623),
 }
 
 # (rounds, words sent, max resident words) for connected_components on
 # G(128, p=1.5/128) seed 0 (30 components, 6 Boruvka phases)
-CC_FINGERPRINT = (18, 172_286, 138)
+CC_FINGERPRINT = (18, 171_830, 138)
 
 # (rounds, words sent, max resident words, estimate, components per
 # threshold) for mst_weight_estimate on weighted G(64, p=0.1), W=8,
 # eps=0.25, seed 0
 ESTIMATE_FINGERPRINT = (
-    18, 1_147_822, 205, 138.68413543701172,
+    18, 1_136_372, 205, 138.68413543701172,
     [33, 33, 33, 33, 19, 8, 8, 4, 3, 1, 1],
 )
 

@@ -1,13 +1,20 @@
 """Communication primitives: correctness and fixed round charges."""
 
 import random
+from bisect import bisect_right
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetmpc import primitives
 from hetmpc.graphio import generate_graph
-from hetmpc.simcore import ClusterConfig, distribute_edges, init_cluster
+from hetmpc.simcore import (
+    ClusterConfig,
+    distribute_edges,
+    init_cluster,
+    payload_words,
+)
 
 
 def make_cluster(n=64, m=256, gamma=0.5, seed=0):
@@ -74,6 +81,69 @@ def test_sort_custom_key():
     assert gathered(cl) == sorted(items, key=lambda r: (r[1], r))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 9), max_size=40),
+       st.lists(st.integers(0, 9), max_size=8))
+def test_buckets_cut_where_bisect_right_routes(keys, split):
+    keys, split = sorted(keys), sorted(split)
+    cuts = primitives._buckets(keys, split)
+    assert all(a < c for _, a, c in cuts)
+    assert [j for j, a, c in cuts for _ in range(a, c)] == [
+        bisect_right(split, k) for k in keys
+    ]
+
+
+def record_rounds(cluster):
+    """Make cluster.round keep a copy of every round's sends."""
+    rounds, deliver = [], cluster.round
+
+    def spy(sends):
+        rounds.append(list(sends))
+        return deliver(sends)
+
+    cluster.round = spy
+    return rounds
+
+
+SORT_KEYS = [None, lambda r: (r[1],), lambda r: (r[0], (r[2], r[1]))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)),
+             max_size=150),
+    st.sampled_from(range(len(SORT_KEYS))),
+    st.integers(1, 400),
+)
+def test_sort_sends_records_in_total_order(records, which, m):
+    key = SORT_KEYS[which]
+    keyf = key or (lambda r: r)
+    cl = make_cluster(m=m)  # K = ceil(m / 8) small machines
+    scatter_items(cl, records)
+    rounds = record_rounds(cl)
+    layout = primitives.het_sort(cl, key=key)
+
+    got = gathered(cl)
+    assert got == sorted(records, key=lambda r: (keyf(r), r))
+    assert Counter(got) == Counter(records)
+    for i in cl.small_ids:
+        shard = cl.small(i).state["E"]
+        assert layout.counts[i - 1] == len(shard)
+        assert layout.boundaries[i - 1] == ((shard[0], shard[-1]) if shard else None)
+    assert len(rounds) == cl.rounds_used == primitives.sort_rounds(0.5)
+
+    # samples are a count plus records; splitters are records
+    held = set(records)
+    bcast = primitives.broadcast_rounds(0.5)
+    for r in (0, bcast + 2):
+        for _, _, payload in rounds[r]:
+            assert type(payload[0]) is int
+            assert all(rec in held for rec in payload[1:])
+    for r in [*range(1, bcast + 1), bcast + 3]:
+        for _, _, payload in rounds[r]:
+            assert all(rec in held for rec in payload)
+
+
 def test_arrange_star_hub():
     cl = make_cluster(n=16, m=5)
     g = generate_graph("star", 6)
@@ -133,7 +203,7 @@ def test_disseminate_delivers_per_part():
     ranges = {}
     for i, b in enumerate(arr.layout.boundaries, start=1):
         if b is not None:
-            ranges[i] = (b[0][1][0], b[1][1][0])
+            ranges[i] = (b[0][0], b[1][0])
     values = {v: v * 10 for v in arr.deg_out}
     before = cl.sink_rounds
     got = primitives.disseminate(cl, values, machine_ranges=ranges)
@@ -196,6 +266,23 @@ def test_broadcast_round_charge_and_traffic():
     # machine receives the 3-word payload exactly once
     received = sum(sum(t.received.values()) for t in cl.telemetry)
     assert received >= 3 * (len(cl.small_ids) - primitives.global_tree_depth(0.5))
+
+
+def test_broadcast_charges_every_metered_edge():
+    cl = make_cluster(m=1600)  # K = 200, b = 8: a three-level tree
+    value = [(1, 2, 3), (4, 5, 6), 7]
+    primitives.tree_broadcast(cl, value)
+    tree = primitives.AggregationTree.build(1, len(cl.small_ids),
+                                            primitives.branching(cl))
+    assert tree.depth == 3
+    edges = 1 + sum(  # large -> root, then each child off its parent's machine
+        clo != lo
+        for level in range(1, tree.depth + 1)
+        for idx, (lo, _) in enumerate(tree.levels[level])
+        for clo, _ in primitives._children(tree, level, idx)
+    )
+    sent = sum(sum(t.sent.values()) for t in cl.telemetry)
+    assert sent == payload_words(value) * edges
 
 
 def test_tree_children_are_contiguous_slices():

@@ -191,6 +191,18 @@ def test_traffic_conservation():
     assert sum(t.sent.values()) == sum(t.received.values()) == 10
 
 
+def test_repeated_payload_charged_per_send():
+    cl = init_cluster(ClusterConfig(n=16, m=64, gamma=0.5))
+    shared = [(1, 2, 3), (4, (5, 6)), 7]
+    w = payload_words(shared)
+    cl.round([(LARGE, dst, shared) for dst in (1, 2, 3)])
+    t = cl.telemetry[0]
+    assert t.sent == {LARGE: 3 * w}
+    assert t.received == {1: w, 2: w, 3: w}
+    cl.round([(LARGE, 1, shared)] * 3)  # one object, one receiver
+    assert cl.telemetry[1].received == {1: 3 * w}
+
+
 def test_state_budget_metered():
     cfg = ClusterConfig(n=16, m=64, gamma=0.5, polylog_c=1, polylog_e=1)
     cl = init_cluster(cfg, strict=False)
