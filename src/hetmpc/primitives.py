@@ -147,6 +147,12 @@ class SortedLayout:
     boundaries: list  # per machine: (first record, last record) or None
     extras: list  # per machine summarize() payloads (or None)
 
+    def ranges(self, side) -> dict:
+        """{machine index: (first r[side], last r[side])} over the machines
+        that hold records; the machine_ranges that disseminate takes."""
+        return {i: (b[0][side], b[1][side])
+                for i, b in enumerate(self.boundaries, start=1) if b is not None}
+
 
 def _even_sample(seq, k):
     if not seq or k <= 0:
@@ -469,11 +475,7 @@ def deliver_by_endpoint(cluster: Cluster, state_key, values: dict, side,
     disseminate_rounds.  Returns {machine index: got}.
     """
     layout = het_sort(cluster, state_key, key=lambda r: (r[side],))
-    ranges = {}
-    for i, b in enumerate(layout.boundaries, start=1):
-        if b is not None:
-            ranges[i] = (b[0][side], b[1][side])
-    delivered = disseminate(cluster, values, machine_ranges=ranges)
+    delivered = disseminate(cluster, values, machine_ranges=layout.ranges(side))
     if apply is not None:
         for i in cluster.small_ids:
             mach = cluster.machines[i]

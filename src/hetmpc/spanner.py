@@ -172,13 +172,9 @@ def clustering_graphs(cluster: Cluster, graph) -> ClusteringDecomposition:
     need = {v for v in deg if v not in b_sets[i_of[v]]}
     # "D" is still sorted by source from arranging it, so disseminate over
     # that layout; deliver_by_endpoint would sort again and add rounds
-    ranges = {}
-    for i, b in enumerate(arranged.layout.boundaries, start=1):
-        if b is not None:
-            ranges[i] = (b[0][0], b[1][0])
     primitives.disseminate(
         cluster, {v: (i_of[v], 1 if v in need else 0) for v in deg},
-        machine_ranges=ranges,
+        machine_ranges=arranged.layout.ranges(0),
     )
     no_choice = (1 << 64, 0)  # above any 64-bit hash value
     cand = primitives.aggregate(

@@ -130,6 +130,9 @@ def test_sort_sends_records_in_total_order(records, which, m):
         shard = cl.small(i).state["E"]
         assert layout.counts[i - 1] == len(shard)
         assert layout.boundaries[i - 1] == ((shard[0], shard[-1]) if shard else None)
+    assert layout.ranges(1) == {i: (cl.small(i).state["E"][0][1],
+                                    cl.small(i).state["E"][-1][1])
+                                for i in cl.small_ids if cl.small(i).state["E"]}
     assert len(rounds) == cl.rounds_used == primitives.sort_rounds(0.5)
 
     # samples are a count plus records; splitters are records
@@ -200,13 +203,9 @@ def test_disseminate_delivers_per_part():
     g = generate_graph("gnp", 64, seed=4, p=0.1)
     distribute_edges(cl, g.edges)
     arr = primitives.arrange_nodes(cl)
-    ranges = {}
-    for i, b in enumerate(arr.layout.boundaries, start=1):
-        if b is not None:
-            ranges[i] = (b[0][0], b[1][0])
     values = {v: v * 10 for v in arr.deg_out}
     before = cl.sink_rounds
-    got = primitives.disseminate(cl, values, machine_ranges=ranges)
+    got = primitives.disseminate(cl, values, machine_ranges=arr.layout.ranges(0))
     assert cl.sink_rounds - before == primitives.disseminate_rounds(0.5)
     for i in range(1, len(cl.small_ids) + 1):
         held = {r[0] for r in cl.small(i).state.get("D") or []}
