@@ -76,7 +76,6 @@ def build_parser():
     r.add_argument("--f", help="superlinear memory exponent (e.g. 1/2)")
     r.add_argument("--seeds", help="comma-separated seed list")
     r.add_argument("--verify", action="store_true", default=None)
-    r.add_argument("--strict", action="store_true", default=None)
     r.add_argument("--tolerant", action="store_true", default=None)
     r.add_argument("--config", help="key=value config file; flags win")
     r.add_argument("--report", help="report JSON path (CSV written beside)")
@@ -106,7 +105,7 @@ def merge_config(args, file_cfg):
         "n": int, "m": int, "p": float, "k": int, "eps": float,
         "gamma": float, "polylog_c": int, "polylog_e": int, "seed": int,
         "split": int, "max_weight": int,
-        "weighted": flag, "verify": flag, "tolerant": flag, "strict": flag,
+        "weighted": flag, "verify": flag, "tolerant": flag,
     }
     for key, val in file_cfg.items():
         cfg[key] = casts.get(key, str)(val)

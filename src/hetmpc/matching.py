@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from . import primitives
+from .primitives import _pair
 from .simcore import (
     LARGE,
     Cluster,
@@ -20,10 +22,6 @@ from .simcore import (
     RunFailed,
     distribute_edges,
 )
-
-
-def _pair(a, b):
-    return (a, b) if a < b else (b, a)
 
 
 @dataclass
@@ -208,9 +206,7 @@ def phase2_high_degree(cluster: Cluster, graph, state: MatchingState):
 
     for attempt in range(2):
         _ranked_records(cluster, attempt)
-        arranged = primitives.arrange_nodes(
-            cluster, "R", "D", key=lambda r: (r[0], r[2])
-        )
+        arranged = primitives.arrange_nodes(cluster, "R", "D", key=itemgetter(0, 2))
         k_of = {
             v: min(budget, state.deg.get(v, 0))
             for v in sorted(state.v_high)

@@ -8,7 +8,8 @@ the large machine.  A superlinear-memory variant raises the per-step
 select counts and drops the sampling probability accordingly.
 
 Edge records on the machines are (u, v, w, ou, ov): current supervertex
-endpoints, weight, and the original edge this record represents.
+endpoints, weight, and the original edge this record represents, stored
+with ou < ov.
 """
 
 from __future__ import annotations
@@ -16,15 +17,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 from . import primitives
 from .labels import DIFFERENT_COMPONENTS, flow_label_decode, flow_label_marker
 from .simcore import LARGE, CapacityError, Cluster, RunFailed, distribute_edges
 
 
-def wkey(r):
-    """Unique total order on edge records via the attached original edge."""
-    return (r[2], min(r[3], r[4]), max(r[3], r[4]))
+# Unique total order on edge records via the attached original edge:
+# (w, ou, ov), with ou < ov as init_state stores it.
+wkey = itemgetter(2, 3, 4)
 
 
 @dataclass
@@ -40,7 +42,7 @@ class ContractionState:
 
 
 def init_state(cluster: Cluster, graph, placement="seeded") -> ContractionState:
-    records = [(u, v, w, u, v) for u, v, w in graph.edges]
+    records = [(u, v, w, min(u, v), max(u, v)) for u, v, w in graph.edges]
     distribute_edges(cluster, records, placement=placement)
     return ContractionState(0, set(range(graph.n)), {v: v for v in range(graph.n)})
 
@@ -97,9 +99,8 @@ def boruvka_step(cluster: Cluster, state: ContractionState, s: int) -> Contracti
     """One contraction step: collect min(s, deg) lightest outgoing edges
     per supervertex at the large machine, merge safely, rename, and
     dedupe parallel edges keeping the lightest."""
-    arranged = primitives.arrange_nodes(
-        cluster, "E", "D", key=lambda r: (r[0], wkey(r))
-    )
+    # by source, then by wkey
+    arranged = primitives.arrange_nodes(cluster, "E", "D", key=itemgetter(0, 2, 3, 4))
     k_of = {v: min(s, d) for v, d in arranged.deg_out.items() if d > 0}
     need = sum(k_of.values()) * 5
     if need > cluster.config.large_budget:
@@ -112,7 +113,7 @@ def boruvka_step(cluster: Cluster, state: ContractionState, s: int) -> Contracti
         cluster.machines[mid].pop("D")
 
     used, cmap = _safe_merge(collected, arranged.deg_out, state.vertices)
-    forest = state.forest + [(min(r[3], r[4]), max(r[3], r[4]), r[2]) for r in used]
+    forest = state.forest + [(r[3], r[4], r[2]) for r in used]
     new_vertices = set(cmap.values())
 
     # deliver the contraction map by each endpoint and rewrite that
@@ -134,15 +135,13 @@ def boruvka_step(cluster: Cluster, state: ContractionState, s: int) -> Contracti
     # predecessor's trailing pair matches
     primitives.het_sort(
         cluster, "E",
-        key=lambda r: ((min(r[0], r[1]), max(r[0], r[1])), wkey(r)),
+        key=lambda r: primitives._pair(r[0], r[1]) + wkey(r),
     )
     last_pair = {}
     for i, mid in enumerate(cluster.small_ids, start=1):
         es = cluster.machines[mid].state.get("E") or []
-        last_pair[i] = (min(es[-1][0], es[-1][1]), max(es[-1][0], es[-1][1])) if es else None
-    pred = primitives.neighbor_shift(
-        cluster, lambda i: last_pair[i] if last_pair[i] is not None else None
-    )
+        last_pair[i] = primitives._pair(es[-1][0], es[-1][1]) if es else None
+    pred = primitives.neighbor_shift(cluster, last_pair.get)
     for i, mid in enumerate(cluster.small_ids, start=1):
         mach = cluster.machines[mid]
         es = mach.state.get("E") or []
@@ -150,7 +149,7 @@ def boruvka_step(cluster: Cluster, state: ContractionState, s: int) -> Contracti
         # a pair spanning machines: only the first machine's first record
         # survives, so inherit the predecessor's last pair as "seen"
         for r in es:
-            pair = (min(r[0], r[1]), max(r[0], r[1]))
+            pair = primitives._pair(r[0], r[1])
             if pair != prev:
                 kept.append(r)
                 prev = pair
@@ -247,8 +246,9 @@ def _finish_by_sampling(cluster, state, p, alpha=ALPHA, reps=None):
     light_counts = []
     winner = None
     for rep in range(1, R + 1):
+        # stored values are never mutated in place, so no copies
         snapshot = {
-            mid: list(cluster.machines[mid].state.get("E") or [])
+            mid: cluster.machines[mid].state.get("E") or []
             for mid in cluster.small_ids
         }
         cluster.start_branch()
@@ -293,7 +293,7 @@ def mst(cluster: Cluster, graph, placement="seeded"):
     state = doubly_exp_boruvka(cluster, state, t)
     p = min(1.0, n / m)
     chosen, rep_report = _finish_by_sampling(cluster, state, p)
-    forest = state.forest + [(min(r[3], r[4]), max(r[3], r[4]), r[2]) for r in chosen]
+    forest = state.forest + [(r[3], r[4], r[2]) for r in chosen]
     forest = sorted(set(forest), key=lambda e: (e[2], e[0], e[1]))
     out = [(u, v, w) for u, v, w in forest]
     n_components = n - len(out)
@@ -350,7 +350,7 @@ def mst_superlinear(cluster: Cluster, graph, placement="seeded"):
     state = init_state(cluster, graph, placement)
     state = doubly_exp_boruvka(cluster, state, t, select_counts=counts)
     chosen, rep_report = _finish_by_sampling(cluster, state, min(1.0, p))
-    forest = state.forest + [(min(r[3], r[4]), max(r[3], r[4]), r[2]) for r in chosen]
+    forest = state.forest + [(r[3], r[4], r[2]) for r in chosen]
     forest = sorted(set(forest), key=lambda e: (e[2], e[0], e[1]))
     out = [(u, v, w) for u, v, w in forest]
     report = {

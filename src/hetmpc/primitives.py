@@ -12,8 +12,16 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 
-from .simcore import LARGE, CapacityError, Cluster
+from .simcore import LARGE, CapacityError, Cluster, Records, _join, _trusted, as_records
+
+_FIRST, _SECOND = itemgetter(0), itemgetter(1)
+
+
+def _pair(a, b):
+    """An undirected edge's endpoints in canonical (smaller, larger) order."""
+    return (a, b) if a < b else (b, a)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +179,7 @@ def _pick_splitters(weighted, parts):
             continue
         w = count / len(keys)
         pool.extend((k, w) for k in keys)
-    pool.sort(key=lambda t: t[0])
+    pool.sort(key=_FIRST)
     total = sum(w for _, w in pool)
     if total == 0 or parts <= 1:
         return []
@@ -204,41 +212,55 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
     """Globally sort the records stored under state_key on the small
     machines (two-phase sample sort; fixed round charge).
 
-    Total order is (key(record), record).  Samples, splitters and summary
+    Total order is (key(record), record); with key=None it is the records'
+    own order and they are sorted directly, so a key that is a prefix of
+    the record should be passed as None.  Samples, splitters and summary
     boundaries travel as bare records and each receiver evaluates `key` on
     them, so `key` must be a function of the record alone.
     `summarize(shard)` may attach a per-machine payload to the final
     summary message to the large machine.
+
+    Each sorted shard is stored, and routed in slices, as Records when its
+    records are flat int tuples of one arity (metered as len * arity);
+    other records stay lists, which are walked when metered.
     """
     start = cluster.sink_rounds
     gamma = cluster.config.gamma
     K = len(cluster.small_ids)
     b = branching(cluster)
-    keyf = key or (lambda r: r)
-    skey = lambda r: (keyf(r), r)
+
+    def sort_keys(recs):
+        # what is compared: the records themselves or (key, record) pairs
+        return recs if key is None else list(zip(map(key, recs), recs))
 
     # keyed[i] / shard[i]: the sort keys and the records of machine i's
     # sorted shard, side by side; computed once per shard and kept
     # machine-local between rounds
     keyed, shard = {}, {}
 
+    def unkey(keys):
+        return keys if key is None else list(map(_SECOND, keys))
+
     def store(i, records):
-        keys = sorted(map(skey, records))
-        recs = [k[1] for k in keys]
-        keyed[i], shard[i] = keys, recs
+        keys = sorted(sort_keys(records))
+        recs = unkey(keys)
+        # a reordering of Records is Records; anything else is checked
+        recs = _trusted(recs) if type(records) is Records else as_records(recs)
+        keyed[i], shard[i] = (recs if key is None else keys), recs
         cluster.machines[i].put(state_key, recs)
         return recs
 
     def sample_keys(msgs):
         # a receiver keys the sampled records it got: [(count, [keys])]
-        return [(p[0], [skey(r) for r in p[1:]]) for _, p in msgs]
+        return [(p[0], sort_keys(p[1:])) for _, p in msgs]
 
     def route(sends, i, split, dsts):
         # bucket j is one contiguous slice of the sorted shard, sent to dsts[j]
         cluster.machines[i].pop(state_key)
         recs = shard[i]
+        pack = _trusted if type(recs) is Records else list
         for j, a, c in _buckets(keyed[i], split):
-            sends.append((i, dsts[j], recs[a:c]))
+            sends.append((i, dsts[j], pack(recs[a:c])))
 
     # local sort + seeded-position sample to the large machine
     sends = []
@@ -253,7 +275,7 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
     # splitter keys; the machines they are broadcast to key the same
     # records to the same values
     gsplit = _pick_splitters(sample_keys(inbox.get(LARGE, [])), len(groups))
-    tree_broadcast(cluster, [k[1] for k in gsplit])
+    tree_broadcast(cluster, unkey(gsplit))
 
     # route each record to a machine of its target group (balanced by
     # sender index); gsplit may hold fewer than len(groups) - 1 splitters
@@ -262,7 +284,7 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
         route(sends, i, gsplit, [lo + i % (hi - lo + 1) for lo, hi in groups])
     inbox = cluster.round(sends)
     for i in cluster.small_ids:
-        store(i, [r for _, batch in inbox.get(i, []) for r in batch])
+        store(i, _join([batch for _, batch in inbox.get(i, [])]))
 
     # phase 2: per-group splitters chosen by the group leader
     sends = []
@@ -277,7 +299,7 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
     for lo, hi in groups:
         split = _pick_splitters(sample_keys(inbox.get(lo, [])), hi - lo + 1)
         leader_split[lo] = split
-        split_recs = [k[1] for k in split]  # one object for the whole group
+        split_recs = unkey(split)  # one object for the whole group
         for i in range(lo + 1, hi + 1):
             sends.append((lo, i, split_recs))
     cluster.round(sends)
@@ -290,7 +312,7 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
 
     sends = []
     for i in cluster.small_ids:
-        recs = store(i, [r for _, batch in inbox.get(i, []) for r in batch])
+        recs = store(i, _join([batch for _, batch in inbox.get(i, [])]))
         payload = [len(recs)]
         if recs:
             payload.append((recs[0], recs[-1]))
@@ -471,15 +493,18 @@ def deliver_by_endpoint(cluster: Cluster, state_key, values: dict, side,
 
     If given, apply(records, got) replaces each machine's records, where
     got is the dict that machine received and nothing else, so a rewrite
-    can only use delivered values.  Costs sort_rounds +
-    disseminate_rounds.  Returns {machine index: got}.
+    can only use delivered values; its output is stored as Records when
+    its records conform.  Costs sort_rounds + disseminate_rounds.
+    Returns {machine index: got}.
     """
-    layout = het_sort(cluster, state_key, key=lambda r: (r[side],))
+    # order by r[0] is the records' own order
+    layout = het_sort(cluster, state_key, key=None if side == 0 else itemgetter(side))
     delivered = disseminate(cluster, values, machine_ranges=layout.ranges(side))
     if apply is not None:
         for i in cluster.small_ids:
             mach = cluster.machines[i]
-            mach.put(state_key, apply(mach.state[state_key], delivered.get(i, {})))
+            mach.put(state_key, as_records(
+                apply(mach.state[state_key], delivered.get(i, {}))))
     return delivered
 
 

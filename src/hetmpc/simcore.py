@@ -14,6 +14,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from operator import itemgetter
 
 
@@ -115,6 +116,63 @@ class Packed:
 
 
 _INT_ONLY = frozenset({int})
+_TUPLE_ONLY = frozenset({tuple})
+
+
+class Records(tuple):
+    """Immutable batch of flat records: tuples of ints, all of one arity.
+
+    `Records(records)` checks every record (its type is `tuple`, every
+    record has the same length, every field's type is `int`; a bool or a
+    float is not an int) and raises TypeError otherwise, so a batch's
+    words are `len * arity` without walking it.  The only other way to
+    build one is `_trusted`, private to simcore and primitives, for
+    slices, selections, concatenations and reorderings of Records of one
+    arity.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, records=()):
+        self = tuple.__new__(cls, records)
+        if self and not (
+            _TUPLE_ONLY.issuperset(map(type, self))
+            and len(set(map(len, self))) == 1
+            and _INT_ONLY.issuperset(map(type, chain.from_iterable(self)))
+        ):
+            raise TypeError("Records holds tuples of ints of one arity")
+        return self
+
+    def words(self) -> int:
+        return len(self) * len(self[0]) if self else 0
+
+
+def _trusted(records) -> Records:
+    """Records of `records` without checking them: only for records taken
+    from Records of one arity (slices, selections, concatenations and
+    reorderings of them)."""
+    return tuple.__new__(Records, records)
+
+
+def _join(batches):
+    """The records of `batches` in order: Records if every batch is
+    Records and all have one arity, else a list."""
+    if all(type(b) is Records for b in batches) and len(
+        {len(b[0]) for b in batches if b}
+    ) <= 1:
+        return _trusted(chain.from_iterable(batches))
+    return list(chain.from_iterable(batches))
+
+
+def as_records(records):
+    """`records` (a list or tuple) as Records if every record conforms,
+    else as a list, which is walked whenever it is metered."""
+    if type(records) is Records:
+        return records
+    try:
+        return Records(records)
+    except TypeError:
+        return list(records)
 
 
 def payload_words(obj) -> int:
@@ -122,8 +180,13 @@ def payload_words(obj) -> int:
 
     Integers, identifiers, weights and ranks are one word each; an edge
     record (tuple of three ints) is three words.  Floats are rejected:
-    all metered data is integral.
+    all metered data is integral.  A Records batch is charged
+    `len * arity` without a walk; every other payload (lists and tuples,
+    dicts, Packed, records that carry objects such as flow labels) is
+    walked.
     """
+    if type(obj) is Records:
+        return obj.words()
     if isinstance(obj, (tuple, list)):
         # Fast path for the common flat shapes: plain ints and tuples of
         # plain ints are counted in this loop; anything else recurses.
@@ -356,35 +419,33 @@ def distribute_edges(cluster: Cluster, edges, placement="seeded", shard_size=Non
     roundrobin: stripe; seeded: permute with the global seed, then stripe.
     """
     K = len(cluster.small_ids)
-    records = [tuple(e) for e in edges]
-    rec_words = sum(payload_words(r) for r in records)
+    records = as_records([tuple(e) for e in edges])
+    rec_words = payload_words(records)
     if rec_words > K * cluster.config.small_budget:
         raise CapacityError(
             f"{rec_words} edge words exceed aggregate small memory "
             f"{K * cluster.config.small_budget}"
         )
-    shards = [[] for _ in range(K)]
     if placement == "adversarial":
         per = shard_size if shard_size is not None else math.ceil(len(records) / K)
-        for i, r in enumerate(records):
-            k = i // per
-            if k >= K:
-                raise CapacityError("adversarial shard size too small for machine count")
-            shards[k].append(r)
+        if len(records) > per * K:
+            raise CapacityError("adversarial shard size too small for machine count")
+        shards = [records[k * per:(k + 1) * per] for k in range(K)]
     elif placement == "roundrobin":
-        for i, r in enumerate(records):
-            shards[i % K].append(r)
+        shards = [records[k::K] for k in range(K)]
     elif placement == "seeded":
         order = list(range(len(records)))
         cluster.rng("placement").shuffle(order)
-        for i, j in enumerate(order):
-            shards[i % K].append(records[j])
+        shards = [[records[j] for j in order[k::K]] for k in range(K)]
     else:
         raise ConfigError(f"unknown placement {placement!r}")
+    # each shard is a selection of the records, so it stays a Records
+    pack = _trusted if type(records) is Records else list
     for k, mid in enumerate(cluster.small_ids):
-        if sum(payload_words(r) for r in shards[k]) > cluster.config.small_budget:
+        shard = pack(shards[k])
+        if payload_words(shard) > cluster.config.small_budget:
             raise CapacityError(f"shard for {machine_name(mid)} exceeds its budget")
-        cluster.machines[mid].put("E", shards[k])
+        cluster.machines[mid].put("E", shard)
 
 
 def telemetry_json(cluster: Cluster) -> dict:

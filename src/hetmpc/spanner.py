@@ -15,11 +15,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from . import primitives
+from .primitives import _pair
 from .simcore import LARGE, Cluster, Packed, distribute_edges
-
-
-def _pair(a, b):
-    return (a, b) if a < b else (b, a)
 
 
 def _hash_int(seed, *tags):
@@ -356,7 +353,7 @@ def modified_baswana_sen(cluster: Cluster, k, p, vertices=None, state_key="E"):
             cands.extend(_candidates_for_edge(u, v, hist))
         mach.put("_cand", cands)
 
-    primitives.het_sort(cluster, "_cand", key=lambda r: (r[0], r[1]))
+    primitives.het_sort(cluster, "_cand")  # (r[0], r[1]) is a prefix
     removal = primitives.aggregate(
         cluster, "_cand",
         part_fn=lambda r: (r[0], r[1]),
@@ -545,7 +542,7 @@ def _bs_level(cluster, deco, lvl, k, p):
             for v, ctr, u in _candidates_for_edge(c, cp, hist):
                 cands.append((v, ctr, u, wu, wv))
         mach.put("_cand", cands)
-    primitives.het_sort(cluster, "_cand", key=lambda r: (r[0], r[1]))
+    primitives.het_sort(cluster, "_cand")  # (r[0], r[1]) is a prefix
     removal = primitives.aggregate(
         cluster, "_cand",
         part_fn=lambda r: (r[0], r[1]),

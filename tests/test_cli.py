@@ -95,6 +95,15 @@ def test_missing_algo_is_config_error(capsys):
     assert err["error"] == "config"
 
 
+def test_strict_flag_is_gone(capsys):
+    # runs are strict unless --tolerant; argparse rejects the old flag
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--algo", "mst", "--gen", "gnm", "--n", "64",
+                "--m", "512", "--weighted", "--strict")
+    assert exc.value.code == 2
+    assert "--strict" in capsys.readouterr().err
+
+
 def test_super_algos_require_f():
     assert run_cli("run", "--algo", "mst-super", "--gen", "gnm", "--n", "64",
                    "--m", "512", "--weighted") == 2

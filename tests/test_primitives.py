@@ -3,6 +3,7 @@
 import random
 from bisect import bisect_right
 from collections import Counter
+from operator import itemgetter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from hetmpc import primitives
 from hetmpc.graphio import generate_graph
 from hetmpc.simcore import (
     ClusterConfig,
+    Records,
     distribute_edges,
     init_cluster,
     payload_words,
@@ -105,10 +107,21 @@ def record_rounds(cluster):
     return rounds
 
 
-SORT_KEYS = [None, lambda r: (r[1],), lambda r: (r[0], (r[2], r[1]))]
+# (key passed to het_sort, the order it must produce): a key that is a
+# prefix of the record is passed as None, since (prefix, record) order is
+# record order
+SORT_KEYS = [
+    (None, lambda r: r),
+    (None, lambda r: (r[0],)),
+    (None, lambda r: (r[0], r[1])),
+    (lambda r: (r[1],), lambda r: (r[1],)),
+    (lambda r: (r[0], (r[2], r[1])), lambda r: (r[0], (r[2], r[1]))),
+    (itemgetter(1), itemgetter(1)),
+    (itemgetter(0, 2), itemgetter(0, 2)),
+]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)),
              max_size=150),
@@ -116,18 +129,18 @@ SORT_KEYS = [None, lambda r: (r[1],), lambda r: (r[0], (r[2], r[1]))]
     st.integers(1, 400),
 )
 def test_sort_sends_records_in_total_order(records, which, m):
-    key = SORT_KEYS[which]
-    keyf = key or (lambda r: r)
+    key, order = SORT_KEYS[which]
     cl = make_cluster(m=m)  # K = ceil(m / 8) small machines
     scatter_items(cl, records)
     rounds = record_rounds(cl)
     layout = primitives.het_sort(cl, key=key)
 
     got = gathered(cl)
-    assert got == sorted(records, key=lambda r: (keyf(r), r))
+    assert got == sorted(records, key=lambda r: (order(r), r))
     assert Counter(got) == Counter(records)
     for i in cl.small_ids:
         shard = cl.small(i).state["E"]
+        assert type(shard) is Records  # flat int records are stored as Records
         assert layout.counts[i - 1] == len(shard)
         assert layout.boundaries[i - 1] == ((shard[0], shard[-1]) if shard else None)
     assert layout.ranges(1) == {i: (cl.small(i).state["E"][0][1],
@@ -145,6 +158,26 @@ def test_sort_sends_records_in_total_order(records, which, m):
     for r in [*range(1, bcast + 1), bcast + 3]:
         for _, _, payload in rounds[r]:
             assert all(rec in held for rec in payload)
+    # the two routing rounds send slices that stay Records
+    for r in (bcast + 1, bcast + 4):
+        for _, _, payload in rounds[r]:
+            assert type(payload) is Records and payload
+
+
+def test_sort_keeps_nonconforming_records_as_lists():
+    cl = make_cluster()
+    items = [(x % 7, "a" * (x % 3)) for x in range(60)]
+    scatter_items(cl, items)
+    rounds = record_rounds(cl)
+    primitives.het_sort(cl)
+    assert gathered(cl) == sorted(items)
+    bcast = primitives.broadcast_rounds(0.5)
+    for r in (bcast + 1, bcast + 4):
+        assert all(type(p) is list for _, _, p in rounds[r])
+    for i in cl.small_ids:
+        shard = cl.small(i).state["E"]
+        assert type(shard) is list or not shard  # an empty shard may be Records
+        assert cl.small(i).resident_words() == payload_words(list(shard))
 
 
 def test_arrange_star_hub():
@@ -251,6 +284,7 @@ def test_deliver_by_endpoint_apply_reads_only_delivered():
         return [r + (got[r[1]],) for r in records]
 
     primitives.deliver_by_endpoint(cl, "E", values, 1, apply=apply)
+    assert all(type(cl.small(i).state["E"]) is Records for i in cl.small_ids)
     held = gathered(cl)
     assert sorted(r[:2] for r in held) == sorted(g.edges)
     assert all(r[2] == r[1] * 10 for r in held)

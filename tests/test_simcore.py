@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hetmpc import simcore
 from hetmpc.simcore import (
     LARGE,
     BudgetError,
@@ -14,6 +15,8 @@ from hetmpc.simcore import (
     ClusterConfig,
     ConfigError,
     Packed,
+    Records,
+    as_records,
     distribute_edges,
     init_cluster,
     machine_name,
@@ -100,6 +103,71 @@ def test_payload_words_matches_reference(payload):
             payload_words(payload)
     else:
         assert payload_words(payload) == expected
+
+
+@st.composite
+def _flat_batch(draw, arity=None, min_size=0):
+    """A list of flat int tuples of one arity."""
+    if arity is None:
+        arity = draw(st.integers(0, 5))
+    field = st.integers(-(1 << 70), 1 << 70)
+    return draw(st.lists(st.tuples(*[field] * arity), min_size=min_size,
+                         max_size=20))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_flat_batch(), _flat_batch(), st.integers(-25, 25), st.integers(-25, 25))
+def test_records_words_match_walk(a, b, i, j):
+    ra, rb = Records(a), Records(b)
+    assert ra == tuple(a) and type(ra) is Records
+    assert payload_words(ra) == ra.words() == reference_words(list(a))
+    # the slices that het_sort routes
+    piece = simcore._trusted(ra[i:j])
+    assert type(piece) is Records
+    assert payload_words(piece) == reference_words(a[i:j])
+    # concatenation: Records only when the arities agree
+    joined = simcore._join([ra, piece, rb])
+    assert list(joined) == a + a[i:j] + b
+    assert payload_words(joined) == reference_words(a + a[i:j] + b)
+    one_arity = len({len(r) for r in a + b}) <= 1
+    assert (type(joined) is Records) == one_arity
+
+
+_bad_fields = st.one_of(
+    st.floats(allow_nan=False), st.booleans(), st.none(), st.text(max_size=2),
+    st.tuples(st.integers()), st.builds(Packed, st.integers(0, 7),
+                                        st.integers(1, 9), st.integers(1, 4)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_flat_batch(arity=3, min_size=1), st.data())  # one record is one arity
+def test_nonconforming_records_are_never_records(batch, data):
+    pos = data.draw(st.integers(0, len(batch)))
+    kind = data.draw(st.sampled_from(["field", "arity", "list"]))
+    if kind == "field":
+        bad = list(data.draw(st.tuples(*[st.integers()] * 3)))
+        bad[data.draw(st.integers(0, 2))] = data.draw(_bad_fields)
+        bad = tuple(bad)
+    elif kind == "arity":
+        bad = tuple(data.draw(st.lists(st.integers(), max_size=5).filter(
+            lambda xs: len(xs) != 3)))
+    else:
+        bad = data.draw(st.lists(st.integers(), min_size=3, max_size=3))
+    records = batch[:pos] + [bad] + batch[pos:]
+    with pytest.raises(TypeError):
+        Records(records)
+    got = as_records(records)
+    assert type(got) is list and got == records
+    try:
+        expected = reference_words(records)
+    except TypeError:  # a float
+        with pytest.raises(TypeError):
+            payload_words(got)
+    else:
+        assert payload_words(got) == expected
+    # a batch joined to a nonconforming batch is not Records either
+    assert type(simcore._join([Records(batch), got])) is list
 
 
 def test_machine_ids_are_ints():
@@ -221,6 +289,7 @@ def test_distribute_roundrobin_even():
     edges = [(i, (i + 1) % 4) for i in range(8)]
     distribute_edges(cl, edges, placement="roundrobin")
     assert [len(cl.small(i).state["E"]) for i in range(1, 5)] == [2, 2, 2, 2]
+    assert all(type(cl.small(i).state["E"]) is Records for i in range(1, 5))
 
 
 def test_distribute_adversarial_packing():
