@@ -12,7 +12,9 @@ give a (1 +/- 2*eps) estimate of the minimum spanning forest weight.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -166,41 +168,73 @@ def edge_coord(n, u, v):
 
 
 class SketchPartial:
-    """Partial (or complete) sketch of a sum of incidence vectors:
-    per-cell count, signed id-sum, and field checksum, (R, L) each."""
+    """Partial (or complete) sketch of a sum of incidence vectors, holding
+    only its occupied cells: `cells` are the ascending flat indices r*L + l
+    of the cells whose count, signed id-sum or field checksum is nonzero,
+    and `vals` is one (count, id-sum, checksum) row per occupied cell.
+    `dense()` gives the full cells."""
 
-    __slots__ = ("count", "idsum", "check", "q")
+    __slots__ = ("cells", "vals", "keys")
 
-    def __init__(self, count, idsum, check, q):
-        self.count = count
-        self.idsum = idsum
-        self.check = check
-        self.q = q
+    def __init__(self, cells, vals, keys: SketchKeys):
+        self.cells = cells
+        self.vals = vals
+        self.keys = keys
 
     def words(self):
-        # count 1 word, id-sum 2, checksum 4 per cell
-        return 7 * self.count.size
+        # an occupancy mask of R*L bits, then count 1 word, id-sum 2 and
+        # checksum 4 per occupied cell
+        k = self.keys
+        word_bits = max(1, math.ceil(math.log2(k.n)))
+        return -(-k.R * k.L // word_bits) + 7 * len(self.cells)
 
     @classmethod
     def zero(cls, keys):
-        shape = (keys.R, keys.L)
-        return cls(np.zeros(shape, np.int64), np.zeros(shape, np.int64),
-                   np.zeros(shape, np.int64), keys.q)
+        return cls(np.zeros(0, np.int64), np.zeros((0, 3), np.int64), keys)
+
+    @classmethod
+    def from_dense(cls, count, idsum, check, keys):
+        """The partial whose (R, L) cells are count, idsum and check."""
+        flat = np.stack((count, idsum, check), axis=-1).reshape(-1, 3)
+        return cls._of_flat(flat.astype(np.int64), keys)
+
+    @classmethod
+    def _of_flat(cls, flat, keys):
+        # flat: (R*L, 3) cells in r*L + l order; keeps the occupied ones
+        cells = np.flatnonzero(flat.any(axis=1))
+        return cls(cells, flat[cells], keys)
+
+    def dense(self):
+        """(R, 3, L) array of the count, id-sum and checksum cells."""
+        R, L = self.keys.R, self.keys.L
+        flat = np.zeros((R * L, 3), np.int64)
+        flat[self.cells] = self.vals
+        return flat.reshape(R, L, 3).transpose(0, 2, 1)
 
     def add(self, other):
-        self.count += other.count
-        self.idsum += other.idsum
-        self.check = (self.check + other.check) % self.q
+        s = _sum_partials([self, other], self.keys)
+        self.cells, self.vals = s.cells, s.vals
+
+
+def _sum_partials(parts, keys: SketchKeys, flat=None):
+    """Sum of SketchPartials, plus the (R*L, 3) cells `flat` if given."""
+    if flat is None:
+        flat = np.zeros((keys.R * keys.L, 3), np.int64)
+    for p in parts:
+        flat[p.cells] += p.vals  # a partial's cells are distinct
+    flat[:, 2] %= keys.q
+    return SketchPartial._of_flat(flat, keys)
 
 
 def _reduce_partials(table: CoordTable, vals):
     """Aggregate reducer: leaf values are ("c", sign, coord row) tuples,
     inner values are SketchPartial objects; the result is their sum."""
-    out = SketchPartial.zero(table.keys)
-    rows, signs = [], []
+    keys = table.keys
+    flat = np.zeros((keys.R * keys.L, 3), np.int64)
+    parts, rows, signs = [], [], []
     for v in vals:
         if isinstance(v, SketchPartial):
-            out.add(v)
+            parts.append(v)
         else:
             _, sign, ci = v
             rows.append(ci)
@@ -208,25 +242,28 @@ def _reduce_partials(table: CoordTable, vals):
     if rows:
         m = table.member[rows]  # (k, R, L)
         s = np.asarray(signs, dtype=np.int64)[:, None, None]
-        out.count += (m * s).sum(axis=0)
-        out.idsum += (m * s * table.coords[rows][:, None, None]).sum(axis=0)
-        chk = (table.check[rows][:, :, None] * s) * m
-        out.check = (out.check + chk.sum(axis=0)) % table.keys.q
-    return out
+        cells = flat.reshape(keys.R, keys.L, 3)
+        cells[..., 0] = (m * s).sum(axis=0)
+        cells[..., 1] = (m * s * table.coords[rows][:, None, None]).sum(axis=0)
+        cells[..., 2] = ((table.check[rows][:, :, None] * s) * m).sum(axis=0)
+    return _sum_partials(parts, keys, flat)
 
 
 def sketch_build(cluster: Cluster, keys: SketchKeys, table: CoordTable,
-                 state_key="E"):
-    """Per-vertex sketches at the large machine.
+                 state_key="E", key=None, part_fn=itemgetter(0)):
+    """Per-part sketches at the large machine.
 
-    Keys are broadcast, edges arranged by endpoint, and the partial
-    sketches (signed contributions of locally held incident edges) are
-    summed up the aggregation tree using linearity.
-    Returns {vertex: SketchPartial}.
+    Keys are broadcast, edges arranged by endpoint (ordered by `key`, as
+    in `arrange_nodes`), and the partial sketches (signed contributions
+    of locally held incident edges) are summed up the aggregation tree
+    using linearity.  A part is `part_fn` of a directed record (source,
+    target, ...); parts must be contiguous in the arranged order.  The
+    default part is the source vertex.
+    Returns {part: SketchPartial}.
     """
     n = cluster.config.n
     primitives.tree_broadcast(cluster, keys)
-    primitives.arrange_nodes(cluster, state_key, "D")
+    primitives.arrange_nodes(cluster, state_key, "D", key=key)
 
     def map_fn(r):
         u, v = r[0], r[1]
@@ -235,7 +272,7 @@ def sketch_build(cluster: Cluster, keys: SketchKeys, table: CoordTable,
 
     out = primitives.aggregate(
         cluster, "D",
-        part_fn=lambda r: r[0],
+        part_fn=part_fn,
         map_fn=map_fn,
         reduce_fn=lambda vals: _reduce_partials(table, vals),
     )
@@ -303,8 +340,17 @@ def l0_sample(sketch: SketchPartial, keys: SketchKeys, r: int, n: int):
     evaluated rather than looked up.  Returns an edge (a, b), EMPTY, or
     FAIL.
     """
-    return _decode(sketch.count[r][None], sketch.idsum[r][None],
-                   sketch.check[r][None], keys, r, n)[0]
+    cells = sketch.dense()[r][None]
+    return _decode(cells[:, 0], cells[:, 1], cells[:, 2], keys, r, n)[0]
+
+
+def _add_into(stack, sketches, keys: SketchKeys):
+    """Add {vertex: SketchPartial} into the (n, R, 3, L) per-vertex cells
+    `stack`, reducing checksums mod q."""
+    for v, s in sketches.items():
+        r, l = np.divmod(s.cells, keys.L)
+        stack[v, r, :, l] += s.vals
+    stack[:, :, 2] %= keys.q
 
 
 def _stack(sketches, keys: SketchKeys, n: int):
@@ -312,8 +358,7 @@ def _stack(sketches, keys: SketchKeys, n: int):
     id-sum and checksum cells of each instance; a vertex without a
     sketch is a zero row."""
     stack = np.zeros((n, keys.R, 3, keys.L), np.int64)
-    for v, s in sketches.items():
-        stack[v] = np.stack((s.count, s.idsum, s.check), axis=1)
+    _add_into(stack, sketches, keys)
     return stack
 
 
@@ -321,65 +366,66 @@ def _stack(sketches, keys: SketchKeys, n: int):
 # connectivity by sketch Boruvka
 
 
-def connected_components(cluster: Cluster, graph, state_key="E",
-                         keys=None, table=None, tag="cc"):
+def _boruvka(stack, keys: SketchKeys, n: int, table: CoordTable):
+    """Sketch Boruvka on per-vertex cells `stack` (see `_stack`).
+
+    Each phase sums the cells inside every current supernode and draws
+    one cut edge from a fresh sampler instance, decoding all supernodes
+    in one pass.  Returns (labels, phases), labels being the smallest
+    member id per vertex, or None when the samplers fail outright.
+    """
+    dsu = primitives.DSU(range(n))
+    for r in range(keys.R):
+        # supernodes in ascending root, which is also the order of
+        # their first members, since a root is its smallest member
+        roots = np.fromiter((dsu.find(v) for v in range(n)), np.int64, n)
+        _, group = np.unique(roots, return_inverse=True)
+        sums = np.zeros((group.max() + 1, 3, keys.L), np.int64)
+        np.add.at(sums, group, stack[:, r])
+        sums[:, 2] %= keys.q
+        merged_any = False
+        failed_any = False
+        for res in _decode(sums[:, 0], sums[:, 1], sums[:, 2], keys, r, n,
+                           table):
+            if res == EMPTY:
+                continue
+            if res == FAIL:
+                failed_any = True
+                continue
+            a, b = res
+            if dsu.union(a, b):
+                merged_any = True
+        if not merged_any and not failed_any:
+            return {v: dsu.find(v) for v in range(n)}, r + 1
+    return None
+
+
+def _sketch_components(cluster: Cluster, keys: SketchKeys, state_key):
+    """Sketch the edges under state_key and run `_boruvka` on them."""
+    n = cluster.config.n
+    table = CoordTable(keys, {
+        edge_coord(n, e[0], e[1])
+        for mid in cluster.small_ids
+        for e in cluster.machines[mid].state.get(state_key) or []
+    })
+    stack = _stack(sketch_build(cluster, keys, table, state_key), keys, n)
+    return _boruvka(stack, keys, n, table)
+
+
+def connected_components(cluster: Cluster, graph, state_key="E"):
     """Component label (smallest member id) per vertex; O(1) rounds.
 
-    Boruvka on sketches: each phase sums the per-vertex sketches inside
-    every current supernode and draws one cut edge from a fresh sampler
-    instance, decoding all supernodes in one pass.  A run whose samplers
-    fail outright is retried once with fresh keys.
+    Boruvka on sketches (`_boruvka`).  A run whose samplers fail outright
+    is retried once with fresh keys.
     """
     n = cluster.config.n
     for attempt in range(2):
-        if keys is None or attempt == 1:
-            keys = make_keys(cluster.rng("sketch-keys", tag, attempt), n)
-            table = None
-        if table is None:
-            coords = sorted({
-                edge_coord(n, e[0], e[1])
-                for mid in cluster.small_ids
-                for e in cluster.machines[mid].state.get(state_key) or []
-            })
-            table = CoordTable(keys, coords)
-        stack = _stack(sketch_build(cluster, keys, table, state_key), keys, n)
-
-        dsu = primitives.DSU(range(n))
-        phases = 0
-        ok = True
-        for r in range(keys.R):
-            # supernodes in ascending root, which is also the order of
-            # their first members, since a root is its smallest member
-            roots = np.fromiter((dsu.find(v) for v in range(n)), np.int64, n)
-            _, group = np.unique(roots, return_inverse=True)
-            sums = np.zeros((group.max() + 1, 3, keys.L), np.int64)
-            np.add.at(sums, group, stack[:, r])
-            sums[:, 2] %= keys.q
-            merged_any = False
-            failed_any = False
-            for res in _decode(sums[:, 0], sums[:, 1], sums[:, 2], keys, r, n,
-                               table):
-                if res == EMPTY:
-                    continue
-                if res == FAIL:
-                    failed_any = True
-                    continue
-                a, b = res
-                if dsu.union(a, b):
-                    merged_any = True
-            phases += 1
-            if not merged_any and not failed_any:
-                break
-            if not merged_any and failed_any and r == keys.R - 1:
-                ok = False
-        else:
-            ok = False
-        if ok:
-            labels = {v: dsu.find(v) for v in range(n)}
+        keys = make_keys(cluster.rng("sketch-keys", "cc", attempt), n)
+        found = _sketch_components(cluster, keys, state_key)
+        if found is not None:
+            labels, phases = found
             return labels, {"phases": phases, "instances": keys.R,
                             "retried": attempt}
-        keys = None
-        table = None
     raise RunFailed("sketch samplers failed on both key draws")
 
 
@@ -390,9 +436,19 @@ def connected_components(cluster: Cluster, graph, state_key="E",
 def mst_weight_estimate(cluster: Cluster, graph, eps, max_weight=None):
     """(1 +/- 2*eps) estimate of the minimum spanning forest weight.
 
-    Runs connectivity on every threshold subgraph (edge weight <=
-    (1+eps)^i) conceptually in parallel and combines the component
-    counts: w_hat = n - cc_r + sum_i eps*(1+eps)^i * (cc_i - cc_r).
+    Counts the components cc_i of every threshold subgraph (edge weight
+    <= (1+eps)^i) and combines them:
+    w_hat = n - cc_r + sum_i eps*(1+eps)^i * (cc_i - cc_r).
+
+    One sketch aggregation serves every threshold.  Its parts are
+    (vertex, weight class), the class of an edge being the smallest i
+    with w <= (1+eps)^i; edges heavier than the last threshold are
+    dropped on the small machines.  Sketches are linear, so the large
+    machine adds the classes in increasing order into one prefix sum,
+    which is threshold i's sketch once class i is in, and decodes it
+    whenever a class arrives; a threshold without a class of its own has
+    the previous threshold's count.  If threshold i's samplers fail, its
+    subgraph is sketched once more with fresh keys.
     """
     if not (0 < eps <= 1):
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
@@ -401,32 +457,49 @@ def mst_weight_estimate(cluster: Cluster, graph, eps, max_weight=None):
     if W is None:
         W = max((e[2] for e in graph.edges), default=1)
     r = 0 if W <= 1 else math.ceil(math.log(W) / math.log(1 + eps))
+    taus = [(1 + eps) ** i for i in range(r + 1)]
 
     distribute_edges(cluster, [tuple(e) for e in graph.edges])
-    shared_keys = make_keys(cluster.rng("sketch-keys", "est"), n)
-    all_coords = sorted({
-        edge_coord(n, e[0], e[1]) for e in graph.edges
-    })
-    shared_table = CoordTable(shared_keys, all_coords)
+    keys = make_keys(cluster.rng("sketch-keys", "est"), n)
+    table = CoordTable(keys, [edge_coord(n, e[0], e[1]) for e in graph.edges])
 
-    branches = []
-    ccs = []
-    for i in range(r + 1):
-        tau = (1 + eps) ** i
-        cluster.start_branch()
+    def keep(i):
+        # threshold i's subgraph under "T" on every small machine
         for mid in cluster.small_ids:
             mach = cluster.machines[mid]
             es = mach.state.get("E") or []
-            mach.put("T", [(e[0], e[1]) for e in es if e[2] <= tau])
-        labels, _ = connected_components(
-            cluster, graph, state_key="T",
-            keys=shared_keys, table=shared_table, tag=("est", i),
-        )
-        for mid in cluster.small_ids:
-            cluster.machines[mid].pop("T")
-        ccs.append(len(set(labels.values())))
-        branches.append(cluster.end_branch())
-    cluster.merge_parallel(branches)
+            mach.put("T", [e for e in es if e[2] <= taus[i]])
+
+    keep(r)
+    partials = sketch_build(
+        cluster, keys, table, "T", key=itemgetter(0, 2, 1),
+        part_fn=lambda rec: (rec[0], bisect_left(taus, rec[2])),
+    )
+    for mid in cluster.small_ids:
+        cluster.machines[mid].pop("T")
+    by_class = {}
+    for (v, c), s in partials.items():
+        by_class.setdefault(c, {})[v] = s
+
+    stack = np.zeros((n, keys.R, 3, keys.L), np.int64)
+    ccs = []
+    cc = n
+    for i in range(r + 1):
+        if i in by_class:
+            _add_into(stack, by_class[i], keys)
+            found = _boruvka(stack, keys, n, table)
+            if found is None:
+                keep(i)
+                found = _sketch_components(
+                    cluster,
+                    make_keys(cluster.rng("sketch-keys", ("est", i), 1), n),
+                    "T")
+                for mid in cluster.small_ids:
+                    cluster.machines[mid].pop("T")
+                if found is None:
+                    raise RunFailed("sketch samplers failed on both key draws")
+            cc = len(set(found[0].values()))
+        ccs.append(cc)
 
     cc_r = ccs[-1]
     w_hat = float(n - cc_r)

@@ -383,12 +383,13 @@ class Cluster:
         """Merge branch telemetries as if they ran concurrently.
 
         Round count is the maximum across branches; per-round traffic is
-        summed; violations are unioned.  The summed traffic is not checked
-        against machine budgets: only each branch's own rounds were, so a
-        merged round can exceed a budget with no violation logged
-        (mst_weight_estimate on G(256, 0.05) with weights up to 8 merges
-        rounds in which one small machine moves 9.4 times its budget).
+        summed; violations are unioned.  The summed sent and received
+        words of each merged round are checked against every machine's
+        budget: an overload raises BudgetError in strict mode and is
+        logged otherwise.  Resident words are the maximum across
+        branches, not their sum, and are not checked again.
         """
+        machines = self.machines
         depth = max((len(b) for b in branches), default=0)
         for r in range(depth):
             sent, received, resident, violations = {}, {}, {}, []
@@ -403,9 +404,20 @@ class Cluster:
                 for mid, w in t.resident.items():
                     resident[mid] = max(resident.get(mid, 0), w)
                 violations.extend(t.violations)
+            merged = []
+            for kind, words in (("SendBudget", sent), ("RecvBudget", received)):
+                for mid, w in words.items():
+                    if w > machines[mid].budget and (mid, kind) not in violations:
+                        merged.append((mid, kind))
+            violations.extend(merged)
             self._sinks[-1].append(
                 RoundTelemetry(len(self._sinks[-1]), sent, received, resident, violations)
             )
+            if merged and self.strict:
+                raise BudgetError(
+                    "budget violations in merged parallel rounds: "
+                    + ", ".join(f"{machine_name(mid)}:{kind}" for mid, kind in merged)
+                )
 
 
 def init_cluster(config: ClusterConfig, strict: bool = True) -> Cluster:

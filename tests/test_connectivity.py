@@ -144,14 +144,14 @@ def test_cut_sampling_frequencies():
 def l0_sample_reference(sketch, keys, r, n):
     """One-cell-at-a-time decode, the reference for the batched decoder."""
     q = keys.q
-    if (not sketch.count[r].any() and not sketch.idsum[r].any()
-            and not sketch.check[r].any()):
+    count, idsum, check = sketch.dense()[r]
+    if not count.any() and not idsum.any() and not check.any():
         return cn.EMPTY
     for l in range(keys.L - 1, -1, -1):
-        c = int(sketch.count[r, l])
+        c = int(count[l])
         if c == 0:
             continue
-        ids = int(sketch.idsum[r, l])
+        ids = int(idsum[l])
         if ids % c:
             continue
         x = ids // c
@@ -159,7 +159,7 @@ def l0_sample_reference(sketch, keys, r, n):
             continue
         gx = int(cn._poly_eval(keys.check_coeffs[r],
                                np.array([x], dtype=np.int64), q)[0])
-        if (c % q) * gx % q == sketch.check[r, l] % q:
+        if (c % q) * gx % q == check[l] % q:
             a, b = divmod(x, n)
             if a < b < n:
                 return (a, b)
@@ -226,8 +226,9 @@ def test_batched_decode_matches_reference(batch):
                            for i in range(3))
     want = []
     for i in range(len(rows)):
-        s = cn.SketchPartial.zero(DKEYS)
-        s.count[r], s.idsum[r], s.check[r] = count[i], idsum[i], check[i]
+        dense = np.zeros((3, DKEYS.R, DKEYS.L), np.int64)
+        dense[:, r] = count[i], idsum[i], check[i]
+        s = cn.SketchPartial.from_dense(*dense, DKEYS)
         want.append(l0_sample_reference(s, DKEYS, r, DN))
         assert cn.l0_sample(s, DKEYS, r, DN) == want[-1]
     assert cn._decode(count, idsum, check, DKEYS, r, DN, DTABLE) == want
@@ -242,6 +243,74 @@ def test_crafted_decode_cases():
     assert cn.edge_coord(DN, 2, 8) not in DTABLE.index
     assert got == [cn.EMPTY, (2, 9), (2, 8), cn.FAIL, cn.FAIL, (1, 4),
                    cn.FAIL]
+
+EDGES = [(a, b) for a in range(DN) for b in range(a + 1, DN)]
+FTABLE = cn.CoordTable(DKEYS, [cn.edge_coord(DN, a, b) for a, b in EDGES])
+MASK_WORDS = math.ceil(DKEYS.R * DKEYS.L / math.ceil(math.log2(DN)))
+
+
+def dense_rebuild(leaves):
+    """(count, id-sum, checksum) cells, each (R, L), of signed coordinates
+    (sign, x), from the level and checksum polynomials directly."""
+    q = DKEYS.q
+    cells = np.zeros((3, DKEYS.R, DKEYS.L), np.int64)
+    for sign, x in leaves:
+        for r in range(DKEYS.R):
+            g = checksum(r, x)
+            for l in range(DKEYS.L):
+                u = 0
+                for c in DKEYS.level_coeffs[r, l]:
+                    u = (u * x + int(c)) % q
+                if u << l < q:
+                    cells[:, r, l] += (sign, sign * x, 0)
+                    cells[2, r, l] = (cells[2, r, l] + sign * g) % q
+    return cells
+
+
+def sparse_partial(leaves):
+    return cn._reduce_partials(
+        FTABLE, [("c", sign, FTABLE.index[x]) for sign, x in leaves])
+
+
+def assert_matches(s, want):
+    assert (s.dense().transpose(1, 0, 2) == want).all()
+    assert s.words() == MASK_WORDS + 7 * int(want.any(axis=0).sum())
+
+
+signed_coords = st.lists(
+    st.tuples(st.sampled_from([1, -1]),
+              st.sampled_from([cn.edge_coord(DN, a, b) for a, b in EDGES])),
+    max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(signed_coords, min_size=1, max_size=4))
+@example([[(1, cn.edge_coord(DN, 2, 9))], [(-1, cn.edge_coord(DN, 2, 9))]])
+def test_sparse_partials_match_dense(parts):
+    # each partial, and their sum by the reducer and by add, holds the
+    # dense cells and is metered as the mask plus 7 words per nonzero cell
+    sparse = [sparse_partial(leaves) for leaves in parts]
+    for s, leaves in zip(sparse, parts):
+        assert_matches(s, dense_rebuild(leaves))
+    want = dense_rebuild([c for leaves in parts for c in leaves])
+    assert_matches(cn._reduce_partials(FTABLE, sparse), want)
+    acc = cn.SketchPartial.zero(DKEYS)
+    for s in sparse:
+        acc.add(s)
+    assert_matches(acc, want)
+
+
+def test_opposite_signs_leave_no_cell():
+    x = cn.edge_coord(DN, 3, 11)
+    plus, minus = sparse_partial([(1, x)]), sparse_partial([(-1, x)])
+    assert len(plus.cells) >= DKEYS.R  # level 0 holds every coordinate
+    for s in (cn._reduce_partials(FTABLE, [plus, minus]),
+              sparse_partial([(1, x), (-1, x)])):
+        assert len(s.cells) == 0
+        assert s.words() == MASK_WORDS
+    plus.add(minus)
+    assert len(plus.cells) == 0
+
 
 def run_cc(graph, seed=0):
     cl = init_cluster(
@@ -274,6 +343,80 @@ def test_random_sparse_matches_oracle():
         want = oracles.components(64, g.edges)
         assert [labels[v] for v in range(64)] == want
         assert not any(t.violations for t in cl.telemetry)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_sparse_n1024_matches_oracle(seed):
+    # G(1024, 0.0008) seed 3 once overloaded a small machine's sends in
+    # the sketch aggregation (S13:SendBudget) with dense partials
+    g = generate_graph("gnp", 1024, seed=seed, p=0.0008)
+    cl, labels, _ = run_cc(g, seed=seed)
+    assert [labels[v] for v in range(1024)] == oracles.components(1024, g.edges)
+    assert cl.rounds_used == 18
+    assert not any(t.violations for t in cl.telemetry)
+
+
+def threshold_counts(graph, eps, W):
+    """Oracle component counts of the threshold subgraphs w <= (1+eps)^i."""
+    r = 0 if W <= 1 else math.ceil(math.log(W) / math.log(1 + eps))
+    return [
+        len(set(oracles.components(graph.n, [
+            e for e in graph.edges if e[2] <= (1 + eps) ** i])))
+        for i in range(r + 1)
+    ]
+
+
+@pytest.mark.parametrize("W", [8, 64])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_estimate_counts_per_threshold(W, seed):
+    g = generate_graph("gnp", 128, seed=seed, p=0.05, weighted=True,
+                       max_weight=W)
+    cl = init_cluster(ClusterConfig(n=128, m=g.m, gamma=0.5, seed=seed))
+    _, report = cn.mst_weight_estimate(cl, g, eps=0.1, max_weight=W)
+    assert report["cc_per_threshold"] == threshold_counts(g, 0.1, W)
+    assert cl.rounds_used == 18
+
+
+def test_estimate_excludes_edges_above_max_weight():
+    g = generate_graph("gnp", 128, seed=4, p=0.05, weighted=True,
+                       max_weight=64)
+    assert max(w for *_, w in g.edges) > 8
+    cl = init_cluster(ClusterConfig(n=128, m=g.m, gamma=0.5, seed=4))
+    _, report = cn.mst_weight_estimate(cl, g, eps=0.1, max_weight=8)
+    want = threshold_counts(g, 0.1, 8)
+    assert report["cc_per_threshold"] == want
+    assert want[-1] > len(set(oracles.components(128, g.edges)))
+
+
+def test_estimate_resketches_a_failed_threshold(monkeypatch):
+    # the second class's decode fails: that threshold's subgraph is
+    # sketched again with the retry keys of its threshold, and a failure
+    # there too raises
+    g = generate_graph("gnp", 128, seed=0, p=0.05, weighted=True, max_weight=8)
+    real, seeds = cn._boruvka, []
+
+    def flaky(fail_at):
+        def decode(stack, keys, n, table):
+            seeds.append(keys.master_seed)
+            return None if len(seeds) in fail_at else real(stack, keys, n, table)
+        return decode
+
+    monkeypatch.setattr(cn, "_boruvka", flaky({2}))
+    cl = init_cluster(ClusterConfig(n=128, m=g.m, gamma=0.5, seed=0))
+    _, report = cn.mst_weight_estimate(cl, g, eps=0.1, max_weight=8)
+    assert report["cc_per_threshold"] == threshold_counts(g, 0.1, 8)
+    assert cl.rounds_used == 2 * 18
+    assert seeds[0] == seeds[1] == seeds[3] != seeds[2]
+    second = sorted({min(i for i in range(23) if w <= 1.1 ** i)
+                     for *_, w in g.edges})[1]
+    retry = cn.make_keys(cl.rng("sketch-keys", ("est", second), 1), 128)
+    assert seeds[2] == retry.master_seed
+
+    seeds.clear()
+    monkeypatch.setattr(cn, "_boruvka", flaky({2, 3}))
+    cl = init_cluster(ClusterConfig(n=128, m=g.m, gamma=0.5, seed=0))
+    with pytest.raises(cn.RunFailed):
+        cn.mst_weight_estimate(cl, g, eps=0.1, max_weight=8)
 
 
 def test_estimate_unit_weights_exact():

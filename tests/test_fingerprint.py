@@ -36,14 +36,16 @@ MATCHING_FINGERPRINT = {
 }
 
 # (rounds, words sent, max resident words) for connected_components on
-# G(128, p=1.5/128) seed 0 (30 components, 6 Boruvka phases)
-CC_FINGERPRINT = (18, 171_830, 138)
+# G(128, p=1.5/128) seed 0 (30 components, 6 Boruvka phases); sketch
+# partials send only their occupied cells
+CC_FINGERPRINT = (18, 36_163, 138)
 
 # (rounds, words sent, max resident words, estimate, components per
 # threshold) for mst_weight_estimate on weighted G(64, p=0.1), W=8,
-# eps=0.25, seed 0
+# eps=0.25, seed 0; one aggregation of (vertex, weight class) partials
+# whose arranged records keep their weight
 ESTIMATE_FINGERPRINT = (
-    18, 1_136_372, 205, 138.68413543701172,
+    18, 71_272, 294, 138.68413543701172,
     [33, 33, 33, 33, 19, 8, 8, 4, 3, 1, 1],
 )
 

@@ -332,6 +332,42 @@ def test_branch_merge_takes_max_rounds_and_sums_traffic():
     assert cl.telemetry[0].sent[a] == 3  # 1 + 2 words in the merged round
 
 
+def _overloading_branches(cl):
+    # each branch has S1 send 5000 words, within its 8192-word budget;
+    # run concurrently, the two sends add up to 10000
+    payload = [0] * 5000
+    branches = []
+    for _ in range(2):
+        cl.start_branch()
+        cl.round([(1, LARGE, payload)])
+        branches.append(cl.end_branch())
+    assert not any(t.violations for b in branches for t in b)
+    return branches
+
+
+def test_branch_merge_checks_summed_traffic():
+    cl = init_cluster(ClusterConfig(n=16, m=64, gamma=0.5))
+    assert cl.config.small_budget == 8192
+    with pytest.raises(BudgetError, match="S1:SendBudget"):
+        cl.merge_parallel(_overloading_branches(cl))
+
+    cl = init_cluster(ClusterConfig(n=16, m=64, gamma=0.5), strict=False)
+    cl.merge_parallel(_overloading_branches(cl))
+    assert cl.rounds_used == 1
+    assert cl.telemetry[0].sent[1] == 10000
+    assert [v for t in cl.telemetry for v in t.violations] == [(1, "SendBudget")]
+
+    # a branch's own overload is logged once, not again for the sum
+    cl = init_cluster(ClusterConfig(n=16, m=64, gamma=0.5), strict=False)
+    branches = []
+    for words in (9000, 10):
+        cl.start_branch()
+        cl.round([(1, LARGE, [0] * words)])
+        branches.append(cl.end_branch())
+    cl.merge_parallel(branches)
+    assert cl.telemetry[0].violations == [(1, "SendBudget")]
+
+
 def test_telemetry_json_shape():
     cl = init_cluster(ClusterConfig(n=16, m=64, gamma=0.5))
     cl.round([(1, LARGE, (1, 2))])
