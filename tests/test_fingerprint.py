@@ -26,6 +26,18 @@ SPANNER_FINGERPRINT = {
     2: (105, 456_024, 299),
 }
 
+# seed -> (rounds, words sent, max resident words, |H|) for spanner(k=2) on
+# G(128, p=0.8), whose level 6 is sub-sampled (Baswana-Sen on the large
+# machine) rather than shipped whole
+SPANNER_SUBSAMPLED_FINGERPRINT = {
+    0: (105, 1_442_957, 140, 129),
+    1: (105, 1_453_898, 122, 129),
+}
+
+# (rounds, words sent, max resident words, |H|) for
+# modified_baswana_sen(k=3, p=0.5) on G(512, p=0.02) seed 0
+MBS_FINGERPRINT = (43, 129_359, 1544, 2736)
+
 # seed -> (rounds, words sent, max resident words) for maximal_matching on
 # G(512, p=8/512); statuses are delivered by both endpoints and each sort
 # carries only the edges still free-free
@@ -71,6 +83,24 @@ def test_spanner_fingerprint(seed):
     cl = init_cluster(ClusterConfig(n=256, m=g.m, gamma=0.5, seed=seed))
     spanner.spanner(cl, g, 2)
     assert (cl.rounds_used, *sim_cost(cl)) == SPANNER_FINGERPRINT[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(SPANNER_SUBSAMPLED_FINGERPRINT))
+def test_spanner_subsampled_fingerprint(seed):
+    g = generate_graph("gnp", 128, seed=seed, p=0.8)
+    cl = init_cluster(ClusterConfig(n=128, m=g.m, gamma=0.5, seed=seed))
+    H, report = spanner.spanner(cl, g, 2)
+    assert report["per_level"][6]["case"] == "sub-sampled"
+    got = (cl.rounds_used, *sim_cost(cl), len(H))
+    assert got == SPANNER_SUBSAMPLED_FINGERPRINT[seed]
+
+
+def test_mbs_fingerprint():
+    g = generate_graph("gnp", 512, seed=0, p=0.02)
+    cl = init_cluster(ClusterConfig(n=512, m=g.m, gamma=0.5, seed=0))
+    distribute_edges(cl, g.edges)
+    H = spanner.modified_baswana_sen(cl, 3, 0.5)
+    assert (cl.rounds_used, *sim_cost(cl), len(H)) == MBS_FINGERPRINT
 
 
 @pytest.mark.parametrize("seed", sorted(MATCHING_FINGERPRINT))
