@@ -251,17 +251,6 @@ def _keep_free_free(cluster, key, matched):
         )
 
 
-def _count_round(cluster, key):
-    """Each machine reports its record count under key to the large
-    machine; one round; returns the total."""
-    sends = []
-    for mid in cluster.small_ids:
-        es = cluster.machines[mid].state.get(key) or []
-        sends.append((mid, LARGE, len(es)))
-    inbox = cluster.round(sends)
-    return sum(c for _, c in inbox.get(LARGE, []))
-
-
 def _greedy(edges):
     """Greedy matching over the edges in ascending (min, max) order."""
     matched, out = set(), []
@@ -278,12 +267,12 @@ def phase3_residual(cluster: Cluster, graph, state: MatchingState):
     """Count the free-free residual edges left on the machines; if at most
     2n they ship to the large machine for a final greedy pass, else this
     attempt fails."""
-    total = _count_round(cluster, "E")
-    state.residual_count = total
-    if total > 2 * cluster.config.n:
-        cluster.empty_round()
+    residual, state.residual_count = primitives.gather_if_fits(
+        cluster, "E", 2 * cluster.config.n
+    )
+    if residual is None:
         return None  # this attempt fails
-    state.m3 = _greedy(primitives.gather_to_large(cluster, "E"))
+    state.m3 = _greedy(residual)
     return state.m3
 
 
@@ -303,7 +292,8 @@ def maximal_matching(cluster: Cluster, graph, placement="seeded"):
             )
             if graph.m == 0:
                 return [], {"d": 1, "v_high": 0, "phase_sizes": [0, 0, 0],
-                            "residual": 0, "phase1_rounds": 0}
+                            "residual": 0, "phase1_rounds": 0,
+                            "post_phase1_rounds": 0, "size": 0, "retried": 0}
             state = degree_split(cluster, graph)
             pre = cluster.sink_rounds
             phase1_low_degree(cluster, graph, state)
@@ -382,7 +372,7 @@ class _Overflow(Exception):
 
 
 def _super_rec(cluster, key, depth, cap, p, attempt):
-    total = _count_round(cluster, key)
+    total = primitives.count_records(cluster, key)
     if total <= cap:
         shipped = primitives.gather_to_large(cluster, key)
         return _greedy(shipped), depth
@@ -400,6 +390,6 @@ def _super_rec(cluster, key, depth, cap, p, attempt):
 
     # matched statuses out, free-free edges back, then extend greedily
     _keep_free_free(cluster, key, {v for e in M for v in e})
-    if _count_round(cluster, key) > cap:
+    if primitives.count_records(cluster, key) > cap:
         raise _Overflow
     return M + _greedy(primitives.gather_to_large(cluster, key)), sub_depth

@@ -214,24 +214,16 @@ def _keep_light(es, got):
 
 def f_light_filter(cluster: Cluster, labels, threshold):
     """Filter to light edges, count them, and ship them to the large
-    machine unless the count exceeds the abort threshold.  The labels are
-    delivered by each endpoint: the first pass appends the side-0 label to
-    each record, the second keeps the light records."""
+    machine unless the count exceeds the abort threshold; returns (light
+    records or None, count).  The labels are delivered by each endpoint:
+    the first pass appends the side-0 label to each record, the second
+    keeps the light records."""
     primitives.deliver_by_endpoint(
         cluster, "E", labels, 0,
         apply=lambda es, got: [r + (got[r[0]],) for r in es],
     )
     primitives.deliver_by_endpoint(cluster, "E", labels, 1, apply=_keep_light)
-    counts = cluster.round(
-        [(mid, LARGE, len(cluster.machines[mid].state.get("E") or []))
-         for mid in cluster.small_ids]
-    )
-    total = sum(c for _, c in counts.get(LARGE, []))
-    if total > threshold:
-        cluster.empty_round()
-        return None, total
-    light = primitives.gather_to_large(cluster, "E")
-    return light, total
+    return primitives.gather_if_fits(cluster, "E", threshold)
 
 
 ALPHA = 4

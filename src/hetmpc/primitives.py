@@ -28,12 +28,6 @@ def _pair(a, b):
 # round-charge constants (functions of gamma only)
 
 
-def vertex_tree_depth(gamma: float) -> int:
-    """Depth bound for an aggregation tree over one vertex's machine range
-    (range length <= n^(1-gamma))."""
-    return math.ceil((1 - gamma) / gamma) + 1
-
-
 def global_tree_depth(gamma: float) -> int:
     """Depth bound for a tree over all K <= n^(2-gamma) small machines."""
     return math.ceil((2 - gamma) / gamma)
@@ -339,8 +333,7 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
 # aggregation
 
 
-def aggregate(cluster: Cluster, state_key, part_fn, map_fn, reduce_fn,
-              result_key=None):
+def aggregate(cluster: Cluster, state_key, part_fn, map_fn, reduce_fn):
     """Tree-aggregate f over per-part multisets stored on small machines.
 
     Requires parts to be contiguous in the machine order (run het_sort
@@ -401,8 +394,6 @@ def aggregate(cluster: Cluster, state_key, part_fn, map_fn, reduce_fn,
                 data[(level + 1, pidx)] = (merged, parts[0], parts[-1])
 
     out = {p: reduce_fn(vs) if len(vs) > 1 else vs[0] for p, vs in results.items()}
-    if result_key is not None:
-        cluster.large.put(result_key, out)
     _pad(cluster, start, aggregate_rounds(cluster.config.gamma))
     return out
 
@@ -607,18 +598,34 @@ def gather_to_large(cluster: Cluster, state_key):
     return out
 
 
-def scatter_from_large(cluster: Cluster, shards: dict, state_key, extend=False):
+def count_records(cluster: Cluster, state_key):
+    """Each small machine reports how many records it stores under
+    state_key to the large machine in one round; returns the total."""
+    inbox = cluster.round(
+        [(mid, LARGE, len(cluster.machines[mid].state.get(state_key) or []))
+         for mid in cluster.small_ids]
+    )
+    return sum(c for _, c in inbox.get(LARGE, []))
+
+
+def gather_if_fits(cluster: Cluster, state_key, cap):
+    """Count the records under state_key, then ship them to the large
+    machine if there are at most cap, else spend one empty round.  Two
+    rounds either way; returns (records or None, count)."""
+    total = count_records(cluster, state_key)
+    if total > cap:
+        cluster.empty_round()
+        return None, total
+    return gather_to_large(cluster, state_key), total
+
+
+def scatter_from_large(cluster: Cluster, shards: dict, state_key):
     """Large machine sends shards[machine index] to each machine, stored
     under state_key.  One round."""
     sends = [(LARGE, i, items) for i, items in shards.items() if items]
     cluster.round(sends)
     for i, items in shards.items():
-        mach = cluster.machines[i]
-        if extend:
-            cur = mach.state.get(state_key) or []
-            mach.put(state_key, cur + list(items))
-        else:
-            mach.put(state_key, list(items))
+        cluster.machines[i].put(state_key, list(items))
 
 
 def neighbor_shift(cluster: Cluster, payload_fn):

@@ -46,6 +46,21 @@ def _unchunks(t, wb):
     return x
 
 
+def _neighbor_or(cluster, masks, bits):
+    """Broadcast every vertex's `bits`-wide mask, then OR the masks of each
+    vertex's neighbors over the directed edges under "D" (sorted by
+    source); returns {vertex: OR of its neighbors' masks}."""
+    wb = cluster.config.word_bits
+    primitives.tree_broadcast(cluster, Packed(masks, cluster.config.n * bits, wb))
+    got = primitives.aggregate(
+        cluster, "D",
+        part_fn=lambda r: r[0],
+        map_fn=lambda r: _chunks(masks.get(r[1], 0), bits, wb),
+        reduce_fn=_or_chunks,
+    )
+    return {v: _unchunks(t, wb) for v, t in got.items()}
+
+
 # ---------------------------------------------------------------------------
 # clustering decomposition
 
@@ -81,7 +96,6 @@ def clustering_graphs(cluster: Cluster, graph) -> ClusteringDecomposition:
     smallest witness edge -- and returns the host-side decomposition.
     """
     n = cluster.config.n
-    wb = cluster.config.word_bits
     seed = cluster.config.seed
 
     arranged = primitives.arrange_nodes(cluster, "E", "D")
@@ -103,16 +117,8 @@ def clustering_graphs(cluster: Cluster, graph) -> ClusteringDecomposition:
                 if rng.random() < p:
                     bits |= 1 << ((i - 1) * J + j)
         sampled[v] = bits
-    primitives.tree_broadcast(cluster, Packed(sampled, n * max(1, nbits), wb))
-
     # per-vertex OR of the sampled-trial membership over its neighbors
-    nbr = primitives.aggregate(
-        cluster, "D",
-        part_fn=lambda r: r[0],
-        map_fn=lambda r: _chunks(sampled.get(r[1], 0), nbits, wb),
-        reduce_fn=_or_chunks,
-    )
-    nbr = {v: _unchunks(t, wb) for v, t in nbr.items()}
+    nbr = _neighbor_or(cluster, sampled, max(1, nbits))
 
     # patch each trial into a hitting set: add any vertex of degree >= 2^i
     # with no sampled neighbor in the trial; keep the smallest trial
@@ -142,15 +148,7 @@ def clustering_graphs(cluster: Cluster, graph) -> ClusteringDecomposition:
     for i in range(1, L):
         for v in hitting[i]:
             patched_mask[v] |= 1 << (i - 1)
-    pbits = max(1, L - 1)
-    primitives.tree_broadcast(cluster, Packed(patched_mask, n * pbits, wb))
-    nbr_b = primitives.aggregate(
-        cluster, "D",
-        part_fn=lambda r: r[0],
-        map_fn=lambda r: _chunks(patched_mask.get(r[1], 0), pbits, wb),
-        reduce_fn=_or_chunks,
-    )
-    nbr_b = {v: _unchunks(t, wb) for v, t in nbr_b.items()}
+    nbr_b = _neighbor_or(cluster, patched_mask, max(1, L - 1))
 
     # i_v: deepest level whose B-set contains v or one of its neighbors
     # (B_0 = V, so the maximum always exists)
@@ -240,14 +238,14 @@ def clustering_graphs(cluster: Cluster, graph) -> ClusteringDecomposition:
 # levelled center clustering (the (2k-1)-spanner core)
 
 
-def _bs_centers_and_histories(rng, vertices, samples, k, base):
+def _bs_centers_and_histories(rng, vertices, samples, k):
     """Levelled center sampling and re-clustering through the sampled
     subgraphs only; returns (histories, re-cluster edges).
 
     histories[v] = (c_0(v), ..., c_{t-1}(v)) where t is the step at which
     v became unclustered for good; c_0(v) = v.
     """
-    q = max(1, base) ** (-1.0 / k)
+    q = max(1, len(vertices)) ** (-1.0 / k)
     adj = []
     for sub in samples:
         a = {}
@@ -299,74 +297,82 @@ def _candidates_for_edge(u, v, hist):
     return out
 
 
-def _deliver_histories(cluster, state_key, hist, sides):
-    """Sort the stored records by each endpoint position in `sides` and
-    disseminate the center histories to the machines holding them.
-
-    The candidate records are then built from the host's hist: after the
-    second sort a machine no longer holds the first endpoint's history,
-    and carrying it in each record would add its words to every sort.
-    """
-    for side in sides:
-        primitives.deliver_by_endpoint(cluster, state_key, hist, side)
-
-
-def modified_baswana_sen(cluster: Cluster, k, p, vertices=None, state_key="E"):
-    """(2k-1)-spanner of the unweighted graph stored under state_key.
+def _baswana_sen(cluster, state_key, a, k, p, vertices, tag):
+    """(2k-1)-spanner of the records under state_key, whose endpoints are
+    r[a] < r[a+1] and whose tail r[a+2:] is a witness carried along (empty
+    for plain edges).
 
     k-1 sampled subgraphs ship to the large machine, which runs the center
     levels on them alone; the removal edges come from the small machines,
     one aggregated edge per (removed vertex, adjacent prior-level
-    cluster).  Returns the spanner edge list (held at the large machine).
+    cluster).  Returns {pair: lightest witness}, held at the large machine.
     """
-    if vertices is None:
-        vertices = set()
-        for mid in cluster.small_ids:
-            for u, v in cluster.machines[mid].state.get(state_key) or []:
-                vertices.add(u)
-                vertices.add(v)
     sends = []
     for i, mid in enumerate(cluster.small_ids, start=1):
-        rngm = cluster.rng("bs-sample", state_key, i)
-        es = cluster.machines[mid].state.get(state_key) or []
+        rngm = cluster.rng("bs-sample", tag, i)
+        recs = cluster.machines[mid].state.get(state_key) or []
         payload = []
         for j in range(1, k):
-            payload.extend((j, u, v) for u, v in es if rngm.random() < p)
+            payload.extend((j,) + r[a:] for r in recs if rngm.random() < p)
         if payload:
             sends.append((mid, LARGE, payload))
     inbox = cluster.round(sends)
     samples = [set() for _ in range(max(0, k - 1))]
+    witness = {}
     for _, payload in inbox.get(LARGE, []):
-        for j, u, v in payload:
-            samples[j - 1].add(_pair(u, v))
+        for r in payload:
+            pr = _pair(r[1], r[2])
+            samples[r[0] - 1].add(pr)
+            if pr not in witness or r[3:] < witness[pr]:
+                witness[pr] = r[3:]
 
     hist, recluster = _bs_centers_and_histories(
-        cluster.rng("bs-centers", state_key), vertices, samples, k,
-        len(vertices),
+        cluster.rng("bs-centers", tag), vertices, samples, k
     )
 
-    _deliver_histories(cluster, state_key, hist, sides=(0, 1))
+    # deliver the histories by both endpoints.  The candidates below read
+    # the host's hist: after the second sort a machine no longer holds the
+    # first endpoint's history, and carrying it in each record would add
+    # its words to every sort.
+    for side in (a, a + 1):
+        primitives.deliver_by_endpoint(cluster, state_key, hist, side)
     for mid in cluster.small_ids:
         mach = cluster.machines[mid]
         cands = []
-        for u, v in mach.state.get(state_key) or []:
-            cands.extend(_candidates_for_edge(u, v, hist))
+        for r in mach.state.get(state_key) or []:
+            tail = r[a + 2:]
+            cands.extend(
+                c + tail for c in _candidates_for_edge(r[a], r[a + 1], hist)
+            )
         mach.put("_cand", cands)
 
     primitives.het_sort(cluster, "_cand")  # (r[0], r[1]) is a prefix
     removal = primitives.aggregate(
         cluster, "_cand",
         part_fn=lambda r: (r[0], r[1]),
-        map_fn=lambda r: r[2],
+        map_fn=lambda r: r[2:],
         reduce_fn=min,
     )
     for mid in cluster.small_ids:
         cluster.machines[mid].pop("_cand")
 
-    H = set(recluster)
-    for (v, _c), u in removal.items():
-        H.add(_pair(v, u))
-    return sorted(H)
+    chosen = {pr: witness[pr] for pr in recluster}
+    for (v, _c), r in removal.items():
+        chosen[_pair(v, r[0])] = r[1:]
+    return chosen
+
+
+def modified_baswana_sen(cluster: Cluster, k, p, vertices=None, state_key="E"):
+    """(2k-1)-spanner of the unweighted graph stored under state_key as
+    (u, v) records with u < v.  Returns the spanner edge list (held at the
+    large machine)."""
+    if vertices is None:
+        vertices = set()
+        for mid in cluster.small_ids:
+            for u, v in cluster.machines[mid].state.get(state_key) or []:
+                vertices.add(u)
+                vertices.add(v)
+    return sorted(_baswana_sen(cluster, state_key, 0, k, p, vertices, state_key))
 
 
 # ---------------------------------------------------------------------------
@@ -470,14 +476,13 @@ def spanner(cluster: Cluster, graph, k, placement="seeded"):
             per_level[lvl] = {pr: pairs[pr] for pr in chosen}
             case = "shipped-whole"
         else:
-            per_level[lvl] = _bs_level(cluster, deco, lvl, k, p)
+            per_level[lvl] = _baswana_sen(
+                cluster, "_lvl", 1, k, p, deco.vertices_at(lvl), lvl
+            )
             case = "sub-sampled"
         for mid in cluster.small_ids:
             cluster.machines[mid].pop("_lvl")
-        used = cluster.sink_rounds
-        assert used <= target, f"level pipeline used {used} > {target} rounds"
-        for _ in range(target - used):
-            cluster.empty_round()
+        primitives._pad(cluster, 0, target)
         branches.append(cluster.end_branch())
         report_levels[lvl] = {
             "p": p,
@@ -501,58 +506,3 @@ def spanner(cluster: Cluster, graph, k, placement="seeded"):
     }
     return H, report
 
-
-def _bs_level(cluster, deco, lvl, k, p):
-    """Sub-sampled spanner for one clustering graph.  Level records under
-    "_lvl" carry witnesses; returns {pair: witness edge}."""
-    sends = []
-    for i, mid in enumerate(cluster.small_ids, start=1):
-        rngm = cluster.rng("bs-sample", lvl, i)
-        recs = cluster.machines[mid].state.get("_lvl") or []
-        payload = []
-        for j in range(1, k):
-            payload.extend(
-                (j, c, cp, wu, wv)
-                for _, c, cp, wu, wv in recs
-                if rngm.random() < p
-            )
-        if payload:
-            sends.append((mid, LARGE, payload))
-    inbox = cluster.round(sends)
-    samples = [set() for _ in range(max(0, k - 1))]
-    witness = {}
-    for _, payload in inbox.get(LARGE, []):
-        for j, c, cp, wu, wv in payload:
-            pr = _pair(c, cp)
-            samples[j - 1].add(pr)
-            w = _pair(wu, wv)
-            if pr not in witness or w < witness[pr]:
-                witness[pr] = w
-
-    vertices = deco.vertices_at(lvl)
-    hist, recluster = _bs_centers_and_histories(
-        cluster.rng("bs-centers", lvl), vertices, samples, k, len(vertices)
-    )
-
-    _deliver_histories(cluster, "_lvl", hist, sides=(1, 2))
-    for mid in cluster.small_ids:
-        mach = cluster.machines[mid]
-        cands = []
-        for _, c, cp, wu, wv in mach.state.get("_lvl") or []:
-            for v, ctr, u in _candidates_for_edge(c, cp, hist):
-                cands.append((v, ctr, u, wu, wv))
-        mach.put("_cand", cands)
-    primitives.het_sort(cluster, "_cand")  # (r[0], r[1]) is a prefix
-    removal = primitives.aggregate(
-        cluster, "_cand",
-        part_fn=lambda r: (r[0], r[1]),
-        map_fn=lambda r: (r[2], r[3], r[4]),
-        reduce_fn=min,
-    )
-    for mid in cluster.small_ids:
-        cluster.machines[mid].pop("_cand")
-
-    chosen = {pr: witness[pr] for pr in recluster}
-    for (v, _c), (u, wu, wv) in removal.items():
-        chosen[_pair(v, u)] = _pair(wu, wv)
-    return chosen

@@ -22,8 +22,13 @@ def run_matching(graph, seed=0):
 
 
 def test_empty_graph():
-    _, M, _ = run_matching(SimGraph(8, []))
+    _, M, report = run_matching(SimGraph(8, []))
     assert M == []
+    # the report has every key of a run on edges, with zeros
+    _, _, full = run_matching(SimGraph(4, [(1, 2)]))
+    assert set(report) == set(full)
+    assert report["size"] == report["retried"] == 0
+    assert report["post_phase1_rounds"] == 0
 
 
 def test_perfect_matching_input():

@@ -353,6 +353,24 @@ def test_gather_and_scatter_single_rounds():
     assert cl.small(1).state["X"] == [(9, 9, 9)]
 
 
+def test_gather_if_fits_two_rounds_either_way():
+    edges = [(i, (i + 1) % 16) for i in range(8)]
+    for cap, fits in ((8, True), (7, False)):
+        cl = make_cluster(n=16, m=8)
+        distribute_edges(cl, edges)
+        before = cl.sink_rounds
+        got, count = primitives.gather_if_fits(cl, "E", cap)
+        assert cl.sink_rounds - before == 2
+        assert count == 8
+        if fits:
+            assert sorted(got) == sorted(edges)
+        else:
+            assert got is None
+    before = cl.sink_rounds
+    assert primitives.count_records(cl, "E") == 8
+    assert cl.sink_rounds - before == 1
+
+
 def test_round_constant_formulas():
     # gamma = 0.5 fixes the vertical tree depth at ceil((2 - g)/g) = 3
     assert primitives.global_tree_depth(0.5) == 3
