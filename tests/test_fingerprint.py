@@ -3,6 +3,8 @@ fixed MST, spanner, matching and sketch runs.  A host-speed change must
 leave all three bit-identical.  The words are those of het_sort sending
 samples, splitters and summary boundaries as bare records."""
 
+import hashlib
+
 import pytest
 
 from hetmpc import connectivity, matching, mst, oracles, spanner
@@ -26,6 +28,14 @@ SPANNER_FINGERPRINT = {
     2: (105, 456_024, 299),
 }
 
+# seed -> sha256 of the sorted spanner edges of the runs above; a protocol
+# change may move the cost fingerprint but must leave these outputs alone
+SPANNER_OUTPUT = {
+    0: "7c4adea965d25a295cb00999ad021345c3232e63cb3b587e7f43c4fe72974742",
+    1: "4fe2fd91956a0b0558ce6177a0f3390deed2912bf8659d64c5da417238d6006b",
+    2: "6ee51bb838564036be8377980a96811e0d96a884915151bae37cd1011f8762b7",
+}
+
 # seed -> (rounds, words sent, max resident words, |H|) for spanner(k=2) on
 # G(128, p=0.8), whose level 6 is sub-sampled (Baswana-Sen on the large
 # machine) rather than shipped whole
@@ -34,9 +44,15 @@ SPANNER_SUBSAMPLED_FINGERPRINT = {
     1: (105, 1_453_898, 122, 129),
 }
 
+SPANNER_SUBSAMPLED_OUTPUT = {
+    0: "4963ad92127ad35d0300961285ab965bc56a049d6f87cedd386e9f36933e1f4b",
+    1: "1cfa958107cd541432a6132b3f436dfccd632393f349069bdb1e908ad14ca85f",
+}
+
 # (rounds, words sent, max resident words, |H|) for
 # modified_baswana_sen(k=3, p=0.5) on G(512, p=0.02) seed 0
 MBS_FINGERPRINT = (43, 129_359, 1544, 2736)
+MBS_OUTPUT = "f15cfec470e67a1dcdd7b85631322e7f1d7fcd6264b41a98be56c9a5e97fa4cb"
 
 # seed -> (rounds, words sent, max resident words) for maximal_matching on
 # G(512, p=8/512); statuses are delivered by both endpoints and each sort
@@ -68,6 +84,10 @@ def sim_cost(cl):
     return words, peak
 
 
+def edges_sha256(H):
+    return hashlib.sha256(repr(sorted(H)).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("seed", sorted(MST_FINGERPRINT))
 def test_mst_fingerprint(seed):
     g = generate_graph("gnm", 256, seed=seed, m=4096, weighted=True)
@@ -81,8 +101,9 @@ def test_mst_fingerprint(seed):
 def test_spanner_fingerprint(seed):
     g = generate_graph("gnp", 256, seed=seed, p=0.1)
     cl = init_cluster(ClusterConfig(n=256, m=g.m, gamma=0.5, seed=seed))
-    spanner.spanner(cl, g, 2)
+    H, _ = spanner.spanner(cl, g, 2)
     assert (cl.rounds_used, *sim_cost(cl)) == SPANNER_FINGERPRINT[seed]
+    assert edges_sha256(H) == SPANNER_OUTPUT[seed]
 
 
 @pytest.mark.parametrize("seed", sorted(SPANNER_SUBSAMPLED_FINGERPRINT))
@@ -93,6 +114,7 @@ def test_spanner_subsampled_fingerprint(seed):
     assert report["per_level"][6]["case"] == "sub-sampled"
     got = (cl.rounds_used, *sim_cost(cl), len(H))
     assert got == SPANNER_SUBSAMPLED_FINGERPRINT[seed]
+    assert edges_sha256(H) == SPANNER_SUBSAMPLED_OUTPUT[seed]
 
 
 def test_mbs_fingerprint():
@@ -101,6 +123,7 @@ def test_mbs_fingerprint():
     distribute_edges(cl, g.edges)
     H = spanner.modified_baswana_sen(cl, 3, 0.5)
     assert (cl.rounds_used, *sim_cost(cl), len(H)) == MBS_FINGERPRINT
+    assert edges_sha256(H) == MBS_OUTPUT
 
 
 @pytest.mark.parametrize("seed", sorted(MATCHING_FINGERPRINT))
