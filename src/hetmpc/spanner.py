@@ -13,6 +13,8 @@ import hashlib
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 
 from . import primitives
 from .primitives import _pair
@@ -24,28 +26,6 @@ def _hash_int(seed, *tags):
     return int.from_bytes(h, "big")
 
 
-def _chunks(x, nbits, wb):
-    """Split an nbits-wide int into word-sized pieces (metered honestly)."""
-    n = max(1, math.ceil(nbits / wb))
-    mask = (1 << wb) - 1
-    return tuple((x >> (i * wb)) & mask for i in range(n))
-
-
-def _or_chunks(vals):
-    out = list(vals[0])
-    for v in vals[1:]:
-        for i, c in enumerate(v):
-            out[i] |= c
-    return tuple(out)
-
-
-def _unchunks(t, wb):
-    x = 0
-    for i, c in enumerate(t):
-        x |= c << (i * wb)
-    return x
-
-
 def _neighbor_or(cluster, masks, bits):
     """Broadcast every vertex's `bits`-wide mask, then OR the masks of each
     vertex's neighbors over the directed edges under "D" (sorted by
@@ -55,10 +35,10 @@ def _neighbor_or(cluster, masks, bits):
     got = primitives.aggregate(
         cluster, "D",
         part_fn=lambda r: r[0],
-        map_fn=lambda r: _chunks(masks.get(r[1], 0), bits, wb),
-        reduce_fn=_or_chunks,
+        map_fn=lambda r: Packed(masks.get(r[1], 0), bits, wb),
+        reduce_fn=lambda ps: Packed(reduce(or_, (p.value for p in ps)), bits, wb),
     )
-    return {v: _unchunks(t, wb) for v, t in got.items()}
+    return {v: p.value for v, p in got.items()}
 
 
 # ---------------------------------------------------------------------------
