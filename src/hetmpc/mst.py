@@ -21,7 +21,7 @@ from operator import itemgetter
 
 from . import primitives
 from .labels import DIFFERENT_COMPONENTS, flow_label_decode, flow_label_marker
-from .simcore import LARGE, CapacityError, Cluster, RunFailed, distribute_edges
+from .simcore import CapacityError, Cluster, RunFailed, distribute_edges
 
 
 # Unique total order on edge records via the attached original edge:
@@ -174,20 +174,15 @@ def kkt_sample(cluster: Cluster, p, tag) -> list | None:
     """Each machine ships each held edge independently with probability p;
     returns the sample at the large machine, or None if the realized
     sample would not fit (repetition aborted).  2 rounds."""
-    picks = {}
     for i, mid in enumerate(cluster.small_ids, start=1):
         rng = cluster.rng("kkt", tag, i)
-        es = cluster.machines[mid].state.get("E") or []
-        picks[mid] = [r for r in es if rng.random() < p]
-    cluster.round([(mid, LARGE, len(v)) for mid, v in picks.items()])
-    total = sum(len(v) for v in picks.values())
-    if total * 5 > cluster.config.large_budget:
-        cluster.empty_round()
-        return None
-    inbox = cluster.round([(mid, LARGE, v) for mid, v in picks.items() if v])
-    sample = []
-    for _, v in inbox.get(LARGE, []):
-        sample.extend(v)
+        mach = cluster.machines[mid]
+        mach.put("_kkt", [r for r in mach.state.get("E") or [] if rng.random() < p])
+    # a record is 5 words
+    sample, _ = primitives.gather_if_fits(
+        cluster, "_kkt", cluster.config.large_budget // 5)
+    for mid in cluster.small_ids:
+        cluster.machines[mid].pop("_kkt")
     return sample
 
 
@@ -229,11 +224,11 @@ def f_light_filter(cluster: Cluster, labels, threshold):
 ALPHA = 4
 
 
-def _finish_by_sampling(cluster, state, p, alpha=ALPHA, reps=None):
+def _finish_by_sampling(cluster, state, p):
     """Amplified sampling stage; returns (chosen records, report)."""
     n = cluster.config.n
-    R = reps if reps is not None else math.ceil(2 * math.log2(n))
-    threshold = alpha * math.ceil(state.n_super / p) if p < 1 else float("inf")
+    R = math.ceil(2 * math.log2(n))
+    threshold = ALPHA * math.ceil(state.n_super / p) if p < 1 else float("inf")
     branches = []
     light_counts = []
     winner = None
