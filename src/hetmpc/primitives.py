@@ -477,26 +477,22 @@ def disseminate(cluster: Cluster, values: dict, machine_ranges: dict):
     return delivered
 
 
-def deliver_by_endpoint(cluster: Cluster, state_key, values: dict, side,
-                        apply=None):
-    """Sort the records under state_key by r[side] and deliver values[v]
-    to every small machine holding a record whose endpoint r[side] is v.
+def deliver_by_endpoint(cluster: Cluster, state_key, values: dict, side, apply):
+    """Sort the records under state_key by r[side], deliver values[v] to
+    every small machine holding a record whose endpoint r[side] is v, and
+    replace each machine's records with apply(records, got).
 
-    If given, apply(records, got) replaces each machine's records, where
     got is the dict that machine received and nothing else, so a rewrite
-    can only use delivered values; its output is stored as Records when
+    can only use delivered values; the output is stored as Records when
     its records conform.  Costs sort_rounds + disseminate_rounds.
-    Returns {machine index: got}.
     """
     # order by r[0] is the records' own order
     layout = het_sort(cluster, state_key, key=None if side == 0 else itemgetter(side))
     delivered = disseminate(cluster, values, machine_ranges=layout.ranges(side))
-    if apply is not None:
-        for i in cluster.small_ids:
-            mach = cluster.machines[i]
-            mach.put(state_key, as_records(
-                apply(mach.state[state_key], delivered.get(i, {}))))
-    return delivered
+    for i in cluster.small_ids:
+        mach = cluster.machines[i]
+        mach.put(state_key, as_records(
+            apply(mach.state[state_key], delivered.get(i, {}))))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
@@ -71,9 +71,10 @@ def bucket_level(min_deg, levels):
 def clustering_graphs(cluster: Cluster, graph) -> ClusteringDecomposition:
     """Build the star decomposition and per-level clustering graphs.
 
-    Leaves per-machine level records (level, c, c', wu, wv) under state
-    key "A" -- (c, c') is the pair of star centers, (wu, wv) the locally
-    smallest witness edge -- and returns the host-side decomposition.
+    Consumes the edges under state key "E" and leaves per-machine level
+    records (level, c, c', wu, wv) under state key "A" -- (c, c') is the
+    pair of star centers, (wu, wv) the locally smallest witness edge --
+    and returns the host-side decomposition.
     """
     n = cluster.config.n
     seed = cluster.config.seed
@@ -130,82 +131,84 @@ def clustering_graphs(cluster: Cluster, graph) -> ClusteringDecomposition:
             patched_mask[v] |= 1 << (i - 1)
     nbr_b = _neighbor_or(cluster, patched_mask, max(1, L - 1))
 
+    def in_b(v, i):
+        # v in B_i, read from the broadcast patched masks
+        return i == 0 or patched_mask[v] >> (i - 1)
+
     # i_v: deepest level whose B-set contains v or one of its neighbors
     # (B_0 = V, so the maximum always exists)
-    i_of = {}
-    for v in range(n):
-        top = 0
-        mask = nbr_b.get(v, 0)
-        for i in range(L - 1, 0, -1):
-            if v in b_sets[i] or mask >> (i - 1):
-                top = i
-                break
-        i_of[v] = top
+    i_of = {
+        v: next((i for i in range(L - 1, 0, -1)
+                 if in_b(v, i) or nbr_b.get(v, 0) >> (i - 1)), 0)
+        for v in range(n)
+    }
 
     # sigma: own id for members of B_{i_v}; otherwise a seeded-random
-    # neighbor inside B_{i_v}, chosen by a distributed argmin on a hash
-    need = {v for v in deg if v not in b_sets[i_of[v]]}
-    # "D" is still sorted by source from arranging it, so disseminate over
-    # that layout; deliver_by_endpoint would sort again and add rounds
-    primitives.disseminate(
-        cluster, {v: (i_of[v], 1 if v in need else 0) for v in deg},
+    # neighbor inside B_{i_v}, chosen by a distributed argmin on a hash.
+    # "D" is still sorted by source, so i_u is disseminated over that
+    # layout, and each machine keeps the copies (u, v) with u outside and
+    # v inside B_{i_u}
+    got = primitives.disseminate(
+        cluster, {v: i_of[v] for v in deg},
         machine_ranges=arranged.layout.ranges(0),
     )
-    no_choice = (1 << 64, 0)  # above any 64-bit hash value
+    for mid in cluster.small_ids:
+        mach = cluster.machines[mid]
+        i_u = got.get(mid, {})
+        mach.put("_sigma", [
+            (u, v) for u, v in mach.state.get("D") or []
+            if not in_b(u, i_u[u]) and in_b(v, i_u[u])
+        ])
     cand = primitives.aggregate(
-        cluster, "D",
+        cluster, "_sigma",
         part_fn=lambda r: r[0],
-        map_fn=lambda r: (
-            (_hash_int(seed, "sigma", r[0], r[1]), r[1])
-            if r[0] in need and r[1] in b_sets[i_of[r[0]]]
-            else no_choice
-        ),
+        map_fn=lambda r: (_hash_int(seed, "sigma", r[0], r[1]), r[1]),
         reduce_fn=min,
     )
     sigma, star_edges = {}, []
     for v in range(n):
-        if v not in need:
+        if in_b(v, i_of[v]):
             sigma[v] = v
             continue
         choice = cand.get(v)
-        if choice is None or choice == no_choice:
+        if choice is None:
             # every vertex of degree >= 2^i has a B_i neighbor once the
             # trials are patched into hitting sets
             raise RuntimeError(f"no star center found for vertex {v}")
         sigma[v] = choice[1]
         star_edges.append(_pair(v, sigma[v]))
-    for mid in cluster.small_ids:
-        cluster.machines[mid].pop("D")
 
-    # deliver (deg, sigma) for both endpoints, then build level records.
-    # The level records below read the host's deg and sigma, not what was
-    # delivered: after the side-1 sort a machine no longer holds the
-    # side-0 values, and carrying (deg, sigma) in each record raised the
-    # words sent by 7.3% on G(256, 0.1) with k=2.
-    per_vertex = {v: (deg.get(v, 0), sigma[v]) for v in range(n)}
-    for side in (0, 1):
-        primitives.deliver_by_endpoint(cluster, "E", per_vertex, side)
-    bucket_sizes = {}
-    seen_pairs = {}
+    # level records from delivered values: (deg, sigma) disseminated over
+    # the same layout turns each copy (u, v) with u < v into
+    # (v, u, deg_u, sigma_u), and delivering (deg, sigma) by v gives each
+    # machine both endpoints' values
+    per_vertex = {v: (deg[v], sigma[v]) for v in deg}
+    got = primitives.disseminate(
+        cluster, per_vertex, machine_ranges=arranged.layout.ranges(0)
+    )
     for mid in cluster.small_ids:
         mach = cluster.machines[mid]
-        recs = {}
-        for u, v in mach.state.get("E") or []:
-            su, sv = sigma[u], sigma[v]
-            if su == sv:
+        for key in ("_sigma", "E"):
+            mach.pop(key)
+        mine = got.get(mid, {})
+        mach.put("A", [(v, u) + mine[u] for u, v in mach.pop("D") or [] if u < v])
+
+    def level_records(recs, got):
+        # (level, c, c', wu, wv) with this machine's lightest witness
+        best = {}
+        for v, u, deg_u, sigma_u in recs:
+            deg_v, sigma_v = got[v]
+            if sigma_u == sigma_v:
                 continue  # the edge lies inside a star
-            lvl = bucket_level(min(deg[u], deg[v]), L)
-            c, cp = _pair(su, sv)
-            w = _pair(u, v)
-            key = (lvl, c, cp)
-            if key not in recs or w < recs[key]:
-                recs[key] = w
-            seen_pairs.setdefault(lvl, set()).add((c, cp))
-        mach.put(
-            "A", [(lvl, c, cp, w[0], w[1]) for (lvl, c, cp), w in recs.items()]
-        )
-    for lvl, prs in seen_pairs.items():
-        bucket_sizes[lvl] = len(prs)
+            key = (bucket_level(min(deg_u, deg_v), L),) + _pair(sigma_u, sigma_v)
+            if key not in best or (u, v) < best[key]:
+                best[key] = (u, v)
+        return [key + w for key, w in best.items()]
+
+    primitives.deliver_by_endpoint(cluster, "A", per_vertex, 0, apply=level_records)
+    keys = {r[:3] for mid in cluster.small_ids
+            for r in cluster.machines[mid].state["A"]}
+    bucket_sizes = dict(Counter(lvl for lvl, _, _ in keys))
 
     return ClusteringDecomposition(
         n=n, delta=delta, levels=L, deg=deg, hitting=hitting, b_sets=b_sets,
@@ -262,13 +265,16 @@ def _bs_centers_and_histories(rng, vertices, samples, k):
     return {v: tuple(h) for v, h in hist.items()}, recluster
 
 
-def _candidates_for_edge(u, v, hist):
+def _history(v, tail):
+    """(c_0(v), ..., c_{t-1}(v)) from v's history tail padded with -1."""
+    return (v,) + tuple(c for c in tail if c >= 0)
+
+
+def _candidates_for_edge(u, v, lu, lv):
     """Candidate records (removed vertex, prior-level cluster of the other
-    endpoint, other endpoint) for one stored edge.  Both directions apply
-    when the endpoints were unclustered at the same step."""
-    lu, lv = hist.get(u), hist.get(v)
-    if lu is None or lv is None:
-        return []
+    endpoint, other endpoint) for an edge whose endpoints have histories
+    lu and lv.  Both directions apply when the endpoints were unclustered
+    at the same step."""
     out = []
     if len(lv) >= len(lu):
         out.append((u, lv[len(lu) - 1], v))
@@ -280,7 +286,7 @@ def _candidates_for_edge(u, v, hist):
 def _baswana_sen(cluster, state_key, a, k, p, vertices, tag):
     """(2k-1)-spanner of the records under state_key, whose endpoints are
     r[a] < r[a+1] and whose tail r[a+2:] is a witness carried along (empty
-    for plain edges).
+    for plain edges).  Consumes the records.
 
     k-1 sampled subgraphs ship to the large machine, which runs the center
     levels on them alone; the removal edges come from the small machines,
@@ -310,31 +316,41 @@ def _baswana_sen(cluster, state_key, a, k, p, vertices, tag):
         cluster.rng("bs-centers", tag), vertices, samples, k
     )
 
-    # deliver the histories by both endpoints.  The candidates below read
-    # the host's hist: after the second sort a machine no longer holds the
-    # first endpoint's history, and carrying it in each record would add
-    # its words to every sort.
-    for side in (a, a + 1):
-        primitives.deliver_by_endpoint(cluster, state_key, hist, side)
-    for mid in cluster.small_ids:
-        mach = cluster.machines[mid]
-        cands = []
-        for r in mach.state.get(state_key) or []:
-            tail = r[a + 2:]
-            cands.extend(
-                c + tail for c in _candidates_for_edge(r[a], r[a + 1], hist)
-            )
-        mach.put("_cand", cands)
+    # deliver each history's tail c_1..c_{k-1}, padded with -1 to k-1
+    # words (c_0(v) = v costs no word), by both endpoints: the first
+    # delivery appends r[a]'s tail to each record, the second turns each
+    # record into its candidates from the carried and the delivered tail
+    tails = {v: h[1:] + (-1,) * (k - len(h)) for v, h in hist.items()}
 
-    primitives.het_sort(cluster, "_cand")  # (r[0], r[1]) is a prefix
+    def candidates(recs, got):
+        out = []
+        for r in recs:
+            tail_v = got.get(r[a + 1])
+            if tail_v is None:
+                continue
+            cut = len(r) - (k - 1)
+            u, v = r[a], r[a + 1]
+            out.extend(
+                c + r[a + 2:cut] for c in _candidates_for_edge(
+                    u, v, _history(u, r[cut:]), _history(v, tail_v))
+            )
+        return out
+
+    primitives.deliver_by_endpoint(
+        cluster, state_key, tails, a,
+        apply=lambda recs, got: [r + got[r[a]] for r in recs if r[a] in got],
+    )
+    primitives.deliver_by_endpoint(cluster, state_key, tails, a + 1, apply=candidates)
+
+    primitives.het_sort(cluster, state_key)  # (r[0], r[1]) is a prefix
     removal = primitives.aggregate(
-        cluster, "_cand",
+        cluster, state_key,
         part_fn=lambda r: (r[0], r[1]),
         map_fn=lambda r: r[2:],
         reduce_fn=min,
     )
     for mid in cluster.small_ids:
-        cluster.machines[mid].pop("_cand")
+        cluster.machines[mid].pop(state_key)
 
     chosen = {pr: witness[pr] for pr in recluster}
     for (v, _c), r in removal.items():
@@ -344,8 +360,8 @@ def _baswana_sen(cluster, state_key, a, k, p, vertices, tag):
 
 def modified_baswana_sen(cluster: Cluster, k, p, vertices=None, state_key="E"):
     """(2k-1)-spanner of the unweighted graph stored under state_key as
-    (u, v) records with u < v.  Returns the spanner edge list (held at the
-    large machine)."""
+    (u, v) records with u < v, which it consumes.  Returns the spanner
+    edge list (held at the large machine)."""
     if vertices is None:
         vertices = set()
         for mid in cluster.small_ids:

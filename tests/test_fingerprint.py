@@ -21,11 +21,12 @@ MST_FINGERPRINT = {
 }
 
 # seed -> (rounds, words sent, max resident words) for spanner(k=2) on
-# G(256, p=0.1)
+# G(256, p=0.1); the level records are built from values disseminated over
+# the arranged directed copies and one delivery by the second endpoint
 SPANNER_FINGERPRINT = {
-    0: (105, 447_098, 545),
-    1: (105, 435_937, 192),
-    2: (105, 456_024, 299),
+    0: (95, 442_342, 565),
+    1: (95, 431_150, 190),
+    2: (95, 451_168, 275),
 }
 
 # seed -> sha256 of the sorted spanner edges of the runs above; a protocol
@@ -40,8 +41,8 @@ SPANNER_OUTPUT = {
 # G(128, p=0.8), whose level 6 is sub-sampled (Baswana-Sen on the large
 # machine) rather than shipped whole
 SPANNER_SUBSAMPLED_FINGERPRINT = {
-    0: (105, 1_442_957, 140, 129),
-    1: (105, 1_453_898, 122, 129),
+    0: (95, 1_462_193, 164, 129),
+    1: (95, 1_472_780, 122, 129),
 }
 
 SPANNER_SUBSAMPLED_OUTPUT = {
@@ -50,8 +51,10 @@ SPANNER_SUBSAMPLED_OUTPUT = {
 }
 
 # (rounds, words sent, max resident words, |H|) for
-# modified_baswana_sen(k=3, p=0.5) on G(512, p=0.02) seed 0
-MBS_FINGERPRINT = (43, 129_359, 1544, 2736)
+# modified_baswana_sen(k=3, p=0.5) on G(512, p=0.02) seed 0; each record
+# carries its first endpoint's history tail (k-1 words) into the second
+# delivery
+MBS_FINGERPRINT = (43, 156_216, 1152, 2736)
 MBS_OUTPUT = "f15cfec470e67a1dcdd7b85631322e7f1d7fcd6264b41a98be56c9a5e97fa4cb"
 
 # seed -> (rounds, words sent, max resident words) for maximal_matching on

@@ -257,20 +257,26 @@ def test_deliver_by_endpoint_covers_held_endpoints(edges, extra, side):
     cl = make_cluster()
     scatter_items(cl, edges)
     values = {v: 3 * v + 1 for v in {e[side] for e in edges} | extra}
-    before = cl.sink_rounds
-    got = primitives.deliver_by_endpoint(cl, "E", values, side)
-    assert cl.sink_rounds - before == (primitives.sort_rounds(0.5)
-                                       + primitives.disseminate_rounds(0.5))
-    for i in cl.small_ids:
-        held = cl.small(i).state.get("E") or []
-        mine = got.get(i, {})
-        assert all(r[side] in mine for r in held)
-        if held:
-            first, last = held[0][side], held[-1][side]
+    applied = []
+
+    def apply(records, got):
+        # got covers every held endpoint and nothing outside the held range
+        assert all(r[side] in got for r in records)
+        if records:
+            first, last = records[0][side], records[-1][side]
             want = {v: x for v, x in values.items() if first <= v <= last}
         else:
             want = {}
-        assert mine == want
+        assert got == want
+        applied.append(len(records))
+        return records
+
+    before = cl.sink_rounds
+    primitives.deliver_by_endpoint(cl, "E", values, side, apply=apply)
+    assert cl.sink_rounds - before == (primitives.sort_rounds(0.5)
+                                       + primitives.disseminate_rounds(0.5))
+    assert len(applied) == len(cl.small_ids) and sum(applied) == len(edges)
+    assert sorted(gathered(cl)) == sorted(edges)
 
 
 def test_deliver_by_endpoint_apply_reads_only_delivered():

@@ -63,6 +63,33 @@ def test_decomposition_invariants_random():
             min(deco.deg[u], deco.deg[v]), deco.levels) in seen
 
 
+def test_level_records_match_host_reference():
+    for seed, p in ((0, 0.1), (6, 0.15), (3, 0.4)):
+        g = generate_graph("gnp", 64, seed=seed, p=p)
+        cl, deco = decompose(g, seed=seed)
+        got = {}
+        for mid in cl.small_ids:
+            for lvl, c, cp, wu, wv in cl.machines[mid].state["A"]:
+                key = (lvl, c, cp)
+                got[key] = min(got.get(key, (wu, wv)), (wu, wv))
+        want = {}
+        for u, v in g.edges:
+            su, sv = deco.sigma[u], deco.sigma[v]
+            if su == sv:
+                continue
+            lvl = spanner.bucket_level(min(deco.deg[u], deco.deg[v]), deco.levels)
+            key = (lvl, min(su, sv), max(su, sv))
+            want[key] = min(want.get(key, (u, v)), (u, v))
+        assert want and got == want
+        sizes = {}
+        for lvl, _, _ in want:
+            sizes[lvl] = sizes.get(lvl, 0) + 1
+        assert deco.bucket_sizes == sizes
+        # the input edges and their directed copies are gone
+        assert not any(key in cl.machines[mid].state
+                       for mid in cl.small_ids for key in ("E", "D"))
+
+
 def test_decomposition_size_bounds():
     n = 256
     for seed in range(5):
