@@ -77,10 +77,19 @@ def _mulmod(a, b, q):
 
 
 def _poly_eval(coeffs, xs, q):
-    """Horner evaluation of one polynomial at int64 array xs, mod q."""
-    acc = np.zeros_like(xs)
-    for c in coeffs:
-        acc = (_mulmod(acc, xs, q) + int(c)) % q
+    """Horner evaluation mod q of every polynomial in the (..., t)
+    coefficient block `coeffs` at the int64 array xs; returns the
+    (..., len(xs)) values.
+
+    Exact in int64 without `_mulmod`'s split: every x is a coordinate
+    below n^2 < 2^21 and acc < q < 2^41, so acc*x + c < 2^62 + 2^41.
+    The field 2^61-1 (ROADMAP item 4(a)) would need limb splits again.
+    """
+    acc = np.zeros(coeffs.shape[:-1] + xs.shape, dtype=np.int64)
+    for j in range(coeffs.shape[-1]):
+        acc *= xs
+        acc += coeffs[..., j, None]
+        acc %= q
     return acc
 
 
@@ -150,16 +159,18 @@ class CoordTable:
         self.keys = keys
         self.coords = np.asarray(sorted(set(int(c) for c in coords)),
                                  dtype=np.int64)
-        self.index = {int(c): i for i, c in enumerate(self.coords)}
         q, R, L = keys.q, keys.R, keys.L
         mc = len(self.coords)
         self.member = np.zeros((mc, R, L), dtype=bool)
         self.check = np.zeros((mc, R), dtype=np.int64)
+        # (u << l) < q, i.e. u <= (q - 1) >> l, without the shifted copy
+        top = (q - 1) >> np.arange(L, dtype=np.int64)[:, None]
         for r in range(R):
-            for l in range(L):
-                u = _poly_eval(keys.level_coeffs[r, l], self.coords, q)
-                self.member[:, r, l] = (u << l) < q
-            self.check[:, r] = _poly_eval(keys.check_coeffs[r], self.coords, q)
+            # instance r's L level polynomials and its checksum polynomial
+            u = _poly_eval(np.vstack((keys.level_coeffs[r],
+                                      keys.check_coeffs[r])), self.coords, q)
+            self.member[:, r] = (u[:L] <= top).T
+            self.check[:, r] = u[L]
 
 
 def edge_coord(n, u, v):
@@ -216,37 +227,55 @@ class SketchPartial:
         self.cells, self.vals = s.cells, s.vals
 
 
-def _sum_partials(parts, keys: SketchKeys, flat=None):
-    """Sum of SketchPartials, plus the (R*L, 3) cells `flat` if given."""
-    if flat is None:
-        flat = np.zeros((keys.R * keys.L, 3), np.int64)
+def _sum_partials(parts, keys: SketchKeys):
+    """Sum of SketchPartials (the aggregation's reducer)."""
+    flat = np.zeros((keys.R * keys.L, 3), np.int64)
     for p in parts:
         flat[p.cells] += p.vals  # a partial's cells are distinct
     flat[:, 2] %= keys.q
     return SketchPartial._of_flat(flat, keys)
 
 
-def _reduce_partials(table: CoordTable, vals):
-    """Aggregate reducer: leaf values are ("c", sign, coord row) tuples,
-    inner values are SketchPartial objects; the result is their sum."""
+def _leaf_partials(table: CoordTable, part_fn, records):
+    """One machine's leaf sketches: {part: SketchPartial} summing the
+    signed coordinates of its directed records (u, v, ...), +x for u < v
+    and -x otherwise, x being the coordinate of edge {u, v}, grouped by
+    `part_fn`.  A part's records must be consecutive.
+
+    One gather of the records' table rows, then one segment sum over the
+    occupied (part, cell) keys only, so memory stays proportional to the
+    occupied cells rather than to records x R*L.
+    """
+    if not records:
+        return {}
     keys = table.keys
-    flat = np.zeros((keys.R * keys.L, 3), np.int64)
-    parts, rows, signs = [], [], []
-    for v in vals:
-        if isinstance(v, SketchPartial):
-            parts.append(v)
-        else:
-            _, sign, ci = v
-            rows.append(ci)
-            signs.append(sign)
-    if rows:
-        m = table.member[rows]  # (k, R, L)
-        s = np.asarray(signs, dtype=np.int64)[:, None, None]
-        cells = flat.reshape(keys.R, keys.L, 3)
-        cells[..., 0] = (m * s).sum(axis=0)
-        cells[..., 1] = (m * s * table.coords[rows][:, None, None]).sum(axis=0)
-        cells[..., 2] = ((table.check[rows][:, :, None] * s) * m).sum(axis=0)
-    return _sum_partials(parts, keys, flat)
+    n, k, RL = keys.n, len(records), keys.R * keys.L
+    parts = [part_fn(r) for r in records]
+    starts = [0] + [i for i in range(1, k) if parts[i] != parts[i - 1]]
+    uv = np.array([r[:2] for r in records], dtype=np.int64)
+    sign = np.where(uv[:, 0] < uv[:, 1], 1, -1)
+    x = uv.min(axis=1) * n + uv.max(axis=1)
+    rows = np.searchsorted(table.coords, x)
+    if not (table.coords[np.minimum(rows, len(table.coords) - 1)] == x).all():
+        raise KeyError("a record's edge is not a table coordinate")
+    # every (record, r, l) membership; level 0 holds every coordinate
+    i, r, l = np.nonzero(table.member[rows])
+    run = np.repeat(np.arange(len(starts)), np.diff(starts + [k]))
+    key = run[i] * RL + r * keys.L + l
+    s = sign[i]
+    contrib = np.stack((s, s * x[i], s * table.check[rows[i], r]), axis=1)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    sums = np.add.reduceat(contrib[order], first, axis=0)
+    sums[:, 2] %= keys.q
+    occupied = sums.any(axis=1)
+    at, cells = np.divmod(key[first][occupied], RL)
+    vals = sums[occupied]
+    bounds = np.searchsorted(at, np.arange(len(starts) + 1)).tolist()
+    # copies, so that no partial keeps this machine's arrays alive
+    return {parts[j]: SketchPartial(cells[a:b].copy(), vals[a:b].copy(), keys)
+            for j, a, b in zip(starts, bounds, bounds[1:])}
 
 
 def sketch_build(cluster: Cluster, keys: SketchKeys, table: CoordTable,
@@ -254,27 +283,19 @@ def sketch_build(cluster: Cluster, keys: SketchKeys, table: CoordTable,
     """Per-part sketches at the large machine.
 
     Keys are broadcast, edges arranged by endpoint (ordered by `key`, as
-    in `arrange_nodes`), and the partial sketches (signed contributions
-    of locally held incident edges) are summed up the aggregation tree
-    using linearity.  A part is `part_fn` of a directed record (source,
-    target, ...); parts must be contiguous in the arranged order.  The
-    default part is the source vertex.
+    in `arrange_nodes`), and each small machine sketches its records in
+    one pass (`_leaf_partials`); the partial sketches are summed up the
+    aggregation tree using linearity.  A part is `part_fn` of a directed
+    record (source, target, ...); parts must be contiguous in the
+    arranged order.  The default part is the source vertex.
     Returns {part: SketchPartial}.
     """
-    n = cluster.config.n
     primitives.tree_broadcast(cluster, keys)
     primitives.arrange_nodes(cluster, state_key, "D", key=key)
-
-    def map_fn(r):
-        u, v = r[0], r[1]
-        sign = 1 if u < v else -1
-        return ("c", sign, table.index[edge_coord(n, u, v)])
-
     out = primitives.aggregate(
         cluster, "D",
-        part_fn=part_fn,
-        map_fn=map_fn,
-        reduce_fn=lambda vals: _reduce_partials(table, vals),
+        leaf_fn=lambda records: _leaf_partials(table, part_fn, records),
+        reduce_fn=lambda parts: _sum_partials(parts, keys),
     )
     for mid in cluster.small_ids:
         cluster.machines[mid].pop("D")

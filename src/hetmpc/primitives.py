@@ -333,13 +333,16 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
 # aggregation
 
 
-def aggregate(cluster: Cluster, state_key, part_fn, map_fn, reduce_fn):
+def aggregate(cluster: Cluster, state_key, leaf_fn, reduce_fn):
     """Tree-aggregate f over per-part multisets stored on small machines.
 
     Requires parts to be contiguous in the machine order (run het_sort
-    first if they are not).  reduce_fn takes a list of values/partials and
-    must satisfy f({f(X1),...,f(Xk)}) = f(X1 u ... u Xk).  Returns
-    {part: value} computed at the large machine.
+    first if they are not).  Each small machine holding records turns
+    them into its leaf values with one call leaf_fn(records) ->
+    {part: value} (`per_record` builds one from per-record functions).
+    reduce_fn takes a list of values/partials and must satisfy
+    f({f(X1),...,f(Xk)}) = f(X1 u ... u Xk).  Returns {part: value}
+    computed at the large machine.
     """
     start = cluster.sink_rounds
     K = len(cluster.small_ids)
@@ -349,11 +352,8 @@ def aggregate(cluster: Cluster, state_key, part_fn, map_fn, reduce_fn):
     # node payloads: {node: (partials dict, min_part, max_part)}
     data = {}
     for i, mid in enumerate(cluster.small_ids, start=1):
-        items = cluster.machines[mid].state.get(state_key) or []
-        partials = {}
-        for r in items:
-            partials.setdefault(part_fn(r), []).append(map_fn(r))
-        reduced = {p: reduce_fn(vals) for p, vals in partials.items()}
+        items = cluster.machines[mid].state.get(state_key)
+        reduced = leaf_fn(items) if items else {}
         if reduced:
             parts = sorted(reduced)
             data[(0, i - 1)] = (reduced, parts[0], parts[-1])
@@ -396,6 +396,17 @@ def aggregate(cluster: Cluster, state_key, part_fn, map_fn, reduce_fn):
     out = {p: reduce_fn(vs) if len(vs) > 1 else vs[0] for p, vs in results.items()}
     _pad(cluster, start, aggregate_rounds(cluster.config.gamma))
     return out
+
+
+def per_record(part_fn, map_fn, reduce_fn):
+    """leaf_fn for `aggregate`: each record r adds map_fn(r) to part
+    part_fn(r), and a part's values are combined with reduce_fn."""
+    def leaf_fn(records):
+        vals = {}
+        for r in records:
+            vals.setdefault(part_fn(r), []).append(map_fn(r))
+        return {p: reduce_fn(vs) for p, vs in vals.items()}
+    return leaf_fn
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import or_
+from operator import itemgetter, or_
 
 from . import primitives
 from .primitives import _pair
@@ -32,11 +32,15 @@ def _neighbor_or(cluster, masks, bits):
     source); returns {vertex: OR of its neighbors' masks}."""
     wb = cluster.config.word_bits
     primitives.tree_broadcast(cluster, Packed(masks, cluster.config.n * bits, wb))
+
+    def or_all(ps):
+        return Packed(reduce(or_, (p.value for p in ps)), bits, wb)
+
     got = primitives.aggregate(
         cluster, "D",
-        part_fn=lambda r: r[0],
-        map_fn=lambda r: Packed(masks.get(r[1], 0), bits, wb),
-        reduce_fn=lambda ps: Packed(reduce(or_, (p.value for p in ps)), bits, wb),
+        leaf_fn=primitives.per_record(
+            itemgetter(0), lambda r: Packed(masks.get(r[1], 0), bits, wb), or_all),
+        reduce_fn=or_all,
     )
     return {v: p.value for v, p in got.items()}
 
@@ -161,8 +165,9 @@ def clustering_graphs(cluster: Cluster, graph) -> ClusteringDecomposition:
         ])
     cand = primitives.aggregate(
         cluster, "_sigma",
-        part_fn=lambda r: r[0],
-        map_fn=lambda r: (_hash_int(seed, "sigma", r[0], r[1]), r[1]),
+        leaf_fn=primitives.per_record(
+            itemgetter(0), lambda r: (_hash_int(seed, "sigma", r[0], r[1]), r[1]),
+            min),
         reduce_fn=min,
     )
     sigma, star_edges = {}, []
@@ -345,8 +350,7 @@ def _baswana_sen(cluster, state_key, a, k, p, vertices, tag):
     primitives.het_sort(cluster, state_key)  # (r[0], r[1]) is a prefix
     removal = primitives.aggregate(
         cluster, state_key,
-        part_fn=lambda r: (r[0], r[1]),
-        map_fn=lambda r: r[2:],
+        leaf_fn=primitives.per_record(itemgetter(0, 1), lambda r: r[2:], min),
         reduce_fn=min,
     )
     for mid in cluster.small_ids:

@@ -2,6 +2,8 @@
 
 import math
 import random
+from dataclasses import replace
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -9,20 +11,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hetmpc import connectivity as cn
-from hetmpc import oracles
+from hetmpc import oracles, primitives
 from hetmpc.graphio import SimGraph, generate_graph
 from hetmpc.simcore import ClusterConfig, ConfigError, distribute_edges, init_cluster
 
 
 def vertex_sketch(keys, table, n, v, edges):
     """Host-side sketch of vertex v's signed incidence vector."""
-    leaves = []
-    for a, b in edges:
-        if v not in (a, b):
-            continue
-        sign = 1 if v == min(a, b) else -1
-        leaves.append(("c", sign, table.index[cn.edge_coord(n, a, b)]))
-    return cn._reduce_partials(table, leaves)
+    records = [(v, b if a == v else a) for a, b in edges if v in (a, b)]
+    return cn._leaf_partials(table, itemgetter(0), records).get(
+        v, cn.SketchPartial.zero(keys))
 
 
 def test_field_prime():
@@ -51,6 +49,39 @@ def test_mulmod_exact_at_largest_accepted_n():
     b = [rng.randrange(q) for _ in range(2000)] + [q - 1]
     got = cn._mulmod(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), q)
     assert [int(x) for x in got] == [x * y % q for x, y in zip(a, b)]
+
+
+def horner(coeffs, x, q):
+    acc = 0
+    for c in coeffs:
+        acc = (acc * x + int(c)) % q
+    return acc
+
+
+def test_poly_eval_exact_at_largest_accepted_n():
+    # x < n^2 < 2^21 and acc < q < 2^41: the unsplit Horner step stays
+    # inside int64 at the largest accepted n, for the extreme coordinates
+    # and the largest coefficients
+    n = 1217
+    keys = cn.keys_from_seed(3, n)
+    q, L = keys.q, keys.L
+    level = keys.level_coeffs.copy()
+    level[0] = q - 1
+    check = keys.check_coeffs.copy()
+    check[1] = q - 1
+    keys = replace(keys, level_coeffs=level, check_coeffs=check)
+    rng = random.Random(1)
+    xs = [0, 1, n * n - 1] + [rng.randrange(n * n) for _ in range(20)]
+    block = np.vstack((level[0], check[:2]))
+    got = cn._poly_eval(block, np.array(xs, dtype=np.int64), q)
+    assert got.tolist() == [[horner(c, x, q) for x in xs] for c in block]
+    table = cn.CoordTable(keys, xs)
+    assert table.coords.tolist() == sorted(xs)
+    for i, x in enumerate(table.coords.tolist()):
+        for r in range(keys.R):
+            assert table.check[i, r] == horner(check[r], x, q)
+            assert table.member[i, r].tolist() == [
+                horner(level[r, l], x, q) << l < q for l in range(L)]
 
 
 def test_sketch_params_scale():
@@ -239,8 +270,8 @@ def test_crafted_decode_cases():
     cells = np.array(CRAFTED, dtype=np.int64)
     got = cn._decode(cells[..., 0], cells[..., 1], cells[..., 2],
                      DKEYS, 3, DN, DTABLE)
-    assert cn.edge_coord(DN, 2, 9) in DTABLE.index
-    assert cn.edge_coord(DN, 2, 8) not in DTABLE.index
+    assert cn.edge_coord(DN, 2, 9) in DTABLE.coords.tolist()
+    assert cn.edge_coord(DN, 2, 8) not in DTABLE.coords.tolist()
     assert got == [cn.EMPTY, (2, 9), (2, 8), cn.FAIL, cn.FAIL, (1, 4),
                    cn.FAIL]
 
@@ -267,9 +298,15 @@ def dense_rebuild(leaves):
     return cells
 
 
+def signed_records(leaves):
+    """Directed records (u, v) carrying the signed coordinates (sign, x):
+    x = a*n + b with a < b is (a, b) when positive and (b, a) otherwise."""
+    return [divmod(x, DN)[::sign] for sign, x in leaves]
+
+
 def sparse_partial(leaves):
-    return cn._reduce_partials(
-        FTABLE, [("c", sign, FTABLE.index[x]) for sign, x in leaves])
+    return cn._leaf_partials(FTABLE, lambda r: 0, signed_records(leaves)).get(
+        0, cn.SketchPartial.zero(DKEYS))
 
 
 def assert_matches(s, want):
@@ -293,7 +330,7 @@ def test_sparse_partials_match_dense(parts):
     for s, leaves in zip(sparse, parts):
         assert_matches(s, dense_rebuild(leaves))
     want = dense_rebuild([c for leaves in parts for c in leaves])
-    assert_matches(cn._reduce_partials(FTABLE, sparse), want)
+    assert_matches(cn._sum_partials(sparse, DKEYS), want)
     acc = cn.SketchPartial.zero(DKEYS)
     for s in sparse:
         acc.add(s)
@@ -304,12 +341,48 @@ def test_opposite_signs_leave_no_cell():
     x = cn.edge_coord(DN, 3, 11)
     plus, minus = sparse_partial([(1, x)]), sparse_partial([(-1, x)])
     assert len(plus.cells) >= DKEYS.R  # level 0 holds every coordinate
-    for s in (cn._reduce_partials(FTABLE, [plus, minus]),
+    for s in (cn._sum_partials([plus, minus], DKEYS),
               sparse_partial([(1, x), (-1, x)])):
         assert len(s.cells) == 0
         assert s.words() == MASK_WORDS
     plus.add(minus)
     assert len(plus.cells) == 0
+
+
+def test_leaf_pass_matches_dense():
+    # machine 1 holds vertex 3's records (mixed signs) and the first half
+    # of vertex 5's, machine 2 the rest of vertex 5's, machine 3 a single
+    # record; every machine's leaf partials and their aggregate equal the
+    # dense cells
+    cl = init_cluster(ClusterConfig(n=DN, m=len(EDGES), gamma=0.5, seed=0))
+    held = {1: [(3, 1), (3, 9), (3, 12), (5, 0), (5, 7)],
+            2: [(5, 8), (5, 2), (5, 14)],
+            3: [(7, 4)]}
+    for i, recs in held.items():
+        cl.small(i).put("D", recs)
+
+    def signed(recs):
+        return [(1 if u < v else -1, cn.edge_coord(DN, u, v)) for u, v in recs]
+
+    calls = []
+
+    def leaf_fn(recs):
+        calls.append(len(recs))
+        return cn._leaf_partials(FTABLE, itemgetter(0), recs)
+
+    for recs in held.values():
+        leaves = leaf_fn(recs)
+        assert list(leaves) == list(dict.fromkeys(r[0] for r in recs))
+        for v, s in leaves.items():
+            assert_matches(s, dense_rebuild(signed(r for r in recs if r[0] == v)))
+    calls.clear()
+    got = primitives.aggregate(cl, "D", leaf_fn=leaf_fn,
+                               reduce_fn=lambda ps: cn._sum_partials(ps, DKEYS))
+    assert calls == [len(recs) for recs in held.values()]
+    assert sorted(got) == [3, 5, 7]
+    everything = [r for recs in held.values() for r in recs]
+    for v, s in got.items():
+        assert_matches(s, dense_rebuild(signed(r for r in everything if r[0] == v)))
 
 
 def run_cc(graph, seed=0):

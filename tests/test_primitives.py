@@ -206,7 +206,7 @@ def test_aggregate_degree_count():
     distribute_edges(cl, g.edges)
     primitives.arrange_nodes(cl)
     got = primitives.aggregate(
-        cl, "D", part_fn=lambda r: r[0], map_fn=lambda r: 1,
+        cl, "D", leaf_fn=primitives.per_record(lambda r: r[0], lambda r: 1, sum),
         reduce_fn=lambda vals: sum(vals),
     )
     assert cl.sink_rounds - primitives.arrange_rounds(0.5) == primitives.aggregate_rounds(0.5)
@@ -222,7 +222,8 @@ def test_aggregate_min_per_key():
     scatter_items(cl, triples)
     primitives.het_sort(cl, key=lambda r: (r[0], r[1]))
     got = primitives.aggregate(
-        cl, "E", part_fn=lambda r: (r[0], r[1]), map_fn=lambda r: r[2],
+        cl, "E",
+        leaf_fn=primitives.per_record(lambda r: (r[0], r[1]), lambda r: r[2], min),
         reduce_fn=min,
     )
     want = {}
