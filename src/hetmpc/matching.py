@@ -295,9 +295,9 @@ def maximal_matching(cluster: Cluster, graph, placement="seeded"):
                             "residual": 0, "phase1_rounds": 0,
                             "post_phase1_rounds": 0, "size": 0, "retried": 0}
             state = degree_split(cluster, graph)
-            pre = cluster.sink_rounds
+            pre = cluster.rounds_used
             phase1_low_degree(cluster, graph, state)
-            phase1_rounds = cluster.sink_rounds - pre
+            phase1_rounds = cluster.rounds_used - pre
             phase2_high_degree(cluster, graph, state)
             m3 = phase3_residual(cluster, graph, state)
             if m3 is None:
@@ -312,7 +312,7 @@ def maximal_matching(cluster: Cluster, graph, placement="seeded"):
                 "phase_sizes": [len(state.m1), len(state.m2), len(state.m3)],
                 "residual": state.residual_count,
                 "phase1_rounds": phase1_rounds,
-                "post_phase1_rounds": cluster.sink_rounds - pre - phase1_rounds,
+                "post_phase1_rounds": cluster.rounds_used - pre - phase1_rounds,
                 "size": len(M),
                 "retried": attempt,
             }

@@ -225,11 +225,13 @@ ALPHA = 4
 
 
 def _finish_by_sampling(cluster, state, p):
-    """Amplified sampling stage; returns (chosen records, report)."""
+    """Amplified sampling stage; returns (chosen records, report).
+
+    Repetitions run one after another until the first success, and each
+    is charged its own rounds."""
     n = cluster.config.n
     R = math.ceil(2 * math.log2(n))
     threshold = ALPHA * math.ceil(state.n_super / p) if p < 1 else float("inf")
-    branches = []
     light_counts = []
     winner = None
     for rep in range(1, R + 1):
@@ -238,32 +240,27 @@ def _finish_by_sampling(cluster, state, p):
             mid: cluster.machines[mid].state.get("E") or []
             for mid in cluster.small_ids
         }
-        cluster.start_branch()
         sample = kkt_sample(cluster, p, rep)
         if sample is None:
-            branches.append(cluster.end_branch())
             light_counts.append(None)
             continue
         forest = _kruskal_records(state.vertices, sample)
         labels = flow_label_marker(n, [(r[0], r[1], r[2]) for r in forest])
         labels = {v: labels[v] for v in state.vertices}
         light, total = f_light_filter(cluster, labels, threshold)
-        branches.append(cluster.end_branch())
         light_counts.append(total)
-        # the filter pass consumed the stored edges; restore for the next
-        # repetition (repetitions are conceptually parallel)
+        # the filter pass consumed the stored edges; restore them
         for mid, es in snapshot.items():
             cluster.machines[mid].put("E", es)
         if light is not None:
             winner = (rep, light, sample)
             break
-    cluster.merge_parallel(branches)
     if winner is None:
         raise RunFailed(f"all {R} sampling repetitions aborted")
     rep, light, sample = winner
     chosen = _kruskal_records(state.vertices, light + sample)
     report = {
-        "repetitions_run": len(branches),
+        "repetitions_run": len(light_counts),
         "successful_repetition": rep,
         "f_light_counts": light_counts,
         "abort_threshold": threshold if threshold != float("inf") else None,

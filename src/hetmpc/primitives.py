@@ -59,7 +59,7 @@ QUERY_ROUNDS = 2
 
 
 def _pad(cluster: Cluster, start: int, target: int):
-    used = cluster.sink_rounds - start
+    used = cluster.rounds_used - start
     if used > target:
         raise AssertionError(
             f"primitive used {used} rounds, exceeding its fixed charge {target}"
@@ -115,10 +115,10 @@ class AggregationTree:
 # broadcast
 
 
-def tree_broadcast(cluster: Cluster, value, pad=True):
+def tree_broadcast(cluster: Cluster, value):
     """Large machine sends `value` to every small machine down the global
     tree; returns nothing (value is known host-side, traffic is metered)."""
-    start = cluster.sink_rounds
+    start = cluster.rounds_used
     K = len(cluster.small_ids)
     tree = AggregationTree.build(1, K, branching(cluster))
     cluster.round([(LARGE, tree.root, value)])
@@ -130,8 +130,7 @@ def tree_broadcast(cluster: Cluster, value, pad=True):
                 if clo != rep:  # first child shares the machine: free
                     sends.append((rep, clo, value))
         cluster.round(sends)
-    if pad:
-        _pad(cluster, start, broadcast_rounds(cluster.config.gamma))
+    _pad(cluster, start, broadcast_rounds(cluster.config.gamma))
 
 
 def _children(tree, level, idx):
@@ -151,9 +150,19 @@ class SortedLayout:
 
     def ranges(self, side) -> dict:
         """{machine index: (first r[side], last r[side])} over the machines
-        that hold records; the machine_ranges that disseminate takes."""
-        return {i: (b[0][side], b[1][side])
+        that hold records, with r[side] read as in `_fields`; the
+        machine_ranges that disseminate takes."""
+        get = _fields(side)
+        return {i: (get(b[0]), get(b[1]))
                 for i, b in enumerate(self.boundaries, start=1) if b is not None}
+
+
+def _fields(side):
+    """Reader of r[side]: one field for an int side, the tuple of the named
+    fields for a tuple side."""
+    if type(side) is tuple:
+        return lambda r: tuple(map(r.__getitem__, side))
+    return itemgetter(side)
 
 
 def _even_sample(seq, k):
@@ -218,7 +227,7 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
     records are flat int tuples of one arity (metered as len * arity);
     other records stay lists, which are walked when metered.
     """
-    start = cluster.sink_rounds
+    start = cluster.rounds_used
     gamma = cluster.config.gamma
     K = len(cluster.small_ids)
     b = branching(cluster)
@@ -344,7 +353,7 @@ def aggregate(cluster: Cluster, state_key, leaf_fn, reduce_fn):
     f({f(X1),...,f(Xk)}) = f(X1 u ... u Xk).  Returns {part: value}
     computed at the large machine.
     """
-    start = cluster.sink_rounds
+    start = cluster.rounds_used
     K = len(cluster.small_ids)
     tree = AggregationTree.build(1, K, branching(cluster))
     results = {}
@@ -419,7 +428,7 @@ def disseminate(cluster: Cluster, values: dict, machine_ranges: dict):
     known after arranging or sorting the parts.  Requires parts contiguous
     in machine order.  Returns {machine index: {part: value}}.
     """
-    start = cluster.sink_rounds
+    start = cluster.rounds_used
     gamma = cluster.config.gamma
     K = len(cluster.small_ids)
     tree = AggregationTree.build(1, K, branching(cluster))
@@ -491,14 +500,18 @@ def disseminate(cluster: Cluster, values: dict, machine_ranges: dict):
 def deliver_by_endpoint(cluster: Cluster, state_key, values: dict, side, apply):
     """Sort the records under state_key by r[side], deliver values[v] to
     every small machine holding a record whose endpoint r[side] is v, and
-    replace each machine's records with apply(records, got).
+    replace each machine's records with apply(records, got).  A tuple side
+    names several fields, and values is keyed by their tuples: (0, 2)
+    sorts by (r[0], r[2]) and delivers values[(r[0], r[2])].
 
     got is the dict that machine received and nothing else, so a rewrite
     can only use delivered values; the output is stored as Records when
     its records conform.  Costs sort_rounds + disseminate_rounds.
     """
-    # order by r[0] is the records' own order
-    layout = het_sort(cluster, state_key, key=None if side == 0 else itemgetter(side))
+    # order by a prefix of the fields is the records' own order
+    fields = side if type(side) is tuple else (side,)
+    prefix = fields == tuple(range(len(fields)))
+    layout = het_sort(cluster, state_key, key=None if prefix else _fields(side))
     delivered = disseminate(cluster, values, machine_ranges=layout.ranges(side))
     for i in cluster.small_ids:
         mach = cluster.machines[i]

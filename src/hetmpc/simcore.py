@@ -279,7 +279,6 @@ class Cluster:
         for mid in self.small_ids:
             self.machines[mid] = Machine(mid, config.small_budget)
         self.telemetry: list[RoundTelemetry] = []
-        self._sinks = [self.telemetry]
 
     # -- basic accessors -------------------------------------------------
 
@@ -293,11 +292,6 @@ class Cluster:
     @property
     def rounds_used(self) -> int:
         return len(self.telemetry)
-
-    @property
-    def sink_rounds(self) -> int:
-        """Rounds recorded in the currently active telemetry sink."""
-        return len(self._sinks[-1])
 
     def rng(self, *tags) -> random.Random:
         """Deterministic substream for (seed, *tags)."""
@@ -351,13 +345,13 @@ class Cluster:
                 violations.append((mid, "StateBudget"))
 
         tel = RoundTelemetry(
-            round=len(self._sinks[-1]),
+            round=len(self.telemetry),
             sent=sent,
             received=received,
             resident=resident,
             violations=violations,
         )
-        self._sinks[-1].append(tel)
+        self.telemetry.append(tel)
         if violations and self.strict:
             raise BudgetError(
                 "budget violations: "
@@ -367,57 +361,6 @@ class Cluster:
 
     def empty_round(self):
         return self.round([])
-
-    # -- parallel branch accounting ---------------------------------------
-
-    def start_branch(self):
-        """Start recording rounds into a separate branch telemetry list."""
-        branch = []
-        self._sinks.append(branch)
-        return branch
-
-    def end_branch(self):
-        return self._sinks.pop()
-
-    def merge_parallel(self, branches):
-        """Merge branch telemetries as if they ran concurrently.
-
-        Round count is the maximum across branches; per-round traffic is
-        summed; violations are unioned.  The summed sent and received
-        words of each merged round are checked against every machine's
-        budget: an overload raises BudgetError in strict mode and is
-        logged otherwise.  Resident words are the maximum across
-        branches, not their sum, and are not checked again.
-        """
-        machines = self.machines
-        depth = max((len(b) for b in branches), default=0)
-        for r in range(depth):
-            sent, received, resident, violations = {}, {}, {}, []
-            for b in branches:
-                if r >= len(b):
-                    continue
-                t = b[r]
-                for mid, w in t.sent.items():
-                    sent[mid] = sent.get(mid, 0) + w
-                for mid, w in t.received.items():
-                    received[mid] = received.get(mid, 0) + w
-                for mid, w in t.resident.items():
-                    resident[mid] = max(resident.get(mid, 0), w)
-                violations.extend(t.violations)
-            merged = []
-            for kind, words in (("SendBudget", sent), ("RecvBudget", received)):
-                for mid, w in words.items():
-                    if w > machines[mid].budget and (mid, kind) not in violations:
-                        merged.append((mid, kind))
-            violations.extend(merged)
-            self._sinks[-1].append(
-                RoundTelemetry(len(self._sinks[-1]), sent, received, resident, violations)
-            )
-            if merged and self.strict:
-                raise BudgetError(
-                    "budget violations in merged parallel rounds: "
-                    + ", ".join(f"{machine_name(mid)}:{kind}" for mid, kind in merged)
-                )
 
 
 def init_cluster(config: ClusterConfig, strict: bool = True) -> Cluster:

@@ -288,78 +288,109 @@ def _candidates_for_edge(u, v, lu, lv):
     return out
 
 
-def _baswana_sen(cluster, state_key, a, k, p, vertices, tag):
-    """(2k-1)-spanner of the records under state_key, whose endpoints are
-    r[a] < r[a+1] and whose tail r[a+2:] is a witness carried along (empty
-    for plain edges).  Consumes the records.
+def _baswana_sen(cluster, state_key, a, k, groups):
+    """(2k-1)-spanners of the records under state_key, one per group r[:a]:
+    a level when a=1, the one empty group of plain edges when a=0.  A
+    record's endpoints are r[a] < r[a+1], and its tail r[a+2:] is a witness
+    carried along (empty for plain edges).  groups maps each sub-sampled
+    group to (p, vertices); the records of other groups ship whole in the
+    sample round.  Consumes the records.
 
-    k-1 sampled subgraphs ship to the large machine, which runs the center
-    levels on them alone; the removal edges come from the small machines,
-    one aggregated edge per (removed vertex, adjacent prior-level
-    cluster).  Returns {pair: lightest witness}, held at the large machine.
+    Per group, k-1 sampled subgraphs ship to the large machine, which runs
+    the center levels on them alone; the removal edges come from the small
+    machines, one aggregated edge per (group, removed vertex, adjacent
+    prior-level cluster).  The groups share every round.  Returns
+    ({group: {pair: lightest witness}}, records shipped whole), held at
+    the large machine.
     """
+    def tag(g):
+        # a level's RNG tag is the level; plain edges use their state key
+        return g[0] if g else state_key
+
     sends = []
     for i, mid in enumerate(cluster.small_ids, start=1):
-        rngm = cluster.rng("bs-sample", tag, i)
         recs = cluster.machines[mid].state.get(state_key) or []
-        payload = []
-        for j in range(1, k):
-            payload.extend((j,) + r[a:] for r in recs if rngm.random() < p)
+        payload = [r for r in recs if r[:a] not in groups]
+        for g, (p, _) in groups.items():
+            rngm = cluster.rng("bs-sample", tag(g), i)
+            mine = [r for r in recs if r[:a] == g]
+            for j in range(1, k):
+                payload.extend(g + (j,) + r[a:] for r in mine if rngm.random() < p)
         if payload:
             sends.append((mid, LARGE, payload))
     inbox = cluster.round(sends)
-    samples = [set() for _ in range(max(0, k - 1))]
-    witness = {}
+    samples = {g: [set() for _ in range(max(0, k - 1))] for g in groups}
+    witness = {g: {} for g in groups}
+    whole = []
     for _, payload in inbox.get(LARGE, []):
         for r in payload:
-            pr = _pair(r[1], r[2])
-            samples[r[0] - 1].add(pr)
-            if pr not in witness or r[3:] < witness[pr]:
-                witness[pr] = r[3:]
-
-    hist, recluster = _bs_centers_and_histories(
-        cluster.rng("bs-centers", tag), vertices, samples, k
-    )
+            g = r[:a]
+            if g not in groups:
+                whole.append(r)
+                continue
+            pr = _pair(r[a + 1], r[a + 2])
+            samples[g][r[a] - 1].add(pr)
+            if pr not in witness[g] or r[a + 3:] < witness[g][pr]:
+                witness[g][pr] = r[a + 3:]
+    for mid in cluster.small_ids:
+        mach = cluster.machines[mid]
+        kept = [r for r in mach.pop(state_key) or [] if r[:a] in groups]
+        if kept:
+            mach.put(state_key, kept)
+    if not groups:
+        return {}, whole
 
     # deliver each history's tail c_1..c_{k-1}, padded with -1 to k-1
-    # words (c_0(v) = v costs no word), by both endpoints: the first
-    # delivery appends r[a]'s tail to each record, the second turns each
-    # record into its candidates from the carried and the delivered tail
-    tails = {v: h[1:] + (-1,) * (k - len(h)) for v, h in hist.items()}
+    # words (c_0(v) = v costs no word), keyed by (group, v) and by both
+    # endpoints: the first delivery appends r[a]'s tail to each record,
+    # the second turns each record into its candidates (group, removed
+    # vertex, cluster, other endpoint, witness) from the carried and the
+    # delivered tail
+    chosen, tails = {}, {}
+    for g, (_, vertices) in groups.items():
+        hist, recluster = _bs_centers_and_histories(
+            cluster.rng("bs-centers", tag(g)), vertices, samples[g], k
+        )
+        chosen[g] = {pr: witness[g][pr] for pr in recluster}
+        for v, h in hist.items():
+            tails[g + (v,)] = h[1:] + (-1,) * (k - len(h))
 
     def candidates(recs, got):
         out = []
         for r in recs:
-            tail_v = got.get(r[a + 1])
+            tail_v = got.get(r[:a] + (r[a + 1],))
             if tail_v is None:
                 continue
             cut = len(r) - (k - 1)
             u, v = r[a], r[a + 1]
             out.extend(
-                c + r[a + 2:cut] for c in _candidates_for_edge(
+                r[:a] + c + r[a + 2:cut] for c in _candidates_for_edge(
                     u, v, _history(u, r[cut:]), _history(v, tail_v))
             )
         return out
 
+    group = tuple(range(a))  # the fields of r[:a]
     primitives.deliver_by_endpoint(
-        cluster, state_key, tails, a,
-        apply=lambda recs, got: [r + got[r[a]] for r in recs if r[a] in got],
+        cluster, state_key, tails, group + (a,),
+        apply=lambda recs, got: [r + got[r[:a + 1]] for r in recs
+                                 if r[:a + 1] in got],
     )
-    primitives.deliver_by_endpoint(cluster, state_key, tails, a + 1, apply=candidates)
+    primitives.deliver_by_endpoint(
+        cluster, state_key, tails, group + (a + 1,), apply=candidates)
 
-    primitives.het_sort(cluster, state_key)  # (r[0], r[1]) is a prefix
+    primitives.het_sort(cluster, state_key)  # the part r[:a+2] is a prefix
     removal = primitives.aggregate(
         cluster, state_key,
-        leaf_fn=primitives.per_record(itemgetter(0, 1), lambda r: r[2:], min),
+        leaf_fn=primitives.per_record(
+            itemgetter(*range(a + 2)), lambda r: r[a + 2:], min),
         reduce_fn=min,
     )
     for mid in cluster.small_ids:
         cluster.machines[mid].pop(state_key)
 
-    chosen = {pr: witness[pr] for pr in recluster}
-    for (v, _c), r in removal.items():
-        chosen[_pair(v, r[0])] = r[1:]
-    return chosen
+    for part, r in removal.items():
+        chosen[part[:a]][_pair(part[a], r[0])] = r[1:]
+    return chosen, whole
 
 
 def modified_baswana_sen(cluster: Cluster, k, p, vertices=None, state_key="E"):
@@ -372,7 +403,8 @@ def modified_baswana_sen(cluster: Cluster, k, p, vertices=None, state_key="E"):
             for u, v in cluster.machines[mid].state.get(state_key) or []:
                 vertices.add(u)
                 vertices.add(v)
-    return sorted(_baswana_sen(cluster, state_key, 0, k, p, vertices, state_key))
+    chosen, _ = _baswana_sen(cluster, state_key, 0, k, {(): (p, vertices)})
+    return sorted(chosen[()])
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +465,9 @@ def combine_spanners(decomposition, per_level_witnessed):
 
 
 def _level_rounds(gamma):
-    """Fixed per-level round charge: the sub-sampled case (sample ship,
-    two history deliveries, candidate sort, aggregate) bounds both."""
+    """Fixed round charge of the level stage: the sub-sampled case (sample
+    ship, two history deliveries, candidate sort, aggregate) bounds the
+    whole-level ship."""
     return (
         1
         + 2 * (primitives.sort_rounds(gamma)
@@ -447,52 +480,41 @@ def _level_rounds(gamma):
 def spanner(cluster: Cluster, graph, k, placement="seeded"):
     """Spanner with stretch at most 6k-1; returns (edges, report).
 
-    All levels run conceptually in parallel (round charge is the fixed
-    per-level constant; traffic sums across levels)."""
+    All levels run as one stage: one round ships the whole levels and the
+    samples of the sub-sampled ones, and the sub-sampled levels then share
+    every delivery, sort and aggregation.  The stage is padded to the
+    fixed charge `_level_rounds`."""
     distribute_edges(cluster, [(e[0], e[1]) for e in graph.edges],
                      placement=placement)
     deco = clustering_graphs(cluster, graph)
-    target = _level_rounds(cluster.config.gamma)
+    p_of = {lvl: level_probability(lvl, k) for lvl in range(deco.levels)}
 
-    branches = []
-    per_level = {}
-    report_levels = {}
-    for lvl in range(deco.levels):
-        cluster.start_branch()
-        for mid in cluster.small_ids:
-            mach = cluster.machines[mid]
-            recs = [r for r in (mach.state.get("A") or []) if r[0] == lvl]
-            mach.put("_lvl", recs)
-        p = level_probability(lvl, k)
-        if p >= 1.0:
-            shipped = primitives.gather_to_large(cluster, "_lvl")
-            pairs = {}
-            for _, c, cp, wu, wv in shipped:
-                key = _pair(c, cp)
-                w = _pair(wu, wv)
-                if key not in pairs or w < pairs[key]:
-                    pairs[key] = w
-            chosen = greedy_spanner(pairs.keys(), 2 * k - 1)
-            per_level[lvl] = {pr: pairs[pr] for pr in chosen}
-            case = "shipped-whole"
-        else:
-            per_level[lvl] = _baswana_sen(
-                cluster, "_lvl", 1, k, p, deco.vertices_at(lvl), lvl
-            )
-            case = "sub-sampled"
-        for mid in cluster.small_ids:
-            cluster.machines[mid].pop("_lvl")
-        primitives._pad(cluster, 0, target)
-        branches.append(cluster.end_branch())
-        report_levels[lvl] = {
+    start = cluster.rounds_used
+    sub, whole = _baswana_sen(
+        cluster, "A", 1, k,
+        {(lvl,): (p, deco.vertices_at(lvl)) for lvl, p in p_of.items() if p < 1.0},
+    )
+    primitives._pad(cluster, start, _level_rounds(cluster.config.gamma))
+
+    # a whole level keeps the lightest witness per center pair, and the
+    # large machine runs a greedy (2k-1)-spanner on it
+    per_level = {lvl: {} for lvl, p in p_of.items() if p >= 1.0}
+    for lvl, c, cp, wu, wv in whole:
+        best, key, w = per_level[lvl], _pair(c, cp), _pair(wu, wv)
+        if key not in best or w < best[key]:
+            best[key] = w
+    for lvl, best in per_level.items():
+        per_level[lvl] = {pr: best[pr] for pr in greedy_spanner(best, 2 * k - 1)}
+    per_level.update((g[0], chosen) for g, chosen in sub.items())
+    report_levels = {
+        lvl: {
             "p": p,
-            "case": case,
+            "case": "shipped-whole" if p >= 1.0 else "sub-sampled",
             "clustering_edges": deco.bucket_sizes.get(lvl, 0),
             "spanner_edges": len(per_level[lvl]),
         }
-    cluster.merge_parallel(branches)
-    for mid in cluster.small_ids:
-        cluster.machines[mid].pop("A")
+        for lvl, p in p_of.items()
+    }
 
     H = combine_spanners(deco, per_level)
     report = {
@@ -505,4 +527,3 @@ def spanner(cluster: Cluster, graph, k, placement="seeded"):
         "per_level": report_levels,
     }
     return H, report
-

@@ -9,7 +9,7 @@ import pytest
 
 from hetmpc import connectivity, matching, mst, oracles, spanner
 from hetmpc.graphio import generate_graph
-from hetmpc.simcore import ClusterConfig, distribute_edges, init_cluster
+from hetmpc.simcore import Cluster, ClusterConfig, distribute_edges, init_cluster
 
 # seed -> (words sent, max resident words) for mst on weighted G(256, 4096)
 MST_FINGERPRINT = {
@@ -22,11 +22,13 @@ MST_FINGERPRINT = {
 
 # seed -> (rounds, words sent, max resident words) for spanner(k=2) on
 # G(256, p=0.1); the level records are built from values disseminated over
-# the arranged directed copies and one delivery by the second endpoint
+# the arranged directed copies and one delivery by the second endpoint.
+# All levels run as one stage through the round barrier, with no
+# per-level copy of the records resident
 SPANNER_FINGERPRINT = {
-    0: (95, 442_342, 565),
-    1: (95, 431_150, 190),
-    2: (95, 451_168, 275),
+    0: (95, 442_342, 346),
+    1: (95, 431_150, 148),
+    2: (95, 451_168, 200),
 }
 
 # seed -> sha256 of the sorted spanner edges of the runs above; a protocol
@@ -39,10 +41,11 @@ SPANNER_OUTPUT = {
 
 # seed -> (rounds, words sent, max resident words, |H|) for spanner(k=2) on
 # G(128, p=0.8), whose level 6 is sub-sampled (Baswana-Sen on the large
-# machine) rather than shipped whole
+# machine) rather than shipped whole.  Samples, history keys and removal
+# candidates carry their level, so that concurrent levels share one stage
 SPANNER_SUBSAMPLED_FINGERPRINT = {
-    0: (95, 1_462_193, 164, 129),
-    1: (95, 1_472_780, 122, 129),
+    0: (95, 1_505_632, 164, 129),
+    1: (95, 1_517_266, 122, 129),
 }
 
 SPANNER_SUBSAMPLED_OUTPUT = {
@@ -155,3 +158,55 @@ def test_estimate_fingerprint():
                                                    max_weight=8)
     got = (cl.rounds_used, *sim_cost(cl), est, report["cc_per_threshold"])
     assert got == ESTIMATE_FINGERPRINT
+
+
+def _mst_run():
+    g = generate_graph("gnm", 256, seed=0, m=4096, weighted=True)
+    cl = init_cluster(ClusterConfig(n=256, m=4096, gamma=0.5, seed=0))
+    mst.mst(cl, g)
+    return cl
+
+
+def _spanner_run(n, p):
+    g = generate_graph("gnp", n, seed=0, p=p)
+    cl = init_cluster(ClusterConfig(n=n, m=g.m, gamma=0.5, seed=0))
+    spanner.spanner(cl, g, 2)
+    return cl
+
+
+def _mbs_run():
+    g = generate_graph("gnp", 512, seed=0, p=0.02)
+    cl = init_cluster(ClusterConfig(n=512, m=g.m, gamma=0.5, seed=0))
+    distribute_edges(cl, g.edges)
+    spanner.modified_baswana_sen(cl, 3, 0.5)
+    return cl
+
+
+def _matching_run():
+    g = generate_graph("gnp", 512, seed=0, p=8 / 512)
+    cl = init_cluster(ClusterConfig(n=512, m=g.m, gamma=0.5, seed=0))
+    matching.maximal_matching(cl, g)
+    return cl
+
+
+BARRIER_RUNS = {
+    "mst": _mst_run,
+    "spanner": lambda: _spanner_run(256, 0.1),
+    "spanner-subsampled": lambda: _spanner_run(128, 0.8),
+    "mbs": _mbs_run,
+    "matching": _matching_run,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BARRIER_RUNS))
+def test_every_telemetry_row_is_one_round(name, monkeypatch):
+    calls = []
+    real = Cluster.round
+
+    def counted(self, sends):
+        calls.append(len(self.telemetry))
+        return real(self, sends)
+
+    monkeypatch.setattr(Cluster, "round", counted)
+    cl = BARRIER_RUNS[name]()
+    assert len(calls) == cl.rounds_used == len(cl.telemetry)

@@ -3,7 +3,9 @@
 import math
 from fractions import Fraction
 
-from hetmpc import mst, oracles
+import pytest
+
+from hetmpc import mst, oracles, primitives
 from hetmpc.graphio import SimGraph, generate_graph
 from hetmpc.simcore import ClusterConfig, init_cluster
 
@@ -99,6 +101,34 @@ def test_random_instances_match_kruskal():
         cl, forest, _ = run_mst(g, seed=seed)
         assert sorted(forest) == sorted(oracles.kruskal_msf(64, g.edges))
         assert not any(t.violations for t in cl.telemetry)
+
+
+# (m, rounds of one successful repetition's run) for G(256, m) seed 0: at
+# m=4096 contraction leaves no edge to sample, at m=512 it runs no step
+@pytest.mark.parametrize("m, rounds", [(4096, 134), (512, 32)])
+def test_sampling_repetitions_run_in_sequence(monkeypatch, m, rounds):
+    # repetition 1 filters but reports an abort, so repetition 2 runs on
+    # the restored edges and both are charged their rounds
+    g = generate_graph("gnm", 256, seed=0, m=m, weighted=True)
+    cl = make_cluster(256, m)
+    real = mst.f_light_filter
+    stored = []  # edge records on the machines at each filter call
+
+    def first_aborts(cluster, labels, threshold):
+        stored.append(sum(len(cluster.machines[mid].state.get("E") or [])
+                          for mid in cluster.small_ids))
+        light, total = real(cluster, labels, threshold)
+        return (None, total) if len(stored) == 1 else (light, total)
+
+    monkeypatch.setattr(mst, "f_light_filter", first_aborts)
+    forest, report = mst.mst(cl, g)
+    # kkt_sample, two label deliveries, gather_if_fits
+    rep_rounds = 2 + 2 * (primitives.sort_rounds(0.5)
+                          + primitives.disseminate_rounds(0.5)) + 2
+    assert report["repetitions_run"] == 2
+    assert cl.rounds_used == rounds + rep_rounds
+    assert stored[0] == stored[1]
+    assert sorted(forest) == sorted(oracles.kruskal_msf(256, g.edges))
 
 
 def test_kkt_sample_edge_probabilities():

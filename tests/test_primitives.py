@@ -209,7 +209,7 @@ def test_aggregate_degree_count():
         cl, "D", leaf_fn=primitives.per_record(lambda r: r[0], lambda r: 1, sum),
         reduce_fn=lambda vals: sum(vals),
     )
-    assert cl.sink_rounds - primitives.arrange_rounds(0.5) == primitives.aggregate_rounds(0.5)
+    assert cl.rounds_used - primitives.arrange_rounds(0.5) == primitives.aggregate_rounds(0.5)
     for v, d in enumerate(g.degrees()):
         assert got.get(v, 0) == d
 
@@ -238,9 +238,9 @@ def test_disseminate_delivers_per_part():
     distribute_edges(cl, g.edges)
     arr = primitives.arrange_nodes(cl)
     values = {v: v * 10 for v in arr.deg_out}
-    before = cl.sink_rounds
+    before = cl.rounds_used
     got = primitives.disseminate(cl, values, machine_ranges=arr.layout.ranges(0))
-    assert cl.sink_rounds - before == primitives.disseminate_rounds(0.5)
+    assert cl.rounds_used - before == primitives.disseminate_rounds(0.5)
     for i in range(1, len(cl.small_ids) + 1):
         held = {r[0] for r in cl.small(i).state.get("D") or []}
         for v in held:
@@ -252,19 +252,24 @@ def test_disseminate_delivers_per_part():
     st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)),
              min_size=1, max_size=200),
     st.sets(st.integers(0, 60), max_size=30),
-    st.sampled_from([0, 1]),
+    st.sampled_from([0, 1, (0, 1), (1, 0), (1,)]),
 )
 def test_deliver_by_endpoint_covers_held_endpoints(edges, extra, side):
+    # a tuple side names several fields, and values is keyed by their tuples
+    def at(r):
+        return tuple(r[s] for s in side) if type(side) is tuple else r[side]
+
     cl = make_cluster()
     scatter_items(cl, edges)
-    values = {v: 3 * v + 1 for v in {e[side] for e in edges} | extra}
+    keys = {at(e) for e in edges} | {at((x, x)) for x in extra}
+    values = {v: i for i, v in enumerate(sorted(keys))}
     applied = []
 
     def apply(records, got):
         # got covers every held endpoint and nothing outside the held range
-        assert all(r[side] in got for r in records)
+        assert all(at(r) in got for r in records)
         if records:
-            first, last = records[0][side], records[-1][side]
+            first, last = at(records[0]), at(records[-1])
             want = {v: x for v, x in values.items() if first <= v <= last}
         else:
             want = {}
@@ -272,9 +277,9 @@ def test_deliver_by_endpoint_covers_held_endpoints(edges, extra, side):
         applied.append(len(records))
         return records
 
-    before = cl.sink_rounds
+    before = cl.rounds_used
     primitives.deliver_by_endpoint(cl, "E", values, side, apply=apply)
-    assert cl.sink_rounds - before == (primitives.sort_rounds(0.5)
+    assert cl.rounds_used - before == (primitives.sort_rounds(0.5)
                                        + primitives.disseminate_rounds(0.5))
     assert len(applied) == len(cl.small_ids) and sum(applied) == len(edges)
     assert sorted(gathered(cl)) == sorted(edges)
@@ -299,9 +304,9 @@ def test_deliver_by_endpoint_apply_reads_only_delivered():
 
 def test_broadcast_round_charge_and_traffic():
     cl = make_cluster()
-    before = cl.sink_rounds
+    before = cl.rounds_used
     primitives.tree_broadcast(cl, (1, 2, 3))
-    assert cl.sink_rounds - before == primitives.broadcast_rounds(0.5)
+    assert cl.rounds_used - before == primitives.broadcast_rounds(0.5)
     # a rep chain covers one machine per tree level for free; every other
     # machine receives the 3-word payload exactly once
     received = sum(sum(t.received.values()) for t in cl.telemetry)
@@ -341,9 +346,9 @@ def test_query_k_lightest_two_rounds():
     g = generate_graph("gnp", 64, seed=5, p=0.15)
     distribute_edges(cl, g.edges)
     arr = primitives.arrange_nodes(cl)
-    before = cl.sink_rounds
+    before = cl.rounds_used
     got = primitives.query_k_lightest(cl, arr, {0: 3, 1: 2})
-    assert cl.sink_rounds - before == primitives.QUERY_ROUNDS
+    assert cl.rounds_used - before == primitives.QUERY_ROUNDS
     degs = g.degrees()
     assert len(got.get(0, [])) == min(3, degs[0])
     assert len(got.get(1, [])) == min(2, degs[1])
@@ -352,9 +357,9 @@ def test_query_k_lightest_two_rounds():
 def test_gather_and_scatter_single_rounds():
     cl = make_cluster(n=16, m=8)
     distribute_edges(cl, [(i, (i + 1) % 16) for i in range(8)])
-    before = cl.sink_rounds
+    before = cl.rounds_used
     items = primitives.gather_to_large(cl, "E")
-    assert cl.sink_rounds - before == 1
+    assert cl.rounds_used - before == 1
     assert sorted(items) == sorted((i, (i + 1) % 16) for i in range(8))
     primitives.scatter_from_large(cl, {1: [(9, 9, 9)]}, "X")
     assert cl.small(1).state["X"] == [(9, 9, 9)]
@@ -365,17 +370,17 @@ def test_gather_if_fits_two_rounds_either_way():
     for cap, fits in ((8, True), (7, False)):
         cl = make_cluster(n=16, m=8)
         distribute_edges(cl, edges)
-        before = cl.sink_rounds
+        before = cl.rounds_used
         got, count = primitives.gather_if_fits(cl, "E", cap)
-        assert cl.sink_rounds - before == 2
+        assert cl.rounds_used - before == 2
         assert count == 8
         if fits:
             assert sorted(got) == sorted(edges)
         else:
             assert got is None
-    before = cl.sink_rounds
+    before = cl.rounds_used
     assert primitives.count_records(cl, "E") == 8
-    assert cl.sink_rounds - before == 1
+    assert cl.rounds_used - before == 1
 
 
 def test_round_constant_formulas():

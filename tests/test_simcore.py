@@ -1,4 +1,4 @@
-"""Cluster model: budgets, metering, violations, branch accounting."""
+"""Cluster model: budgets, metering, violations."""
 
 import math
 from fractions import Fraction
@@ -314,58 +314,6 @@ def test_rng_substreams_deterministic():
     cl2 = init_cluster(ClusterConfig(n=16, m=64, seed=5))
     assert cl1.rng("a", 1).random() == cl2.rng("a", 1).random()
     assert cl1.rng("a", 1).random() != cl1.rng("a", 2).random()
-
-
-def test_branch_merge_takes_max_rounds_and_sums_traffic():
-    cl = init_cluster(ClusterConfig(n=16, m=64, gamma=0.5))
-    a = 1
-    branches = []
-    cl.start_branch()
-    cl.round([(a, LARGE, 1)])
-    cl.round([(a, LARGE, 1)])
-    branches.append(cl.end_branch())
-    cl.start_branch()
-    cl.round([(a, LARGE, (1, 2))])
-    branches.append(cl.end_branch())
-    cl.merge_parallel(branches)
-    assert cl.rounds_used == 2
-    assert cl.telemetry[0].sent[a] == 3  # 1 + 2 words in the merged round
-
-
-def _overloading_branches(cl):
-    # each branch has S1 send 5000 words, within its 8192-word budget;
-    # run concurrently, the two sends add up to 10000
-    payload = [0] * 5000
-    branches = []
-    for _ in range(2):
-        cl.start_branch()
-        cl.round([(1, LARGE, payload)])
-        branches.append(cl.end_branch())
-    assert not any(t.violations for b in branches for t in b)
-    return branches
-
-
-def test_branch_merge_checks_summed_traffic():
-    cl = init_cluster(ClusterConfig(n=16, m=64, gamma=0.5))
-    assert cl.config.small_budget == 8192
-    with pytest.raises(BudgetError, match="S1:SendBudget"):
-        cl.merge_parallel(_overloading_branches(cl))
-
-    cl = init_cluster(ClusterConfig(n=16, m=64, gamma=0.5), strict=False)
-    cl.merge_parallel(_overloading_branches(cl))
-    assert cl.rounds_used == 1
-    assert cl.telemetry[0].sent[1] == 10000
-    assert [v for t in cl.telemetry for v in t.violations] == [(1, "SendBudget")]
-
-    # a branch's own overload is logged once, not again for the sum
-    cl = init_cluster(ClusterConfig(n=16, m=64, gamma=0.5), strict=False)
-    branches = []
-    for words in (9000, 10):
-        cl.start_branch()
-        cl.round([(1, LARGE, [0] * words)])
-        branches.append(cl.end_branch())
-    cl.merge_parallel(branches)
-    assert cl.telemetry[0].violations == [(1, "SendBudget")]
 
 
 def test_telemetry_json_shape():
