@@ -367,10 +367,14 @@ def l0_sample(sketch: SketchPartial, keys: SketchKeys, r: int, n: int):
 
 def _add_into(stack, sketches, keys: SketchKeys):
     """Add {vertex: SketchPartial} into the (n, R, 3, L) per-vertex cells
-    `stack`, reducing checksums mod q."""
-    for v, s in sketches.items():
-        r, l = np.divmod(s.cells, keys.L)
-        stack[v, r, :, l] += s.vals
+    `stack` with one fancy-indexed add, which is exact because the
+    (vertex, r, l) triples are distinct; checksums are reduced mod q."""
+    if sketches:
+        parts = sketches.values()
+        v = np.repeat(np.fromiter(sketches, np.int64, len(sketches)),
+                      [len(s.cells) for s in parts])
+        r, l = np.divmod(np.concatenate([s.cells for s in parts]), keys.L)
+        stack[v, r, :, l] += np.concatenate([s.vals for s in parts])
     stack[:, :, 2] %= keys.q
 
 

@@ -12,11 +12,23 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
+from typing import NamedTuple
 
-from .simcore import LARGE, CapacityError, Cluster, Records, _join, _trusted, as_records
+import numpy as np
 
-_FIRST, _SECOND = itemgetter(0), itemgetter(1)
+from .simcore import (
+    _INT_ONLY,
+    LARGE,
+    CapacityError,
+    Cluster,
+    Records,
+    Slices,
+    _join,
+    _trusted,
+    as_records,
+)
 
 
 def _pair(a, b):
@@ -165,50 +177,113 @@ def _fields(side):
     return itemgetter(side)
 
 
-def _even_sample(seq, k):
-    if not seq or k <= 0:
-        return []
-    if len(seq) <= k:
-        return list(seq)
-    step = len(seq) / k
-    return [seq[min(len(seq) - 1, int(i * step))] for i in range(k)]
+def _rank(recs, key):
+    """Dense rank of each record in the order (key(r), r): records that
+    compare equal share a rank, and a smaller rank is a smaller record.
+
+    One lexsort when the records are Records and the keys flat int64
+    columns; Python's sort over the (key, record) pairs otherwise (nested
+    keys, records that are not flat ints, ints beyond int64)."""
+    cols = _int64_columns(recs, key)
+    if cols is not None and cols.shape[1]:
+        order = np.lexsort(cols.T[::-1])
+        ordered = cols[order]
+        step = (ordered[1:] != ordered[:-1]).any(axis=1)
+        rank = np.empty(len(recs), np.int64)
+        rank[order] = np.concatenate(([0], np.cumsum(step)))
+        return rank
+    if cols is not None:  # no columns: every record compares equal
+        return np.zeros(len(recs), np.int64)
+    items = recs if key is None else list(zip(map(key, recs), recs))
+    rank, r, prev = [0] * len(items), 0, None
+    for j in sorted(range(len(items)), key=items.__getitem__):
+        if prev is not None and items[prev] < items[j]:
+            r += 1
+        rank[j], prev = r, j
+    return np.array(rank, np.int64)
 
 
-def _pick_splitters(weighted, parts):
-    """weighted: list of (count, [sorted keys]); pick parts-1 quantile keys."""
-    pool = []
-    for count, keys in weighted:
-        if not keys:
-            continue
-        w = count / len(keys)
-        pool.extend((k, w) for k in keys)
-    pool.sort(key=_FIRST)
-    total = sum(w for _, w in pool)
-    if total == 0 or parts <= 1:
-        return []
-    splitters, acc, j = [], 0.0, 0
-    for i in range(1, parts):
-        threshold = i * total / parts
-        while j < len(pool) and acc + pool[j][1] < threshold:
-            acc += pool[j][1]
-            j += 1
-        splitters.append(pool[min(j, len(pool) - 1)][0])
-    return splitters
+def _int64_columns(recs, key):
+    """(len, columns) int64 array of each record's key then its fields, or
+    None when they are not flat int64 columns."""
+    if type(recs) is not Records:
+        return None
+    n = len(recs)
+    try:
+        cols = _matrix(recs)
+        if key is None:
+            return cols
+        keys = list(map(key, recs))
+        if _INT_ONLY.issuperset(map(type, keys)):
+            kcols = np.fromiter(keys, np.int64, n).reshape(n, 1)
+        else:
+            keys = as_records(keys)
+            if type(keys) is not Records:
+                return None
+            kcols = _matrix(keys)
+    except OverflowError:
+        return None
+    return np.hstack((kcols, cols))
 
 
-def _buckets(keys, split):
-    """Cut sorted `keys` at sorted splitters: (j, start, stop) for each
-    nonempty bucket j, which holds the keys k with split[j-1] <= k <
-    split[j] (so j is bisect_right(split, k)), in increasing j."""
-    out, a = [], 0
-    for j, s in enumerate(split):
-        c = bisect_left(keys, s, a)
-        if c > a:
-            out.append((j, a, c))
-            a = c
-    if a < len(keys):
-        out.append((len(split), a, len(keys)))
-    return out
+def _matrix(recs):
+    arity = len(recs[0]) if recs else 0
+    flat = np.fromiter(chain.from_iterable(recs), np.int64, len(recs) * arity)
+    return flat.reshape(len(recs), arity)
+
+
+def _sample_positions(counts, k):
+    """The even-position samples of shards of `counts` records, k[i] of
+    shard i: (shard of each sample, its position in the shard), in shard
+    order.  A shard of at most k records is sampled whole, else position
+    min(n-1, int(j * (n / k))) for j < k."""
+    take = np.minimum(counts, k)
+    shard = np.repeat(np.arange(len(counts)), take)
+    j = np.arange(len(shard)) - np.repeat(np.cumsum(take) - take, take)
+    n, kk = counts[shard], k[shard]
+    spread = np.minimum(n - 1, (j * (n / kk)).astype(np.int64))
+    return shard, np.where(n <= kk, j, spread)
+
+
+def _splitters(rank, weight, parts):
+    """Indices into `rank` of the parts-1 weighted quantile samples.
+
+    The pool is the samples stably sorted by rank; splitter i is the first
+    sample whose running weight reaches i * total / parts (the last sample
+    if none does).  The running weights are sequential float sums and the
+    total is Python's sum over the sorted pool, so every threshold test
+    comes out as when the samples are walked one by one."""
+    if parts <= 1 or not len(rank):
+        return np.zeros(0, np.int64)
+    pool = np.argsort(rank, kind="stable")
+    w = weight[pool]
+    total = sum(w.tolist())
+    j = np.searchsorted(np.cumsum(w), np.arange(1, parts) * total / parts)
+    return pool[np.minimum(j, len(pool) - 1)]
+
+
+def _cut(split, rank, at):
+    """Cut each machine's sorted shard at the sorted splitters `split`:
+    the bucket of each position (the number of splitters at or below its
+    rank, as bisect_right counts them, so a record equal to a splitter
+    goes right) and the first position of each nonempty (machine, bucket)
+    slice.  Positions are in (machine `at`, rank) order."""
+    bucket = np.searchsorted(split, rank, side="right")
+    new = np.ones(len(rank), bool)
+    new[1:] = (at[1:] != at[:-1]) | (bucket[1:] != bucket[:-1])
+    return bucket, np.flatnonzero(new)
+
+
+class _Layout(NamedTuple):
+    """Records in sorted-shard order: position p holds record rec[p] on
+    machine at[p], machine i holds positions bounds[i-1]:bounds[i], and
+    ordered[p] and shards[i-1] are the record objects."""
+
+    rec: np.ndarray
+    at: np.ndarray
+    bounds: np.ndarray
+    ordered: object
+    shards: list
 
 
 def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> SortedLayout:
@@ -216,111 +291,123 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
     machines (two-phase sample sort; fixed round charge).
 
     Total order is (key(record), record); with key=None it is the records'
-    own order and they are sorted directly, so a key that is a prefix of
-    the record should be passed as None.  Samples, splitters and summary
-    boundaries travel as bare records and each receiver evaluates `key` on
-    them, so `key` must be a function of the record alone.
-    `summarize(shard)` may attach a per-machine payload to the final
-    summary message to the large machine.
+    own order, so a key that is a prefix of the record should be passed as
+    None.  `key` must be a function of the record alone: samples, splitters
+    and summary boundaries travel as bare records.  `summarize(shard)` may
+    attach a per-machine payload to the final summary message to the large
+    machine.
 
-    Each sorted shard is stored, and routed in slices, as Records when its
-    records are flat int tuples of one arity (metered as len * arity);
-    other records stay lists, which are walked when metered.
+    The host ranks every record once in that order (`_rank`), and each
+    comparison a machine makes between records it holds or received is a
+    comparison of their ranks: the local sorts, the even-position samples,
+    the weighted splitter choice at the large machine and at the group
+    leaders, and the cuts of each sorted shard at the splitters (a record
+    equal to a splitter goes right).  The two routing rounds send each
+    shard's contiguous slices as one `Slices` batch; samples
+    ([count, records]) and splitters go through the ordinary send list.
+    Shards are stored, and slices and samples sent, as Records when the
+    records are flat int tuples of one arity; other records stay lists,
+    which are walked when metered.
     """
     start = cluster.rounds_used
-    gamma = cluster.config.gamma
     K = len(cluster.small_ids)
-    b = branching(cluster)
+    machines = cluster.machines
+    held = [as_records(machines[i].state.get(state_key) or [])
+            for i in cluster.small_ids]
+    recs = _join(held)
+    if type(recs) is Records:
+        pack = shard_pack = _trusted
+    else:
+        pack, shard_pack = list, as_records
+    rank = _rank(recs, key)
+    span = len(recs) + 1  # ranks are below it
 
-    def sort_keys(recs):
-        # what is compared: the records themselves or (key, record) pairs
-        return recs if key is None else list(zip(map(key, recs), recs))
+    def take(rec):
+        # the record objects of record indices rec
+        return pack(map(recs.__getitem__, rec.tolist()))
 
-    # keyed[i] / shard[i]: the sort keys and the records of machine i's
-    # sorted shard, side by side; computed once per shard and kept
-    # machine-local between rounds
-    keyed, shard = {}, {}
+    def store(rec, at):
+        # each machine sorts what it holds; ties keep their arrival order
+        order = np.argsort(at * span + rank[rec], kind="stable")
+        rec, at = rec[order], at[order]
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(at, minlength=K + 1)[1:])))
+        ordered = take(rec)
+        cut = bounds.tolist()
+        shards = [shard_pack(ordered[cut[i - 1]:cut[i]]) for i in cluster.small_ids]
+        for i, shard in zip(cluster.small_ids, shards):
+            machines[i].put(state_key, shard)
+        return _Layout(rec, at, bounds, ordered, shards)
 
-    def unkey(keys):
-        return keys if key is None else list(map(_SECOND, keys))
+    def samples(layout, k):
+        # [count, even-position sample] per machine; the ranks, weights and
+        # record indices of every sample, and where each machine's samples start
+        counts = np.diff(layout.bounds)
+        shard, pos = _sample_positions(counts, k)
+        srec = layout.rec[pos + layout.bounds[shard]]
+        got = take(srec)
+        cut = np.concatenate(([0], np.cumsum(np.bincount(shard, minlength=K)))).tolist()
+        msgs = [[len(s), pack(got[cut[i]:cut[i + 1]])] for i, s in enumerate(layout.shards)]
+        weight = counts[shard] / np.minimum(counts, k)[shard]
+        return msgs, rank[srec], weight, srec, cut
 
-    def store(i, records):
-        keys = sorted(sort_keys(records))
-        recs = unkey(keys)
-        # a reordering of Records is Records; anything else is checked
-        recs = _trusted(recs) if type(records) is Records else as_records(recs)
-        keyed[i], shard[i] = (recs if key is None else keys), recs
-        cluster.machines[i].put(state_key, recs)
-        return recs
+    def route(layout, first, dst):
+        # send each (machine, bucket) slice that starts at a first
+        # position to the dst of its records
+        rec, at, _, ordered, _ = layout
+        for i in cluster.small_ids:
+            machines[i].pop(state_key)
+        count = np.diff(np.append(first, len(rec)))
+        cluster.round(Slices(ordered, at[first], dst[first], count))
+        return store(rec, dst)
 
-    def sample_keys(msgs):
-        # a receiver keys the sampled records it got: [(count, [keys])]
-        return [(p[0], sort_keys(p[1:])) for _, p in msgs]
-
-    def route(sends, i, split, dsts):
-        # bucket j is one contiguous slice of the sorted shard, sent to dsts[j]
-        cluster.machines[i].pop(state_key)
-        recs = shard[i]
-        pack = _trusted if type(recs) is Records else list
-        for j, a, c in _buckets(keyed[i], split):
-            sends.append((i, dsts[j], pack(recs[a:c])))
-
-    # local sort + seeded-position sample to the large machine
-    sends = []
-    for i in cluster.small_ids:
-        recs = store(i, cluster.machines[i].state.get(state_key) or [])
-        sends.append((i, LARGE, [len(recs)] + _even_sample(recs, b)))
-    inbox = cluster.round(sends)
+    ids = np.arange(1, K + 1)
+    layout = store(np.arange(len(recs)), np.repeat(ids, [len(h) for h in held]))
+    msgs, srank, weight, srec, _ = samples(layout, np.full(K, branching(cluster)))
+    cluster.round([(i, LARGE, m) for i, m in zip(cluster.small_ids, msgs)])
 
     g = max(1, math.ceil(math.sqrt(K)))
     size = math.ceil(K / g)
-    groups = [(lo, min(lo + size - 1, K)) for lo in range(1, K + 1, size)]
-    # splitter keys; the machines they are broadcast to key the same
-    # records to the same values
-    gsplit = _pick_splitters(sample_keys(inbox.get(LARGE, [])), len(groups))
-    tree_broadcast(cluster, unkey(gsplit))
+    lo = np.arange(1, K + 1, size)
+    hi = np.minimum(lo + size - 1, K)
+    gsize = hi - lo + 1
+    gsplit = _splitters(srank, weight, len(lo))
+    tree_broadcast(cluster, take(srec[gsplit]))
 
     # route each record to a machine of its target group (balanced by
-    # sender index); gsplit may hold fewer than len(groups) - 1 splitters
-    sends = []
-    for i in cluster.small_ids:
-        route(sends, i, gsplit, [lo + i % (hi - lo + 1) for lo, hi in groups])
-    inbox = cluster.round(sends)
-    for i in cluster.small_ids:
-        store(i, _join([batch for _, batch in inbox.get(i, [])]))
+    # sender index)
+    at = layout.at
+    bucket, first = _cut(srank[gsplit], rank[layout.rec], at)
+    layout = route(layout, first, lo[bucket] + at % gsize[bucket])
 
     # phase 2: per-group splitters chosen by the group leader
-    sends = []
-    for lo, hi in groups:
-        for i in range(lo, hi + 1):
-            recs = shard[i]
-            sends.append((i, lo, [len(recs)] + _even_sample(recs, 2 * (hi - lo + 1))))
-    inbox = cluster.round(sends)
+    group = (ids - 1) // size
+    msgs, srank, weight, srec, cut = samples(layout, 2 * gsize[group])
+    cluster.round(list(zip(cluster.small_ids, lo[group].tolist(), msgs)))
 
-    leader_split = {}
-    sends = []
-    for lo, hi in groups:
-        split = _pick_splitters(sample_keys(inbox.get(lo, [])), hi - lo + 1)
-        leader_split[lo] = split
-        split_recs = unkey(split)  # one object for the whole group
-        for i in range(lo + 1, hi + 1):
-            sends.append((lo, i, split_recs))
+    sends, split = [], []
+    for gi, (a, z) in enumerate(zip(lo.tolist(), hi.tolist())):
+        s, e = cut[a - 1], cut[z]
+        picked = s + _splitters(srank[s:e], weight[s:e], z - a + 1)
+        split.append(gi * span + srank[picked])
+        split_recs = take(srec[picked])  # one object for the whole group
+        sends.extend((a, i, split_recs) for i in range(a + 1, z + 1))
     cluster.round(sends)
 
-    sends = []
-    for lo, hi in groups:
-        for i in range(lo, hi + 1):
-            route(sends, i, leader_split[lo], range(lo, hi + 1))
-    inbox = cluster.round(sends)
+    # one cut for all groups: group gi's splitters and records are offset
+    # by gi * span
+    at = layout.at
+    grp = group[at - 1]
+    bucket, first = _cut(np.concatenate(split), grp * span + rank[layout.rec], at)
+    offset = np.cumsum([0] + [len(s) for s in split[:-1]])
+    layout = route(layout, first, lo[grp] + bucket - offset[grp])
 
     sends = []
-    for i in cluster.small_ids:
-        recs = store(i, _join([batch for _, batch in inbox.get(i, [])]))
-        payload = [len(recs)]
-        if recs:
-            payload.append((recs[0], recs[-1]))
+    for i, shard in zip(cluster.small_ids, layout.shards):
+        payload = [len(shard)]
+        if shard:
+            payload.append((shard[0], shard[-1]))
         if summarize is not None:
-            payload.append(summarize(recs))
+            payload.append(summarize(shard))
         sends.append((i, LARGE, payload))
     inbox = cluster.round(sends)
 
@@ -334,7 +421,7 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
             j = 2
         if summarize is not None:
             extras[i] = payload[j] if len(payload) > j else None
-    _pad(cluster, start, sort_rounds(gamma))
+    _pad(cluster, start, sort_rounds(cluster.config.gamma))
     return SortedLayout(counts, boundaries, extras)
 
 

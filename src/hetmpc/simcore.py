@@ -17,6 +17,8 @@ from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
 
+import numpy as np
+
 
 class ConfigError(ValueError):
     """Invalid cluster configuration."""
@@ -210,6 +212,52 @@ def payload_words(obj) -> int:
     raise TypeError(f"unmeterable payload of type {type(obj).__name__}")
 
 
+class Slices:
+    """A columnar batch of record-slice sends for `Cluster.round`.
+
+    Send j moves the next `count[j]` records of `records` (the sends take
+    consecutive slices that cover `records` in order) from machine
+    `src[j]` to machine `dst[j]`.  The barrier charges each send the words
+    of its slice: `count × arity` for Records, each record's walked words
+    for a list.  The slices are not put into the inbox: the caller moves
+    the records it sent.
+    """
+
+    __slots__ = ("records", "src", "dst", "count")
+
+    def __init__(self, records, src, dst, count):
+        if int(count.sum()) != len(records):
+            raise ValueError("the slices must cover the records")
+        self.records = records
+        self.src, self.dst, self.count = src, dst, count
+
+    def __len__(self):
+        return len(self.count)
+
+    def charges(self):
+        """({sender: words}, {receiver: words}), each in order of the
+        machine's first send."""
+        recs, count = self.records, self.count
+        if type(recs) is Records:
+            words = count * (len(recs[0]) if recs else 0)
+        else:
+            per = np.fromiter(map(payload_words, recs), np.int64, len(recs))
+            cum = np.concatenate(([0], np.cumsum(per)))
+            ends = np.cumsum(count)
+            words = cum[ends] - cum[ends - count]
+        return _by_machine(self.src, words), _by_machine(self.dst, words)
+
+
+def _by_machine(mids, words) -> dict:
+    """{machine: summed words} over the sends, in order of first send."""
+    if not len(mids):
+        return {}
+    total = np.bincount(mids, weights=words).astype(np.int64)
+    seen, first = np.unique(mids, return_index=True)
+    seen = seen[np.argsort(first)].tolist()
+    return dict(zip(seen, total[seen].tolist()))
+
+
 @dataclass
 class RoundTelemetry:
     round: int
@@ -306,25 +354,30 @@ class Cluster:
 
         `sends` is a list of (src, dst, payload) triples in send order.
         Consecutive sends of one payload object are metered once and each
-        is charged its words.
+        is charged its words.  `sends` may instead be one `Slices` batch of
+        record slices, charged per sender and receiver in bulk and left out
+        of the inbox.
         """
-        sent, received = {}, {}
         inbox = {}
-        last = _NO_PAYLOAD
-        for src, dst, payload in sends:
-            if payload is not last:  # a repeated payload is metered once
-                w = payload_words(payload)
-                last = payload
-            sent[src] = sent.get(src, 0) + w
-            received[dst] = received.get(dst, 0) + w
-            box = inbox.get(dst)
-            if box is None:
-                inbox[dst] = [(src, payload)]
-            else:
-                box.append((src, payload))
-        # stable: messages of one sender stay in send order
-        for box in inbox.values():
-            box.sort(key=_SENDER)
+        if type(sends) is Slices:
+            sent, received = sends.charges()
+        else:
+            sent, received = {}, {}
+            last = _NO_PAYLOAD
+            for src, dst, payload in sends:
+                if payload is not last:  # a repeated payload is metered once
+                    w = payload_words(payload)
+                    last = payload
+                sent[src] = sent.get(src, 0) + w
+                received[dst] = received.get(dst, 0) + w
+                box = inbox.get(dst)
+                if box is None:
+                    inbox[dst] = [(src, payload)]
+                else:
+                    box.append((src, payload))
+            # stable: messages of one sender stay in send order
+            for box in inbox.values():
+                box.sort(key=_SENDER)
 
         machines = self.machines
         violations = []
@@ -405,29 +458,30 @@ def distribute_edges(cluster: Cluster, edges, placement="seeded", shard_size=Non
 
 def telemetry_json(cluster: Cluster) -> dict:
     """Telemetry export: one JSON-ready document per run."""
+    name = {mid: machine_name(mid) for mid in cluster.machines}
     rounds = []
     for t in cluster.telemetry:
-        machines = sorted(set(t.sent) | set(t.received))
+        sent, received, resident = t.sent, t.received, t.resident
         rounds.append(
             {
                 "round": t.round,
                 "traffic": [
                     {
-                        "machine": machine_name(mid),
-                        "sent": t.sent.get(mid, 0),
-                        "received": t.received.get(mid, 0),
-                        "resident": t.resident.get(mid, 0),
+                        "machine": name[mid],
+                        "sent": sent.get(mid, 0),
+                        "received": received.get(mid, 0),
+                        "resident": resident.get(mid, 0),
                     }
-                    for mid in machines
+                    for mid in sorted(sent.keys() | received.keys())
                 ],
-                "violations": [[machine_name(mid), kind] for mid, kind in t.violations],
+                "violations": [[name[mid], kind] for mid, kind in t.violations],
             }
         )
     return {
         "rounds_used": cluster.rounds_used,
         "rounds": rounds,
         "violations": [
-            [t.round, machine_name(mid), kind]
+            [t.round, name[mid], kind]
             for t in cluster.telemetry
             for mid, kind in t.violations
         ],

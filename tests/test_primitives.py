@@ -3,20 +3,26 @@
 import random
 from bisect import bisect_right
 from collections import Counter
+from dataclasses import dataclass
 from operator import itemgetter
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hetmpc import primitives
 from hetmpc.graphio import generate_graph
 from hetmpc.simcore import (
+    CapacityError,
     ClusterConfig,
     Records,
+    Slices,
     distribute_edges,
     init_cluster,
     payload_words,
 )
+
+import sort_reference  # the tuple sort, beside this file
 
 
 def make_cluster(n=64, m=256, gamma=0.5, seed=0):
@@ -85,14 +91,22 @@ def test_sort_custom_key():
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(0, 9), max_size=40),
-       st.lists(st.integers(0, 9), max_size=8))
-def test_buckets_cut_where_bisect_right_routes(keys, split):
-    keys, split = sorted(keys), sorted(split)
-    cuts = primitives._buckets(keys, split)
-    assert all(a < c for _, a, c in cuts)
-    assert [j for j, a, c in cuts for _ in range(a, c)] == [
-        bisect_right(split, k) for k in keys
-    ]
+       st.lists(st.integers(0, 9), max_size=8),
+       st.integers(1, 3))
+def test_cut_where_bisect_right_routes(keys, split, machines):
+    # one sorted shard per machine: the cut sends bucket j of each shard,
+    # the keys k with bisect_right(split, k) == j, as one nonempty slice
+    at = np.sort(np.array([k % machines for k in keys], np.int64))
+    rank = np.array(sorted(keys), np.int64)
+    order = np.lexsort((rank, at))
+    at, rank = at[order], rank[order]
+    bucket, first = primitives._cut(np.array(sorted(split), np.int64), rank, at)
+    assert bucket.tolist() == [bisect_right(sorted(split), k) for k in rank.tolist()]
+    stops = first.tolist()[1:] + [len(rank)]
+    assert all(a < c for a, c in zip(first.tolist(), stops))
+    for a, c in zip(first.tolist(), stops):
+        assert len(set(bucket[a:c].tolist())) == len(set(at[a:c].tolist())) == 1
+        assert c == len(rank) or (at[c], bucket[c]) != (at[a], bucket[a])
 
 
 def record_rounds(cluster):
@@ -100,7 +114,7 @@ def record_rounds(cluster):
     rounds, deliver = [], cluster.round
 
     def spy(sends):
-        rounds.append(list(sends))
+        rounds.append(sends if type(sends) is Slices else list(sends))
         return deliver(sends)
 
     cluster.round = spy
@@ -148,20 +162,30 @@ def test_sort_sends_records_in_total_order(records, which, m):
                                 for i in cl.small_ids if cl.small(i).state["E"]}
     assert len(rounds) == cl.rounds_used == primitives.sort_rounds(0.5)
 
-    # samples are a count plus records; splitters are records
+    # samples are a count plus Records; splitters are Records
     held = set(records)
     bcast = primitives.broadcast_rounds(0.5)
     for r in (0, bcast + 2):
         for _, _, payload in rounds[r]:
-            assert type(payload[0]) is int
-            assert all(rec in held for rec in payload[1:])
+            count, sample = payload
+            assert type(count) is int and type(sample) is Records
+            assert len(sample) <= count and all(rec in held for rec in sample)
     for r in [*range(1, bcast + 1), bcast + 3]:
         for _, _, payload in rounds[r]:
-            assert all(rec in held for rec in payload)
-    # the two routing rounds send slices that stay Records
+            assert type(payload) is Records and all(rec in held for rec in payload)
+    # the two routing rounds send every record once, in contiguous
+    # Records slices of the senders' sorted shards
     for r in (bcast + 1, bcast + 4):
-        for _, _, payload in rounds[r]:
-            assert type(payload) is Records and payload
+        batch = rounds[r]
+        assert type(batch) is Slices and type(batch.records) is Records
+        assert sorted(batch.records) == sorted(records)
+        assert all(c > 0 for c in batch.count.tolist())
+        assert batch.src.tolist() == sorted(batch.src.tolist())
+        stop = 0
+        for c in batch.count.tolist():
+            piece = batch.records[stop:stop + c]
+            assert list(piece) == sorted(piece, key=lambda r: (order(r), r))
+            stop += c
 
 
 def test_sort_keeps_nonconforming_records_as_lists():
@@ -173,7 +197,11 @@ def test_sort_keeps_nonconforming_records_as_lists():
     assert gathered(cl) == sorted(items)
     bcast = primitives.broadcast_rounds(0.5)
     for r in (bcast + 1, bcast + 4):
-        assert all(type(p) is list for _, _, p in rounds[r])
+        # the slices are walked: 2 words a record, whatever its string
+        batch = rounds[r]
+        assert type(batch) is Slices and type(batch.records) is list
+        assert sum(cl.telemetry[r].sent.values()) == payload_words(batch.records)
+        assert payload_words(batch.records) == 2 * len(items)
     for i in cl.small_ids:
         shard = cl.small(i).state["E"]
         assert type(shard) is list or not shard  # an empty shard may be Records
@@ -390,3 +418,80 @@ def test_round_constant_formulas():
     assert primitives.aggregate_rounds(0.5) == 4
     assert primitives.disseminate_rounds(0.5) == 4
     assert primitives.sort_rounds(0.5) == primitives.arrange_rounds(0.5) == 10
+
+
+# -- the rank-oracle sort against the tuple sort it replaced --------------
+
+
+@dataclass(frozen=True, order=True)
+class Label:
+    """A comparable record field that meters itself, as flow labels do."""
+
+    value: int
+
+    def words(self):
+        return 1 + self.value % 3
+
+
+def _counts_and_ends(shard):
+    return [len(shard), shard[0] if shard else None]
+
+
+RECORD_KINDS = {
+    "ints": lambda x, y, z: (x, y, z),
+    "bigints": lambda x, y, z: (x, y << 62, z),  # beyond int64 from y = 2 on
+    "strings": lambda x, y, z: (x, "s" * y),
+    "labels": lambda x, y, z: (x, Label(y * 7 + z)),
+}
+
+
+def _sorted_twice(records, kind, which, m, placement, tight, summarize):
+    """(new, reference) clusters after sorting the same placed records."""
+    key = SORT_KEYS[which][0] if kind.endswith("ints") else None
+    out = []
+    for sort in (primitives.het_sort, sort_reference.het_sort):
+        # tight budgets (48 words a small machine): tolerant clusters that
+        # log their violations
+        cfg = ClusterConfig(n=64, m=m, gamma=0.5, seed=3,
+                            polylog_c=1 if tight else 128,
+                            polylog_e=1 if tight else 2)
+        cl = init_cluster(cfg, strict=not tight)
+        try:
+            distribute_edges(cl, records, placement=placement)
+        except CapacityError:
+            assume(False)  # the records do not fit the small machines
+        layout = sort(cl, key=key, summarize=summarize)
+        out.append((cl, layout))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)),
+             max_size=120),
+    st.sampled_from(sorted(RECORD_KINDS)),
+    st.sampled_from(range(len(SORT_KEYS))),
+    st.sampled_from([1, 8, 40, 200, 400]),
+    st.sampled_from(["seeded", "roundrobin", "adversarial"]),
+    st.booleans(),
+    st.sampled_from([None, _counts_and_ends]),
+)
+def test_sort_matches_the_tuple_sort(raw, kind, which, m, placement, tight,
+                                     summarize):
+    # m = 1 or 8 gives K = 1; adversarial placement leaves trailing shards
+    # empty; the nested-tuple key and the non-int records take the rank
+    # path that sorts in Python
+    records = [RECORD_KINDS[kind](*r) for r in raw]
+    (new, layout), (ref, want) = _sorted_twice(records, kind, which, m,
+                                               placement, tight, summarize)
+    for i in new.small_ids:
+        got, exp = new.small(i).state["E"], ref.small(i).state["E"]
+        assert type(got) is type(exp) and got == exp
+    assert (layout.counts, layout.boundaries, layout.extras) == (
+        want.counts, want.boundaries, want.extras)
+    assert new.rounds_used == ref.rounds_used
+    for t, u in zip(new.telemetry, ref.telemetry):
+        assert list(t.sent.items()) == list(u.sent.items())
+        assert list(t.received.items()) == list(u.received.items())
+        assert t.resident == u.resident
+        assert t.violations == u.violations

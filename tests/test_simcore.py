@@ -1,13 +1,16 @@
 """Cluster model: budgets, metering, violations."""
 
+import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetmpc import simcore
+from hetmpc import mst, simcore
+from hetmpc.graphio import generate_graph
 from hetmpc.simcore import (
     LARGE,
     BudgetError,
@@ -16,6 +19,7 @@ from hetmpc.simcore import (
     ConfigError,
     Packed,
     Records,
+    Slices,
     as_records,
     distribute_edges,
     init_cluster,
@@ -324,3 +328,63 @@ def test_telemetry_json_shape():
     assert doc["violations"] == []
     row = doc["rounds"][0]["traffic"]
     assert {"machine": "S1", "sent": 2, "received": 0, "resident": 0} in row
+
+
+def _reference_telemetry_json(cluster):
+    """The export as it was written before it named each machine once."""
+    rounds = []
+    for t in cluster.telemetry:
+        machines = sorted(set(t.sent) | set(t.received))
+        rounds.append(
+            {
+                "round": t.round,
+                "traffic": [
+                    {
+                        "machine": machine_name(mid),
+                        "sent": t.sent.get(mid, 0),
+                        "received": t.received.get(mid, 0),
+                        "resident": t.resident.get(mid, 0),
+                    }
+                    for mid in machines
+                ],
+                "violations": [[machine_name(mid), kind] for mid, kind in t.violations],
+            }
+        )
+    return {
+        "rounds_used": cluster.rounds_used,
+        "rounds": rounds,
+        "violations": [
+            [t.round, machine_name(mid), kind]
+            for t in cluster.telemetry
+            for mid, kind in t.violations
+        ],
+    }
+
+
+@pytest.mark.parametrize("polylog_c", [128, 1])
+def test_telemetry_json_matches_reference_export(polylog_c):
+    # a fixed MST run; at polylog_c = 1 it runs tolerant and logs violations
+    g = generate_graph("gnm", 64, seed=1, m=512, weighted=True)
+    cl = init_cluster(ClusterConfig(n=64, m=512, gamma=0.5, seed=1,
+                                    polylog_c=polylog_c), strict=polylog_c > 1)
+    mst.mst(cl, g)
+    assert any(t.violations for t in cl.telemetry) == (polylog_c == 1)
+    got = json.dumps(telemetry_json(cl))
+    assert got == json.dumps(_reference_telemetry_json(cl))
+
+
+def test_slices_charged_per_sender_and_receiver():
+    cl = _four_machine_cluster()
+    recs = Records([(1, 2, 3), (4, 5, 6), (7, 8, 9), (1, 1, 1)])
+    src, dst = np.array([2, 1, 1]), np.array([3, 4, 3])
+    batch = Slices(recs, src, dst, np.array([1, 2, 1]))
+    assert len(batch) == 3
+    assert cl.round(batch) == {}  # the caller moves the records
+    t = cl.telemetry[-1]
+    assert list(t.sent.items()) == [(2, 3), (1, 9)]  # in order of first send
+    assert list(t.received.items()) == [(3, 6), (4, 6)]
+    # a list's records are walked: 1 + 2 words, then 1 word
+    cl.round(Slices([(1, "ab"), ("c",)], np.array([1]), np.array([2]), np.array([2])))
+    assert cl.telemetry[-1].sent == {1: 3} and cl.telemetry[-1].received == {2: 3}
+    with pytest.raises(ValueError):
+        Slices(recs, src, dst, np.array([1, 1, 1]))
