@@ -26,7 +26,6 @@ from .simcore import (
     ClusterConfig,
     ConfigError,
     RunFailed,
-    distribute_edges,
     init_cluster,
     telemetry_json,
 )
@@ -166,15 +165,9 @@ def run_one(algo, graph, cfg, seed, strict, verify):
     output = None
     check = None
 
-    if algo == "mst":
-        edges, rep = mst.mst(cluster, _weighted_view(graph))
-        metrics = {"t": rep["t"], "total_weight": rep["total_weight"],
-                   "edges": len(edges)}
-        output = [" ".join(map(str, e)) for e in edges]
-        if verify:
-            check = _verify_forest(graph, edges)
-    elif algo == "mst-super":
-        edges, rep = mst.mst_superlinear(cluster, _weighted_view(graph))
+    if algo in ("mst", "mst-super"):
+        run = mst.mst if algo == "mst" else mst.mst_superlinear
+        edges, rep = run(cluster, _weighted_view(graph))
         metrics = {"t": rep["t"], "total_weight": rep["total_weight"],
                    "edges": len(edges)}
         output = [" ".join(map(str, e)) for e in edges]
@@ -210,7 +203,6 @@ def run_one(algo, graph, cfg, seed, strict, verify):
             check = {"pass": ok}
     elif algo == "cc":
         g = graph.unweighted()
-        distribute_edges(cluster, g.edges)
         labels, rep = connectivity.connected_components(cluster, g)
         ncomp = len(set(labels.values()))
         metrics = {"components": ncomp, "phases": rep["phases"]}

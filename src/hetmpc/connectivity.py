@@ -437,16 +437,18 @@ def _sketch_components(cluster: Cluster, keys: SketchKeys, state_key):
     return _boruvka(stack, keys, n, table)
 
 
-def connected_components(cluster: Cluster, graph, state_key="E"):
-    """Component label (smallest member id) per vertex; O(1) rounds.
+def connected_components(cluster: Cluster, graph):
+    """Component label (smallest member id) per vertex of an unweighted
+    graph, which it distributes; O(1) rounds.
 
     Boruvka on sketches (`_boruvka`).  A run whose samplers fail outright
     is retried once with fresh keys.
     """
     n = cluster.config.n
+    distribute_edges(cluster, [(e[0], e[1]) for e in graph.edges])
     for attempt in range(2):
         keys = make_keys(cluster.rng("sketch-keys", "cc", attempt), n)
-        found = _sketch_components(cluster, keys, state_key)
+        found = _sketch_components(cluster, keys, "E")
         if found is not None:
             labels, phases = found
             return labels, {"phases": phases, "instances": keys.R,

@@ -9,6 +9,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from .simcore import ConfigError
+
 
 @dataclass
 class SimGraph:
@@ -127,6 +129,9 @@ def generate_graph(kind, n, seed=0, m=None, p=None, weighted=False, max_weight=N
     elif kind == "two-cycles":
         if split not in (1, 2):
             raise ValueError("two-cycles needs split 1 or 2")
+        if n // split < 3:
+            raise ConfigError(f"two-cycles with split {split} needs n >= "
+                              f"{3 * split}, so that every cycle has 3 vertices")
         edges = []
         if split == 1:
             edges = [(i, (i + 1) % n) for i in range(n)]

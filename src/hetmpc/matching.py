@@ -64,7 +64,7 @@ def _owner(cluster, v):
 MAX_PHASE1_ITERS = 200
 
 
-def phase1_low_degree(cluster: Cluster, graph, state: MatchingState):
+def phase1_low_degree(cluster: Cluster, state: MatchingState):
     """Maximal matching of the low-degree induced subgraph, found by the
     small machines alone (default plug-in: round-synchronous randomized
     proposals; each free vertex flips proposer/acceptor, proposers pick a
@@ -193,7 +193,7 @@ def _ranked_records(cluster, tag):
         )
 
 
-def phase2_high_degree(cluster: Cluster, graph, state: MatchingState):
+def phase2_high_degree(cluster: Cluster, state: MatchingState):
     """Rank-sampled greedy over V_high on the large machine.
 
     For each high vertex the large machine collects its lowest-ranked
@@ -263,7 +263,7 @@ def _greedy(edges):
     return out
 
 
-def phase3_residual(cluster: Cluster, graph, state: MatchingState):
+def phase3_residual(cluster: Cluster, state: MatchingState):
     """Count the free-free residual edges left on the machines; if at most
     2n they ship to the large machine for a final greedy pass, else this
     attempt fails."""
@@ -296,10 +296,10 @@ def maximal_matching(cluster: Cluster, graph, placement="seeded"):
                             "post_phase1_rounds": 0, "size": 0, "retried": 0}
             state = degree_split(cluster, graph)
             pre = cluster.rounds_used
-            phase1_low_degree(cluster, graph, state)
+            phase1_low_degree(cluster, state)
             phase1_rounds = cluster.rounds_used - pre
-            phase2_high_degree(cluster, graph, state)
-            m3 = phase3_residual(cluster, graph, state)
+            phase2_high_degree(cluster, state)
+            m3 = phase3_residual(cluster, state)
             if m3 is None:
                 if attempt == 1:
                     raise RunFailed("residual exceeded 2n twice")

@@ -268,19 +268,15 @@ def _finish_by_sampling(cluster, state, p):
     return chosen, report
 
 
-def mst(cluster: Cluster, graph, placement="seeded"):
-    """Minimum spanning forest of a weighted graph; returns (edges, report)
-    with edges as (u, v, w) sorted by (w, u, v)."""
-    n, m = graph.n, graph.m
+def _msf(cluster: Cluster, graph, placement, t, select_counts, p):
+    """The pipeline both variants share: t contraction steps with the given
+    select counts, then amplified sampling at probability p."""
     state = init_state(cluster, graph, placement)
-    t = near_linear_steps(n, m)
-    state = doubly_exp_boruvka(cluster, state, t)
-    p = min(1.0, n / m)
+    state = doubly_exp_boruvka(cluster, state, t, select_counts)
     chosen, rep_report = _finish_by_sampling(cluster, state, p)
     forest = state.forest + [(r[3], r[4], r[2]) for r in chosen]
-    forest = sorted(set(forest), key=lambda e: (e[2], e[0], e[1]))
-    out = [(u, v, w) for u, v, w in forest]
-    n_components = n - len(out)
+    out = sorted(set(forest), key=lambda e: (e[2], e[0], e[1]))
+    n_components = graph.n - len(out)
     report = {
         "t": t,
         "supervertices_after_contraction": state.n_super,
@@ -290,6 +286,14 @@ def mst(cluster: Cluster, graph, placement="seeded"):
         **rep_report,
     }
     return out, report
+
+
+def mst(cluster: Cluster, graph, placement="seeded"):
+    """Minimum spanning forest of a weighted graph; returns (edges, report)
+    with edges as (u, v, w) sorted by (w, u, v)."""
+    n, m = graph.n, graph.m
+    return _msf(cluster, graph, placement, near_linear_steps(n, m), None,
+                min(1.0, n / max(m, 1)))
 
 
 def superlinear_params(n, m, f: Fraction):
@@ -329,20 +333,6 @@ def mst_superlinear(cluster: Cluster, graph, placement="seeded"):
     f = cluster.config.f_exp
     if f is None:
         raise ValueError("cluster config has no superlinear exponent f_exp")
-    n, m = graph.n, graph.m
-    t, counts, p = superlinear_params(n, m, f)
-    state = init_state(cluster, graph, placement)
-    state = doubly_exp_boruvka(cluster, state, t, select_counts=counts)
-    chosen, rep_report = _finish_by_sampling(cluster, state, min(1.0, p))
-    forest = state.forest + [(r[3], r[4], r[2]) for r in chosen]
-    forest = sorted(set(forest), key=lambda e: (e[2], e[0], e[1]))
-    out = [(u, v, w) for u, v, w in forest]
-    report = {
-        "t": t,
-        "select_counts": counts,
-        "sample_p": p,
-        "supervertices_after_contraction": state.n_super,
-        "total_weight": sum(w for _, _, w in out),
-        **rep_report,
-    }
-    return out, report
+    t, counts, p = superlinear_params(graph.n, graph.m, f)
+    out, report = _msf(cluster, graph, placement, t, counts, min(1.0, p))
+    return out, {"select_counts": counts, "sample_p": p, **report}

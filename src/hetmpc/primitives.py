@@ -45,26 +45,17 @@ def global_tree_depth(gamma: float) -> int:
     return math.ceil((2 - gamma) / gamma)
 
 
-def broadcast_rounds(gamma):
-    return global_tree_depth(gamma) + 1
-
-
-def aggregate_rounds(gamma):
-    return global_tree_depth(gamma) + 1
-
-
-def disseminate_rounds(gamma):
+def tree_rounds(gamma):
+    """Fixed charge of one walk of the global machine tree (broadcast,
+    dissemination, aggregation): the hop between the large machine and the
+    root, and one round a level."""
     return global_tree_depth(gamma) + 1
 
 
 def sort_rounds(gamma):
     # sample + splitter broadcast + group route + group sample +
     # group splitters + final route + summary
-    return broadcast_rounds(gamma) + 6
-
-
-def arrange_rounds(gamma):
-    return sort_rounds(gamma)
+    return tree_rounds(gamma) + 6
 
 
 QUERY_ROUNDS = 2
@@ -119,35 +110,55 @@ class AggregationTree:
     def root(self) -> int:
         return self.levels[-1][0][0]
 
-    def parent_rep(self, level, idx):
-        return self.levels[level + 1][idx // self.b][0]
+    def children(self, level, idx):
+        """Indices on level - 1 of the children of node idx on `level`."""
+        b = self.b
+        return range(idx * b, min((idx + 1) * b, len(self.levels[level - 1])))
 
 
-# ---------------------------------------------------------------------------
-# broadcast
+def _global_tree(cluster: Cluster) -> AggregationTree:
+    return AggregationTree.build(1, len(cluster.small_ids), branching(cluster))
+
+
+def _down(cluster: Cluster, payload, narrow):
+    """Walk `payload` from the large machine to the root of the global
+    tree, then level by level to the leaves; fixed charge tree_rounds.
+
+    narrow(level, idx, have) is what node idx on `level` keeps of its
+    parent's payload `have` (the root's parent is the large machine), or
+    None for nothing, which also ends the walk below that node; without
+    narrow every node keeps all of it.  A node whose machine is its
+    parent's gets its payload without a send.  Returns {leaf index:
+    payload} over the leaves that got one (leaf i is machine i + 1)."""
+    start = cluster.rounds_used
+    tree = _global_tree(cluster)
+    top = payload if narrow is None else narrow(tree.depth, 0, payload)
+    cluster.round([] if top is None else [(LARGE, tree.root, top)])
+    held = {} if top is None else {0: top}  # node index -> payload
+    for level in range(tree.depth, 0, -1):
+        nodes, below = tree.levels[level], tree.levels[level - 1]
+        sends, nxt = [], {}
+        for idx, have in held.items():
+            rep = nodes[idx][0]
+            for c in tree.children(level, idx):
+                sub = have if narrow is None else narrow(level - 1, c, have)
+                if sub is None:
+                    continue
+                nxt[c] = sub
+                crep = below[c][0]
+                if crep != rep:
+                    sends.append((rep, crep, sub))
+        cluster.round(sends)
+        held = nxt
+    _pad(cluster, start, tree_rounds(cluster.config.gamma))
+    return held
 
 
 def tree_broadcast(cluster: Cluster, value):
     """Large machine sends `value` to every small machine down the global
-    tree; returns nothing (value is known host-side, traffic is metered)."""
-    start = cluster.rounds_used
-    K = len(cluster.small_ids)
-    tree = AggregationTree.build(1, K, branching(cluster))
-    cluster.round([(LARGE, tree.root, value)])
-    for level in range(tree.depth, 0, -1):
-        sends = []
-        for idx, (lo, hi) in enumerate(tree.levels[level]):
-            rep = lo
-            for clo, chi in _children(tree, level, idx):
-                if clo != rep:  # first child shares the machine: free
-                    sends.append((rep, clo, value))
-        cluster.round(sends)
-    _pad(cluster, start, broadcast_rounds(cluster.config.gamma))
-
-
-def _children(tree, level, idx):
-    b = tree.b
-    return tree.levels[level - 1][idx * b:(idx + 1) * b]
+    tree; returns nothing (value is known host-side, traffic is metered).
+    Every hop carries the one object, so each round meters it once."""
+    _down(cluster, value, None)
 
 
 # ---------------------------------------------------------------------------
@@ -441,56 +452,55 @@ def aggregate(cluster: Cluster, state_key, leaf_fn, reduce_fn):
     computed at the large machine.
     """
     start = cluster.rounds_used
-    K = len(cluster.small_ids)
-    tree = AggregationTree.build(1, K, branching(cluster))
+    tree = _global_tree(cluster)
     results = {}
 
-    # node payloads: {node: (partials dict, min_part, max_part)}
-    data = {}
-    for i, mid in enumerate(cluster.small_ids, start=1):
-        items = cluster.machines[mid].state.get(state_key)
-        reduced = leaf_fn(items) if items else {}
-        if reduced:
-            parts = sorted(reduced)
-            data[(0, i - 1)] = (reduced, parts[0], parts[-1])
+    def up(sends, rep, reduced):
+        # the interior parts go straight to the large machine; returns the
+        # two boundary parts, which the next node up may share
+        parts = sorted(reduced)
+        lo, hi = parts[0], parts[-1]
+        interior = {p: v for p, v in reduced.items() if lo < p < hi}
+        if interior:
+            sends.append((rep, LARGE, interior))
+        return {p: v for p, v in reduced.items() if p == lo or p == hi}
 
-    for level in range(tree.depth + 1):
-        sends = []
-        nxt = {}
-        for idx in range(len(tree.levels[level])):
-            node = data.get((level, idx))
-            if node is None:
-                continue
-            reduced, pmin, pmax = node
-            rep = tree.levels[level][idx][0]
-            interior = {p: v for p, v in reduced.items() if pmin < p < pmax}
-            boundary = {p: v for p, v in reduced.items() if p == pmin or p == pmax}
-            if interior:
-                sends.append((rep, LARGE, interior))
-            if level == tree.depth:
-                if boundary:
-                    sends.append((rep, LARGE, boundary))
-            else:
-                pidx = idx // tree.b
-                prep = tree.parent_rep(level, idx)
-                slot = nxt.setdefault(pidx, {})
-                for p, v in boundary.items():
-                    slot.setdefault(p, []).append(v)
-                if prep != rep and boundary:
-                    sends.append((rep, prep, boundary))
+    def collect(sends):
         inbox = cluster.round(sends)
         for _, payload in inbox.get(LARGE, []):
             for p, v in payload.items():
                 results.setdefault(p, []).append(v)
-        if level < tree.depth:
-            for pidx, slot in nxt.items():
-                merged = {p: reduce_fn(vs) if len(vs) > 1 else vs[0]
-                          for p, vs in slot.items()}
-                parts = sorted(merged)
-                data[(level + 1, pidx)] = (merged, parts[0], parts[-1])
+
+    row = []  # each node's partials on the current level, by index
+    for mid in cluster.small_ids:
+        items = cluster.machines[mid].state.get(state_key)
+        row.append(leaf_fn(items) if items else {})
+    for level in range(1, tree.depth + 1):
+        below = tree.levels[level - 1]
+        sends, nxt = [], []
+        for idx, (rep, _) in enumerate(tree.levels[level]):
+            slot = {}
+            for c in tree.children(level, idx):
+                if not row[c]:
+                    continue
+                crep = below[c][0]
+                boundary = up(sends, crep, row[c])
+                for p, v in boundary.items():
+                    slot.setdefault(p, []).append(v)
+                if crep != rep:
+                    sends.append((crep, rep, boundary))
+            nxt.append({p: reduce_fn(vs) if len(vs) > 1 else vs[0]
+                        for p, vs in slot.items()})
+        collect(sends)
+        row = nxt
+    sends = []
+    if row[0]:
+        boundary = up(sends, tree.root, row[0])
+        sends.append((tree.root, LARGE, boundary))
+    collect(sends)
 
     out = {p: reduce_fn(vs) if len(vs) > 1 else vs[0] for p, vs in results.items()}
-    _pad(cluster, start, aggregate_rounds(cluster.config.gamma))
+    _pad(cluster, start, tree_rounds(cluster.config.gamma))
     return out
 
 
@@ -515,73 +525,25 @@ def disseminate(cluster: Cluster, values: dict, machine_ranges: dict):
     known after arranging or sorting the parts.  Requires parts contiguous
     in machine order.  Returns {machine index: {part: value}}.
     """
-    start = cluster.rounds_used
-    gamma = cluster.config.gamma
-    K = len(cluster.small_ids)
-    tree = AggregationTree.build(1, K, branching(cluster))
-
-    parts_sorted = sorted(values)
-    node_range = {}
-    for idx, (lo, hi) in enumerate(tree.levels[0]):
-        node_range[(0, idx)] = machine_ranges.get(lo)
+    tree = _global_tree(cluster)
+    # spans[level][idx]: (min part, max part) under node idx, or None
+    spans = [[machine_ranges.get(lo) for lo, _ in tree.levels[0]]]
     for level in range(1, tree.depth + 1):
+        below, row = spans[-1], []
         for idx in range(len(tree.levels[level])):
-            rs = [
-                node_range.get((level - 1, c))
-                for c in range(idx * tree.b,
-                               min((idx + 1) * tree.b, len(tree.levels[level - 1])))
-            ]
-            rs = [r for r in rs if r is not None]
-            node_range[(level, idx)] = (
-                (min(r[0] for r in rs), max(r[1] for r in rs)) if rs else None
-            )
+            rs = [below[c] for c in tree.children(level, idx) if below[c] is not None]
+            row.append((min(r[0] for r in rs), max(r[1] for r in rs)) if rs else None)
+        spans.append(row)
 
-    def overlap(rng):
+    def narrow(level, idx, have):
+        rng = spans[level][idx]
         if rng is None:
-            return {}
-        lo = bisect_left(parts_sorted, rng[0])
-        hi = bisect_right(parts_sorted, rng[1])
-        return {p: values[p] for p in parts_sorted[lo:hi]}
+            return None
+        lo, hi = rng
+        return {p: v for p, v in have.items() if lo <= p <= hi} or None
 
-    # down-phase: large -> root -> ... -> leaves, filtered per subtree
-    top = node_range[(tree.depth, 0)]
-    payloads = {(tree.depth, 0): overlap(top)}
-    cluster.round(
-        [(LARGE, tree.root, payloads[(tree.depth, 0)])]
-        if payloads[(tree.depth, 0)]
-        else []
-    )
-    for level in range(tree.depth, 0, -1):
-        sends = []
-        nxt = {}
-        for idx in range(len(tree.levels[level])):
-            have = payloads.get((level, idx))
-            if not have:
-                continue
-            rep = tree.levels[level][idx][0]
-            for c in range(idx * tree.b,
-                           min((idx + 1) * tree.b, len(tree.levels[level - 1]))):
-                crng = node_range[(level - 1, c)]
-                if crng is None:
-                    continue
-                sub = {p: v for p, v in have.items() if crng[0] <= p <= crng[1]}
-                if not sub:
-                    continue
-                nxt[(level - 1, c)] = sub
-                crep = tree.levels[level - 1][c][0]
-                if crep != rep:
-                    sends.append((rep, crep, sub))
-        cluster.round(sends)
-        payloads = nxt
-
-    delivered = {}
-    for idx in range(len(tree.levels[0])):
-        got = payloads.get((0, idx))
-        if got:
-            i = tree.levels[0][idx][0]
-            delivered[i] = got
-    _pad(cluster, start, disseminate_rounds(gamma))
-    return delivered
+    got = _down(cluster, {p: values[p] for p in sorted(values)}, narrow)
+    return {idx + 1: sub for idx, sub in got.items()}
 
 
 def deliver_by_endpoint(cluster: Cluster, state_key, values: dict, side, apply):
@@ -593,7 +555,7 @@ def deliver_by_endpoint(cluster: Cluster, state_key, values: dict, side, apply):
 
     got is the dict that machine received and nothing else, so a rewrite
     can only use delivered values; the output is stored as Records when
-    its records conform.  Costs sort_rounds + disseminate_rounds.
+    its records conform.  Costs sort_rounds + tree_rounds.
     """
     # order by a prefix of the fields is the records' own order
     fields = side if type(side) is tuple else (side,)
@@ -614,14 +576,14 @@ def deliver_by_endpoint(cluster: Cluster, state_key, values: dict, side, apply):
 class Arranged:
     layout: SortedLayout
     deg_out: dict  # vertex -> out-degree over directed copies
-    m_first: dict  # vertex -> first machine index holding its edges
     slices: dict  # vertex -> [(machine index, count here), ...]
 
 
 def arrange_nodes(cluster: Cluster, state_key="E", dst_key="D", key=None) -> Arranged:
     """Make directed copies of every stored edge and sort them so each
     vertex's outgoing edges sit on consecutive machines; the large machine
-    learns M_first(v), deg_out(v), and the per-machine slice counts.
+    learns deg_out(v) and the per-machine slice counts, the first of which
+    is on M_first(v).
 
     `key(directed_record) -> comparable` must order primarily by source
     vertex (default: the record itself, i.e. by (source, target, ...)).
@@ -642,13 +604,12 @@ def arrange_nodes(cluster: Cluster, state_key="E", dst_key="D", key=None) -> Arr
         return [tuple(t) for t in out]
 
     layout = het_sort(cluster, state_key=dst_key, key=key, summarize=counts_by_vertex)
-    deg_out, m_first, slices = {}, {}, {}
+    deg_out, slices = {}, {}
     for i, extra in enumerate(layout.extras, start=1):
         for v, cnt in extra or []:
             deg_out[v] = deg_out.get(v, 0) + cnt
-            m_first.setdefault(v, i)
             slices.setdefault(v, []).append((i, cnt))
-    return Arranged(layout, deg_out, m_first, slices)
+    return Arranged(layout, deg_out, slices)
 
 
 def query_k_lightest(cluster: Cluster, arranged: Arranged, k_of: dict,
@@ -724,15 +685,6 @@ def gather_if_fits(cluster: Cluster, state_key, cap):
         cluster.empty_round()
         return None, total
     return gather_to_large(cluster, state_key), total
-
-
-def scatter_from_large(cluster: Cluster, shards: dict, state_key):
-    """Large machine sends shards[machine index] to each machine, stored
-    under state_key.  One round."""
-    sends = [(LARGE, i, items) for i, items in shards.items() if items]
-    cluster.round(sends)
-    for i, items in shards.items():
-        cluster.machines[i].put(state_key, list(items))
 
 
 def neighbor_shift(cluster: Cluster, payload_fn):

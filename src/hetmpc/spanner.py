@@ -18,7 +18,7 @@ from operator import itemgetter, or_
 
 from . import primitives
 from .primitives import _pair
-from .simcore import LARGE, Cluster, Packed, distribute_edges
+from .simcore import LARGE, Cluster, ConfigError, Packed, distribute_edges
 
 
 def _hash_int(seed, *tags):
@@ -397,6 +397,7 @@ def modified_baswana_sen(cluster: Cluster, k, p, vertices=None, state_key="E"):
     """(2k-1)-spanner of the unweighted graph stored under state_key as
     (u, v) records with u < v, which it consumes.  Returns the spanner
     edge list (held at the large machine)."""
+    _require_k(k)
     if vertices is None:
         vertices = set()
         for mid in cluster.small_ids:
@@ -445,6 +446,11 @@ def _bounded_dist(adj, s, t, bound):
     return bound + 1
 
 
+def _require_k(k):
+    if k < 1:
+        raise ConfigError(f"the stretch parameter k must be at least 1, got {k}")
+
+
 def level_probability(i, k):
     """Sampling probability for the level-i clustering graph."""
     if i == 0:
@@ -470,10 +476,9 @@ def _level_rounds(gamma):
     whole-level ship."""
     return (
         1
-        + 2 * (primitives.sort_rounds(gamma)
-               + primitives.disseminate_rounds(gamma))
+        + 2 * (primitives.sort_rounds(gamma) + primitives.tree_rounds(gamma))
         + primitives.sort_rounds(gamma)
-        + primitives.aggregate_rounds(gamma)
+        + primitives.tree_rounds(gamma)
     )
 
 
@@ -484,6 +489,7 @@ def spanner(cluster: Cluster, graph, k, placement="seeded"):
     samples of the sub-sampled ones, and the sub-sampled levels then share
     every delivery, sort and aggregation.  The stage is padded to the
     fixed charge `_level_rounds`."""
+    _require_k(k)
     distribute_edges(cluster, [(e[0], e[1]) for e in graph.edges],
                      placement=placement)
     deco = clustering_graphs(cluster, graph)

@@ -117,6 +117,17 @@ def test_cc_beyond_sketch_field_is_config_error(capsys):
     assert err["error"] == "config"
 
 
+@pytest.mark.parametrize("argv", [
+    ("--algo", "spanner", "--gen", "gnp", "--n", "64", "--p", "0.1", "--k", "0"),
+    ("--algo", "spanner", "--gen", "gnp", "--n", "64", "--p", "0.1", "--k", "-1"),
+    ("--algo", "cc", "--gen", "two-cycles", "--n", "4"),
+    ("--algo", "cc", "--gen", "two-cycles", "--n", "2", "--split", "1"),
+])
+def test_out_of_range_input_is_config_error(capsys, argv):
+    assert run_cli("run", *argv, "--verify") == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
 def test_missing_graph_file_is_io_error(tmp_path):
     assert run_cli("run", "--algo", "mst",
                    "--graph", str(tmp_path / "nope.txt")) == 5

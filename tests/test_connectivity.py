@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hetmpc import connectivity as cn
 from hetmpc import oracles, primitives
 from hetmpc.graphio import SimGraph, generate_graph
-from hetmpc.simcore import ClusterConfig, ConfigError, distribute_edges, init_cluster
+from hetmpc.simcore import ClusterConfig, ConfigError, init_cluster
 
 
 def vertex_sketch(keys, table, n, v, edges):
@@ -389,7 +389,6 @@ def run_cc(graph, seed=0):
     cl = init_cluster(
         ClusterConfig(n=graph.n, m=max(1, graph.m), gamma=0.5, seed=seed)
     )
-    distribute_edges(cl, graph.edges)
     labels, report = cn.connected_components(cl, graph)
     return cl, labels, report
 

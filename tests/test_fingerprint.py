@@ -143,7 +143,6 @@ def test_matching_fingerprint(seed):
 def test_cc_fingerprint():
     g = generate_graph("gnp", 128, seed=0, p=1.5 / 128)
     cl = init_cluster(ClusterConfig(n=128, m=g.m, gamma=0.5, seed=0))
-    distribute_edges(cl, g.edges)
     labels, report = connectivity.connected_components(cl, g)
     assert (cl.rounds_used, *sim_cost(cl)) == CC_FINGERPRINT
     assert [labels[v] for v in range(128)] == oracles.components(128, g.edges)

@@ -4,6 +4,7 @@ import pytest
 
 from hetmpc import oracles
 from hetmpc.graphio import format_graph, generate_graph, parse_graph
+from hetmpc.simcore import ConfigError
 
 
 def test_complete_n4_has_six_edges():
@@ -23,6 +24,16 @@ def test_two_cycles_split():
     assert g1.m == 8
     labels1 = oracles.components(8, [(u, v) for u, v, *_ in g1.edges])
     assert len(set(labels1)) == 1
+    # the smallest accepted n: triangles
+    g = generate_graph("two-cycles", 6, split=2)
+    assert sorted(g.edges) == [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
+    assert generate_graph("two-cycles", 3, split=1).m == 3
+
+
+@pytest.mark.parametrize("n,split", [(0, 1), (2, 1), (3, 2), (4, 2), (5, 2)])
+def test_two_cycles_shorter_than_three_rejected(n, split):
+    with pytest.raises(ConfigError):
+        generate_graph("two-cycles", n, split=split)
 
 
 def test_gnm_deterministic():

@@ -157,8 +157,8 @@ def test_phase2_leaves_exactly_free_free_edges():
     cl = make_cluster(n, g.m, seed=0)
     distribute_edges(cl, g.edges)
     state = matching.degree_split(cl, g)
-    matching.phase1_low_degree(cl, g, state)
-    matching.phase2_high_degree(cl, g, state)
+    matching.phase1_low_degree(cl, state)
+    matching.phase2_high_degree(cl, state)
     matched = state.matched_vertices()
     want = {e for e in g.edges if e[0] not in matched and e[1] not in matched}
     held = [e for mid in cl.small_ids for e in cl.machines[mid].state.get("E") or []]
@@ -181,9 +181,9 @@ def test_retry_leaves_config_seed_unchanged(monkeypatch):
     real = matching.phase3_residual
     calls = []
 
-    def fail_once(cluster, graph, state):
+    def fail_once(cluster, state):
         calls.append(1)
-        return None if len(calls) == 1 else real(cluster, graph, state)
+        return None if len(calls) == 1 else real(cluster, state)
 
     monkeypatch.setattr(matching, "phase3_residual", fail_once)
     cl = make_cluster(64, g.m, seed=7)

@@ -89,6 +89,11 @@ def test_disconnected_graph():
     assert report["components"] == 4  # two paths + two isolated vertices
 
 
+def test_edgeless_graph_has_empty_forest():
+    _, forest, report = run_mst(SimGraph(8, [], weighted=True))
+    assert forest == [] and report["components"] == 8
+
+
 def test_near_linear_steps():
     assert mst.near_linear_steps(1024, 65536) == 3
     assert mst.near_linear_steps(512, 8192) == 2
@@ -124,7 +129,7 @@ def test_sampling_repetitions_run_in_sequence(monkeypatch, m, rounds):
     forest, report = mst.mst(cl, g)
     # kkt_sample, two label deliveries, gather_if_fits
     rep_rounds = 2 + 2 * (primitives.sort_rounds(0.5)
-                          + primitives.disseminate_rounds(0.5)) + 2
+                          + primitives.tree_rounds(0.5)) + 2
     assert report["repetitions_run"] == 2
     assert cl.rounds_used == rounds + rep_rounds
     assert stored[0] == stored[1]

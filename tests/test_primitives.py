@@ -1,5 +1,6 @@
 """Communication primitives: correctness and fixed round charges."""
 
+import math
 import random
 from bisect import bisect_right
 from collections import Counter
@@ -15,6 +16,7 @@ from hetmpc.graphio import generate_graph
 from hetmpc.simcore import (
     CapacityError,
     ClusterConfig,
+    Packed,
     Records,
     Slices,
     distribute_edges,
@@ -23,6 +25,7 @@ from hetmpc.simcore import (
 )
 
 import sort_reference  # the tuple sort, beside this file
+import tree_reference  # the three tree walks, beside this file
 
 
 def make_cluster(n=64, m=256, gamma=0.5, seed=0):
@@ -164,7 +167,7 @@ def test_sort_sends_records_in_total_order(records, which, m):
 
     # samples are a count plus Records; splitters are Records
     held = set(records)
-    bcast = primitives.broadcast_rounds(0.5)
+    bcast = primitives.tree_rounds(0.5)
     for r in (0, bcast + 2):
         for _, _, payload in rounds[r]:
             count, sample = payload
@@ -195,7 +198,7 @@ def test_sort_keeps_nonconforming_records_as_lists():
     rounds = record_rounds(cl)
     primitives.het_sort(cl)
     assert gathered(cl) == sorted(items)
-    bcast = primitives.broadcast_rounds(0.5)
+    bcast = primitives.tree_rounds(0.5)
     for r in (bcast + 1, bcast + 4):
         # the slices are walked: 2 words a record, whatever its string
         batch = rounds[r]
@@ -214,7 +217,7 @@ def test_arrange_star_hub():
     distribute_edges(cl, g.edges)
     arr = primitives.arrange_nodes(cl)
     assert arr.deg_out[0] == 5
-    assert cl.rounds_used == primitives.arrange_rounds(0.5)
+    assert cl.rounds_used == primitives.sort_rounds(0.5)
 
 
 def test_arrange_degrees_match_oracle():
@@ -237,7 +240,7 @@ def test_aggregate_degree_count():
         cl, "D", leaf_fn=primitives.per_record(lambda r: r[0], lambda r: 1, sum),
         reduce_fn=lambda vals: sum(vals),
     )
-    assert cl.rounds_used - primitives.arrange_rounds(0.5) == primitives.aggregate_rounds(0.5)
+    assert cl.rounds_used - primitives.sort_rounds(0.5) == primitives.tree_rounds(0.5)
     for v, d in enumerate(g.degrees()):
         assert got.get(v, 0) == d
 
@@ -268,7 +271,7 @@ def test_disseminate_delivers_per_part():
     values = {v: v * 10 for v in arr.deg_out}
     before = cl.rounds_used
     got = primitives.disseminate(cl, values, machine_ranges=arr.layout.ranges(0))
-    assert cl.rounds_used - before == primitives.disseminate_rounds(0.5)
+    assert cl.rounds_used - before == primitives.tree_rounds(0.5)
     for i in range(1, len(cl.small_ids) + 1):
         held = {r[0] for r in cl.small(i).state.get("D") or []}
         for v in held:
@@ -308,7 +311,7 @@ def test_deliver_by_endpoint_covers_held_endpoints(edges, extra, side):
     before = cl.rounds_used
     primitives.deliver_by_endpoint(cl, "E", values, side, apply=apply)
     assert cl.rounds_used - before == (primitives.sort_rounds(0.5)
-                                       + primitives.disseminate_rounds(0.5))
+                                       + primitives.tree_rounds(0.5))
     assert len(applied) == len(cl.small_ids) and sum(applied) == len(edges)
     assert sorted(gathered(cl)) == sorted(edges)
 
@@ -334,7 +337,7 @@ def test_broadcast_round_charge_and_traffic():
     cl = make_cluster()
     before = cl.rounds_used
     primitives.tree_broadcast(cl, (1, 2, 3))
-    assert cl.rounds_used - before == primitives.broadcast_rounds(0.5)
+    assert cl.rounds_used - before == primitives.tree_rounds(0.5)
     # a rep chain covers one machine per tree level for free; every other
     # machine receives the 3-word payload exactly once
     received = sum(sum(t.received.values()) for t in cl.telemetry)
@@ -349,10 +352,10 @@ def test_broadcast_charges_every_metered_edge():
                                             primitives.branching(cl))
     assert tree.depth == 3
     edges = 1 + sum(  # large -> root, then each child off its parent's machine
-        clo != lo
+        tree.levels[level - 1][c][0] != lo
         for level in range(1, tree.depth + 1)
         for idx, (lo, _) in enumerate(tree.levels[level])
-        for clo, _ in primitives._children(tree, level, idx)
+        for c in tree.children(level, idx)
     )
     sent = sum(sum(t.sent.values()) for t in cl.telemetry)
     assert sent == payload_words(value) * edges
@@ -366,7 +369,8 @@ def test_tree_children_are_contiguous_slices():
                 for idx, (lo, hi) in enumerate(tree.levels[level]):
                     scan = [nd for nd in tree.levels[level - 1]
                             if lo <= nd[0] and nd[1] <= hi]
-                    assert primitives._children(tree, level, idx) == scan
+                    assert [tree.levels[level - 1][c]
+                            for c in tree.children(level, idx)] == scan
 
 
 def test_query_k_lightest_two_rounds():
@@ -389,8 +393,6 @@ def test_gather_and_scatter_single_rounds():
     items = primitives.gather_to_large(cl, "E")
     assert cl.rounds_used - before == 1
     assert sorted(items) == sorted((i, (i + 1) % 16) for i in range(8))
-    primitives.scatter_from_large(cl, {1: [(9, 9, 9)]}, "X")
-    assert cl.small(1).state["X"] == [(9, 9, 9)]
 
 
 def test_gather_if_fits_two_rounds_either_way():
@@ -414,10 +416,8 @@ def test_gather_if_fits_two_rounds_either_way():
 def test_round_constant_formulas():
     # gamma = 0.5 fixes the vertical tree depth at ceil((2 - g)/g) = 3
     assert primitives.global_tree_depth(0.5) == 3
-    assert primitives.broadcast_rounds(0.5) == 4
-    assert primitives.aggregate_rounds(0.5) == 4
-    assert primitives.disseminate_rounds(0.5) == 4
-    assert primitives.sort_rounds(0.5) == primitives.arrange_rounds(0.5) == 10
+    assert primitives.tree_rounds(0.5) == 4
+    assert primitives.sort_rounds(0.5) == 10
 
 
 # -- the rank-oracle sort against the tuple sort it replaced --------------
@@ -495,3 +495,131 @@ def test_sort_matches_the_tuple_sort(raw, kind, which, m, placement, tight,
         assert list(t.received.items()) == list(u.received.items())
         assert t.resident == u.resident
         assert t.violations == u.violations
+
+
+# -- the shared tree walk against the three walks it replaced -------------
+
+
+def _tree_grid():
+    # K = 1, 2, b, b + 1 and b^2 + 1 small machines at n = 64; at gamma =
+    # 0.8, b^2 + 1 machines need a deeper tree than the fixed charge
+    # allows, and both versions must fail the same way
+    grid = []
+    for gamma in (0.3, 0.5, 0.8):
+        b = max(2, int(64 ** gamma))
+        for K in (1, 2, b, b + 1, b * b + 1):
+            m = math.floor((K - 1) * 64 ** gamma) + 1
+            assert ClusterConfig(n=64, m=m, gamma=gamma).num_small == K
+            grid.append((gamma, m))
+    return grid
+
+
+TREE_GRID = _tree_grid()
+
+TREE_VALUES = {
+    "records": lambda p: Records([(p, p + 1)] * (p % 3)),  # empty every third
+    "packed": lambda p: Packed(p, 7 * (p % 4), 6),
+    "ints": lambda p: p,
+}
+
+TREE_REDUCE = {  # leaf value of a record, and its reduce_fn
+    "sum": (itemgetter(1), sum),
+    "min": (lambda r: (r[1], r[0]), min),
+    "records": (lambda r: Records([r[1:]]), lambda vs: Records(sorted(sum(vs, ())))),
+}
+
+
+def _walked_twice(case, walk):
+    """(result or error, telemetry rows) of walk(module, cluster) under the
+    new primitives and under the reference."""
+    gamma, m = case
+    out = []
+    for module in (primitives, tree_reference):
+        cl = init_cluster(ClusterConfig(n=64, m=m, gamma=gamma, seed=1))
+        try:
+            got = walk(module, cl)
+        except AssertionError as exc:  # the walk exceeded its fixed charge
+            got = str(exc)
+        rows = [(list(t.sent.items()), list(t.received.items()), t.resident,
+                 t.violations) for t in cl.telemetry]
+        out.append((got, rows))
+    return out
+
+
+def _in_order(x):
+    """Nested dicts as item lists, so that comparing them compares order."""
+    return [(k, _in_order(v)) for k, v in x.items()] if type(x) is dict else x
+
+
+def _tree_layout(K, seed, hole, density, tuple_parts):
+    """Per-machine part ranges, contiguous in machine order: a machine is
+    left without a range with probability `hole`, and a machine may start
+    on its predecessor's last part, so one part spans several machines.
+    Values cover a `density` share of the parts, some outside every range."""
+    rng = random.Random(seed)
+    spans, part = {}, 0
+    for i in range(1, K + 1):
+        if rng.random() < hole:
+            continue
+        part += rng.choice((0, 0, 1, 2))
+        lo = part
+        part += rng.choice((0, 1, 3))
+        spans[i] = (lo, part)
+    name = (lambda p: (p // 3, p)) if tuple_parts else (lambda p: p)
+    parts = [p for p in range(part + 3) if rng.random() < density]
+    return rng, spans, name, parts
+
+
+# the root send stays for an empty value (het_sort broadcasts empty
+# splitters at K = 1)
+BROADCAST_VALUES = [Records(()), Records([(1, 2), (3, 4)]), Packed(0, 0, 6),
+                    Packed(5, 40, 6), 7, [(1, 2), 3]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(TREE_GRID), st.sampled_from(range(len(BROADCAST_VALUES))))
+def test_broadcast_matches_the_reference(case, which):
+    value = BROADCAST_VALUES[which]
+    (new, new_rows), (ref, ref_rows) = _walked_twice(
+        case, lambda mod, cl: mod.tree_broadcast(cl, value))
+    assert new == ref and new_rows == ref_rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(TREE_GRID), st.sampled_from(sorted(TREE_VALUES)),
+       st.integers(0, 2 ** 16), st.sampled_from([0.0, 0.3, 1.0]),
+       st.sampled_from([0.0, 0.5, 1.0]), st.booleans())
+def test_disseminate_matches_the_reference(case, kind, seed, hole, density,
+                                           tuple_parts):
+    K = ClusterConfig(n=64, m=case[1], gamma=case[0]).num_small
+    _, spans, name, parts = _tree_layout(K, seed, hole, density, tuple_parts)
+    ranges = {i: (name(lo), name(hi)) for i, (lo, hi) in spans.items()}
+    values = {name(p): TREE_VALUES[kind](p) for p in reversed(parts)}
+    (new, new_rows), (ref, ref_rows) = _walked_twice(
+        case, lambda mod, cl: mod.disseminate(cl, values, ranges))
+    assert new_rows == ref_rows
+    assert _in_order(new) == _in_order(ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(TREE_GRID), st.sampled_from(sorted(TREE_REDUCE)),
+       st.integers(0, 2 ** 16), st.sampled_from([0.0, 0.3, 1.0]),
+       st.booleans(), st.booleans())
+def test_aggregate_matches_the_reference(case, kind, seed, hole, tuple_parts,
+                                         as_lists):
+    K = ClusterConfig(n=64, m=case[1], gamma=case[0]).num_small
+    rng, spans, name, _ = _tree_layout(K, seed, hole, 1.0, tuple_parts)
+    held = {i: [(name(p), rng.randrange(10))
+                for p in range(lo, hi + 1) for _ in range(rng.randint(1, 2))]
+            for i, (lo, hi) in spans.items()}
+    leaf, reduce_fn = TREE_REDUCE[kind]
+    leaf_fn = primitives.per_record(itemgetter(0), leaf, reduce_fn)
+
+    def walk(mod, cl):
+        for i, recs in held.items():
+            cl.small(i).put("A", recs if as_lists or tuple_parts else Records(recs))
+        return mod.aggregate(cl, "A", leaf_fn, reduce_fn)
+
+    (new, new_rows), (ref, ref_rows) = _walked_twice(case, walk)
+    assert new_rows == ref_rows
+    assert _in_order(new) == _in_order(ref)

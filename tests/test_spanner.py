@@ -1,8 +1,10 @@
 """Spanner pipeline: clustering decomposition, center levels, combination."""
 
+import pytest
+
 from hetmpc import oracles, spanner
 from hetmpc.graphio import SimGraph, generate_graph
-from hetmpc.simcore import ClusterConfig, distribute_edges, init_cluster
+from hetmpc.simcore import ClusterConfig, ConfigError, distribute_edges, init_cluster
 
 
 def make_cluster(n, m, seed=0):
@@ -115,6 +117,18 @@ def test_mbs_k1_keeps_whole_graph():
     distribute_edges(cl, g.edges)
     H = spanner.modified_baswana_sen(cl, 1, 1.0)
     assert oracles.max_stretch(g, H) == 1
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_k_below_one_is_config_error(k):
+    g = generate_graph("gnp", 32, seed=1, p=0.2)
+    with pytest.raises(ConfigError):
+        spanner.spanner(make_cluster(g.n, g.m), g, k)
+    cl = make_cluster(g.n, g.m)
+    distribute_edges(cl, g.edges)
+    with pytest.raises(ConfigError):
+        spanner.modified_baswana_sen(cl, k, 1.0)
+    assert cl.rounds_used == 0
 
 
 def test_greedy_spanner_bound():
