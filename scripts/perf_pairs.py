@@ -1,0 +1,121 @@
+"""A/B pairs of benchmark runs: a base revision against the working tree.
+
+Run from the repository root:
+
+    python3 scripts/perf_pairs.py --workload mst-dense --seeds 81 82 83 \
+        84 85 86 87 88 89 90 --base HEAD
+
+The base revision is exported with `git archive` into a temporary
+directory.  Each seed is one pair: `perfbench/run.py` runs once in the base
+export and once in the working tree, and the side that goes first
+alternates from pair to pair.  For each pair the script prints both
+`run_rel_p50` values, their ratio and whether the fingerprint lines agree;
+then each side's median and quartiles, the number of pairs the working
+tree won, and whether the gain rule holds: at least 9 of every 10 pairs
+won, over at least 10 pairs, and a median gap wider than the base's
+interquartile range.  Each other end-to-end metric is listed with both
+sides' medians, and `--json PATH` writes every run's metrics.  Standard
+library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+
+def export(rev: str, dest: str):
+    """The files of `rev` under `dest`."""
+    tar = subprocess.run(["git", "archive", rev], check=True,
+                         capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
+        tf.extractall(dest, filter="data")
+
+
+def bench(cwd: str, workload: str, seed: int, seconds: float):
+    """({metric: value}, fingerprint line) of one benchmark run in `cwd`."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=cwd, check=True, capture_output=True,
+                         text=True).stdout.splitlines()
+    metrics = {k: v["value"] for k, v in json.loads(out[-1])["metrics"].items()}
+    fingerprint = next(line for line in out if line.startswith("fingerprint "))
+    return metrics, fingerprint
+
+
+def quartiles(xs):
+    """(first quartile, median, third quartile) of `xs`."""
+    if len(xs) < 2:
+        return xs[0], xs[0], xs[0]
+    q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", type=int, nargs="+", required=True,
+                    help="one pair per seed")
+    ap.add_argument("--base", default="HEAD", help="base revision (default HEAD)")
+    ap.add_argument("--seconds", type=float, default=None,
+                    help="seconds per run (default: run_seconds of BENCHMARK.json)")
+    ap.add_argument("--json", help="write every run's metrics to this file")
+    args = ap.parse_args(argv)
+    seconds = args.seconds
+    if seconds is None:
+        with open("BENCHMARK.json") as f:
+            seconds = json.load(f)["run_seconds"]
+
+    runs = {"base": [], "change": []}
+    pairs, wins = [], 0
+    with tempfile.TemporaryDirectory(prefix="perf-pairs-") as tmp:
+        export(args.base, tmp)
+        sides = {"base": tmp, "change": os.getcwd()}
+        print(f"{args.workload}: {args.base} against the working tree, "
+              f"{seconds:g} s a run")
+        for j, seed in enumerate(args.seeds):
+            order = ("base", "change") if j % 2 == 0 else ("change", "base")
+            got = {side: bench(sides[side], args.workload, seed, seconds)
+                   for side in order}
+            (bm, bfp), (cm, cfp) = got["base"], got["change"]
+            runs["base"].append(bm)
+            runs["change"].append(cm)
+            b, c = bm["run_rel_p50"], cm["run_rel_p50"]
+            wins += c < b
+            pairs.append({"seed": seed, "first": order[0], "base": bm,
+                          "change": cm, "fingerprint_same": bfp == cfp})
+            same = "same" if bfp == cfp else f"DIFFERENT\n  base {bfp}\n  change {cfp}"
+            print(f"seed {seed}: base {b:.4f} change {c:.4f} "
+                  f"ratio {c / b:.3f} fingerprint {same}", flush=True)
+            if j == 0:
+                print(f"  {bfp}")
+
+    base = [m["run_rel_p50"] for m in runs["base"]]
+    bq, cq = quartiles(base), quartiles([m["run_rel_p50"] for m in runs["change"]])
+    iqr = bq[2] - bq[0]
+    gap = bq[1] - cq[1]
+    print(f"base   median {bq[1]:.4f} quartiles {bq[0]:.4f} {bq[2]:.4f}")
+    print(f"change median {cq[1]:.4f} quartiles {cq[0]:.4f} {cq[2]:.4f}")
+    holds = len(base) >= 10 and 10 * wins >= 9 * len(base) and gap > iqr
+    print(f"change won {wins} of {len(base)} pairs; median gap {gap:.4f} "
+          f"against base IQR {iqr:.4f}; gain rule "
+          f"{'holds' if holds else 'does not hold'}")
+    for name in runs["base"][0]:
+        b, c = (statistics.median(m[name] for m in runs[side])
+                for side in ("base", "change"))
+        print(f"  {name:<20} median base {b:.6g} change {c:.6g}")
+    if args.json:
+        with open(args.json, "w") as f:
+            json.dump({"workload": args.workload, "base": args.base,
+                       "seconds": seconds, "pairs": pairs}, f, indent=1)
+
+
+if __name__ == "__main__":
+    main()

@@ -499,7 +499,7 @@ def mst_weight_estimate(cluster: Cluster, graph, eps, max_weight=None):
 
     keep(r)
     partials = sketch_build(
-        cluster, keys, table, "T", key=itemgetter(0, 2, 1),
+        cluster, keys, table, "T", key=(0, 2, 1),
         part_fn=lambda rec: (rec[0], bisect_left(taus, rec[2])),
     )
     for mid in cluster.small_ids:

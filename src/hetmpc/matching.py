@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 from . import primitives
 from .primitives import _pair
@@ -206,7 +205,7 @@ def phase2_high_degree(cluster: Cluster, state: MatchingState):
 
     for attempt in range(2):
         _ranked_records(cluster, attempt)
-        arranged = primitives.arrange_nodes(cluster, "R", "D", key=itemgetter(0, 2))
+        arranged = primitives.arrange_nodes(cluster, "R", "D", key=(0, 2))
         k_of = {
             v: min(budget, state.deg.get(v, 0))
             for v in sorted(state.v_high)

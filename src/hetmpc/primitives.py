@@ -191,20 +191,30 @@ def _fields(side):
 def _rank(recs, key):
     """Dense rank of each record in the order (key(r), r): records that
     compare equal share a rank, and a smaller rank is a smaller record.
+    `key` is None (the records' own order), a tuple F of field positions
+    (the order (r[F], r)) or a function of the record.
 
-    One lexsort when the records are Records and the keys flat int64
-    columns; Python's sort over the (key, record) pairs otherwise (nested
-    keys, records that are not flat ints, ints beyond int64)."""
+    One lexsort over packed words when the records are Records and the
+    keys flat int64 columns; Python's sort over the (key, record) pairs
+    otherwise (nested keys, records that are not flat ints, ints beyond
+    int64)."""
+    if not len(recs):
+        return np.zeros(0, np.int64)
     cols = _int64_columns(recs, key)
-    if cols is not None and cols.shape[1]:
-        order = np.lexsort(cols.T[::-1])
-        ordered = cols[order]
-        step = (ordered[1:] != ordered[:-1]).any(axis=1)
+    if cols is not None:
+        words = _packed(cols)
+        if not words:  # every column constant: all records compare equal
+            return np.zeros(len(recs), np.int64)
+        order = np.lexsort(words[::-1])
+        step = np.zeros(len(recs) - 1, bool)
+        for w in words:
+            w = w[order]
+            step |= w[1:] != w[:-1]
         rank = np.empty(len(recs), np.int64)
         rank[order] = np.concatenate(([0], np.cumsum(step)))
         return rank
-    if cols is not None:  # no columns: every record compares equal
-        return np.zeros(len(recs), np.int64)
+    if type(key) is tuple:
+        key = _fields(key)
     items = recs if key is None else list(zip(map(key, recs), recs))
     rank, r, prev = [0] * len(items), 0, None
     for j in sorted(range(len(items)), key=items.__getitem__):
@@ -216,7 +226,9 @@ def _rank(recs, key):
 
 def _int64_columns(recs, key):
     """(len, columns) int64 array of each record's key then its fields, or
-    None when they are not flat int64 columns."""
+    None when they are not flat int64 columns.  For a tuple key the
+    columns are the key's fields and then the others in record order:
+    (r[F], r) and (r[F], r[the other fields]) order alike."""
     if type(recs) is not Records:
         return None
     n = len(recs)
@@ -224,6 +236,9 @@ def _int64_columns(recs, key):
         cols = _matrix(recs)
         if key is None:
             return cols
+        if type(key) is tuple:
+            rest = [j for j in range(cols.shape[1]) if j not in key]
+            return cols[:, list(key) + rest]
         keys = list(map(key, recs))
         if _INT_ONLY.issuperset(map(type, keys)):
             kcols = np.fromiter(keys, np.int64, n).reshape(n, 1)
@@ -241,6 +256,27 @@ def _matrix(recs):
     arity = len(recs[0]) if recs else 0
     flat = np.fromiter(chain.from_iterable(recs), np.int64, len(recs) * arity)
     return flat.reshape(len(recs), arity)
+
+
+def _packed(cols):
+    """uint64 words whose lexicographic order is the row order of the
+    int64 columns `cols`: each column is offset by its minimum, and
+    consecutive columns are concatenated bitwise while they fit in 64 bits
+    (a constant column takes no bits, a 64-bit span a word of its own)."""
+    words, used = [], 64
+    for c in cols.T:
+        u = c.view(np.uint64)
+        u = u - u[c.argmin()]  # c - min(c), exact modulo 2^64
+        bits = int(u.max()).bit_length()
+        if not bits:
+            continue
+        if used + bits <= 64:
+            words[-1] = (words[-1] << np.uint64(bits)) | u
+            used += bits
+        else:
+            words.append(u)
+            used = bits
+    return words
 
 
 def _sample_positions(counts, k):
@@ -288,13 +324,12 @@ def _cut(split, rank, at):
 class _Layout(NamedTuple):
     """Records in sorted-shard order: position p holds record rec[p] on
     machine at[p], machine i holds positions bounds[i-1]:bounds[i], and
-    ordered[p] and shards[i-1] are the record objects."""
+    ordered[p] is the record object."""
 
     rec: np.ndarray
     at: np.ndarray
     bounds: np.ndarray
     ordered: object
-    shards: list
 
 
 def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> SortedLayout:
@@ -302,9 +337,9 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
     machines (two-phase sample sort; fixed round charge).
 
     Total order is (key(record), record); with key=None it is the records'
-    own order, so a key that is a prefix of the record should be passed as
-    None.  `key` must be a function of the record alone: samples, splitters
-    and summary boundaries travel as bare records.  `summarize(shard)` may
+    own order.  `key` is a tuple of field positions F, for the order
+    (r[F], r), or a function of the record alone: samples, splitters and
+    summary boundaries travel as bare records.  `summarize(shard)` may
     attach a per-machine payload to the final summary message to the large
     machine.
 
@@ -313,12 +348,12 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
     comparison of their ranks: the local sorts, the even-position samples,
     the weighted splitter choice at the large machine and at the group
     leaders, and the cuts of each sorted shard at the splitters (a record
-    equal to a splitter goes right).  The two routing rounds send each
-    shard's contiguous slices as one `Slices` batch; samples
-    ([count, records]) and splitters go through the ordinary send list.
-    Shards are stored, and slices and samples sent, as Records when the
-    records are flat int tuples of one arity; other records stay lists,
-    which are walked when metered.
+    equal to a splitter goes right).  The two sample rounds, the group
+    splitters and the two routing rounds each send one `Slices` batch; a
+    sample send carries one header word, the count of its sender's
+    records.  Shards are stored, and slices and samples sent, as Records
+    when the records are flat int tuples of one arity; other records stay
+    lists, which are walked when metered.
     """
     start = cluster.rounds_used
     K = len(cluster.small_ids)
@@ -332,49 +367,50 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
         pack, shard_pack = list, as_records
     rank = _rank(recs, key)
     span = len(recs) + 1  # ranks are below it
+    ids = np.arange(1, K + 1)
 
     def take(rec):
         # the record objects of record indices rec
         return pack(map(recs.__getitem__, rec.tolist()))
 
-    def store(rec, at):
+    def local_sort(rec, at):
         # each machine sorts what it holds; ties keep their arrival order
         order = np.argsort(at * span + rank[rec], kind="stable")
         rec, at = rec[order], at[order]
         bounds = np.concatenate(([0], np.cumsum(np.bincount(at, minlength=K + 1)[1:])))
-        ordered = take(rec)
-        cut = bounds.tolist()
-        shards = [shard_pack(ordered[cut[i - 1]:cut[i]]) for i in cluster.small_ids]
-        for i, shard in zip(cluster.small_ids, shards):
-            machines[i].put(state_key, shard)
-        return _Layout(rec, at, bounds, ordered, shards)
+        return _Layout(rec, at, bounds, take(rec))
 
-    def samples(layout, k):
-        # [count, even-position sample] per machine; the ranks, weights and
-        # record indices of every sample, and where each machine's samples start
+    def samples(layout, k, dst):
+        # each machine sends its count and even-position samples to dst;
+        # returns the ranks, weights and record indices of every sample,
+        # and where each machine's samples start
         counts = np.diff(layout.bounds)
+        sent = np.minimum(counts, k)
         shard, pos = _sample_positions(counts, k)
         srec = layout.rec[pos + layout.bounds[shard]]
-        got = take(srec)
-        cut = np.concatenate(([0], np.cumsum(np.bincount(shard, minlength=K)))).tolist()
-        msgs = [[len(s), pack(got[cut[i]:cut[i + 1]])] for i, s in enumerate(layout.shards)]
-        weight = counts[shard] / np.minimum(counts, k)[shard]
-        return msgs, rank[srec], weight, srec, cut
+        cluster.round(Slices(take(srec), ids, dst, sent, header=1))
+        weight = counts[shard] / sent[shard]
+        return rank[srec], weight, srec, np.concatenate(([0], np.cumsum(sent))).tolist()
 
     def route(layout, first, dst):
         # send each (machine, bucket) slice that starts at a first
-        # position to the dst of its records
-        rec, at, _, ordered, _ = layout
+        # position to the dst of its records, which store it sorted
+        rec, at, _, ordered = layout
         for i in cluster.small_ids:
             machines[i].pop(state_key)
         count = np.diff(np.append(first, len(rec)))
         cluster.round(Slices(ordered, at[first], dst[first], count))
-        return store(rec, dst)
+        layout = local_sort(rec, dst)
+        cut = layout.bounds.tolist()
+        for i in cluster.small_ids:
+            machines[i].put(state_key, shard_pack(layout.ordered[cut[i - 1]:cut[i]]))
+        return layout
 
-    ids = np.arange(1, K + 1)
-    layout = store(np.arange(len(recs)), np.repeat(ids, [len(h) for h in held]))
-    msgs, srank, weight, srec, _ = samples(layout, np.full(K, branching(cluster)))
-    cluster.round([(i, LARGE, m) for i, m in zip(cluster.small_ids, msgs)])
+    # the local sort permutes each machine's records, which meters the
+    # same words, so the shards stay as stored until the first route
+    layout = local_sort(np.arange(len(recs)), np.repeat(ids, [len(h) for h in held]))
+    srank, weight, srec, _ = samples(layout, np.full(K, branching(cluster)),
+                                     np.full(K, LARGE))
 
     g = max(1, math.ceil(math.sqrt(K)))
     size = math.ceil(K / g)
@@ -390,19 +426,20 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
     bucket, first = _cut(srank[gsplit], rank[layout.rec], at)
     layout = route(layout, first, lo[bucket] + at % gsize[bucket])
 
-    # phase 2: per-group splitters chosen by the group leader
+    # phase 2: per-group splitters chosen by the group leader, which sends
+    # them to each other member of its group
     group = (ids - 1) // size
-    msgs, srank, weight, srec, cut = samples(layout, 2 * gsize[group])
-    cluster.round(list(zip(cluster.small_ids, lo[group].tolist(), msgs)))
-
-    sends, split = [], []
+    leader = lo[group]
+    srank, weight, srec, cut = samples(layout, 2 * gsize[group], leader)
+    split, fan = [], []
     for gi, (a, z) in enumerate(zip(lo.tolist(), hi.tolist())):
         s, e = cut[a - 1], cut[z]
         picked = s + _splitters(srank[s:e], weight[s:e], z - a + 1)
         split.append(gi * span + srank[picked])
-        split_recs = take(srec[picked])  # one object for the whole group
-        sends.extend((a, i, split_recs) for i in range(a + 1, z + 1))
-    cluster.round(sends)
+        fan.append(np.tile(srec[picked], z - a))
+    member = ids[ids != leader]
+    count = np.array([len(s) for s in split], np.int64)[group[member - 1]]
+    cluster.round(Slices(take(np.concatenate(fan)), leader[member - 1], member, count))
 
     # one cut for all groups: group gi's splitters and records are offset
     # by gi * span
@@ -413,7 +450,8 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
     layout = route(layout, first, lo[grp] + bucket - offset[grp])
 
     sends = []
-    for i, shard in zip(cluster.small_ids, layout.shards):
+    for i in cluster.small_ids:
+        shard = machines[i].state[state_key]
         payload = [len(shard)]
         if shard:
             payload.append((shard[0], shard[-1]))
@@ -557,10 +595,8 @@ def deliver_by_endpoint(cluster: Cluster, state_key, values: dict, side, apply):
     can only use delivered values; the output is stored as Records when
     its records conform.  Costs sort_rounds + tree_rounds.
     """
-    # order by a prefix of the fields is the records' own order
     fields = side if type(side) is tuple else (side,)
-    prefix = fields == tuple(range(len(fields)))
-    layout = het_sort(cluster, state_key, key=None if prefix else _fields(side))
+    layout = het_sort(cluster, state_key, key=fields)
     delivered = disseminate(cluster, values, machine_ranges=layout.ranges(side))
     for i in cluster.small_ids:
         mach = cluster.machines[i]
@@ -585,14 +621,16 @@ def arrange_nodes(cluster: Cluster, state_key="E", dst_key="D", key=None) -> Arr
     learns deg_out(v) and the per-machine slice counts, the first of which
     is on M_first(v).
 
-    `key(directed_record) -> comparable` must order primarily by source
-    vertex (default: the record itself, i.e. by (source, target, ...)).
+    `key`, a tuple of field positions or a function of the directed
+    record as in `het_sort`, must order primarily by source vertex
+    (default None: the record itself, i.e. by (source, target, ...)).
     """
     for mid in cluster.small_ids:
         mach = cluster.machines[mid]
         es = mach.state.get(state_key) or []
         directed = list(es) + [(e[1], e[0]) + tuple(e[2:]) for e in es]
-        mach.put(dst_key, directed)
+        # swapping the endpoints of Records leaves Records of one arity
+        mach.put(dst_key, _trusted(directed) if type(es) is Records else directed)
 
     def counts_by_vertex(shard):
         out = []

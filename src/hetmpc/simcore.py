@@ -205,6 +205,9 @@ def payload_words(obj) -> int:
     if isinstance(obj, int) or obj is None or isinstance(obj, str):
         return 1
     if isinstance(obj, dict):
+        if _INT_ONLY.issuperset(map(type, obj)) and _INT_ONLY.issuperset(
+                map(type, obj.values())):
+            return 2 * len(obj)  # plain int keys and values: a word each
         return sum(payload_words(k) + payload_words(v) for k, v in obj.items())
     w = getattr(obj, "words", None)
     if w is not None:
@@ -217,19 +220,21 @@ class Slices:
 
     Send j moves the next `count[j]` records of `records` (the sends take
     consecutive slices that cover `records` in order) from machine
-    `src[j]` to machine `dst[j]`.  The barrier charges each send the words
-    of its slice: `count × arity` for Records, each record's walked words
-    for a list.  The slices are not put into the inbox: the caller moves
-    the records it sent.
+    `src[j]` to machine `dst[j]`, after `header` words of its own (a
+    count, say).  The barrier charges each send `header` plus the words of
+    its slice: `count × arity` for Records, each record's walked words for
+    a list.  The slices are not put into the inbox: the caller moves the
+    records it sent.
     """
 
-    __slots__ = ("records", "src", "dst", "count")
+    __slots__ = ("records", "src", "dst", "count", "header")
 
-    def __init__(self, records, src, dst, count):
+    def __init__(self, records, src, dst, count, header=0):
         if int(count.sum()) != len(records):
             raise ValueError("the slices must cover the records")
         self.records = records
         self.src, self.dst, self.count = src, dst, count
+        self.header = header
 
     def __len__(self):
         return len(self.count)
@@ -245,6 +250,7 @@ class Slices:
             cum = np.concatenate(([0], np.cumsum(per)))
             ends = np.cumsum(count)
             words = cum[ends] - cum[ends - count]
+        words = words + self.header
         return _by_machine(self.src, words), _by_machine(self.dst, words)
 
 
@@ -271,38 +277,46 @@ class Machine:
     """One machine: its word budget and its resident state.
 
     State changes only through `put` and `pop`; `state` is read-only to
-    callers.  The word count of each state key is cached until that key is
-    put or popped again, so a value mutated in place must be put again to
-    be metered anew (the same object may be put again).
+    callers.  A value is metered when it is put (a Records batch in O(1)),
+    so a value mutated in place must be put again to be metered anew (the
+    same object may be put again).  `put` and `pop` keep the machine's
+    entry in `resident`, the table of resident words shared by every
+    machine of a cluster, and its membership of `over`, the shared set of
+    machines over budget.
     """
 
-    __slots__ = ("mid", "budget", "state", "_words", "_total")
+    __slots__ = ("mid", "budget", "state", "_words", "_total", "_resident", "_over")
 
-    def __init__(self, mid, budget):
+    def __init__(self, mid, budget, resident, over):
         self.mid = mid
         self.budget = budget
         self.state = {}
-        self._words = {}  # key -> words of its value; absent until metered after a put
+        self._words = {}  # key -> words of its value
         self._total = 0  # sum of _words
+        self._resident, self._over = resident, over
+        resident[mid] = 0
+
+    def _retotal(self, delta):
+        total = self._total = self._total + delta
+        self._resident[self.mid] = total
+        if total > self.budget:
+            self._over.add(self.mid)
+        else:
+            self._over.discard(self.mid)
 
     def put(self, key, value):
         self.state[key] = value
-        self._total -= self._words.pop(key, 0)
+        w = payload_words(value)
+        self._retotal(w - self._words.get(key, 0))
+        self._words[key] = w
 
     def pop(self, key):
-        self._total -= self._words.pop(key, 0)
+        if key in self._words:
+            self._retotal(-self._words.pop(key))
         return self.state.pop(key, None)
 
     def resident_words(self) -> int:
-        """Words of the resident state; meters only keys put since the
-        last call."""
-        words = self._words
-        if len(words) != len(self.state):
-            for key, value in self.state.items():
-                if key not in words:
-                    w = payload_words(value)
-                    words[key] = w
-                    self._total += w
+        """Words of the resident state."""
         return self._total
 
 
@@ -322,10 +336,15 @@ class Cluster:
     def __init__(self, config: ClusterConfig, strict: bool = True):
         self.config = config
         self.strict = strict
-        self.machines = {LARGE: Machine(LARGE, config.large_budget)}
+        # resident words of every machine, in machine order, and the
+        # machines over budget; kept by Machine.put and Machine.pop
+        self._resident, self._over = {}, set()
+        self.machines = {LARGE: Machine(LARGE, config.large_budget,
+                                        self._resident, self._over)}
         self.small_ids = list(range(1, config.num_small + 1))
         for mid in self.small_ids:
-            self.machines[mid] = Machine(mid, config.small_budget)
+            self.machines[mid] = Machine(mid, config.small_budget,
+                                         self._resident, self._over)
         self.telemetry: list[RoundTelemetry] = []
 
     # -- basic accessors -------------------------------------------------
@@ -387,21 +406,13 @@ class Cluster:
         for mid, w in received.items():
             if w > machines[mid].budget:
                 violations.append((mid, "RecvBudget"))
-        resident = {}
-        for mid, mach in machines.items():
-            if len(mach._words) == len(mach.state):
-                w = mach._total  # no key put since the last barrier
-            else:
-                w = mach.resident_words()
-            resident[mid] = w
-            if w > mach.budget:
-                violations.append((mid, "StateBudget"))
+        violations.extend((mid, "StateBudget") for mid in sorted(self._over))
 
         tel = RoundTelemetry(
             round=len(self.telemetry),
             sent=sent,
             received=received,
-            resident=resident,
+            resident=dict(self._resident),
             violations=violations,
         )
         self.telemetry.append(tel)

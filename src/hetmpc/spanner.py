@@ -36,10 +36,12 @@ def _neighbor_or(cluster, masks, bits):
     def or_all(ps):
         return Packed(reduce(or_, (p.value for p in ps)), bits, wb)
 
+    # each leaf ORs the plain masks of a part and packs the result once
     got = primitives.aggregate(
         cluster, "D",
         leaf_fn=primitives.per_record(
-            itemgetter(0), lambda r: Packed(masks.get(r[1], 0), bits, wb), or_all),
+            itemgetter(0), lambda r: masks.get(r[1], 0),
+            lambda vs: Packed(reduce(or_, vs), bits, wb)),
         reduce_fn=or_all,
     )
     return {v: p.value for v, p in got.items()}

@@ -84,10 +84,30 @@ ESTIMATE_FINGERPRINT = (
 )
 
 
+# run -> sha256 over every telemetry row (round, sent, received, resident,
+# violations) in order, dicts in their insertion order; the totals above
+# would pass a reordered or shifted row, these would not
+TELEMETRY_ROWS = {
+    "mst": "4a39fb7526fefbd27bced27939463a990949cb950ca8cd0f0c4157b7d89ee9dc",
+    "spanner": "139f1590e6ccac749297c62a049be205e03798265842085791389c7391aa82fb",
+    "matching": "82af2773f9fd7d325059cd513740d349fa2eaae26a0cac7674ff2c4d8d4bde62",
+    "cc": "af3f70a283f31611c791cf2d6ac89ee259f36287bd0ac02de9d380b6542ca894",
+    "estimate": "0e90b999e01600d87f965a17f88602e97702eee025dea449849eb09dc77e143d",
+}
+
+
 def sim_cost(cl):
     words = sum(sum(t.sent.values()) for t in cl.telemetry)
     peak = max(max(t.resident.values(), default=0) for t in cl.telemetry)
     return words, peak
+
+
+def rows_sha256(cl):
+    h = hashlib.sha256()
+    for t in cl.telemetry:
+        h.update(repr((t.round, t.sent, t.received, t.resident,
+                       t.violations)).encode())
+    return h.hexdigest()
 
 
 def edges_sha256(H):
@@ -188,6 +208,20 @@ def _matching_run():
     return cl
 
 
+def _cc_run():
+    g = generate_graph("gnp", 128, seed=0, p=1.5 / 128)
+    cl = init_cluster(ClusterConfig(n=128, m=g.m, gamma=0.5, seed=0))
+    connectivity.connected_components(cl, g)
+    return cl
+
+
+def _estimate_run():
+    g = generate_graph("gnp", 64, seed=0, p=0.1, weighted=True, max_weight=8)
+    cl = init_cluster(ClusterConfig(n=64, m=g.m, gamma=0.5, seed=0))
+    connectivity.mst_weight_estimate(cl, g, eps=0.25, max_weight=8)
+    return cl
+
+
 BARRIER_RUNS = {
     "mst": _mst_run,
     "spanner": lambda: _spanner_run(256, 0.1),
@@ -209,3 +243,17 @@ def test_every_telemetry_row_is_one_round(name, monkeypatch):
     monkeypatch.setattr(Cluster, "round", counted)
     cl = BARRIER_RUNS[name]()
     assert len(calls) == cl.rounds_used == len(cl.telemetry)
+
+
+ROW_RUNS = {
+    "mst": _mst_run,
+    "spanner": lambda: _spanner_run(256, 0.1),
+    "matching": _matching_run,
+    "cc": _cc_run,
+    "estimate": _estimate_run,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TELEMETRY_ROWS))
+def test_telemetry_rows(name):
+    assert rows_sha256(ROW_RUNS[name]()) == TELEMETRY_ROWS[name]

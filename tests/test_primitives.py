@@ -112,6 +112,41 @@ def test_cut_where_bisect_right_routes(keys, split, machines):
         assert c == len(rank) or (at[c], bucket[c]) != (at[a], bucket[a])
 
 
+INT64 = st.integers(-2**63, 2**63 - 1)
+# small values, 40-bit spans, any int64 and the int64 extremes: two wide
+# columns need more than one packed word
+RANK_FIELDS = st.one_of(st.integers(-3, 3), st.integers(0, 2**40), INT64,
+                        st.sampled_from([-2**63, -2**63 + 1, 2**63 - 2, 2**63 - 1]))
+
+
+@st.composite
+def ranked_records(draw):
+    """(records of one arity, key): some columns constant, some records
+    repeated, and a key of None or a tuple of distinct field positions."""
+    arity = draw(st.integers(1, 4))
+    recs = draw(st.lists(st.tuples(*[RANK_FIELDS] * arity), max_size=40))
+    for j in draw(st.sets(st.integers(0, arity - 1))):
+        c = draw(RANK_FIELDS)
+        recs = [r[:j] + (c,) + r[j + 1:] for r in recs]
+    recs += recs[:draw(st.integers(0, len(recs)))]
+    key = draw(st.none() | st.lists(st.integers(0, arity - 1), min_size=1,
+                                    max_size=arity, unique=True).map(tuple))
+    return recs, key
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranked_records())
+def test_rank_on_packed_words_matches_sorted(case):
+    # the dense rank of each record in the order (key(r), r), from sorted
+    recs, key = case
+    order = (lambda r: r) if key is None else (
+        lambda r: (tuple(r[j] for j in key), r))
+    distinct = sorted({order(r) for r in recs})
+    want = [bisect_right(distinct, order(r)) - 1 for r in recs]
+    assert not recs or primitives._int64_columns(Records(recs), key) is not None
+    assert primitives._rank(Records(recs), key).tolist() == want
+
+
 def record_rounds(cluster):
     """Make cluster.round keep a copy of every round's sends."""
     rounds, deliver = [], cluster.round
@@ -124,9 +159,9 @@ def record_rounds(cluster):
     return rounds
 
 
-# (key passed to het_sort, the order it must produce): a key that is a
-# prefix of the record is passed as None, since (prefix, record) order is
-# record order
+# (key passed to het_sort, the order it must produce): None is the
+# records' own order, which is also (prefix, record) order; a tuple of
+# field positions F is the order (r[F], r)
 SORT_KEYS = [
     (None, lambda r: r),
     (None, lambda r: (r[0],)),
@@ -135,7 +170,19 @@ SORT_KEYS = [
     (lambda r: (r[0], (r[2], r[1])), lambda r: (r[0], (r[2], r[1]))),
     (itemgetter(1), itemgetter(1)),
     (itemgetter(0, 2), itemgetter(0, 2)),
+    ((1,), itemgetter(1)),
+    ((0, 2), itemgetter(0, 2)),
+    ((2, 0), itemgetter(2, 0)),
 ]
+
+
+def slices_of(batch):
+    """The (src, dst, records) of each send of a Slices batch."""
+    stop, out = 0, []
+    for src, dst, c in zip(batch.src.tolist(), batch.dst.tolist(), batch.count.tolist()):
+        out.append((src, dst, batch.records[stop:stop + c]))
+        stop += c
+    return out
 
 
 @settings(max_examples=100, deadline=None)
@@ -149,6 +196,7 @@ def test_sort_sends_records_in_total_order(records, which, m):
     key, order = SORT_KEYS[which]
     cl = make_cluster(m=m)  # K = ceil(m / 8) small machines
     scatter_items(cl, records)
+    before = {i: len(cl.small(i).state["E"]) for i in cl.small_ids}
     rounds = record_rounds(cl)
     layout = primitives.het_sort(cl, key=key)
 
@@ -165,17 +213,8 @@ def test_sort_sends_records_in_total_order(records, which, m):
                                 for i in cl.small_ids if cl.small(i).state["E"]}
     assert len(rounds) == cl.rounds_used == primitives.sort_rounds(0.5)
 
-    # samples are a count plus Records; splitters are Records
     held = set(records)
     bcast = primitives.tree_rounds(0.5)
-    for r in (0, bcast + 2):
-        for _, _, payload in rounds[r]:
-            count, sample = payload
-            assert type(count) is int and type(sample) is Records
-            assert len(sample) <= count and all(rec in held for rec in sample)
-    for r in [*range(1, bcast + 1), bcast + 3]:
-        for _, _, payload in rounds[r]:
-            assert type(payload) is Records and all(rec in held for rec in payload)
     # the two routing rounds send every record once, in contiguous
     # Records slices of the senders' sorted shards
     for r in (bcast + 1, bcast + 4):
@@ -184,11 +223,38 @@ def test_sort_sends_records_in_total_order(records, which, m):
         assert sorted(batch.records) == sorted(records)
         assert all(c > 0 for c in batch.count.tolist())
         assert batch.src.tolist() == sorted(batch.src.tolist())
-        stop = 0
-        for c in batch.count.tolist():
-            piece = batch.records[stop:stop + c]
+        for _, _, piece in slices_of(batch):
             assert list(piece) == sorted(piece, key=lambda r: (order(r), r))
-            stop += c
+    # the sample rounds: every machine sends at most its shard's records,
+    # held ones, charged with one header word for its count
+    routed = Counter()
+    for src, dst, piece in slices_of(rounds[bcast + 1]):
+        routed[dst] += len(piece)
+    for r, shard in ((0, before), (bcast + 2, routed)):
+        batch = rounds[r]
+        assert type(batch) is Slices and type(batch.records) is Records
+        assert batch.header == 1 and batch.src.tolist() == cl.small_ids
+        for src, _, sample in slices_of(batch):
+            assert len(sample) <= shard[src] and all(rec in held for rec in sample)
+            assert cl.telemetry[r].sent[src] == 3 * len(sample) + 1
+    # the splitters broadcast down the tree are held records
+    for r in range(1, bcast + 1):
+        for _, _, payload in rounds[r]:
+            assert type(payload) is Records and all(rec in held for rec in payload)
+    # each group leader sends its group's splitters, held records in
+    # total order, to every other member of its group
+    K = len(cl.small_ids)
+    size = math.ceil(K / math.ceil(math.sqrt(K)))
+    leader = {i: i - (i - 1) % size for i in cl.small_ids}
+    batch = rounds[bcast + 3]
+    assert type(batch) is Slices and type(batch.records) is Records
+    fan = slices_of(batch)
+    assert [dst for _, dst, _ in fan] == [i for i in cl.small_ids if leader[i] != i]
+    split = {}
+    for src, dst, piece in fan:
+        assert src == leader[dst] and split.setdefault(src, piece) == piece
+        assert all(rec in held for rec in piece)
+        assert list(piece) == sorted(piece, key=lambda r: (order(r), r))
 
 
 def test_sort_keeps_nonconforming_records_as_lists():
@@ -460,7 +526,10 @@ def _sorted_twice(records, kind, which, m, placement, tight, summarize):
             distribute_edges(cl, records, placement=placement)
         except CapacityError:
             assume(False)  # the records do not fit the small machines
-        layout = sort(cl, key=key, summarize=summarize)
+        # the reference takes a tuple key as the function it names
+        fn = primitives._fields(key) if type(key) is tuple and (
+            sort is sort_reference.het_sort) else key
+        layout = sort(cl, key=fn, summarize=summarize)
         out.append((cl, layout))
     return out
 

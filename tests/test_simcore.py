@@ -210,12 +210,18 @@ def test_resident_words_follow_put_and_pop():
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(["put", "pop", "mutate", "barrier"]),
+@given(st.lists(st.tuples(st.sampled_from(["put", "pop", "mutate", "transient", "barrier"]),
                           st.integers(0, 3), st.sampled_from("ABC"),
-                          st.lists(st.integers(), max_size=4)),
-                max_size=30))
-def test_resident_words_match_fresh_walk(ops):
-    cl = init_cluster(ClusterConfig(n=16, m=64, gamma=0.5))
+                          st.lists(st.integers(), max_size=8)),
+                max_size=30),
+       st.booleans())
+def test_resident_words_match_fresh_walk(ops, tiny):
+    # tiny: 16-word small machines on a tolerant cluster, so machines go
+    # over budget and back; one left over budget and untouched is reported
+    # in every later round
+    cfg = ClusterConfig(n=16, m=64, gamma=0.5, polylog_c=1 if tiny else 128,
+                        polylog_e=1 if tiny else 2)
+    cl = init_cluster(cfg, strict=False)
     for op, mid, key, value in ops:
         mach = cl.machines[mid]
         if op == "put":
@@ -225,10 +231,18 @@ def test_resident_words_match_fresh_walk(ops):
         elif op == "mutate" and key in mach.state:
             mach.state[key].extend(value)
             mach.put(key, mach.state[key])
+        elif op == "transient":  # put and pop one key between barriers
+            mach.put("T", list(value))
+            mach.pop("T")
         cl.empty_round()
-        for m, mm in cl.machines.items():
-            assert cl.telemetry[-1].resident[m] == sum(
-                payload_words(v) for v in mm.state.values())
+        fresh = {m: sum(payload_words(v) for v in mm.state.values())
+                 for m, mm in cl.machines.items()}
+        row = cl.telemetry[-1]
+        assert row.resident == fresh and list(row.resident) == sorted(fresh)
+        assert row.violations == [(m, "StateBudget") for m in sorted(fresh)
+                                  if fresh[m] > cl.machines[m].budget]
+        if op == "transient" and len(cl.telemetry) > 1:
+            assert row.resident == cl.telemetry[-2].resident
 
 
 def test_empty_round_all_zero():
