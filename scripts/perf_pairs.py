@@ -13,9 +13,13 @@ alternates from pair to pair.  For each pair the script prints both
 then each side's median and quartiles, the number of pairs the working
 tree won, and whether the gain rule holds: at least 9 of every 10 pairs
 won, over at least 10 pairs, and a median gap wider than the base's
-interquartile range.  Each other end-to-end metric is listed with both
-sides' medians, and `--json PATH` writes every run's metrics.  Standard
-library only.
+interquartile range.  Every end-to-end metric of `BENCHMARK.json` is then
+listed with both sides' medians, their change/base ratio, the fraction by
+which the change is worse in the metric's `better` direction, its bound,
+and a verdict: `within bound`, `WORSE beyond bound`, or `unresolved` when
+the base's own interquartile range over its median is wider than the bound
+and not every change run reads better than every base run.  `--json PATH`
+writes every run's metrics.  Standard library only.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -58,6 +63,25 @@ def quartiles(xs):
     return q1, q2, q3
 
 
+def classify(base, change, better, bound):
+    """(change/base median ratio, fraction worse, verdict) of one metric
+    from each side's values.  The fraction worse is the ratio's distance
+    from 1 in the metric's worse direction (negative when it improved)."""
+    (b1, bm, b3), (_, cm, _) = quartiles(base), quartiles(change)
+    if bm:
+        ratio, spread = cm / bm, (b3 - b1) / abs(bm)
+    else:  # a count that reads 0 on the base
+        ratio = 1.0 if cm == 0 else math.inf
+        spread = 0.0 if b3 == b1 else math.inf
+    lower = better == "lower"
+    worse = ratio - 1 if lower else 1 - ratio
+    all_better = (max(change) < min(base) if lower
+                  else min(change) > max(base))
+    if spread > bound and not all_better:
+        return ratio, worse, "unresolved"
+    return ratio, worse, "WORSE beyond bound" if worse > bound else "within bound"
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True)
@@ -68,10 +92,11 @@ def main(argv=None):
                     help="seconds per run (default: run_seconds of BENCHMARK.json)")
     ap.add_argument("--json", help="write every run's metrics to this file")
     args = ap.parse_args(argv)
+    with open("BENCHMARK.json") as f:
+        benchmark = json.load(f)
     seconds = args.seconds
     if seconds is None:
-        with open("BENCHMARK.json") as f:
-            seconds = json.load(f)["run_seconds"]
+        seconds = benchmark["run_seconds"]
 
     runs = {"base": [], "change": []}
     pairs, wins = [], 0
@@ -107,10 +132,13 @@ def main(argv=None):
     print(f"change won {wins} of {len(base)} pairs; median gap {gap:.4f} "
           f"against base IQR {iqr:.4f}; gain rule "
           f"{'holds' if holds else 'does not hold'}")
-    for name in runs["base"][0]:
-        b, c = (statistics.median(m[name] for m in runs[side])
-                for side in ("base", "change"))
-        print(f"  {name:<20} median base {b:.6g} change {c:.6g}")
+    for metric in benchmark["end_to_end"]:
+        name, bound = metric["name"], metric["bound"]
+        b, c = ([m[name] for m in runs[side]] for side in ("base", "change"))
+        ratio, worse, verdict = classify(b, c, metric["better"], bound)
+        print(f"  {name:<20} median base {statistics.median(b):.6g} change "
+              f"{statistics.median(c):.6g} ratio {ratio:.4f} worse "
+              f"{worse:+.2%} bound {bound:.0%}: {verdict}")
     if args.json:
         with open(args.json, "w") as f:
             json.dump({"workload": args.workload, "base": args.base,

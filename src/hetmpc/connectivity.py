@@ -76,6 +76,21 @@ def _mulmod(a, b, q):
     return ((a * hi % q << _SPLIT) + a * lo) % q
 
 
+def _mod(a, q):
+    """Reduce the int64 array `a` mod q in place and return it.
+
+    Floor division by a scalar runs through libdivide in NumPy 2.x, and
+    `np.remainder` does not, so on a contiguous block of thousands of
+    entries, such as a Horner step's, a - (a // q) * q costs under half
+    of `%`.  It equals `%` for negative entries too, and
+    |(a // q) * q| <= |a| + q, so it is exact while |a| + q < 2^63.
+    """
+    f = np.floor_divide(a, q)
+    f *= q
+    a -= f
+    return a
+
+
 def _poly_eval(coeffs, xs, q):
     """Horner evaluation mod q of every polynomial in the (..., t)
     coefficient block `coeffs` at the int64 array xs; returns the
@@ -85,11 +100,12 @@ def _poly_eval(coeffs, xs, q):
     below n^2 < 2^21 and acc < q < 2^41, so acc*x + c < 2^62 + 2^41.
     The field 2^61-1 (ROADMAP item 4(a)) would need limb splits again.
     """
-    acc = np.zeros(coeffs.shape[:-1] + xs.shape, dtype=np.int64)
-    for j in range(coeffs.shape[-1]):
+    acc = np.empty(coeffs.shape[:-1] + xs.shape, dtype=np.int64)
+    acc[...] = coeffs[..., 0, None]  # the first step, from acc = 0
+    for j in range(1, coeffs.shape[-1]):
         acc *= xs
         acc += coeffs[..., j, None]
-        acc %= q
+        _mod(acc, q)
     return acc
 
 
@@ -116,6 +132,10 @@ class SketchKeys:
     level_coeffs: np.ndarray  # (R, L, t)
     check_coeffs: np.ndarray  # (R, t)
 
+    def __post_init__(self):
+        # bits of one word, as the cluster counts them
+        self.word_bits = max(1, math.ceil(math.log2(self.n)))
+
     def words(self):
         return 4  # the master seed (128 bits)
 
@@ -129,21 +149,30 @@ def make_keys(rng, n) -> SketchKeys:
     return keys_from_seed(rng.getrandbits(128), n)
 
 
+def _draws(rng, q, k):
+    """[rng.randrange(q) for _ in range(k)] in one loop, leaving `rng` in
+    the same state: each draw is CPython's `_randbelow_with_getrandbits`,
+    q.bit_length() random bits redrawn until they fall below q."""
+    bits = q.bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(k):
+        r = getrandbits(bits)
+        while r >= q:
+            r = getrandbits(bits)
+        out.append(r)
+    return out
+
+
 def keys_from_seed(master_seed, n) -> SketchKeys:
     import random as _random
 
     q = field_prime(n)
     R, L, t = sketch_params(n)
     exp = _random.Random(master_seed)
-    level = np.array(
-        [[[exp.randrange(q) for _ in range(t)] for _ in range(L)]
-         for _ in range(R)],
-        dtype=np.int64,
-    )
-    check = np.array(
-        [[exp.randrange(q) for _ in range(t)] for _ in range(R)],
-        dtype=np.int64,
-    )
+    # level coefficients in (r, l, j) order, then checksum ones in (r, j)
+    level = np.array(_draws(exp, q, R * L * t), np.int64).reshape(R, L, t)
+    check = np.array(_draws(exp, q, R * t), np.int64).reshape(R, t)
     return SketchKeys(n=n, q=q, R=R, L=L, t=t, master_seed=master_seed,
                       level_coeffs=level, check_coeffs=check)
 
@@ -157,8 +186,8 @@ class CoordTable:
 
     def __init__(self, keys: SketchKeys, coords):
         self.keys = keys
-        self.coords = np.asarray(sorted(set(int(c) for c in coords)),
-                                 dtype=np.int64)
+        c = np.sort(np.fromiter(coords, np.int64))
+        self.coords = c[np.diff(c, prepend=-1) != 0]  # coordinates are >= 0
         q, R, L = keys.q, keys.R, keys.L
         mc = len(self.coords)
         self.member = np.zeros((mc, R, L), dtype=bool)
@@ -196,8 +225,7 @@ class SketchPartial:
         # an occupancy mask of R*L bits, then count 1 word, id-sum 2 and
         # checksum 4 per occupied cell
         k = self.keys
-        word_bits = max(1, math.ceil(math.log2(k.n)))
-        return -(-k.R * k.L // word_bits) + 7 * len(self.cells)
+        return -(-k.R * k.L // k.word_bits) + 7 * len(self.cells)
 
     @classmethod
     def zero(cls, keys):
@@ -232,7 +260,7 @@ def _sum_partials(parts, keys: SketchKeys):
     flat = np.zeros((keys.R * keys.L, 3), np.int64)
     for p in parts:
         flat[p.cells] += p.vals  # a partial's cells are distinct
-    flat[:, 2] %= keys.q
+    _mod(flat[:, 2], keys.q)
     return SketchPartial._of_flat(flat, keys)
 
 
@@ -268,7 +296,7 @@ def _leaf_partials(table: CoordTable, part_fn, records):
     key = key[order]
     first = np.flatnonzero(np.diff(key, prepend=-1))
     sums = np.add.reduceat(contrib[order], first, axis=0)
-    sums[:, 2] %= keys.q
+    _mod(sums[:, 2], keys.q)
     occupied = sums.any(axis=1)
     at, cells = np.divmod(key[first][occupied], RL)
     vals = sums[occupied]
@@ -368,14 +396,16 @@ def l0_sample(sketch: SketchPartial, keys: SketchKeys, r: int, n: int):
 def _add_into(stack, sketches, keys: SketchKeys):
     """Add {vertex: SketchPartial} into the (n, R, 3, L) per-vertex cells
     `stack` with one fancy-indexed add, which is exact because the
-    (vertex, r, l) triples are distinct; checksums are reduced mod q."""
+    (vertex, r, l) triples are distinct.  The checksums of the cells it
+    adds to are reduced mod q; every other checksum must be reduced
+    already."""
     if sketches:
         parts = sketches.values()
         v = np.repeat(np.fromiter(sketches, np.int64, len(sketches)),
                       [len(s.cells) for s in parts])
         r, l = np.divmod(np.concatenate([s.cells for s in parts]), keys.L)
         stack[v, r, :, l] += np.concatenate([s.vals for s in parts])
-    stack[:, :, 2] %= keys.q
+        stack[v, r, 2, l] = _mod(stack[v, r, 2, l], keys.q)
 
 
 def _stack(sketches, keys: SketchKeys, n: int):
@@ -391,6 +421,17 @@ def _stack(sketches, keys: SketchKeys, n: int):
 # connectivity by sketch Boruvka
 
 
+def _roots(dsu, n):
+    """dsu.find(v) for every vertex v of DSU(range(n)), as an int64 array,
+    by pointer jumping over its parent array (kept in vertex order)."""
+    roots = np.fromiter(dsu.p.values(), np.int64, n)
+    while True:
+        up = roots[roots]
+        if (up == roots).all():
+            return roots
+        roots = up
+
+
 def _boruvka(stack, keys: SketchKeys, n: int, table: CoordTable):
     """Sketch Boruvka on per-vertex cells `stack` (see `_stack`).
 
@@ -401,13 +442,14 @@ def _boruvka(stack, keys: SketchKeys, n: int, table: CoordTable):
     """
     dsu = primitives.DSU(range(n))
     for r in range(keys.R):
+        roots = _roots(dsu, n)
         # supernodes in ascending root, which is also the order of
-        # their first members, since a root is its smallest member
-        roots = np.fromiter((dsu.find(v) for v in range(n)), np.int64, n)
-        _, group = np.unique(roots, return_inverse=True)
-        sums = np.zeros((group.max() + 1, 3, keys.L), np.int64)
-        np.add.at(sums, group, stack[:, r])
-        sums[:, 2] %= keys.q
+        # their first members, since a root is its smallest member; each
+        # supernode's cells are one segment sum
+        order = np.argsort(roots, kind="stable")
+        first = np.flatnonzero(np.diff(roots[order], prepend=-1))
+        sums = np.add.reduceat(stack[order, r], first, axis=0)
+        _mod(sums[:, 2], keys.q)
         merged_any = False
         failed_any = False
         for res in _decode(sums[:, 0], sums[:, 1], sums[:, 2], keys, r, n,
@@ -421,7 +463,7 @@ def _boruvka(stack, keys: SketchKeys, n: int, table: CoordTable):
             if dsu.union(a, b):
                 merged_any = True
         if not merged_any and not failed_any:
-            return {v: dsu.find(v) for v in range(n)}, r + 1
+            return dict(enumerate(roots.tolist())), r + 1
     return None
 
 

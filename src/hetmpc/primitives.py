@@ -28,6 +28,7 @@ from .simcore import (
     _join,
     _trusted,
     as_records,
+    global_tree_depth,
 )
 
 
@@ -38,11 +39,6 @@ def _pair(a, b):
 
 # ---------------------------------------------------------------------------
 # round-charge constants (functions of gamma only)
-
-
-def global_tree_depth(gamma: float) -> int:
-    """Depth bound for a tree over all K <= n^(2-gamma) small machines."""
-    return math.ceil((2 - gamma) / gamma)
 
 
 def tree_rounds(gamma):
@@ -72,7 +68,7 @@ def _pad(cluster: Cluster, start: int, target: int):
 
 
 def branching(cluster: Cluster) -> int:
-    return max(2, int(cluster.config.n ** cluster.config.gamma))
+    return cluster.config.branching
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,11 @@ def machine_name(mid: int) -> str:
     return "L" if mid == LARGE else f"S{mid}"
 
 
+def global_tree_depth(gamma: float) -> int:
+    """Depth bound for a tree over all K <= n^(2-gamma) small machines."""
+    return math.ceil((2 - gamma) / gamma)
+
+
 @dataclass
 class ClusterConfig:
     """Model parameters fixing every machine's word budget.
@@ -77,6 +82,13 @@ class ClusterConfig:
             if f < Fraction(1, max(1, math.ceil(math.log2(self.n)))):
                 raise ConfigError(f"f_exp must be >= 1/log2(n), got {f}")
             self.f_exp = f
+        if self.num_small > self.branching ** self.tree_depth:
+            raise ConfigError(
+                f"{self.num_small} small machines need a machine tree deeper "
+                f"than its round charge of {self.tree_depth} levels of "
+                f"branching {self.branching} (n={self.n}, m={self.m}, "
+                f"gamma={self.gamma})"
+            )
 
     @property
     def word_bits(self) -> int:
@@ -85,6 +97,17 @@ class ClusterConfig:
     @property
     def num_small(self) -> int:
         return max(1, math.ceil(self.m / (self.n ** self.gamma)))
+
+    @property
+    def branching(self) -> int:
+        """Fan-out of the global machine tree."""
+        return max(2, int(self.n ** self.gamma))
+
+    @property
+    def tree_depth(self) -> int:
+        """Levels of the global machine tree that the round charges pay
+        for, a function of gamma alone."""
+        return global_tree_depth(self.gamma)
 
     @property
     def small_budget(self) -> int:

@@ -118,6 +118,10 @@ def test_cc_beyond_sketch_field_is_config_error(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    # more small machines than the charged machine tree holds
+    ("--algo", "mst", "--gen", "complete", "--n", "15", "--weighted"),
+    ("--algo", "mst", "--gen", "complete", "--n", "100", "--gamma", "0.3",
+     "--weighted"),
     ("--algo", "spanner", "--gen", "gnp", "--n", "64", "--p", "0.1", "--k", "0"),
     ("--algo", "spanner", "--gen", "gnp", "--n", "64", "--p", "0.1", "--k", "-1"),
     ("--algo", "cc", "--gen", "two-cycles", "--n", "4"),

@@ -15,6 +15,8 @@ from hetmpc import oracles, primitives
 from hetmpc.graphio import SimGraph, generate_graph
 from hetmpc.simcore import ClusterConfig, ConfigError, init_cluster
 
+import sketch_reference  # the Boruvka phase loop, beside this file
+
 
 def vertex_sketch(keys, table, n, v, edges):
     """Host-side sketch of vertex v's signed incidence vector."""
@@ -82,6 +84,107 @@ def test_poly_eval_exact_at_largest_accepted_n():
             assert table.check[i, r] == horner(check[r], x, q)
             assert table.member[i, r].tolist() == [
                 horner(level[r, l], x, q) << l < q for l in range(L)]
+
+
+# int64 values of both signs, some near +-2^62, where Horner steps end
+near_bound = st.one_of(
+    st.integers(-2 ** 62, 2 ** 62),
+    st.integers(2 ** 62 - 2 ** 20, 2 ** 62),
+    st.integers(-2 ** 62, -2 ** 62 + 2 ** 20),
+    st.integers(-10 ** 6, 10 ** 6),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 256, 1217]), st.lists(near_bound, min_size=1,
+                                                   max_size=40))
+def test_mod_matches_remainder(n, values):
+    q = cn.field_prime(n)
+    a = np.array(values, dtype=np.int64)
+    want = (a % q).tolist()
+    assert cn._mod(a, q) is a and a.tolist() == want
+    # in place through a strided view, as on a block's checksum column
+    block = np.array([values, values, values], dtype=np.int64).T
+    cn._mod(block[:, 2], q)
+    assert block[:, 2].tolist() == want and block[:, 1].tolist() == values
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 128 - 1), st.sampled_from([2, 8, 256, 1217]),
+       st.integers(0, 300))
+def test_draws_match_randrange(seed, n, k):
+    # fails if a Python release changes how randrange(q) draws
+    q = cn.field_prime(n)
+    got, want = random.Random(seed), random.Random(seed)
+    assert cn._draws(got, q, k) == [want.randrange(q) for _ in range(k)]
+    assert got.getstate() == want.getstate()
+
+
+@pytest.mark.parametrize("n", [8, 256])
+def test_keys_match_per_coefficient_draws(n):
+    keys = cn.keys_from_seed(12345, n)
+    q, R, L, t = keys.q, keys.R, keys.L, keys.t
+    exp = random.Random(12345)
+    level = [[[exp.randrange(q) for _ in range(t)] for _ in range(L)]
+             for _ in range(R)]
+    check = [[exp.randrange(q) for _ in range(t)] for _ in range(R)]
+    assert keys.level_coeffs.tolist() == level
+    assert keys.check_coeffs.tolist() == check
+    assert keys.word_bits == max(1, math.ceil(math.log2(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1),
+                                   st.integers(0, n - 1)), max_size=60))))
+def test_pointer_jumped_roots_match_find(case):
+    n, unions = case
+    dsu = primitives.DSU(range(n))
+    for a, b in unions:
+        dsu.union(a, b)
+    got = cn._roots(dsu, n).tolist()  # before find() compresses any path
+    assert got == [dsu.find(v) for v in range(n)]
+
+
+@st.composite
+def sketched_graphs(draw):
+    """(n, edges, key seed, cell perturbations) of a small graph."""
+    n = draw(st.integers(2, 20))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=30))
+    seed = draw(st.integers(0, 2 ** 32))
+    # a few cells overwritten, so that some phases fail to decode
+    noise = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 99),
+                                    st.integers(0, 2), st.integers(0, 99),
+                                    st.integers(-50, 50)), max_size=3))
+    return n, edges, seed, noise
+
+
+@settings(max_examples=120, deadline=None)
+@given(sketched_graphs())
+def test_boruvka_matches_the_reference(case):
+    n, edges, seed, noise = case
+    keys = cn.keys_from_seed(seed, n)
+    table = cn.CoordTable(keys, [cn.edge_coord(n, a, b) for a, b in edges])
+    records = sorted([(a, b) for a, b in edges] + [(b, a) for a, b in edges])
+    sketches = cn._leaf_partials(table, itemgetter(0), records)
+    stack = cn._stack(sketches, keys, n)
+    # a second add reduces only the checksums it adds to, and matches a
+    # dense sum reduced mod q
+    half = dict(list(sketches.items())[::2])
+    twice = stack.copy()
+    cn._add_into(twice, half, keys)
+    want = np.zeros_like(stack)
+    for v, s in [*sketches.items(), *half.items()]:
+        want[v] += s.dense()
+    want[:, :, 2] %= keys.q
+    assert (twice == want).all()
+    for v, r, c, l, value in noise:
+        stack[v, r % keys.R, c, l % keys.L] = value
+    got = cn._boruvka(stack.copy(), keys, n, table)
+    assert got == sketch_reference.boruvka(stack.copy(), keys, n, table)
+    if not noise and got is not None:
+        assert [got[0][v] for v in range(n)] == oracles.components(n, edges)
 
 
 def test_sketch_params_scale():

@@ -1,0 +1,42 @@
+"""The bound classifier of scripts/perf_pairs.py, on made-up runs."""
+
+import importlib.util
+import os
+
+import pytest
+
+_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                     "perf_pairs.py")
+_SPEC = importlib.util.spec_from_file_location("perf_pairs", _PATH)
+perf_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(perf_pairs)
+
+
+@pytest.mark.parametrize("base, change, better, bound, want", [
+    # base median 2.0, quartiles 1.98 and 2.02: a 1% spread
+    ([1.96, 1.98, 2.0, 2.02, 2.04], [1.6] * 5, "lower", 0.24, "within bound"),
+    ([1.96, 1.98, 2.0, 2.02, 2.04], [2.4] * 5, "lower", 0.24, "within bound"),
+    ([1.96, 1.98, 2.0, 2.02, 2.04], [2.6] * 5, "lower", 0.24,
+     "WORSE beyond bound"),
+    # a higher-is-better metric that fell 10% against a 5% bound
+    ([1.0] * 5, [0.9] * 5, "higher", 0.05, "WORSE beyond bound"),
+    ([1.0] * 5, [1.2] * 5, "higher", 0.05, "within bound"),
+    # identical counts, zero included
+    ([7] * 5, [7] * 5, "lower", 0.05, "within bound"),
+    ([0] * 5, [0] * 5, "lower", 0.05, "within bound"),
+    # base spread 0.3 / 0.5 = 60% > 25%: unresolved either way ...
+    ([0.2, 0.4, 0.5, 0.7, 0.9], [0.45, 0.5, 0.55, 0.6, 0.65], "lower", 0.25,
+     "unresolved"),
+    ([0.2, 0.4, 0.5, 0.7, 0.9], [0.9, 1.0, 1.1], "lower", 0.25, "unresolved"),
+    # ... unless every change run reads better than every base run
+    ([0.2, 0.4, 0.5, 0.7, 0.9], [0.1, 0.15], "lower", 0.25, "within bound"),
+])
+def test_classify(base, change, better, bound, want):
+    assert perf_pairs.classify(base, change, better, bound)[2] == want
+
+
+def test_classify_reports_ratio_and_worse_fraction():
+    ratio, worse, _ = perf_pairs.classify([2.0] * 3, [2.5] * 3, "lower", 0.24)
+    assert ratio == pytest.approx(1.25) and worse == pytest.approx(0.25)
+    ratio, worse, _ = perf_pairs.classify([2.0] * 3, [2.5] * 3, "higher", 0.24)
+    assert ratio == pytest.approx(1.25) and worse == pytest.approx(-0.25)

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from hetmpc.graphio import generate_graph
 from hetmpc.simcore import (
     CapacityError,
     ClusterConfig,
+    ConfigError,
     Packed,
     Records,
     Slices,
@@ -479,6 +481,54 @@ def test_gather_if_fits_two_rounds_either_way():
     assert cl.rounds_used - before == 1
 
 
+def _tree_depth(K, b):
+    """AggregationTree.build(1, K, b).depth without building the tree:
+    each level has ceil(len / b) nodes of the level below."""
+    depth = 0
+    while K > 1:
+        K = -(-K // b)
+        depth += 1
+    return depth
+
+
+def test_tree_depth_count_matches_the_tree():
+    for b in (2, 3, 5, 8, 27):
+        edges = {b ** j + d for j in range(1, 20) if b ** j < 20000
+                 for d in (-1, 0, 1)}
+        for K in sorted(set(range(1, 200)) | edges):
+            tree = primitives.AggregationTree.build(1, K, b)
+            assert _tree_depth(K, b) == tree.depth
+
+
+def test_accepted_shapes_fit_the_tree_charge():
+    # no run: at every n <= 4096, m in {n, n(n-1)/2} and gamma in {0.1,
+    # ..., 0.9}, the config rejects the shape exactly when the global
+    # machine tree would be deeper than the depth tree_rounds pays for,
+    # so no tree walk reaches _pad's assertion
+    rejected = 0
+    for gamma in [i / 10 for i in range(1, 10)]:
+        depth = primitives.global_tree_depth(gamma)
+        for n in range(2, 4097):
+            b = max(2, int(n ** gamma))
+            for m in (n, n * (n - 1) // 2):
+                K = max(1, math.ceil(m / n ** gamma))
+                fits = _tree_depth(K, b) <= depth
+                try:
+                    cfg = ClusterConfig(n=n, m=m, gamma=gamma)
+                except ConfigError:
+                    assert not fits, (n, m, gamma)
+                    rejected += 1
+                    continue
+                assert fits, (n, m, gamma)
+                assert (cfg.num_small, cfg.branching, cfg.tree_depth) == (
+                    K, b, depth)
+    assert rejected > 0
+    # the shapes the round-up of the branching factor would accept
+    for n, gamma in ((15, 0.5), (8, 0.5), (100, 0.3), (50, 0.4)):
+        with pytest.raises(ConfigError):
+            ClusterConfig(n=n, m=n * (n - 1) // 2, gamma=gamma)
+
+
 def test_round_constant_formulas():
     # gamma = 0.5 fixes the vertical tree depth at ceil((2 - g)/g) = 3
     assert primitives.global_tree_depth(0.5) == 3
@@ -572,12 +622,16 @@ def test_sort_matches_the_tuple_sort(raw, kind, which, m, placement, tight,
 def _tree_grid():
     # K = 1, 2, b, b + 1 and b^2 + 1 small machines at n = 64; at gamma =
     # 0.8, b^2 + 1 machines need a deeper tree than the fixed charge
-    # allows, and both versions must fail the same way
+    # allows, and the config rejects that shape
     grid = []
     for gamma in (0.3, 0.5, 0.8):
         b = max(2, int(64 ** gamma))
         for K in (1, 2, b, b + 1, b * b + 1):
             m = math.floor((K - 1) * 64 ** gamma) + 1
+            if K > b ** primitives.global_tree_depth(gamma):
+                with pytest.raises(ConfigError):
+                    ClusterConfig(n=64, m=m, gamma=gamma)
+                continue
             assert ClusterConfig(n=64, m=m, gamma=gamma).num_small == K
             grid.append((gamma, m))
     return grid
@@ -605,10 +659,7 @@ def _walked_twice(case, walk):
     out = []
     for module in (primitives, tree_reference):
         cl = init_cluster(ClusterConfig(n=64, m=m, gamma=gamma, seed=1))
-        try:
-            got = walk(module, cl)
-        except AssertionError as exc:  # the walk exceeded its fixed charge
-            got = str(exc)
+        got = walk(module, cl)
         rows = [(list(t.sent.items()), list(t.received.items()), t.resident,
                  t.violations) for t in cl.telemetry]
         out.append((got, rows))
