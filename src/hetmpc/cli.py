@@ -97,7 +97,11 @@ def read_config_file(path):
 
 def merge_config(args, file_cfg):
     """Start from hard defaults, overlay the config file, then overlay
-    explicitly given flags (flags win)."""
+    explicitly given flags (flags win).  A file key must name an option of
+    the command."""
+    unknown = sorted(file_cfg.keys() - vars(args).keys() - {"command"})
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
     cfg = dict(DEFAULTS)
     flag = lambda s: s.lower() in ("1", "true", "yes")
     casts = {

@@ -228,16 +228,6 @@ class SketchPartial:
         return -(-k.R * k.L // k.word_bits) + 7 * len(self.cells)
 
     @classmethod
-    def zero(cls, keys):
-        return cls(np.zeros(0, np.int64), np.zeros((0, 3), np.int64), keys)
-
-    @classmethod
-    def from_dense(cls, count, idsum, check, keys):
-        """The partial whose (R, L) cells are count, idsum and check."""
-        flat = np.stack((count, idsum, check), axis=-1).reshape(-1, 3)
-        return cls._of_flat(flat.astype(np.int64), keys)
-
-    @classmethod
     def _of_flat(cls, flat, keys):
         # flat: (R*L, 3) cells in r*L + l order; keeps the occupied ones
         cells = np.flatnonzero(flat.any(axis=1))
@@ -249,10 +239,6 @@ class SketchPartial:
         flat = np.zeros((R * L, 3), np.int64)
         flat[self.cells] = self.vals
         return flat.reshape(R, L, 3).transpose(0, 2, 1)
-
-    def add(self, other):
-        s = _sum_partials([self, other], self.keys)
-        self.cells, self.vals = s.cells, s.vals
 
 
 def _sum_partials(parts, keys: SketchKeys):
@@ -325,8 +311,7 @@ def sketch_build(cluster: Cluster, keys: SketchKeys, table: CoordTable,
         leaf_fn=lambda records: _leaf_partials(table, part_fn, records),
         reduce_fn=lambda parts: _sum_partials(parts, keys),
     )
-    for mid in cluster.small_ids:
-        cluster.machines[mid].pop("D")
+    primitives.drop(cluster, "D")
     return out
 
 
@@ -377,20 +362,6 @@ def _decode(count, idsum, check, keys: SketchKeys, r: int, n: int,
     best = x[np.arange(len(top)), top].tolist()
     return [EMPTY if e else divmod(xv, n) if f else FAIL
             for e, f, xv in zip(empty.tolist(), found, best)]
-
-
-def l0_sample(sketch: SketchPartial, keys: SketchKeys, r: int, n: int):
-    """Decode one edge from instance r of one summed sketch.
-
-    Scans the levels sparsest-first for a verifying one-sparse cell:
-    nonzero count, id-sum / count the coordinate of an edge (a, b) with
-    a < b, checksum match.  This is `_decode` on one row, the same
-    decoder that decodes a whole Boruvka phase, with every checksum
-    evaluated rather than looked up.  Returns an edge (a, b), EMPTY, or
-    FAIL.
-    """
-    cells = sketch.dense()[r][None]
-    return _decode(cells[:, 0], cells[:, 1], cells[:, 2], keys, r, n)[0]
 
 
 def _add_into(stack, sketches, keys: SketchKeys):
@@ -534,18 +505,14 @@ def mst_weight_estimate(cluster: Cluster, graph, eps, max_weight=None):
 
     def keep(i):
         # threshold i's subgraph under "T" on every small machine
-        for mid in cluster.small_ids:
-            mach = cluster.machines[mid]
-            es = mach.state.get("E") or []
-            mach.put("T", [e for e in es if e[2] <= taus[i]])
+        cluster.local(lambda _, es: [e for e in es if e[2] <= taus[i]], "E", "T")
 
     keep(r)
     partials = sketch_build(
         cluster, keys, table, "T", key=(0, 2, 1),
         part_fn=lambda rec: (rec[0], bisect_left(taus, rec[2])),
     )
-    for mid in cluster.small_ids:
-        cluster.machines[mid].pop("T")
+    primitives.drop(cluster, "T")
     by_class = {}
     for (v, c), s in partials.items():
         by_class.setdefault(c, {})[v] = s
@@ -563,8 +530,7 @@ def mst_weight_estimate(cluster: Cluster, graph, eps, max_weight=None):
                     cluster,
                     make_keys(cluster.rng("sketch-keys", ("est", i), 1), n),
                     "T")
-                for mid in cluster.small_ids:
-                    cluster.machines[mid].pop("T")
+                primitives.drop(cluster, "T")
                 if found is None:
                     raise RunFailed("sketch samplers failed on both key draws")
             cc = len(set(found[0].values()))

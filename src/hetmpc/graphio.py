@@ -37,13 +37,6 @@ class SimGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def adjacency(self):
-        adj = [[] for _ in range(self.n)]
-        for e in self.edges:
-            adj[e[0]].append(e[1])
-            adj[e[1]].append(e[0])
-        return adj
-
     def degrees(self):
         deg = [0] * self.n
         for e in self.edges:

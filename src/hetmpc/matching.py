@@ -46,8 +46,7 @@ def degree_split(cluster: Cluster, graph) -> MatchingState:
     """Arrange the stored edges to learn degrees, then split vertices at
     the d^2 threshold (d = average-degree ceiling)."""
     arranged = primitives.arrange_nodes(cluster, "E", "D")
-    for mid in cluster.small_ids:
-        cluster.machines[mid].pop("D")
+    primitives.drop(cluster, "D")
     deg = dict(arranged.deg_out)
     d = max(1, math.ceil(2 * graph.m / graph.n))
     v_low = {v for v, dv in deg.items() if dv <= d * d}
@@ -184,12 +183,12 @@ def phase1_low_degree(cluster: Cluster, state: MatchingState):
 def _ranked_records(cluster, tag):
     """Attach a fresh uniform rank in {1..n^5} to every stored edge."""
     n5 = cluster.config.n ** 5
-    for i, mid in enumerate(cluster.small_ids, start=1):
+
+    def ranked(i, es):
         rngm = cluster.rng("ranks", tag, i)
-        es = cluster.machines[mid].state.get("E") or []
-        cluster.machines[mid].put(
-            "R", [(e[0], e[1], rngm.randint(1, n5)) for e in es]
-        )
+        return [(e[0], e[1], rngm.randint(1, n5)) for e in es]
+
+    cluster.local(ranked, "E", "R")
 
 
 def phase2_high_degree(cluster: Cluster, state: MatchingState):
@@ -211,9 +210,7 @@ def phase2_high_degree(cluster: Cluster, state: MatchingState):
             for v in sorted(state.v_high)
         }
         collected = primitives.query_k_lightest(cluster, arranged, k_of, "D")
-        for mid in cluster.small_ids:
-            cluster.machines[mid].pop("D")
-            cluster.machines[mid].pop("R")
+        primitives.drop(cluster, "D", "R")
         # a high-high edge can be collected by both endpoints; only two
         # different edges with one rank are a collision
         ranked = {(_pair(r[0], r[1]), r[2])
@@ -377,15 +374,13 @@ def _super_rec(cluster, key, depth, cap, p, attempt):
         return _greedy(shipped), depth
 
     # sample each stored edge into the next level
-    for i, mid in enumerate(cluster.small_ids, start=1):
+    def sample(i, es):
         rngm = cluster.rng("super-sample", attempt, depth, i)
-        es = cluster.machines[mid].state.get(key) or []
-        cluster.machines[mid].put(
-            key + "s", [e for e in es if rngm.random() < p]
-        )
+        return [e for e in es if rngm.random() < p]
+
+    cluster.local(sample, key, key + "s")
     M, sub_depth = _super_rec(cluster, key + "s", depth + 1, cap, p, attempt)
-    for mid in cluster.small_ids:
-        cluster.machines[mid].pop(key + "s")
+    primitives.drop(cluster, key + "s")
 
     # matched statuses out, free-free edges back, then extend greedily
     _keep_free_free(cluster, key, {v for e in M for v in e})

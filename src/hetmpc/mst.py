@@ -109,8 +109,7 @@ def boruvka_step(cluster: Cluster, state: ContractionState, s: int) -> Contracti
             f"{cluster.config.large_budget}; select count {s} too large"
         )
     collected = primitives.query_k_lightest(cluster, arranged, k_of)
-    for mid in cluster.small_ids:
-        cluster.machines[mid].pop("D")
+    primitives.drop(cluster, "D")
 
     used, cmap = _safe_merge(collected, arranged.deg_out, state.vertices)
     forest = state.forest + [(r[3], r[4], r[2]) for r in used]
@@ -125,10 +124,7 @@ def boruvka_step(cluster: Cluster, state: ContractionState, s: int) -> Contracti
                 r[:side] + (got[r[side]],) + r[side + 1:] for r in es
             ],
         )
-    for mid in cluster.small_ids:
-        mach = cluster.machines[mid]
-        es = [r for r in (mach.state.get("E") or []) if r[0] != r[1]]
-        mach.put("E", es)
+    cluster.local(lambda _, es: [r for r in es if r[0] != r[1]], "E", "E")
 
     # drop parallel edges: sort by (pair, weight key); each machine keeps
     # its first record per pair, and drops its leading pair if the
@@ -137,23 +133,22 @@ def boruvka_step(cluster: Cluster, state: ContractionState, s: int) -> Contracti
         cluster, "E",
         key=lambda r: primitives._pair(r[0], r[1]) + wkey(r),
     )
-    last_pair = {}
-    for i, mid in enumerate(cluster.small_ids, start=1):
-        es = cluster.machines[mid].state.get("E") or []
-        last_pair[i] = primitives._pair(es[-1][0], es[-1][1]) if es else None
+    last_pair = cluster.local(
+        lambda _, es: primitives._pair(es[-1][0], es[-1][1]) if es else None, "E")
     pred = primitives.neighbor_shift(cluster, last_pair.get)
-    for i, mid in enumerate(cluster.small_ids, start=1):
-        mach = cluster.machines[mid]
-        es = mach.state.get("E") or []
-        kept, prev = [], pred.get(i)
+
+    def first_per_pair(i, es):
         # a pair spanning machines: only the first machine's first record
         # survives, so inherit the predecessor's last pair as "seen"
+        kept, prev = [], pred.get(i)
         for r in es:
             pair = primitives._pair(r[0], r[1])
             if pair != prev:
                 kept.append(r)
                 prev = pair
-        mach.put("E", kept)
+        return kept
+
+    cluster.local(first_per_pair, "E", "E")
 
     new_c = {v: cmap[sv] for v, sv in state.c.items()}
     return ContractionState(state.level + 1, new_vertices, new_c, forest)
@@ -174,15 +169,15 @@ def kkt_sample(cluster: Cluster, p, tag) -> list | None:
     """Each machine ships each held edge independently with probability p;
     returns the sample at the large machine, or None if the realized
     sample would not fit (repetition aborted).  2 rounds."""
-    for i, mid in enumerate(cluster.small_ids, start=1):
+    def draw(i, es):
         rng = cluster.rng("kkt", tag, i)
-        mach = cluster.machines[mid]
-        mach.put("_kkt", [r for r in mach.state.get("E") or [] if rng.random() < p])
+        return [r for r in es if rng.random() < p]
+
+    cluster.local(draw, "E", "_kkt")
     # a record is 5 words
     sample, _ = primitives.gather_if_fits(
         cluster, "_kkt", cluster.config.large_budget // 5)
-    for mid in cluster.small_ids:
-        cluster.machines[mid].pop("_kkt")
+    primitives.drop(cluster, "_kkt")
     return sample
 
 

@@ -62,34 +62,39 @@ def components(n, edges):
     return [smallest[uf.find(v)] for v in range(n)]
 
 
-def bfs_dist(adj, src):
-    dist = [-1] * len(adj)
-    dist[src] = 0
-    q = deque([src])
-    while q:
-        u = q.popleft()
-        for v in adj[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                q.append(v)
-    return dist
-
-
 def max_stretch(graph, spanner_edges):
-    """Largest spanner distance over graph edges (None if disconnected in H)."""
+    """Largest spanner distance over graph edges (None if disconnected in H).
+
+    One level-by-level BFS in H from each edge's first endpoint, the edges
+    grouped by it, which stops once it has reached every second endpoint
+    of the group: their distances are final then."""
     n = graph.n
     adj = [[] for _ in range(n)]
     for e in spanner_edges:
         adj[e[0]].append(e[1])
         adj[e[1]].append(e[0])
+    targets = {}
+    for e in graph.edges:
+        targets.setdefault(e[0], []).append(e[1])
     worst = 0
-    for u in sorted({e[0] for e in graph.edges}):
-        dist = bfs_dist(adj, u)
-        for e in graph.edges:
-            if e[0] == u:
-                if dist[e[1]] < 0:
-                    return None
-                worst = max(worst, dist[e[1]])
+    for u, vs in targets.items():
+        dist = {u: 0}
+        left = set(vs)
+        left.discard(u)
+        frontier, d = [u], 0
+        while left and frontier:
+            d += 1
+            nxt = []
+            for x in frontier:
+                for y in adj[x]:
+                    if y not in dist:
+                        dist[y] = d
+                        nxt.append(y)
+            left.difference_update(nxt)
+            frontier = nxt
+        if left:
+            return None
+        worst = max(worst, *(dist[v] for v in vs))
     return worst
 
 

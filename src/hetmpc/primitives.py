@@ -505,10 +505,9 @@ def aggregate(cluster: Cluster, state_key, leaf_fn, reduce_fn):
             for p, v in payload.items():
                 results.setdefault(p, []).append(v)
 
-    row = []  # each node's partials on the current level, by index
-    for mid in cluster.small_ids:
-        items = cluster.machines[mid].state.get(state_key)
-        row.append(leaf_fn(items) if items else {})
+    # each node's partials on the current level, by index
+    row = list(cluster.local(
+        lambda _, items: leaf_fn(items) if items else {}, state_key).values())
     for level in range(1, tree.depth + 1):
         below = tree.levels[level - 1]
         sends, nxt = [], []
@@ -594,10 +593,8 @@ def deliver_by_endpoint(cluster: Cluster, state_key, values: dict, side, apply):
     fields = side if type(side) is tuple else (side,)
     layout = het_sort(cluster, state_key, key=fields)
     delivered = disseminate(cluster, values, machine_ranges=layout.ranges(side))
-    for i in cluster.small_ids:
-        mach = cluster.machines[i]
-        mach.put(state_key, as_records(
-            apply(mach.state[state_key], delivered.get(i, {}))))
+    cluster.local(lambda i, recs: apply(recs, delivered.get(i, {})),
+                  state_key, state_key)
 
 
 # ---------------------------------------------------------------------------
@@ -621,12 +618,12 @@ def arrange_nodes(cluster: Cluster, state_key="E", dst_key="D", key=None) -> Arr
     record as in `het_sort`, must order primarily by source vertex
     (default None: the record itself, i.e. by (source, target, ...)).
     """
-    for mid in cluster.small_ids:
-        mach = cluster.machines[mid]
-        es = mach.state.get(state_key) or []
+    def copies(_, es):
         directed = list(es) + [(e[1], e[0]) + tuple(e[2:]) for e in es]
         # swapping the endpoints of Records leaves Records of one arity
-        mach.put(dst_key, _trusted(directed) if type(es) is Records else directed)
+        return _trusted(directed) if type(es) is Records else directed
+
+    cluster.local(copies, state_key, dst_key)
 
     def counts_by_vertex(shard):
         out = []
@@ -662,17 +659,20 @@ def query_k_lightest(cluster: Cluster, arranged: Arranged, k_of: dict,
             left -= take
     cluster.round([(LARGE, mi, qs) for mi, qs in plans.items()])
 
-    sends = []
-    for mi, qs in plans.items():
-        shard = cluster.machines[mi].state.get(dst_key) or []
+    def reply(mi, shard):
+        qs = plans.get(mi)
+        if qs is None:
+            return None
         by_v = {}
         for r in shard:
             by_v.setdefault(r[0], []).append(r)
-        reply = []
+        out = []
         for v, take in qs:
-            reply.extend(by_v.get(v, [])[:take])
-        sends.append((mi, LARGE, reply))
-    inbox = cluster.round(sends)
+            out.extend(by_v.get(v, [])[:take])
+        return out
+
+    replies = cluster.local(reply, dst_key)
+    inbox = cluster.round([(mi, LARGE, replies[mi]) for mi in plans])
 
     collected = {}
     for _, reply in inbox.get(LARGE, []):
@@ -688,12 +688,8 @@ def query_k_lightest(cluster: Cluster, arranged: Arranged, k_of: dict,
 def gather_to_large(cluster: Cluster, state_key):
     """Each small machine ships its stored items to the large machine in
     one round; returns the combined list."""
-    sends = []
-    for mid in cluster.small_ids:
-        items = cluster.machines[mid].state.get(state_key) or []
-        if items:
-            sends.append((mid, LARGE, items))
-    inbox = cluster.round(sends)
+    held = cluster.local(lambda _, items: items, state_key)
+    inbox = cluster.round([(i, LARGE, items) for i, items in held.items() if items])
     out = []
     for _, items in inbox.get(LARGE, []):
         out.extend(items)
@@ -703,11 +699,15 @@ def gather_to_large(cluster: Cluster, state_key):
 def count_records(cluster: Cluster, state_key):
     """Each small machine reports how many records it stores under
     state_key to the large machine in one round; returns the total."""
-    inbox = cluster.round(
-        [(mid, LARGE, len(cluster.machines[mid].state.get(state_key) or []))
-         for mid in cluster.small_ids]
-    )
+    counts = cluster.local(lambda _, items: len(items), state_key)
+    inbox = cluster.round([(i, LARGE, c) for i, c in counts.items()])
     return sum(c for _, c in inbox.get(LARGE, []))
+
+
+def drop(cluster: Cluster, *keys):
+    """Each small machine discards what it stores under `keys`."""
+    for key in keys:
+        cluster.local(lambda i, recs: None, key, key)
 
 
 def gather_if_fits(cluster: Cluster, state_key, cap):

@@ -191,13 +191,14 @@ def _join(batches):
 
 def as_records(records):
     """`records` (a list or tuple) as Records if every record conforms,
-    else as a list, which is walked whenever it is metered."""
+    else as a list (`records` itself if it is one), which is walked
+    whenever it is metered."""
     if type(records) is Records:
         return records
     try:
         return Records(records)
     except TypeError:
-        return list(records)
+        return records if type(records) is list else list(records)
 
 
 def payload_words(obj) -> int:
@@ -338,18 +339,16 @@ class Machine:
             self._retotal(-self._words.pop(key))
         return self.state.pop(key, None)
 
-    def resident_words(self) -> int:
-        """Words of the resident state."""
-        return self._total
-
 
 _SENDER = itemgetter(0)
 _NO_PAYLOAD = object()
+_EMPTY = Records()
 
 
 class Cluster:
     """1 large + K small machines exchanging messages in synchronous rounds.
 
+    `local(fn, key, out)` runs one machine-local step between rounds.
     `round(sends)` runs one communication round: it delivers the queued
     messages (canonically ordered by sender then sequence number), meters
     per-machine traffic and resident state, and records telemetry.  Budget
@@ -373,13 +372,6 @@ class Cluster:
     # -- basic accessors -------------------------------------------------
 
     @property
-    def large(self) -> Machine:
-        return self.machines[LARGE]
-
-    def small(self, i: int) -> Machine:
-        return self.machines[i]
-
-    @property
     def rounds_used(self) -> int:
         return len(self.telemetry)
 
@@ -389,7 +381,28 @@ class Cluster:
         h = hashlib.blake2b(raw, digest_size=8).digest()
         return random.Random(int.from_bytes(h, "big"))
 
-    # -- the round barrier -----------------------------------------------
+    # -- local steps and the round barrier -------------------------------
+
+    def local(self, fn, key, out=None) -> dict:
+        """One machine-local step: `fn(i, records)` on each small machine i
+        in ascending order, `records` being what it stores under `key`
+        (empty when absent).  With `out`, each result is stored under
+        `out` through `as_records`, so conforming records rest as Records
+        and others as a list, and a None result pops `out`.  Returns
+        {i: result}.  (`Machine.put` stores what it is given, so a list
+        that a caller mutates in place and puts again stays a list.)
+        """
+        results = {}
+        for i in self.small_ids:
+            mach = self.machines[i]
+            value = results[i] = fn(i, mach.state.get(key) or _EMPTY)
+            if out is None:
+                continue
+            if value is None:
+                mach.pop(out)
+            else:
+                mach.put(out, as_records(value))
+        return results
 
     def round(self, sends) -> dict:
         """Deliver messages; returns {dst: [(src, payload), ...]}.

@@ -158,13 +158,12 @@ def clustering_graphs(cluster: Cluster, graph) -> ClusteringDecomposition:
         cluster, {v: i_of[v] for v in deg},
         machine_ranges=arranged.layout.ranges(0),
     )
-    for mid in cluster.small_ids:
-        mach = cluster.machines[mid]
-        i_u = got.get(mid, {})
-        mach.put("_sigma", [
-            (u, v) for u, v in mach.state.get("D") or []
-            if not in_b(u, i_u[u]) and in_b(v, i_u[u])
-        ])
+    def outward(i, copies):
+        i_u = got.get(i, {})
+        return [(u, v) for u, v in copies
+                if not in_b(u, i_u[u]) and in_b(v, i_u[u])]
+
+    cluster.local(outward, "D", "_sigma")
     cand = primitives.aggregate(
         cluster, "_sigma",
         leaf_fn=primitives.per_record(
@@ -193,12 +192,12 @@ def clustering_graphs(cluster: Cluster, graph) -> ClusteringDecomposition:
     got = primitives.disseminate(
         cluster, per_vertex, machine_ranges=arranged.layout.ranges(0)
     )
-    for mid in cluster.small_ids:
-        mach = cluster.machines[mid]
-        for key in ("_sigma", "E"):
-            mach.pop(key)
-        mine = got.get(mid, {})
-        mach.put("A", [(v, u) + mine[u] for u, v in mach.pop("D") or [] if u < v])
+    def halves(i, copies):
+        mine = got.get(i, {})
+        return [(v, u) + mine[u] for u, v in copies if u < v]
+
+    cluster.local(halves, "D", "A")
+    primitives.drop(cluster, "_sigma", "E", "D")
 
     def level_records(recs, got):
         # (level, c, c', wu, wv) with this machine's lightest witness
@@ -309,18 +308,17 @@ def _baswana_sen(cluster, state_key, a, k, groups):
         # a level's RNG tag is the level; plain edges use their state key
         return g[0] if g else state_key
 
-    sends = []
-    for i, mid in enumerate(cluster.small_ids, start=1):
-        recs = cluster.machines[mid].state.get(state_key) or []
+    def sample(i, recs):
         payload = [r for r in recs if r[:a] not in groups]
         for g, (p, _) in groups.items():
             rngm = cluster.rng("bs-sample", tag(g), i)
             mine = [r for r in recs if r[:a] == g]
             for j in range(1, k):
                 payload.extend(g + (j,) + r[a:] for r in mine if rngm.random() < p)
-        if payload:
-            sends.append((mid, LARGE, payload))
-    inbox = cluster.round(sends)
+        return payload
+
+    payloads = cluster.local(sample, state_key)
+    inbox = cluster.round([(i, LARGE, p) for i, p in payloads.items() if p])
     samples = {g: [set() for _ in range(max(0, k - 1))] for g in groups}
     witness = {g: {} for g in groups}
     whole = []
@@ -334,11 +332,8 @@ def _baswana_sen(cluster, state_key, a, k, groups):
             samples[g][r[a] - 1].add(pr)
             if pr not in witness[g] or r[a + 3:] < witness[g][pr]:
                 witness[g][pr] = r[a + 3:]
-    for mid in cluster.small_ids:
-        mach = cluster.machines[mid]
-        kept = [r for r in mach.pop(state_key) or [] if r[:a] in groups]
-        if kept:
-            mach.put(state_key, kept)
+    cluster.local(lambda _, recs: [r for r in recs if r[:a] in groups] or None,
+                  state_key, state_key)
     if not groups:
         return {}, whole
 
@@ -387,8 +382,7 @@ def _baswana_sen(cluster, state_key, a, k, groups):
             itemgetter(*range(a + 2)), lambda r: r[a + 2:], min),
         reduce_fn=min,
     )
-    for mid in cluster.small_ids:
-        cluster.machines[mid].pop(state_key)
+    primitives.drop(cluster, state_key)
 
     for part, r in removal.items():
         chosen[part[:a]][_pair(part[a], r[0])] = r[1:]

@@ -163,6 +163,7 @@ def test_algos_verify_exit_zero(tmp_path, algo, extra):
 @pytest.mark.parametrize("line,code,error", [
     ("tolerant = false", 3, "capacity"),  # strict: the violation raises
     ("tolerant = yes", 1, None),  # tolerant: it is logged, the run fails
+    ("strict = 0", 2, "config"),  # not an option: rejected, not copied
 ])
 def test_config_file_tolerant_is_a_boolean(tmp_path, capsys, line, code,
                                            error):

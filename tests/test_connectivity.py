@@ -18,11 +18,32 @@ from hetmpc.simcore import ClusterConfig, ConfigError, init_cluster
 import sketch_reference  # the Boruvka phase loop, beside this file
 
 
+def zero(keys):
+    """The sketch of the zero vector: no occupied cell."""
+    return cn._sum_partials([], keys)
+
+
+def added(keys, *sketches):
+    return cn._sum_partials(sketches, keys)
+
+
+def decode_one(sketch, keys, r, n):
+    """One edge, EMPTY or FAIL from instance r of one sketch: `_decode` on
+    its one row, with every checksum evaluated rather than looked up."""
+    count, idsum, check = sketch.dense()[r][:, None]
+    return cn._decode(count, idsum, check, keys, r, n)[0]
+
+
+def of_dense(count, idsum, check, keys):
+    """The sketch whose (R, L) cells are count, idsum and check."""
+    flat = np.stack((count, idsum, check), axis=-1).reshape(-1, 3)
+    return cn.SketchPartial._of_flat(flat.astype(np.int64), keys)
+
+
 def vertex_sketch(keys, table, n, v, edges):
     """Host-side sketch of vertex v's signed incidence vector."""
     records = [(v, b if a == v else a) for a, b in edges if v in (a, b)]
-    return cn._leaf_partials(table, itemgetter(0), records).get(
-        v, cn.SketchPartial.zero(keys))
+    return cn._leaf_partials(table, itemgetter(0), records).get(v, zero(keys))
 
 
 def test_field_prime():
@@ -199,7 +220,7 @@ def test_isolated_vertex_empty():
     table = cn.CoordTable(keys, [cn.edge_coord(n, *e) for e in edges])
     s = vertex_sketch(keys, table, n, 5, edges)
     for r in range(keys.R):
-        assert cn.l0_sample(s, keys, r, n) == cn.EMPTY
+        assert decode_one(s, keys, r, n) == cn.EMPTY
 
 
 def test_single_edge_cancels():
@@ -207,10 +228,10 @@ def test_single_edge_cancels():
     keys = cn.keys_from_seed(7, n)
     edges = [(1, 2)]
     table = cn.CoordTable(keys, [cn.edge_coord(n, *e) for e in edges])
-    s = vertex_sketch(keys, table, n, 1, edges)
-    s.add(vertex_sketch(keys, table, n, 2, edges))
+    s = added(keys, vertex_sketch(keys, table, n, 1, edges),
+              vertex_sketch(keys, table, n, 2, edges))
     for r in range(keys.R):
-        assert cn.l0_sample(s, keys, r, n) == cn.EMPTY
+        assert decode_one(s, keys, r, n) == cn.EMPTY
 
 
 def test_path_cut_edge_recovered():
@@ -219,10 +240,10 @@ def test_path_cut_edge_recovered():
     for seed in range(10):
         keys = cn.keys_from_seed(seed, n)
         table = cn.CoordTable(keys, [cn.edge_coord(n, *e) for e in edges])
-        s = vertex_sketch(keys, table, n, 1, edges)
-        s.add(vertex_sketch(keys, table, n, 2, edges))
+        s = added(keys, vertex_sketch(keys, table, n, 1, edges),
+                  vertex_sketch(keys, table, n, 2, edges))
         for r in range(keys.R):
-            got = cn.l0_sample(s, keys, r, n)
+            got = decode_one(s, keys, r, n)
             if got not in (cn.EMPTY, cn.FAIL):
                 assert got == (2, 3)
 
@@ -234,7 +255,7 @@ def test_one_sparse_always_decodes():
     table = cn.CoordTable(keys, [cn.edge_coord(n, *e) for e in edges])
     s = vertex_sketch(keys, table, n, 3, edges)
     for r in range(keys.R):
-        assert cn.l0_sample(s, keys, r, n) == (3, 9)
+        assert decode_one(s, keys, r, n) == (3, 9)
 
 
 def test_cut_sampling_frequencies():
@@ -250,17 +271,16 @@ def test_cut_sampling_frequencies():
     while done < trials:
         keys = cn.keys_from_seed(10_000 + seed, n)
         table = cn.CoordTable(keys, [cn.edge_coord(n, *e) for e in cut])
-        s = cn.SketchPartial.zero(keys)
-        for v in range(16):
-            s.add(vertex_sketch(keys, table, n, v, cut))
+        s = added(keys, *(vertex_sketch(keys, table, n, v, cut)
+                          for v in range(16)))
         # one trial = the first decode out of a pair of instances (a
         # single instance fails on ~1/5 of cells; the pair on ~1/25)
         for r in range(0, keys.R - 1, 2):
             if done >= trials:
                 break
-            got = cn.l0_sample(s, keys, r, n)
+            got = decode_one(s, keys, r, n)
             if got in (cn.EMPTY, cn.FAIL):
-                got = cn.l0_sample(s, keys, r + 1, n)
+                got = decode_one(s, keys, r + 1, n)
             if got in (cn.EMPTY, cn.FAIL):
                 fails += 1
             else:
@@ -362,9 +382,9 @@ def test_batched_decode_matches_reference(batch):
     for i in range(len(rows)):
         dense = np.zeros((3, DKEYS.R, DKEYS.L), np.int64)
         dense[:, r] = count[i], idsum[i], check[i]
-        s = cn.SketchPartial.from_dense(*dense, DKEYS)
+        s = of_dense(*dense, DKEYS)
         want.append(l0_sample_reference(s, DKEYS, r, DN))
-        assert cn.l0_sample(s, DKEYS, r, DN) == want[-1]
+        assert decode_one(s, DKEYS, r, DN) == want[-1]
     assert cn._decode(count, idsum, check, DKEYS, r, DN, DTABLE) == want
     assert cn._decode(count, idsum, check, DKEYS, r, DN) == want
 
@@ -409,7 +429,7 @@ def signed_records(leaves):
 
 def sparse_partial(leaves):
     return cn._leaf_partials(FTABLE, lambda r: 0, signed_records(leaves)).get(
-        0, cn.SketchPartial.zero(DKEYS))
+        0, zero(DKEYS))
 
 
 def assert_matches(s, want):
@@ -427,16 +447,17 @@ signed_coords = st.lists(
 @given(st.lists(signed_coords, min_size=1, max_size=4))
 @example([[(1, cn.edge_coord(DN, 2, 9))], [(-1, cn.edge_coord(DN, 2, 9))]])
 def test_sparse_partials_match_dense(parts):
-    # each partial, and their sum by the reducer and by add, holds the
-    # dense cells and is metered as the mask plus 7 words per nonzero cell
+    # each partial, and their sum in one reducer call and as a running
+    # sum, holds the dense cells and is metered as the mask plus 7 words
+    # per nonzero cell
     sparse = [sparse_partial(leaves) for leaves in parts]
     for s, leaves in zip(sparse, parts):
         assert_matches(s, dense_rebuild(leaves))
     want = dense_rebuild([c for leaves in parts for c in leaves])
     assert_matches(cn._sum_partials(sparse, DKEYS), want)
-    acc = cn.SketchPartial.zero(DKEYS)
+    acc = zero(DKEYS)
     for s in sparse:
-        acc.add(s)
+        acc = added(DKEYS, acc, s)
     assert_matches(acc, want)
 
 
@@ -448,8 +469,6 @@ def test_opposite_signs_leave_no_cell():
               sparse_partial([(1, x), (-1, x)])):
         assert len(s.cells) == 0
         assert s.words() == MASK_WORDS
-    plus.add(minus)
-    assert len(plus.cells) == 0
 
 
 def test_leaf_pass_matches_dense():
@@ -462,7 +481,7 @@ def test_leaf_pass_matches_dense():
             2: [(5, 8), (5, 2), (5, 14)],
             3: [(7, 4)]}
     for i, recs in held.items():
-        cl.small(i).put("D", recs)
+        cl.machines[i].put("D", recs)
 
     def signed(recs):
         return [(1 if u < v else -1, cn.edge_coord(DN, u, v)) for u, v in recs]

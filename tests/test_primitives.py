@@ -37,7 +37,7 @@ def make_cluster(n=64, m=256, gamma=0.5, seed=0):
 def scatter_items(cluster, items):
     K = len(cluster.small_ids)
     for i in range(1, K + 1):
-        cluster.small(i).put("E", [items[j] for j in range(i - 1, len(items), K)])
+        cluster.machines[i].put("E", [items[j] for j in range(i - 1, len(items), K)])
 
 
 def gathered(cluster, key="E"):
@@ -198,7 +198,7 @@ def test_sort_sends_records_in_total_order(records, which, m):
     key, order = SORT_KEYS[which]
     cl = make_cluster(m=m)  # K = ceil(m / 8) small machines
     scatter_items(cl, records)
-    before = {i: len(cl.small(i).state["E"]) for i in cl.small_ids}
+    before = {i: len(cl.machines[i].state["E"]) for i in cl.small_ids}
     rounds = record_rounds(cl)
     layout = primitives.het_sort(cl, key=key)
 
@@ -206,13 +206,13 @@ def test_sort_sends_records_in_total_order(records, which, m):
     assert got == sorted(records, key=lambda r: (order(r), r))
     assert Counter(got) == Counter(records)
     for i in cl.small_ids:
-        shard = cl.small(i).state["E"]
+        shard = cl.machines[i].state["E"]
         assert type(shard) is Records  # flat int records are stored as Records
         assert layout.counts[i - 1] == len(shard)
         assert layout.boundaries[i - 1] == ((shard[0], shard[-1]) if shard else None)
-    assert layout.ranges(1) == {i: (cl.small(i).state["E"][0][1],
-                                    cl.small(i).state["E"][-1][1])
-                                for i in cl.small_ids if cl.small(i).state["E"]}
+    assert layout.ranges(1) == {i: (cl.machines[i].state["E"][0][1],
+                                    cl.machines[i].state["E"][-1][1])
+                                for i in cl.small_ids if cl.machines[i].state["E"]}
     assert len(rounds) == cl.rounds_used == primitives.sort_rounds(0.5)
 
     held = set(records)
@@ -274,9 +274,9 @@ def test_sort_keeps_nonconforming_records_as_lists():
         assert sum(cl.telemetry[r].sent.values()) == payload_words(batch.records)
         assert payload_words(batch.records) == 2 * len(items)
     for i in cl.small_ids:
-        shard = cl.small(i).state["E"]
+        shard = cl.machines[i].state["E"]
         assert type(shard) is list or not shard  # an empty shard may be Records
-        assert cl.small(i).resident_words() == payload_words(list(shard))
+        assert cl._resident[i] == payload_words(list(shard))
 
 
 def test_arrange_star_hub():
@@ -341,7 +341,7 @@ def test_disseminate_delivers_per_part():
     got = primitives.disseminate(cl, values, machine_ranges=arr.layout.ranges(0))
     assert cl.rounds_used - before == primitives.tree_rounds(0.5)
     for i in range(1, len(cl.small_ids) + 1):
-        held = {r[0] for r in cl.small(i).state.get("D") or []}
+        held = {r[0] for r in cl.machines[i].state.get("D") or []}
         for v in held:
             assert got.get(i, {}).get(v) == v * 10
 
@@ -395,7 +395,7 @@ def test_deliver_by_endpoint_apply_reads_only_delivered():
         return [r + (got[r[1]],) for r in records]
 
     primitives.deliver_by_endpoint(cl, "E", values, 1, apply=apply)
-    assert all(type(cl.small(i).state["E"]) is Records for i in cl.small_ids)
+    assert all(type(cl.machines[i].state["E"]) is Records for i in cl.small_ids)
     held = gathered(cl)
     assert sorted(r[:2] for r in held) == sorted(g.edges)
     assert all(r[2] == r[1] * 10 for r in held)
@@ -604,7 +604,7 @@ def test_sort_matches_the_tuple_sort(raw, kind, which, m, placement, tight,
     (new, layout), (ref, want) = _sorted_twice(records, kind, which, m,
                                                placement, tight, summarize)
     for i in new.small_ids:
-        got, exp = new.small(i).state["E"], ref.small(i).state["E"]
+        got, exp = new.machines[i].state["E"], ref.machines[i].state["E"]
         assert type(got) is type(exp) and got == exp
     assert (layout.counts, layout.boundaries, layout.extras) == (
         want.counts, want.boundaries, want.extras)
@@ -737,7 +737,7 @@ def test_aggregate_matches_the_reference(case, kind, seed, hole, tuple_parts,
 
     def walk(mod, cl):
         for i, recs in held.items():
-            cl.small(i).put("A", recs if as_lists or tuple_parts else Records(recs))
+            cl.machines[i].put("A", recs if as_lists or tuple_parts else Records(recs))
         return mod.aggregate(cl, "A", leaf_fn, reduce_fn)
 
     (new, new_rows), (ref, ref_rows) = _walked_twice(case, walk)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from hetmpc import mst, simcore
 from hetmpc.graphio import generate_graph
+from hetmpc.labels import FlowLabel
 from hetmpc.simcore import (
     LARGE,
     BudgetError,
@@ -176,7 +177,7 @@ def test_nonconforming_records_are_never_records(batch, data):
 
 def test_machine_ids_are_ints():
     cl = init_cluster(ClusterConfig(n=16, m=64, gamma=0.5))
-    assert LARGE == 0 and cl.large is cl.machines[0]
+    assert LARGE == 0 and LARGE in cl.machines
     assert cl.small_ids == list(range(1, 17)) == sorted(cl.small_ids)
     assert list(cl.machines) == sorted(cl.machines)
     assert [machine_name(m) for m in (0, 1, 16)] == ["L", "S1", "S16"]
@@ -186,17 +187,17 @@ def test_resident_words_follow_put_and_pop():
     cl = init_cluster(ClusterConfig(n=16, m=64, gamma=0.5))
     shared = [(1, 2, 3)]
     steps = [
-        lambda: cl.small(1).put("E", shared),
-        lambda: cl.small(2).put("E", shared),  # one object on two machines
-        lambda: cl.small(1).put("X", {4: (5, 6)}),
-        lambda: (shared.append((7, 8)), cl.small(1).put("E", shared),
-                 cl.small(2).put("E", shared)),
-        lambda: cl.small(1).put("E", shared),  # same object, unchanged
-        lambda: cl.small(1).pop("X"),
-        lambda: cl.small(1).pop("missing"),
-        lambda: cl.large.put("E", [Packed(0, bits=40, word_bits=4), None, "s"]),
-        lambda: (shared.clear(), cl.small(1).put("E", shared), cl.small(2).put("E", shared)),
-        lambda: cl.small(3).put("E", []),
+        lambda: cl.machines[1].put("E", shared),
+        lambda: cl.machines[2].put("E", shared),  # one object on two machines
+        lambda: cl.machines[1].put("X", {4: (5, 6)}),
+        lambda: (shared.append((7, 8)), cl.machines[1].put("E", shared),
+                 cl.machines[2].put("E", shared)),
+        lambda: cl.machines[1].put("E", shared),  # same object, unchanged
+        lambda: cl.machines[1].pop("X"),
+        lambda: cl.machines[1].pop("missing"),
+        lambda: cl.machines[LARGE].put("E", [Packed(0, bits=40, word_bits=4), None, "s"]),
+        lambda: (shared.clear(), cl.machines[1].put("E", shared), cl.machines[2].put("E", shared)),
+        lambda: cl.machines[3].put("E", []),
     ]
     for step in steps:
         step()
@@ -204,13 +205,14 @@ def test_resident_words_follow_put_and_pop():
         fresh = {mid: sum(payload_words(v) for v in mach.state.values())
                  for mid, mach in cl.machines.items()}
         assert cl.telemetry[-1].resident == fresh
-        assert {m: mach.resident_words() for m, mach in cl.machines.items()} == fresh
+        assert cl._resident == fresh
     assert cl.telemetry[3].resident[1] == 5 + 3  # E re-metered after the mutation
     assert cl.telemetry[5].resident[1] == 5
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(["put", "pop", "mutate", "transient", "barrier"]),
+@given(st.lists(st.tuples(st.sampled_from(["put", "pop", "mutate", "transient", "local",
+                                           "barrier"]),
                           st.integers(0, 3), st.sampled_from("ABC"),
                           st.lists(st.integers(), max_size=8)),
                 max_size=30),
@@ -228,12 +230,19 @@ def test_resident_words_match_fresh_walk(ops, tiny):
             mach.put(key, list(value))
         elif op == "pop":
             mach.pop(key)
-        elif op == "mutate" and key in mach.state:
+        elif op == "mutate" and type(mach.state.get(key)) is list:
             mach.state[key].extend(value)
             mach.put(key, mach.state[key])
         elif op == "transient":  # put and pop one key between barriers
             mach.put("T", list(value))
             mach.pop("T")
+        elif op == "local":
+            # small machine mid pops key, the other odd ones append a
+            # record (Records while their records have one arity), and
+            # the even ones store the ints of value (a list)
+            cl.local(lambda i, recs: None if i == mid else
+                     list(recs) + [tuple(value)] if i % 2 else list(value),
+                     key, key)
         cl.empty_round()
         fresh = {m: sum(payload_words(v) for v in mm.state.values())
                  for m, mm in cl.machines.items()}
@@ -243,6 +252,41 @@ def test_resident_words_match_fresh_walk(ops, tiny):
                                   if fresh[m] > cl.machines[m].budget]
         if op == "transient" and len(cl.telemetry) > 1:
             assert row.resident == cl.telemetry[-2].resident
+
+
+def test_local_step():
+    cl = init_cluster(ClusterConfig(n=16, m=64, gamma=0.5))
+    cl.machines[2].put("E", [(1, 2)])
+    cl.machines[3].put("E", [(3, 4)])
+    label = FlowLabel(vertex=3, entries=[(0, 0, 7)], component=0)
+    calls = []
+
+    def fn(i, recs):
+        calls.append((i, list(recs)))
+        if i == 1:
+            return [(1, 5), (1, 6)]  # conforms: stored as Records
+        if i == 2:
+            return None  # pops the key
+        if i == 3:
+            return [r + (label,) for r in recs]  # carries a label: a list
+        return [(i,)]
+
+    got = cl.local(fn, "E", "E")
+    # one call per small machine, in ascending order, with what it stores
+    assert [i for i, _ in calls] == cl.small_ids
+    assert calls[:3] == [(1, []), (2, [(1, 2)]), (3, [(3, 4)])]
+    assert got[1] == [(1, 5), (1, 6)] and got[2] is None and got[4] == [(4,)]
+    stored = {i: m.state.get("E") for i, m in cl.machines.items()}
+    assert type(stored[1]) is Records and stored[1] == ((1, 5), (1, 6))
+    assert "E" not in cl.machines[2].state
+    assert type(stored[3]) is list and stored[3] == [(3, 4, label)]
+    cl.empty_round()
+    assert cl.telemetry[-1].resident[1] == 4
+    assert cl.telemetry[-1].resident[2] == 0
+    assert cl.telemetry[-1].resident[3] == 2 + 2  # the label's words too
+    # without an output key nothing is stored
+    assert cl.local(lambda i, recs: len(recs), "E") == {
+        i: 2 if i == 1 else 0 if i == 2 else 1 for i in cl.small_ids}
 
 
 def test_empty_round_all_zero():
@@ -292,7 +336,7 @@ def test_repeated_payload_charged_per_send():
 def test_state_budget_metered():
     cfg = ClusterConfig(n=16, m=64, gamma=0.5, polylog_c=1, polylog_e=1)
     cl = init_cluster(cfg, strict=False)
-    cl.small(1).put("E", list(range(17)))
+    cl.machines[1].put("E", list(range(17)))
     cl.empty_round()
     assert (1, "StateBudget") in cl.telemetry[0].violations
 
@@ -306,15 +350,15 @@ def test_distribute_roundrobin_even():
     cl = _four_machine_cluster()
     edges = [(i, (i + 1) % 4) for i in range(8)]
     distribute_edges(cl, edges, placement="roundrobin")
-    assert [len(cl.small(i).state["E"]) for i in range(1, 5)] == [2, 2, 2, 2]
-    assert all(type(cl.small(i).state["E"]) is Records for i in range(1, 5))
+    assert [len(cl.machines[i].state["E"]) for i in range(1, 5)] == [2, 2, 2, 2]
+    assert all(type(cl.machines[i].state["E"]) is Records for i in range(1, 5))
 
 
 def test_distribute_adversarial_packing():
     cl = _four_machine_cluster()
     edges = [(i, (i + 1) % 4) for i in range(8)]
     distribute_edges(cl, edges, placement="adversarial", shard_size=3)
-    assert [len(cl.small(i).state["E"]) for i in range(1, 5)] == [3, 3, 2, 0]
+    assert [len(cl.machines[i].state["E"]) for i in range(1, 5)] == [3, 3, 2, 0]
 
 
 def test_distribute_seeded_deterministic():
@@ -323,7 +367,7 @@ def test_distribute_seeded_deterministic():
     for _ in range(2):
         cl = _four_machine_cluster()
         distribute_edges(cl, edges, placement="seeded")
-        shards.append([cl.small(i).state["E"] for i in range(1, 5)])
+        shards.append([cl.machines[i].state["E"] for i in range(1, 5)])
     assert shards[0] == shards[1]
 
 

@@ -1,10 +1,14 @@
 """Spanner pipeline: clustering decomposition, center levels, combination."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetmpc import oracles, spanner
 from hetmpc.graphio import SimGraph, generate_graph
 from hetmpc.simcore import ClusterConfig, ConfigError, distribute_edges, init_cluster
+
+import stretch_reference  # the full-BFS max_stretch, beside this file
 
 
 def make_cluster(n, m, seed=0):
@@ -40,7 +44,10 @@ def test_decomposition_star_graph():
 def test_decomposition_invariants_random():
     g = generate_graph("gnp", 64, seed=6, p=0.15)
     _, deco = decompose(g, seed=6)
-    adj = g.adjacency()
+    adj = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
     # B sets shrink with the level and B_i contains every sigma image of
     # its members
     for i in range(1, deco.levels):
@@ -101,6 +108,25 @@ def test_decomposition_size_bounds():
             assert size <= 8 * n * 2 ** i
         for i in range(deco.levels):
             assert len(deco.vertices_at(i)) <= 8 * n * max(1, i) / 2 ** i
+
+
+@st.composite
+def graph_and_subgraph(draw):
+    n = draw(st.integers(2, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=30))
+    # H is a subset of the edges, plus a few pairs that are not edges
+    h = draw(st.lists(st.sampled_from(edges), unique=True)) if edges else []
+    h += draw(st.lists(st.sampled_from(pairs), max_size=3))
+    return SimGraph(n, draw(st.permutations(edges))), h
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_and_subgraph())
+def test_max_stretch_matches_the_reference(case):
+    # the same value, None included when H leaves some edge disconnected
+    g, h = case
+    assert oracles.max_stretch(g, h) == stretch_reference.max_stretch(g, h)
 
 
 def test_mbs_full_probability_classic_stretch():
