@@ -17,8 +17,9 @@ interquartile range.  Every end-to-end metric of `BENCHMARK.json` is then
 listed with both sides' medians, their change/base ratio, the fraction by
 which the change is worse in the metric's `better` direction, its bound,
 and a verdict: `within bound`, `WORSE beyond bound`, or `unresolved` when
-the base's own interquartile range over its median is wider than the bound
-and not every change run reads better than every base run.  `--json PATH`
+the base's own interquartile range over its median is wider than the bound,
+not every change run reads better than every base run, and the two sides
+differ in some pair.  `--json PATH`
 writes every run's metrics.  Standard library only.
 """
 
@@ -65,8 +66,10 @@ def quartiles(xs):
 
 def classify(base, change, better, bound):
     """(change/base median ratio, fraction worse, verdict) of one metric
-    from each side's values.  The fraction worse is the ratio's distance
-    from 1 in the metric's worse direction (negative when it improved)."""
+    from each side's values, listed in pair order.  The fraction worse is
+    the ratio's distance from 1 in the metric's worse direction (negative
+    when it improved).  Sides equal in every pair are within bound,
+    however widely the metric spreads across the pairs' seeds."""
     (b1, bm, b3), (_, cm, _) = quartiles(base), quartiles(change)
     if bm:
         ratio, spread = cm / bm, (b3 - b1) / abs(bm)
@@ -77,7 +80,7 @@ def classify(base, change, better, bound):
     worse = ratio - 1 if lower else 1 - ratio
     all_better = (max(change) < min(base) if lower
                   else min(change) > max(base))
-    if spread > bound and not all_better:
+    if spread > bound and not all_better and list(change) != list(base):
         return ratio, worse, "unresolved"
     return ratio, worse, "WORSE beyond bound" if worse > bound else "within bound"
 

@@ -19,7 +19,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import primitives
-from .simcore import Cluster, ConfigError, RunFailed, distribute_edges
+from .simcore import Cluster, ConfigError, RunFailed, as_records, distribute_edges
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +256,9 @@ def _leaf_partials(table: CoordTable, part_fn, records):
     and -x otherwise, x being the coordinate of edge {u, v}, grouped by
     `part_fn`.  A part's records must be consecutive.
 
-    One gather of the records' table rows, then one segment sum over the
-    occupied (part, cell) keys only, so memory stays proportional to the
-    occupied cells rather than to records x R*L.
+    One gather of the table rows of the records' endpoint columns, then
+    one segment sum over the occupied (part, cell) keys only, so memory
+    stays proportional to the occupied cells rather than to records x R*L.
     """
     if not records:
         return {}
@@ -266,7 +266,7 @@ def _leaf_partials(table: CoordTable, part_fn, records):
     n, k, RL = keys.n, len(records), keys.R * keys.L
     parts = [part_fn(r) for r in records]
     starts = [0] + [i for i in range(1, k) if parts[i] != parts[i - 1]]
-    uv = np.array([r[:2] for r in records], dtype=np.int64)
+    uv = as_records(records).columns()[:, :2].astype(np.int64)
     sign = np.where(uv[:, 0] < uv[:, 1], 1, -1)
     x = uv.min(axis=1) * n + uv.max(axis=1)
     rows = np.searchsorted(table.coords, x)

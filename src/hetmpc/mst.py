@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 
+import numpy as np
+
 from . import primitives
 from .labels import DIFFERENT_COMPONENTS, flow_label_decode, flow_label_marker
 from .simcore import CapacityError, Cluster, RunFailed, distribute_edges
@@ -95,6 +97,49 @@ def _safe_merge(collected, deg_out, vertices):
     return used, cmap
 
 
+def _renamed(side):
+    """`apply` of the rename by endpoint `side`: the columns of the
+    records with that endpoint replaced by the value delivered for it."""
+    def apply(es, got):
+        if not es:
+            return es
+        cols = es.columns().copy()
+        ends = cols[:, side].tolist()
+        cols[:, side] = np.fromiter(map(got.__getitem__, ends), np.int64, len(ends))
+        return cols
+    return apply
+
+
+def _drop_self_loops(_, es):
+    """The columns of the records whose endpoints differ."""
+    if not es:
+        return es
+    cols = es.columns()
+    return cols[cols[:, 0] != cols[:, 1]]
+
+
+def _pair_key(cols):
+    """Column key of the parallel-edge sort: the endpoint pair in (smaller,
+    larger) order, then the weight key (w, ou, ov)."""
+    u, v = cols[:, 0], cols[:, 1]
+    return np.column_stack((np.minimum(u, v), np.maximum(u, v), cols[:, 2:5]))
+
+
+def _first_per_pair(es, prev):
+    """The columns of the first record of each endpoint pair in the sorted
+    records, where a first record whose pair is `prev` (the predecessor's
+    last pair, or None) is not first: a pair spanning machines survives
+    only on the first machine."""
+    if not es:
+        return es
+    cols = es.columns()
+    lo, hi = np.minimum(cols[:, 0], cols[:, 1]), np.maximum(cols[:, 0], cols[:, 1])
+    first = np.empty(len(cols), bool)
+    first[0] = (lo[0], hi[0]) != prev
+    first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    return cols[first]
+
+
 def boruvka_step(cluster: Cluster, state: ContractionState, s: int) -> ContractionState:
     """One contraction step: collect min(s, deg) lightest outgoing edges
     per supervertex at the large machine, merge safely, rename, and
@@ -118,37 +163,17 @@ def boruvka_step(cluster: Cluster, state: ContractionState, s: int) -> Contracti
     # deliver the contraction map by each endpoint and rewrite that
     # endpoint from the delivered map
     for side in (0, 1):
-        primitives.deliver_by_endpoint(
-            cluster, "E", cmap, side,
-            apply=lambda es, got, side=side: [
-                r[:side] + (got[r[side]],) + r[side + 1:] for r in es
-            ],
-        )
-    cluster.local(lambda _, es: [r for r in es if r[0] != r[1]], "E", "E")
+        primitives.deliver_by_endpoint(cluster, "E", cmap, side, apply=_renamed(side))
+    cluster.local(_drop_self_loops, "E", "E")
 
     # drop parallel edges: sort by (pair, weight key); each machine keeps
     # its first record per pair, and drops its leading pair if the
     # predecessor's trailing pair matches
-    primitives.het_sort(
-        cluster, "E",
-        key=lambda r: primitives._pair(r[0], r[1]) + wkey(r),
-    )
+    primitives.het_sort(cluster, "E", key=_pair_key)
     last_pair = cluster.local(
         lambda _, es: primitives._pair(es[-1][0], es[-1][1]) if es else None, "E")
     pred = primitives.neighbor_shift(cluster, last_pair.get)
-
-    def first_per_pair(i, es):
-        # a pair spanning machines: only the first machine's first record
-        # survives, so inherit the predecessor's last pair as "seen"
-        kept, prev = [], pred.get(i)
-        for r in es:
-            pair = primitives._pair(r[0], r[1])
-            if pair != prev:
-                kept.append(r)
-                prev = pair
-        return kept
-
-    cluster.local(first_per_pair, "E", "E")
+    cluster.local(lambda i, es: _first_per_pair(es, pred.get(i)), "E", "E")
 
     new_c = {v: cmap[sv] for v, sv in state.c.items()}
     return ContractionState(state.level + 1, new_vertices, new_c, forest)

@@ -12,23 +12,23 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from .simcore import (
-    _INT_ONLY,
+    _EMPTY,
     LARGE,
     CapacityError,
     Cluster,
     Records,
     Slices,
     _join,
-    _trusted,
+    _of_columns,
     as_records,
     global_tree_depth,
+    payload_words,
 )
 
 
@@ -185,73 +185,50 @@ def _fields(side):
 
 
 def _rank(recs, key):
-    """Dense rank of each record in the order (key(r), r): records that
+    """Dense rank of each record in the order (key, r): records that
     compare equal share a rank, and a smaller rank is a smaller record.
     `key` is None (the records' own order), a tuple F of field positions
-    (the order (r[F], r)) or a function of the record.
+    (the order (r[F], r)) or a column key of Records (see `het_sort`).
 
-    One lexsort over packed words when the records are Records and the
-    keys flat int64 columns; Python's sort over the (key, record) pairs
-    otherwise (nested keys, records that are not flat ints, ints beyond
-    int64)."""
+    One lexsort over packed words when the records are Records with int64
+    columns; Python's sort otherwise (records that are not flat ints,
+    ints beyond int64).  For a tuple key the columns are the key's fields
+    and then the others in record order: (r[F], r) and (r[F], r[the
+    other fields]) order alike."""
     if not len(recs):
         return np.zeros(0, np.int64)
-    cols = _int64_columns(recs, key)
-    if cols is not None:
-        words = _packed(cols)
-        if not words:  # every column constant: all records compare equal
-            return np.zeros(len(recs), np.int64)
-        order = np.lexsort(words[::-1])
-        step = np.zeros(len(recs) - 1, bool)
-        for w in words:
-            w = w[order]
-            step |= w[1:] != w[:-1]
-        rank = np.empty(len(recs), np.int64)
-        rank[order] = np.concatenate(([0], np.cumsum(step)))
-        return rank
-    if type(key) is tuple:
-        key = _fields(key)
-    items = recs if key is None else list(zip(map(key, recs), recs))
+    if type(recs) is Records:
+        cols = recs.columns()
+        if type(key) is tuple:
+            rest = [j for j in range(cols.shape[1]) if j not in key]
+            cols = cols[:, list(key) + rest]
+        elif key is not None:
+            cols = np.column_stack((key(cols), cols))
+        if cols.dtype == np.int64:
+            words = _packed(cols)
+            if not words:  # every column constant: all records compare equal
+                return np.zeros(len(recs), np.int64)
+            order = np.lexsort(words[::-1])
+            step = np.zeros(len(recs) - 1, bool)
+            for w in words:
+                w = w[order]
+                step |= w[1:] != w[:-1]
+            rank = np.empty(len(recs), np.int64)
+            rank[order] = np.concatenate(([0], np.cumsum(step)))
+            return rank
+        items = cols.tolist()
+    elif key is None:
+        items = recs
+    elif type(key) is tuple:
+        items = list(zip(map(_fields(key), recs), recs))
+    else:
+        raise TypeError("a column key needs Records")
     rank, r, prev = [0] * len(items), 0, None
     for j in sorted(range(len(items)), key=items.__getitem__):
         if prev is not None and items[prev] < items[j]:
             r += 1
         rank[j], prev = r, j
     return np.array(rank, np.int64)
-
-
-def _int64_columns(recs, key):
-    """(len, columns) int64 array of each record's key then its fields, or
-    None when they are not flat int64 columns.  For a tuple key the
-    columns are the key's fields and then the others in record order:
-    (r[F], r) and (r[F], r[the other fields]) order alike."""
-    if type(recs) is not Records:
-        return None
-    n = len(recs)
-    try:
-        cols = _matrix(recs)
-        if key is None:
-            return cols
-        if type(key) is tuple:
-            rest = [j for j in range(cols.shape[1]) if j not in key]
-            return cols[:, list(key) + rest]
-        keys = list(map(key, recs))
-        if _INT_ONLY.issuperset(map(type, keys)):
-            kcols = np.fromiter(keys, np.int64, n).reshape(n, 1)
-        else:
-            keys = as_records(keys)
-            if type(keys) is not Records:
-                return None
-            kcols = _matrix(keys)
-    except OverflowError:
-        return None
-    return np.hstack((kcols, cols))
-
-
-def _matrix(recs):
-    arity = len(recs[0]) if recs else 0
-    flat = np.fromiter(chain.from_iterable(recs), np.int64, len(recs) * arity)
-    return flat.reshape(len(recs), arity)
 
 
 def _packed(cols):
@@ -320,7 +297,8 @@ def _cut(split, rank, at):
 class _Layout(NamedTuple):
     """Records in sorted-shard order: position p holds record rec[p] on
     machine at[p], machine i holds positions bounds[i-1]:bounds[i], and
-    ordered[p] is the record object."""
+    ordered[p] is the record (ordered is Records, or a list of records
+    that are not flat ints)."""
 
     rec: np.ndarray
     at: np.ndarray
@@ -332,12 +310,13 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
     """Globally sort the records stored under state_key on the small
     machines (two-phase sample sort; fixed round charge).
 
-    Total order is (key(record), record); with key=None it is the records'
-    own order.  `key` is a tuple of field positions F, for the order
-    (r[F], r), or a function of the record alone: samples, splitters and
-    summary boundaries travel as bare records.  `summarize(shard)` may
-    attach a per-machine payload to the final summary message to the large
-    machine.
+    Total order is (key, record); with key=None it is the records' own
+    order.  `key` is a tuple of field positions F, for the order (r[F],
+    r), or a column key: a function that maps the (len, arity) columns of
+    Records to the columns of their keys (one key row per record), for
+    the order (key row, r).  Samples, splitters and summary boundaries
+    travel as bare records.  `summarize(shard)` may attach a per-machine
+    payload to the final summary message to the large machine.
 
     The host ranks every record once in that order (`_rank`), and each
     comparison a machine makes between records it holds or received is a
@@ -345,29 +324,34 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
     the weighted splitter choice at the large machine and at the group
     leaders, and the cuts of each sorted shard at the splitters (a record
     equal to a splitter goes right).  The two sample rounds, the group
-    splitters and the two routing rounds each send one `Slices` batch; a
-    sample send carries one header word, the count of its sender's
-    records.  Shards are stored, and slices and samples sent, as Records
-    when the records are flat int tuples of one arity; other records stay
-    lists, which are walked when metered.
+    splitters, the two routing rounds and the summary each send one
+    `Slices` batch; a sample send carries one header word, the count of
+    its sender's records, and a summary send that word and the words of
+    its summarize payload.  Shards are stored, and slices and samples sent, as Records
+    when the records are flat int tuples of one arity, taken from the
+    columns of the joined records; other records stay lists, which are
+    walked when metered.  A route pops and stores only the machines that
+    hold or receive records; an idle machine keeps its empty Records.
     """
     start = cluster.rounds_used
     K = len(cluster.small_ids)
     machines = cluster.machines
-    held = [as_records(machines[i].state.get(state_key) or [])
-            for i in cluster.small_ids]
-    recs = _join(held)
+    stored = [machines[i].state.get(state_key) for i in cluster.small_ids]
+    held = [s if type(s) is Records else as_records(s or _EMPTY) for s in stored]
+    sizes = list(map(len, held))
+    recs = _join([h for h, n in zip(held, sizes) if n])
     if type(recs) is Records:
-        pack = shard_pack = _trusted
+        cols = recs.columns()
+
+        def take(rec):
+            # the records of record indices rec
+            return _of_columns(cols[rec])
     else:
-        pack, shard_pack = list, as_records
+        def take(rec):
+            return list(map(recs.__getitem__, rec.tolist()))
     rank = _rank(recs, key)
     span = len(recs) + 1  # ranks are below it
     ids = np.arange(1, K + 1)
-
-    def take(rec):
-        # the record objects of record indices rec
-        return pack(map(recs.__getitem__, rec.tolist()))
 
     def local_sort(rec, at):
         # each machine sorts what it holds; ties keep their arrival order
@@ -388,23 +372,29 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
         weight = counts[shard] / sent[shard]
         return rank[srec], weight, srec, np.concatenate(([0], np.cumsum(sent))).tolist()
 
-    def route(layout, first, dst):
+    def route(layout, first, dst, busy):
         # send each (machine, bucket) slice that starts at a first
-        # position to the dst of its records, which store it sorted
-        rec, at, _, ordered = layout
-        for i in cluster.small_ids:
+        # position to the dst of its records, which store it sorted; the
+        # machines that hold or receive records, and those of mask busy,
+        # pop and store their shards
+        rec, at, bounds, ordered = layout
+        busy = busy.copy()
+        busy[1:] |= bounds[1:] > bounds[:-1]
+        busy[dst[first]] = True
+        busy = np.flatnonzero(busy).tolist()
+        for i in busy:
             machines[i].pop(state_key)
         count = np.diff(np.append(first, len(rec)))
         cluster.round(Slices(ordered, at[first], dst[first], count))
         layout = local_sort(rec, dst)
-        cut = layout.bounds.tolist()
-        for i in cluster.small_ids:
-            machines[i].put(state_key, shard_pack(layout.ordered[cut[i - 1]:cut[i]]))
+        cut, ordered = layout.bounds.tolist(), layout.ordered
+        for i in busy:
+            machines[i].put(state_key, as_records(ordered[cut[i - 1]:cut[i]]))
         return layout
 
     # the local sort permutes each machine's records, which meters the
     # same words, so the shards stay as stored until the first route
-    layout = local_sort(np.arange(len(recs)), np.repeat(ids, [len(h) for h in held]))
+    layout = local_sort(np.arange(len(recs)), np.repeat(ids, sizes))
     srank, weight, srec, _ = samples(layout, np.full(K, branching(cluster)),
                                      np.full(K, LARGE))
 
@@ -420,7 +410,10 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
     # sender index)
     at = layout.at
     bucket, first = _cut(srank[gsplit], rank[layout.rec], at)
-    layout = route(layout, first, lo[bucket] + at % gsize[bucket])
+    # the first route also stores a shard on each machine whose key holds
+    # anything but Records (nothing, or a list)
+    untidy = np.array([False] + [type(s) is not Records for s in stored])
+    layout = route(layout, first, lo[bucket] + at % gsize[bucket], untidy)
 
     # phase 2: per-group splitters chosen by the group leader, which sends
     # them to each other member of its group
@@ -443,29 +436,27 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
     grp = group[at - 1]
     bucket, first = _cut(np.concatenate(split), grp * span + rank[layout.rec], at)
     offset = np.cumsum([0] + [len(s) for s in split[:-1]])
-    layout = route(layout, first, lo[grp] + bucket - offset[grp])
+    layout = route(layout, first, lo[grp] + bucket - offset[grp],
+                   np.zeros(K + 1, bool))
 
-    sends = []
-    for i in cluster.small_ids:
-        shard = machines[i].state[state_key]
-        payload = [len(shard)]
-        if shard:
-            payload.append((shard[0], shard[-1]))
-        if summarize is not None:
-            payload.append(summarize(shard))
-        sends.append((i, LARGE, payload))
-    inbox = cluster.round(sends)
-
-    counts, boundaries, extras = [0] * K, [None] * K, [None] * K
-    for src, payload in inbox.get(LARGE, []):
-        i = src - 1
-        counts[i] = payload[0]
-        j = 1
-        if payload[0]:
-            boundaries[i] = payload[1]
-            j = 2
-        if summarize is not None:
-            extras[i] = payload[j] if len(payload) > j else None
+    # the summary: each machine sends the large machine its count (a
+    # header word), its first and last records if it holds any, and
+    # summarize(shard)
+    counts = np.diff(layout.bounds)
+    full = np.flatnonzero(counts)
+    ends = take(layout.rec[np.column_stack((layout.bounds[full],
+                                            layout.bounds[full + 1] - 1)).ravel()])
+    header = np.ones(K, np.int64)
+    extras = [None] * K
+    if summarize is not None:
+        extras = [summarize(machines[i].state[state_key]) for i in cluster.small_ids]
+        header += [payload_words(x) for x in extras]
+    cluster.round(Slices(ends, ids, np.full(K, LARGE), 2 * (counts > 0), header))
+    boundaries = [None] * K
+    pairs = iter(ends)
+    for i in full.tolist():
+        boundaries[i] = (next(pairs), next(pairs))
+    counts = counts.tolist()
     _pad(cluster, start, sort_rounds(cluster.config.gamma))
     return SortedLayout(counts, boundaries, extras)
 
@@ -587,8 +578,9 @@ def deliver_by_endpoint(cluster: Cluster, state_key, values: dict, side, apply):
     sorts by (r[0], r[2]) and delivers values[(r[0], r[2])].
 
     got is the dict that machine received and nothing else, so a rewrite
-    can only use delivered values; the output is stored as Records when
-    its records conform.  Costs sort_rounds + tree_rounds.
+    can only use delivered values; the output (a list, Records, or an
+    int64 array of their columns) is stored through `as_records`.  Costs
+    sort_rounds + tree_rounds.
     """
     fields = side if type(side) is tuple else (side,)
     layout = het_sort(cluster, state_key, key=fields)
@@ -608,33 +600,44 @@ class Arranged:
     slices: dict  # vertex -> [(machine index, count here), ...]
 
 
+def _directed_copies(_, es):
+    """Each edge record, then each with its endpoints swapped: for
+    Records, their columns stacked on the columns with the first two
+    swapped."""
+    if type(es) is not Records:
+        return list(es) + [(e[1], e[0]) + tuple(e[2:]) for e in es]
+    if not es:
+        return es
+    cols = es.columns()
+    return np.concatenate((cols, cols[:, [1, 0] + list(range(2, cols.shape[1]))]))
+
+
+def _counts_by_vertex(shard):
+    """(source, count) of each run of one source in a sorted shard, read
+    from the source column of Records."""
+    if not shard:
+        return []
+    if type(shard) is Records:
+        src = shard.columns()[:, 0].tolist()
+    else:
+        src = [r[0] for r in shard]
+    ends = [j for j in range(1, len(src)) if src[j] != src[j - 1]]
+    ends.append(len(src))
+    return [(src[a], b - a) for a, b in zip([0] + ends, ends)]
+
+
 def arrange_nodes(cluster: Cluster, state_key="E", dst_key="D", key=None) -> Arranged:
     """Make directed copies of every stored edge and sort them so each
     vertex's outgoing edges sit on consecutive machines; the large machine
     learns deg_out(v) and the per-machine slice counts, the first of which
     is on M_first(v).
 
-    `key`, a tuple of field positions or a function of the directed
-    record as in `het_sort`, must order primarily by source vertex
-    (default None: the record itself, i.e. by (source, target, ...)).
+    `key`, a tuple of field positions or a column key as in `het_sort`,
+    must order primarily by source vertex (default None: the record
+    itself, i.e. by (source, target, ...)).
     """
-    def copies(_, es):
-        directed = list(es) + [(e[1], e[0]) + tuple(e[2:]) for e in es]
-        # swapping the endpoints of Records leaves Records of one arity
-        return _trusted(directed) if type(es) is Records else directed
-
-    cluster.local(copies, state_key, dst_key)
-
-    def counts_by_vertex(shard):
-        out = []
-        for r in shard:
-            if out and out[-1][0] == r[0]:
-                out[-1][1] += 1
-            else:
-                out.append([r[0], 1])
-        return [tuple(t) for t in out]
-
-    layout = het_sort(cluster, state_key=dst_key, key=key, summarize=counts_by_vertex)
+    cluster.local(_directed_copies, state_key, dst_key)
+    layout = het_sort(cluster, state_key=dst_key, key=key, summarize=_counts_by_vertex)
     deg_out, slices = {}, {}
     for i, extra in enumerate(layout.extras, start=1):
         for v, cnt in extra or []:

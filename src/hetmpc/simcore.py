@@ -144,57 +144,137 @@ _INT_ONLY = frozenset({int})
 _TUPLE_ONLY = frozenset({tuple})
 
 
-class Records(tuple):
+class Records:
     """Immutable batch of flat records: tuples of ints, all of one arity.
 
     `Records(records)` checks every record (its type is `tuple`, every
     record has the same length, every field's type is `int`; a bool or a
     float is not an int) and raises TypeError otherwise, so a batch's
-    words are `len * arity` without walking it.  The only other way to
-    build one is `_trusted`, private to simcore and primitives, for
-    slices, selections, concatenations and reorderings of Records of one
-    arity.
+    words are `len * arity` without walking it.
+
+    A batch has two forms.  Each is built from the other when it is
+    first asked for, and then kept:
+    - the tuple of its records, which iteration, indexing and equality
+      read;
+    - its columns (`columns()`), a read-only (len, arity) int64 array,
+      which selections, concatenations and column steps read.  A batch
+      with a field beyond int64 has no int64 matrix: its columns are an
+      object array of its ints.
+    A slice of Records is Records.  Records are also built by
+    `as_records` from an int64 array of shape (len, arity), and by
+    `_of_columns`, private to simcore and primitives, from columns taken
+    from Records (selections, slices and concatenations).
     """
 
-    __slots__ = ()
+    __slots__ = ("_tuples", "_cols")
 
-    def __new__(cls, records=()):
-        self = tuple.__new__(cls, records)
-        if self and not (
-            _TUPLE_ONLY.issuperset(map(type, self))
-            and len(set(map(len, self))) == 1
-            and _INT_ONLY.issuperset(map(type, chain.from_iterable(self)))
+    def __init__(self, records=()):
+        tuples = tuple(records)
+        if tuples and not (
+            _TUPLE_ONLY.issuperset(map(type, tuples))
+            and len(set(map(len, tuples))) == 1
+            and _INT_ONLY.issuperset(map(type, chain.from_iterable(tuples)))
         ):
             raise TypeError("Records holds tuples of ints of one arity")
-        return self
+        self._tuples, self._cols = tuples, None
+
+    def _rows(self) -> tuple:
+        t = self._tuples
+        if t is None:
+            t = self._tuples = tuple(map(tuple, self._cols.tolist()))
+        return t
+
+    def columns(self) -> np.ndarray:
+        """The records as a (len, arity) array: int64, or object when a
+        field is beyond int64."""
+        c = self._cols
+        if c is None:
+            t = self._tuples
+            arity = len(t[0]) if t else 0
+            try:
+                c = np.fromiter(chain.from_iterable(t), np.int64, len(t) * arity)
+            except OverflowError:
+                c = np.fromiter(chain.from_iterable(t), object, len(t) * arity)
+            c = self._cols = c.reshape(len(t), arity)
+            c.flags.writeable = False
+        return c
 
     def words(self) -> int:
-        return len(self) * len(self[0]) if self else 0
+        t = self._tuples
+        if t is not None:
+            return len(t) * len(t[0]) if t else 0
+        return self._cols.size
+
+    def __len__(self):
+        t = self._tuples
+        return len(t) if t is not None else len(self._cols)
+
+    def __iter__(self):
+        return iter(self._rows())
+
+    def __getitem__(self, i):
+        t, c = self._tuples, self._cols
+        if type(i) is slice:
+            out = object.__new__(Records)
+            out._tuples = None if t is None else t[i]
+            out._cols = None if c is None else c[i]
+            return out
+        return t[i] if t is not None else tuple(c[i].tolist())
+
+    def __eq__(self, other):
+        if type(other) is Records:
+            other = other._rows()
+        elif type(other) is not tuple:
+            return NotImplemented
+        return self._rows() == other
+
+    def __hash__(self):
+        return hash(self._rows())
+
+    def __repr__(self):
+        return f"Records({list(self._rows())!r})"
 
 
-def _trusted(records) -> Records:
-    """Records of `records` without checking them: only for records taken
-    from Records of one arity (slices, selections, concatenations and
-    reorderings of them)."""
-    return tuple.__new__(Records, records)
+def _of_columns(cols) -> Records:
+    """Records whose columns are `cols`, which it makes read-only, without
+    checking them: only for the int64 columns of records or an object
+    array of the ints of Records (selections, slices and concatenations
+    of columns)."""
+    cols.flags.writeable = False
+    out = object.__new__(Records)
+    out._tuples, out._cols = None, cols
+    return out
+
+
+_EMPTY = Records()
 
 
 def _join(batches):
     """The records of `batches` in order: Records if every batch is
-    Records and all have one arity, else a list."""
-    if all(type(b) is Records for b in batches) and len(
-        {len(b[0]) for b in batches if b}
-    ) <= 1:
-        return _trusted(chain.from_iterable(batches))
+    Records and all have one arity, else a list.  Records are joined by
+    their columns."""
+    if all(type(b) is Records for b in batches):
+        full = [b for b in batches if len(b)]
+        if len({b.words() // len(b) for b in full}) <= 1:
+            if len(full) <= 1:
+                return full[0] if full else _EMPTY
+            return _of_columns(np.concatenate([b.columns() for b in full]))
     return list(chain.from_iterable(batches))
 
 
 def as_records(records):
-    """`records` (a list or tuple) as Records if every record conforms,
-    else as a list (`records` itself if it is one), which is walked
-    whenever it is metered."""
-    if type(records) is Records:
+    """`records` (a list or tuple, or an array of shape (len, arity) whose
+    rows are the records) as Records if every record conforms, else as a
+    list (`records` itself if it is one), which is walked whenever it is
+    metered.  An int64 array becomes the columns of Records unchecked, and
+    read-only."""
+    t = type(records)
+    if t is Records:
         return records
+    if t is np.ndarray and records.ndim == 2:
+        if records.dtype == np.int64:
+            return _of_columns(records)
+        records = list(map(tuple, records.tolist()))
     try:
         return Records(records)
     except TypeError:
@@ -245,10 +325,11 @@ class Slices:
     Send j moves the next `count[j]` records of `records` (the sends take
     consecutive slices that cover `records` in order) from machine
     `src[j]` to machine `dst[j]`, after `header` words of its own (a
-    count, say).  The barrier charges each send `header` plus the words of
-    its slice: `count × arity` for Records, each record's walked words for
-    a list.  The slices are not put into the inbox: the caller moves the
-    records it sent.
+    count, say): one number for every send, or an array of one per send.
+    The barrier charges each send its header plus the words of its slice:
+    `count × arity` for Records, each record's walked words for a list.
+    The slices are not put into the inbox: the caller moves the records
+    it sent.
     """
 
     __slots__ = ("records", "src", "dst", "count", "header")
@@ -268,7 +349,7 @@ class Slices:
         machine's first send."""
         recs, count = self.records, self.count
         if type(recs) is Records:
-            words = count * (len(recs[0]) if recs else 0)
+            words = count * (recs.words() // len(recs) if recs else 0)
         else:
             per = np.fromiter(map(payload_words, recs), np.int64, len(recs))
             cum = np.concatenate(([0], np.cumsum(per)))
@@ -330,9 +411,11 @@ class Machine:
 
     def put(self, key, value):
         self.state[key] = value
-        w = payload_words(value)
-        self._retotal(w - self._words.get(key, 0))
+        w = value.words() if type(value) is Records else payload_words(value)
+        delta = w - self._words.get(key, 0)
         self._words[key] = w
+        if delta:
+            self._retotal(delta)
 
     def pop(self, key):
         if key in self._words:
@@ -342,7 +425,6 @@ class Machine:
 
 _SENDER = itemgetter(0)
 _NO_PAYLOAD = object()
-_EMPTY = Records()
 
 
 class Cluster:
@@ -387,15 +469,16 @@ class Cluster:
         """One machine-local step: `fn(i, records)` on each small machine i
         in ascending order, `records` being what it stores under `key`
         (empty when absent).  With `out`, each result is stored under
-        `out` through `as_records`, so conforming records rest as Records
-        and others as a list, and a None result pops `out`.  Returns
+        `out` through `as_records`, so conforming records (or an int64
+        array of their columns) rest as Records and others as a list, and
+        a None result pops `out`.  Returns
         {i: result}.  (`Machine.put` stores what it is given, so a list
         that a caller mutates in place and puts again stays a list.)
         """
-        results = {}
+        results, machines = {}, self.machines
         for i in self.small_ids:
-            mach = self.machines[i]
-            value = results[i] = fn(i, mach.state.get(key) or _EMPTY)
+            mach = machines[i]
+            value = results[i] = fn(i, mach.state.get(key, _EMPTY))
             if out is None:
                 continue
             if value is None:
@@ -481,23 +564,29 @@ def distribute_edges(cluster: Cluster, edges, placement="seeded", shard_size=Non
             f"{rec_words} edge words exceed aggregate small memory "
             f"{K * cluster.config.small_budget}"
         )
+    order = np.arange(len(records))
     if placement == "adversarial":
         per = shard_size if shard_size is not None else math.ceil(len(records) / K)
         if len(records) > per * K:
             raise CapacityError("adversarial shard size too small for machine count")
-        shards = [records[k * per:(k + 1) * per] for k in range(K)]
+        shards = [order[k * per:(k + 1) * per] for k in range(K)]
     elif placement == "roundrobin":
-        shards = [records[k::K] for k in range(K)]
+        shards = [order[k::K] for k in range(K)]
     elif placement == "seeded":
-        order = list(range(len(records)))
+        order = order.tolist()
         cluster.rng("placement").shuffle(order)
-        shards = [[records[j] for j in order[k::K]] for k in range(K)]
+        order = np.array(order, np.int64)
+        shards = [order[k::K] for k in range(K)]
     else:
         raise ConfigError(f"unknown placement {placement!r}")
-    # each shard is a selection of the records, so it stays a Records
-    pack = _trusted if type(records) is Records else list
-    for k, mid in enumerate(cluster.small_ids):
-        shard = pack(shards[k])
+    # each shard is a selection of the records: of their columns when
+    # they are Records
+    if type(records) is Records:
+        cols = records.columns()
+        shards = [_of_columns(cols[sel]) for sel in shards]
+    else:
+        shards = [[records[j] for j in sel.tolist()] for sel in shards]
+    for mid, shard in zip(cluster.small_ids, shards):
         if payload_words(shard) > cluster.config.small_budget:
             raise CapacityError(f"shard for {machine_name(mid)} exceeds its budget")
         cluster.machines[mid].put("E", shard)

@@ -3,11 +3,17 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hetmpc import mst, oracles, primitives
 from hetmpc.graphio import SimGraph, generate_graph
-from hetmpc.simcore import ClusterConfig, init_cluster
+from hetmpc.simcore import ClusterConfig, Records, as_records, distribute_edges, init_cluster
+
+import mst_reference  # the tuple steps, beside this file
+import sort_reference  # the tuple sort, beside this file
 
 
 def make_cluster(n, m, seed=0, f_exp=None):
@@ -180,3 +186,103 @@ def test_mst_superlinear_exact():
     assert report["t"] == math.ceil(
         math.log2(math.log(1024 / 64, 64) / 0.5)
     )
+
+
+# -- the column steps against the tuple steps they replaced ---------------
+
+WIDE = 2 ** 64  # a weight beyond int64: its batch has no int64 matrix
+
+
+@st.composite
+def edge_shards(draw):
+    """Machine shards of edge records (u, v, w, ou, ov) on 5 vertices, so
+    self-loops and parallel pairs are common; some shards empty, some with
+    a weight beyond int64."""
+    vertex = st.integers(0, 4)
+    weight = st.integers(0, 3) | st.just(WIDE)
+    record = st.tuples(vertex, vertex, weight, vertex, vertex)
+    return draw(st.lists(st.lists(record, max_size=8), min_size=1, max_size=5))
+
+
+def _forms(recs):
+    """The batch in each form a machine may hold it: a list, Records from
+    tuples, and (when every field fits) Records from int64 columns."""
+    out = [list(recs), Records(recs)]
+    if all(r[2] != WIDE for r in recs):
+        out.append(as_records(np.array(recs, np.int64).reshape(len(recs), 5)))
+    return out
+
+
+def _same(got, want):
+    """Equal once stored, the way Cluster.local stores a step's output."""
+    got, want = as_records(got), as_records(want)
+    assert type(got) is type(want) and got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_shards(), st.lists(st.integers(0, 4), min_size=5, max_size=5),
+       st.data())
+def test_mst_column_steps_match_the_reference(shards, rep, data):
+    got = dict(enumerate(rep))  # a contraction map over every vertex
+    for shard in shards:
+        for es in _forms(shard)[1:]:
+            for side in (0, 1):
+                _same(mst._renamed(side)(es, got), mst_reference.rename_apply(side)(es, got))
+            _same(mst._drop_self_loops(0, es), mst_reference.drop_self_loops(0, es))
+        # the directed copies and their per-source counts, in every form
+        for es in _forms(shard):
+            _same(primitives._directed_copies(0, es), mst_reference.copies(0, es))
+        for es in _forms(shard) + _forms(sorted(shard)):
+            assert primitives._counts_by_vertex(es) == mst_reference.counts_by_vertex(es)
+        # the parallel-edge sort: ranks in the order (pair key, record),
+        # then the first record of each pair, after a predecessor whose
+        # last pair is prev (possibly this shard's first pair)
+        order = sorted({(mst_reference.pair_key(r), r) for r in shard})
+        want = [order.index((mst_reference.pair_key(r), r)) for r in shard]
+        pairs = [primitives._pair(r[0], r[1]) for r in shard]
+        prev = data.draw(st.sampled_from([None, (0, 1)] + pairs))
+        ordered = sorted(shard, key=lambda r: (mst_reference.pair_key(r), r))
+        for es in _forms(shard)[1:]:
+            assert primitives._rank(es, mst._pair_key).tolist() == want
+        for es in _forms(ordered)[1:]:
+            _same(mst._first_per_pair(es, prev),
+                  mst_reference.first_per_pair_step({7: prev})(7, es))
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_shards(), st.sampled_from([8, 20, 40]))
+def test_parallel_edge_filter_matches_the_reference(shards, m):
+    # the sort, the predecessor's last pair and first_per_pair over a
+    # cluster of small machines, so that a pair spans machines
+    records = [r for shard in shards for r in shard]
+    assume(records)
+    out = []
+    for sort, key, keep in (
+            (primitives.het_sort, mst._pair_key,
+             lambda pred: lambda i, es: mst._first_per_pair(es, pred.get(i))),
+            (sort_reference.het_sort, mst_reference.pair_key,
+             mst_reference.first_per_pair_step)):
+        cl = make_cluster(16, m)  # K = m / 4 small machines
+        distribute_edges(cl, records, placement="roundrobin")
+        sort(cl, "E", key=key)
+        last = cl.local(lambda _, es: primitives._pair(es[-1][0], es[-1][1]) if es else None,
+                        "E")
+        pred = primitives.neighbor_shift(cl, last.get)
+        cl.local(keep(pred), "E", "E")
+        out.append(([cl.machines[i].state["E"] for i in cl.small_ids],
+                    [(t.sent, t.received, t.resident) for t in cl.telemetry]))
+    assert out[0] == out[1]
+
+
+def test_weights_beyond_int64_run_the_same_protocol():
+    # an order-preserving map of the weights past int64 leaves every
+    # comparison, so every round and word, as it was; those batches have
+    # no int64 matrix and take the object-column and Python-sort paths
+    g = generate_graph("gnm", 64, seed=3, m=600, weighted=True)
+    big = SimGraph(64, [(u, v, w * 2 ** 70 + 5) for u, v, w in g.edges], weighted=True)
+    runs = []
+    for graph in (g, big):
+        cl, forest, _ = run_mst(graph, seed=1)
+        assert sorted(forest) == sorted(oracles.kruskal_msf(graph.n, graph.edges))
+        runs.append([(t.sent, t.received, t.resident, t.violations) for t in cl.telemetry])
+    assert runs[0] == runs[1]

@@ -30,6 +30,13 @@ _SPEC.loader.exec_module(perf_pairs)
     ([0.2, 0.4, 0.5, 0.7, 0.9], [0.9, 1.0, 1.1], "lower", 0.25, "unresolved"),
     # ... unless every change run reads better than every base run
     ([0.2, 0.4, 0.5, 0.7, 0.9], [0.1, 0.15], "lower", 0.25, "within bound"),
+    # a deterministic metric, equal on both sides of every pair, spread
+    # 16% across the pairs' seeds against a 15% bound
+    ([0.2606, 0.2243, 0.3094], [0.2606, 0.2243, 0.3094], "lower", 0.15,
+     "within bound"),
+    # equal medians but not equal pairs: still unresolved
+    ([0.2606, 0.2243, 0.3094], [0.2243, 0.2606, 0.3094], "lower", 0.15,
+     "unresolved"),
 ])
 def test_classify(base, change, better, bound, want):
     assert perf_pairs.classify(base, change, better, bound)[2] == want

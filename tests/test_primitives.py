@@ -18,6 +18,7 @@ from hetmpc.simcore import (
     CapacityError,
     ClusterConfig,
     ConfigError,
+    Machine,
     Packed,
     Records,
     Slices,
@@ -90,7 +91,7 @@ def test_sort_custom_key():
     cl = make_cluster()
     items = [(x, 99 - x) for x in range(100)]
     scatter_items(cl, items)
-    primitives.het_sort(cl, key=lambda r: r[1])
+    primitives.het_sort(cl, key=(1,))
     assert gathered(cl) == sorted(items, key=lambda r: (r[1], r))
 
 
@@ -124,12 +125,17 @@ RANK_FIELDS = st.one_of(st.integers(-3, 3), st.integers(0, 2**40), INT64,
 @st.composite
 def ranked_records(draw):
     """(records of one arity, key): some columns constant, some records
-    repeated, and a key of None or a tuple of distinct field positions."""
+    repeated, some with one field beyond int64, and a key of None or a
+    tuple of distinct field positions."""
     arity = draw(st.integers(1, 4))
     recs = draw(st.lists(st.tuples(*[RANK_FIELDS] * arity), max_size=40))
     for j in draw(st.sets(st.integers(0, arity - 1))):
         c = draw(RANK_FIELDS)
         recs = [r[:j] + (c,) + r[j + 1:] for r in recs]
+    if recs and draw(st.booleans()):
+        i, j = draw(st.integers(0, len(recs) - 1)), draw(st.integers(0, arity - 1))
+        wide = draw(st.integers(2**63, 2**70) | st.integers(-2**70, -2**63 - 1))
+        recs[i] = recs[i][:j] + (wide,) + recs[i][j + 1:]
     recs += recs[:draw(st.integers(0, len(recs)))]
     key = draw(st.none() | st.lists(st.integers(0, arity - 1), min_size=1,
                                     max_size=arity, unique=True).map(tuple))
@@ -145,8 +151,12 @@ def test_rank_on_packed_words_matches_sorted(case):
         lambda r: (tuple(r[j] for j in key), r))
     distinct = sorted({order(r) for r in recs})
     want = [bisect_right(distinct, order(r)) - 1 for r in recs]
-    assert not recs or primitives._int64_columns(Records(recs), key) is not None
-    assert primitives._rank(Records(recs), key).tolist() == want
+    # a field beyond int64 leaves the batch Records with no int64 matrix,
+    # ranked by Python's sort
+    beyond = any(not -2**63 <= x < 2**63 for r in recs for x in r)
+    batch = Records(recs)
+    assert batch.columns().dtype == (object if beyond else np.int64)
+    assert primitives._rank(batch, key).tolist() == want
 
 
 def record_rounds(cluster):
@@ -163,15 +173,18 @@ def record_rounds(cluster):
 
 # (key passed to het_sort, the order it must produce): None is the
 # records' own order, which is also (prefix, record) order; a tuple of
-# field positions F is the order (r[F], r)
+# field positions F is the order (r[F], r); a column key maps the records'
+# columns to key columns, for the order (key row, r)
 SORT_KEYS = [
     (None, lambda r: r),
     (None, lambda r: (r[0],)),
     (None, lambda r: (r[0], r[1])),
-    (lambda r: (r[1],), lambda r: (r[1],)),
-    (lambda r: (r[0], (r[2], r[1])), lambda r: (r[0], (r[2], r[1]))),
-    (itemgetter(1), itemgetter(1)),
-    (itemgetter(0, 2), itemgetter(0, 2)),
+    (lambda c: c[:, 1], lambda r: (r[1],)),
+    (lambda c: c[:, [0, 2, 1]], lambda r: (r[0], (r[2], r[1]))),
+    (lambda c: np.column_stack((np.minimum(c[:, 0], c[:, 1]),
+                                np.maximum(c[:, 0], c[:, 1]))),
+     lambda r: (min(r[0], r[1]), max(r[0], r[1]))),
+    (lambda c: -c[:, 2:], lambda r: -r[2]),
     ((1,), itemgetter(1)),
     ((0, 2), itemgetter(0, 2)),
     ((2, 0), itemgetter(2, 0)),
@@ -259,6 +272,31 @@ def test_sort_sends_records_in_total_order(records, which, m):
         assert list(piece) == sorted(piece, key=lambda r: (order(r), r))
 
 
+def test_sort_routes_touch_only_busy_machines(monkeypatch):
+    # a route pops and stores only the machines that hold or receive
+    # records; an idle machine keeps its empty Records object
+    cl = make_cluster(m=400)  # K = 50
+    distribute_edges(cl, [(3, 1), (2, 7), (5, 5)], placement="adversarial",
+                     shard_size=1)
+    before = {i: cl.machines[i].state["E"] for i in cl.small_ids}
+    touched = set()
+    for name in ("put", "pop"):
+        method = getattr(Machine, name)
+
+        def spy(self, key, *value, method=method):
+            touched.add(self.mid)
+            return method(self, key, *value)
+
+        monkeypatch.setattr(Machine, name, spy)
+    layout = primitives.het_sort(cl)
+    assert gathered(cl) == [(2, 7), (3, 1), (5, 5)]
+    holders = {i for i in cl.small_ids if layout.counts[i - 1]}
+    assert {1, 2, 3} | holders <= touched and len(touched) <= 9
+    for i in set(cl.small_ids) - touched:
+        assert cl.machines[i].state["E"] is before[i]
+        assert type(before[i]) is Records and not before[i]
+
+
 def test_sort_keeps_nonconforming_records_as_lists():
     cl = make_cluster()
     items = [(x % 7, "a" * (x % 3)) for x in range(60)]
@@ -319,7 +357,7 @@ def test_aggregate_min_per_key():
     triples = [(rng.randrange(8), rng.randrange(4), rng.randrange(1000))
                for _ in range(200)]
     scatter_items(cl, triples)
-    primitives.het_sort(cl, key=lambda r: (r[0], r[1]))
+    primitives.het_sort(cl, key=(0, 1))
     got = primitives.aggregate(
         cl, "E",
         leaf_fn=primitives.per_record(lambda r: (r[0], r[1]), lambda r: r[2], min),
@@ -576,8 +614,9 @@ def _sorted_twice(records, kind, which, m, placement, tight, summarize):
             distribute_edges(cl, records, placement=placement)
         except CapacityError:
             assume(False)  # the records do not fit the small machines
-        # the reference takes a tuple key as the function it names
-        fn = primitives._fields(key) if type(key) is tuple and (
+        # the reference takes a key as the per-record function of the
+        # order it names
+        fn = SORT_KEYS[which][1] if key is not None and (
             sort is sort_reference.het_sort) else key
         layout = sort(cl, key=fn, summarize=summarize)
         out.append((cl, layout))
@@ -648,7 +687,8 @@ TREE_VALUES = {
 TREE_REDUCE = {  # leaf value of a record, and its reduce_fn
     "sum": (itemgetter(1), sum),
     "min": (lambda r: (r[1], r[0]), min),
-    "records": (lambda r: Records([r[1:]]), lambda vs: Records(sorted(sum(vs, ())))),
+    "records": (lambda r: Records([r[1:]]),
+                lambda vs: Records(sorted(r for v in vs for r in v))),
 }
 
 

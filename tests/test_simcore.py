@@ -127,7 +127,7 @@ def test_records_words_match_walk(a, b, i, j):
     assert ra == tuple(a) and type(ra) is Records
     assert payload_words(ra) == ra.words() == reference_words(list(a))
     # the slices that het_sort routes
-    piece = simcore._trusted(ra[i:j])
+    piece = ra[i:j]
     assert type(piece) is Records
     assert payload_words(piece) == reference_words(a[i:j])
     # concatenation: Records only when the arities agree
@@ -136,6 +136,84 @@ def test_records_words_match_walk(a, b, i, j):
     assert payload_words(joined) == reference_words(a + a[i:j] + b)
     one_arity = len({len(r) for r in a + b}) <= 1
     assert (type(joined) is Records) == one_arity
+
+
+INT64 = st.integers(-2**63, 2**63 - 1)
+
+
+@st.composite
+def _two_forms(draw):
+    """(records, Records from their tuples, Records from their columns):
+    fields small, any int64, or now and then beyond int64 (no int64
+    matrix then: the columns are an object array of the ints)."""
+    arity = draw(st.integers(0, 5))
+    field = st.one_of(st.integers(-3, 3), INT64, st.integers(2**63, 2**70),
+                      st.integers(-2**70, -2**63 - 1))
+    records = draw(st.lists(st.tuples(*[field] * arity), max_size=20))
+    from_tuples = Records(records)
+    cols = from_tuples.columns()
+    assert cols is from_tuples.columns()  # built once, then kept
+    wide = any(not -2**63 <= x < 2**63 for r in records for x in r)
+    assert cols.shape == (len(records), arity if records else 0)
+    assert cols.dtype == (object if wide else np.int64)
+    from_cols = (simcore._of_columns(cols.copy()) if wide
+                 else as_records(np.array(cols)))
+    return records, from_tuples, from_cols
+
+
+@settings(max_examples=200, deadline=None)
+@given(_two_forms(), st.data())
+def test_records_forms_agree(forms, data):
+    records, a, b = forms
+    assert type(b) is Records
+    n = len(records)
+    for batch in (a, b):
+        # the tuple view, equality with tuples, metering
+        assert batch == tuple(records) and tuple(records) == batch
+        assert list(batch) == records and len(batch) == n
+        assert batch != list(records) and hash(batch) == hash(tuple(records))
+        assert batch.words() == payload_words(batch) == reference_words(records)
+        if records:
+            assert batch[0] == records[0] and batch[-1] == records[-1]
+            assert all(type(x) is int for x in batch[-1])
+        # slices and selections of either form are Records of the same
+        # records
+        i, j = data.draw(st.integers(-25, 25)), data.draw(st.integers(-25, 25))
+        piece = batch[i:j]
+        assert type(piece) is Records and piece == tuple(records[i:j])
+        assert piece.words() == reference_words(records[i:j])
+        picks = data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=10)) if n else []
+        chosen = simcore._of_columns(batch.columns()[picks])
+        assert chosen == tuple(records[k] for k in picks)
+        assert chosen.words() == reference_words([records[k] for k in picks])
+    assert a == b and hash(a) == hash(b)
+    for batch in (a, b):  # the columns cannot be changed in place
+        with pytest.raises(ValueError):
+            batch.columns()[:1] = 0
+    # concatenations mixing the forms
+    i = data.draw(st.integers(0, n))
+    joined = simcore._join([a[:i], b[i:], b, simcore._EMPTY, a])
+    assert type(joined) is Records and list(joined) == records * 3
+    assert joined.words() == 3 * reference_words(records)
+    # Slices charges: each form, and the walked list, charge alike
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=4)))
+    count = np.diff([0] + cuts + [n])
+    src = np.arange(1, len(count) + 1)
+    dst = src[::-1].copy()
+    charges = [Slices(r, src, dst, count, header=1).charges()
+               for r in (a, b, list(records))]
+    assert charges[0] == charges[1] == charges[2]
+
+
+@pytest.mark.parametrize("records", [
+    [(True, 1)], [(1, False)], [(1.0, 2)], [(1, 2.5)], [((1, 2), 3)],
+    [(1, (2,))], [(1, 2), (3,)], [(1,), (2, 3)], [[1, 2]], [(1, None)],
+])
+def test_records_constructor_rejects(records):
+    # bools, floats, nested tuples, mixed arities, lists and None
+    with pytest.raises(TypeError):
+        Records(records)
+    assert type(as_records(records)) is list
 
 
 _bad_fields = st.one_of(
