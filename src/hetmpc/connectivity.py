@@ -311,7 +311,7 @@ def sketch_build(cluster: Cluster, keys: SketchKeys, table: CoordTable,
         leaf_fn=lambda records: _leaf_partials(table, part_fn, records),
         reduce_fn=lambda parts: _sum_partials(parts, keys),
     )
-    primitives.drop(cluster, "D")
+    cluster.drop("D")
     return out
 
 
@@ -512,7 +512,7 @@ def mst_weight_estimate(cluster: Cluster, graph, eps, max_weight=None):
         cluster, keys, table, "T", key=(0, 2, 1),
         part_fn=lambda rec: (rec[0], bisect_left(taus, rec[2])),
     )
-    primitives.drop(cluster, "T")
+    cluster.drop("T")
     by_class = {}
     for (v, c), s in partials.items():
         by_class.setdefault(c, {})[v] = s
@@ -530,7 +530,7 @@ def mst_weight_estimate(cluster: Cluster, graph, eps, max_weight=None):
                     cluster,
                     make_keys(cluster.rng("sketch-keys", ("est", i), 1), n),
                     "T")
-                primitives.drop(cluster, "T")
+                cluster.drop("T")
                 if found is None:
                     raise RunFailed("sketch samplers failed on both key draws")
             cc = len(set(found[0].values()))

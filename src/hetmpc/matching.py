@@ -46,7 +46,7 @@ def degree_split(cluster: Cluster, graph) -> MatchingState:
     """Arrange the stored edges to learn degrees, then split vertices at
     the d^2 threshold (d = average-degree ceiling)."""
     arranged = primitives.arrange_nodes(cluster, "E", "D")
-    primitives.drop(cluster, "D")
+    cluster.drop("D")
     deg = dict(arranged.deg_out)
     d = max(1, math.ceil(2 * graph.m / graph.n))
     v_low = {v for v, dv in deg.items() if dv <= d * d}
@@ -210,7 +210,7 @@ def phase2_high_degree(cluster: Cluster, state: MatchingState):
             for v in sorted(state.v_high)
         }
         collected = primitives.query_k_lightest(cluster, arranged, k_of, "D")
-        primitives.drop(cluster, "D", "R")
+        cluster.drop("D", "R")
         # a high-high edge can be collected by both endpoints; only two
         # different edges with one rank are a collision
         ranked = {(_pair(r[0], r[1]), r[2])
@@ -380,7 +380,7 @@ def _super_rec(cluster, key, depth, cap, p, attempt):
 
     cluster.local(sample, key, key + "s")
     M, sub_depth = _super_rec(cluster, key + "s", depth + 1, cap, p, attempt)
-    primitives.drop(cluster, key + "s")
+    cluster.drop(key + "s")
 
     # matched statuses out, free-free edges back, then extend greedily
     _keep_free_free(cluster, key, {v for e in M for v in e})

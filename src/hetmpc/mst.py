@@ -154,7 +154,7 @@ def boruvka_step(cluster: Cluster, state: ContractionState, s: int) -> Contracti
             f"{cluster.config.large_budget}; select count {s} too large"
         )
     collected = primitives.query_k_lightest(cluster, arranged, k_of)
-    primitives.drop(cluster, "D")
+    cluster.drop("D")
 
     used, cmap = _safe_merge(collected, arranged.deg_out, state.vertices)
     forest = state.forest + [(r[3], r[4], r[2]) for r in used]
@@ -202,7 +202,7 @@ def kkt_sample(cluster: Cluster, p, tag) -> list | None:
     # a record is 5 words
     sample, _ = primitives.gather_if_fits(
         cluster, "_kkt", cluster.config.large_budget // 5)
-    primitives.drop(cluster, "_kkt")
+    cluster.drop("_kkt")
     return sample
 
 

@@ -381,15 +381,18 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
         busy = busy.copy()
         busy[1:] |= bounds[1:] > bounds[:-1]
         busy[dst[first]] = True
-        busy = np.flatnonzero(busy).tolist()
-        for i in busy:
-            machines[i].pop(state_key)
+        busy = list(map(machines.__getitem__, np.flatnonzero(busy).tolist()))
+        for mach in busy:
+            mach.pop(state_key)
         count = np.diff(np.append(first, len(rec)))
         cluster.round(Slices(ordered, at[first], dst[first], count))
         layout = local_sort(rec, dst)
+        # a Records shard is a view of the one read-only matrix of
+        # layout.ordered
         cut, ordered = layout.bounds.tolist(), layout.ordered
-        for i in busy:
-            machines[i].put(state_key, as_records(ordered[cut[i - 1]:cut[i]]))
+        for mach in busy:
+            shard = ordered[cut[mach.mid - 1]:cut[mach.mid]]
+            mach.put(state_key, shard if type(shard) is Records else as_records(shard))
         return layout
 
     # the local sort permutes each machine's records, which meters the
@@ -497,8 +500,8 @@ def aggregate(cluster: Cluster, state_key, leaf_fn, reduce_fn):
                 results.setdefault(p, []).append(v)
 
     # each node's partials on the current level, by index
-    row = list(cluster.local(
-        lambda _, items: leaf_fn(items) if items else {}, state_key).values())
+    leaves = cluster.local(lambda _, items: leaf_fn(items), state_key)
+    row = [leaves.get(i, {}) for i in cluster.small_ids]
     for level in range(1, tree.depth + 1):
         below = tree.levels[level - 1]
         sends, nxt = [], []
@@ -573,7 +576,8 @@ def disseminate(cluster: Cluster, values: dict, machine_ranges: dict):
 def deliver_by_endpoint(cluster: Cluster, state_key, values: dict, side, apply):
     """Sort the records under state_key by r[side], deliver values[v] to
     every small machine holding a record whose endpoint r[side] is v, and
-    replace each machine's records with apply(records, got).  A tuple side
+    replace the records of each machine that holds some with
+    apply(records, got) (see `Cluster.local`).  A tuple side
     names several fields, and values is keyed by their tuples: (0, 2)
     sorts by (r[0], r[2]) and delivers values[(r[0], r[2])].
 
@@ -675,7 +679,7 @@ def query_k_lightest(cluster: Cluster, arranged: Arranged, k_of: dict,
         return out
 
     replies = cluster.local(reply, dst_key)
-    inbox = cluster.round([(mi, LARGE, replies[mi]) for mi in plans])
+    inbox = cluster.round([(mi, LARGE, replies.get(mi, [])) for mi in plans])
 
     collected = {}
     for _, reply in inbox.get(LARGE, []):
@@ -703,14 +707,8 @@ def count_records(cluster: Cluster, state_key):
     """Each small machine reports how many records it stores under
     state_key to the large machine in one round; returns the total."""
     counts = cluster.local(lambda _, items: len(items), state_key)
-    inbox = cluster.round([(i, LARGE, c) for i, c in counts.items()])
+    inbox = cluster.round([(i, LARGE, counts.get(i, 0)) for i in cluster.small_ids])
     return sum(c for _, c in inbox.get(LARGE, []))
-
-
-def drop(cluster: Cluster, *keys):
-    """Each small machine discards what it stores under `keys`."""
-    for key in keys:
-        cluster.local(lambda i, recs: None, key, key)
 
 
 def gather_if_fits(cluster: Cluster, state_key, cap):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
@@ -345,8 +345,8 @@ class Slices:
         return len(self.count)
 
     def charges(self):
-        """({sender: words}, {receiver: words}), each in order of the
-        machine's first send."""
+        """(senders, their words, receivers, their words): arrays, each
+        side's machines in order of first send (see `_by_machine`)."""
         recs, count = self.records, self.count
         if type(recs) is Records:
             words = count * (recs.words() // len(recs) if recs else 0)
@@ -356,26 +356,74 @@ class Slices:
             ends = np.cumsum(count)
             words = cum[ends] - cum[ends - count]
         words = words + self.header
-        return _by_machine(self.src, words), _by_machine(self.dst, words)
+        return _by_machine(self.src, words) + _by_machine(self.dst, words)
 
 
-def _by_machine(mids, words) -> dict:
-    """{machine: summed words} over the sends, in order of first send."""
-    if not len(mids):
-        return {}
+def _by_machine(mids, words):
+    """(machines, their summed words) over the sends, the machines in
+    order of first send: read off in one pass when `mids` ascends (the
+    sample, route and summary rounds), else ordered by the first index of
+    each machine.  A machine whose sends carry no words keeps its entry."""
+    if len(mids) < 2:
+        return mids, words
     total = np.bincount(mids, weights=words).astype(np.int64)
-    seen, first = np.unique(mids, return_index=True)
-    seen = seen[np.argsort(first)].tolist()
-    return dict(zip(seen, total[seen].tolist()))
+    if (mids[1:] >= mids[:-1]).all():
+        seen = mids[np.concatenate(([True], mids[1:] != mids[:-1]))]
+    else:
+        first = np.full(len(total), len(mids))
+        np.minimum.at(first, mids, np.arange(len(mids)))
+        seen = np.flatnonzero(first < len(mids))
+        seen = seen[np.argsort(first[seen])]
+    return seen, total[seen]
 
 
-@dataclass
 class RoundTelemetry:
-    round: int
-    sent: dict
-    received: dict
-    resident: dict
-    violations: list = field(default_factory=list)
+    """One round's row: the words each machine sent and received
+    ({machine: words}, in order of first send), its budget violations, and
+    `changed`, the resident words of the machines whose words changed
+    since the previous row.  `resident`, the resident words of every
+    machine in machine order, is replayed from the rows' deltas when read;
+    it is read-only, like `Machine.state`."""
+
+    __slots__ = ("round", "sent", "received", "changed", "violations", "_prev",
+                 "_replay")
+
+    def __init__(self, round, sent, received, changed, violations, prev, replay):
+        self.round, self.sent, self.received = round, sent, received
+        self.changed, self.violations = changed, violations
+        self._prev, self._replay = prev, replay  # the previous row, or None
+
+    @property
+    def resident(self) -> dict:
+        return self._replay.resident(self)
+
+
+class _Replay:
+    """Replays the resident words of a cluster's rows from their deltas.
+    It keeps the table of the row read last, so reading the rows in order
+    replays each delta once; a row before it is replayed from zeros.  A
+    table, once returned, is never changed.  It holds no row, so the rows
+    and it hold no reference cycle."""
+
+    __slots__ = ("zero", "at", "table")
+
+    def __init__(self, mids):
+        self.zero = dict.fromkeys(mids, 0)
+        self.at, self.table = -1, self.zero
+
+    def resident(self, row) -> dict:
+        r = row.round
+        if r != self.at:
+            at, table = (self.at, self.table) if r > self.at else (-1, self.zero)
+            deltas = []
+            while row is not None and row.round > at:
+                deltas.append(row.changed)
+                row = row._prev
+            table = dict(table)
+            for changed in reversed(deltas):
+                table.update(changed)
+            self.at, self.table = r, table
+        return self.table
 
 
 class Machine:
@@ -384,26 +432,25 @@ class Machine:
     State changes only through `put` and `pop`; `state` is read-only to
     callers.  A value is metered when it is put (a Records batch in O(1)),
     so a value mutated in place must be put again to be metered anew (the
-    same object may be put again).  `put` and `pop` keep the machine's
-    entry in `resident`, the table of resident words shared by every
-    machine of a cluster, and its membership of `over`, the shared set of
-    machines over budget.
+    same object may be put again).  When its resident words change, `put`
+    and `pop` write them into `changed`, the delta since the last round
+    that every machine of a cluster shares, and keep the machine's
+    membership of `over`, the shared set of machines over budget.
     """
 
-    __slots__ = ("mid", "budget", "state", "_words", "_total", "_resident", "_over")
+    __slots__ = ("mid", "budget", "state", "_words", "_total", "_changed", "_over")
 
-    def __init__(self, mid, budget, resident, over):
+    def __init__(self, mid, budget, changed, over):
         self.mid = mid
         self.budget = budget
         self.state = {}
         self._words = {}  # key -> words of its value
         self._total = 0  # sum of _words
-        self._resident, self._over = resident, over
-        resident[mid] = 0
+        self._changed, self._over = changed, over
 
     def _retotal(self, delta):
         total = self._total = self._total + delta
-        self._resident[self.mid] = total
+        self._changed[self.mid] = total
         if total > self.budget:
             self._over.add(self.mid)
         else:
@@ -418,8 +465,9 @@ class Machine:
             self._retotal(delta)
 
     def pop(self, key):
-        if key in self._words:
-            self._retotal(-self._words.pop(key))
+        w = self._words.pop(key, 0)
+        if w:
+            self._retotal(-w)
         return self.state.pop(key, None)
 
 
@@ -430,7 +478,8 @@ _NO_PAYLOAD = object()
 class Cluster:
     """1 large + K small machines exchanging messages in synchronous rounds.
 
-    `local(fn, key, out)` runs one machine-local step between rounds.
+    `local(fn, key, out)` runs one machine-local step between rounds, and
+    `drop(*keys)` pops keys on every small machine.
     `round(sends)` runs one communication round: it delivers the queued
     messages (canonically ordered by sender then sequence number), meters
     per-machine traffic and resident state, and records telemetry.  Budget
@@ -440,16 +489,18 @@ class Cluster:
     def __init__(self, config: ClusterConfig, strict: bool = True):
         self.config = config
         self.strict = strict
-        # resident words of every machine, in machine order, and the
-        # machines over budget; kept by Machine.put and Machine.pop
-        self._resident, self._over = {}, set()
-        self.machines = {LARGE: Machine(LARGE, config.large_budget,
-                                        self._resident, self._over)}
+        # the resident words of the machines whose words changed since the
+        # last round, and the machines over budget; kept by Machine.put and
+        # Machine.pop
+        self._changed, self._over = {}, set()
         self.small_ids = list(range(1, config.num_small + 1))
-        for mid in self.small_ids:
-            self.machines[mid] = Machine(mid, config.small_budget,
-                                         self._resident, self._over)
+        budgets = [config.large_budget] + [config.small_budget] * len(self.small_ids)
+        self.machines = {mid: Machine(mid, b, self._changed, self._over)
+                         for mid, b in enumerate(budgets)}
+        self._small = [self.machines[i] for i in self.small_ids]
+        self._budget = np.array(budgets, np.int64)  # by machine id
         self.telemetry: list[RoundTelemetry] = []
+        self._replay = _Replay(self.machines)
 
     # -- basic accessors -------------------------------------------------
 
@@ -467,25 +518,39 @@ class Cluster:
 
     def local(self, fn, key, out=None) -> dict:
         """One machine-local step: `fn(i, records)` on each small machine i
-        in ascending order, `records` being what it stores under `key`
-        (empty when absent).  With `out`, each result is stored under
-        `out` through `as_records`, so conforming records (or an int64
-        array of their columns) rest as Records and others as a list, and
-        a None result pops `out`.  Returns
-        {i: result}.  (`Machine.put` stores what it is given, so a list
-        that a caller mutates in place and puts again stays a list.)
+        that holds records under `key`, in ascending order, `records`
+        being what it stores there.  With `out`, each result is stored
+        under `out` through `as_records`, so conforming records (or an
+        int64 array of their columns) rest as Records and others as a
+        list, and a None result pops `out`; an idle machine (nothing under
+        `key`) runs nothing, and pops `out` when `out` is not `key`.
+        Returns {i: result} over the machines that ran.  (`Machine.put`
+        stores what it is given, so a list that a caller mutates in place
+        and puts again stays a list.)
         """
-        results, machines = {}, self.machines
-        for i in self.small_ids:
-            mach = machines[i]
-            value = results[i] = fn(i, mach.state.get(key, _EMPTY))
+        results = {}
+        idle_pop = out is not None and out != key
+        for mach in self._small:
+            recs = mach.state.get(key)
+            if not recs:
+                if idle_pop and out in mach.state:
+                    mach.pop(out)
+                continue
+            value = results[mach.mid] = fn(mach.mid, recs)
             if out is None:
                 continue
             if value is None:
                 mach.pop(out)
             else:
-                mach.put(out, as_records(value))
+                mach.put(out, value if type(value) is Records else as_records(value))
         return results
+
+    def drop(self, *keys):
+        """Each small machine discards what it stores under `keys`."""
+        for mach in self._small:
+            for key in keys:
+                if key in mach.state:
+                    mach.pop(key)
 
     def round(self, sends) -> dict:
         """Deliver messages; returns {dst: [(src, payload), ...]}.
@@ -498,7 +563,14 @@ class Cluster:
         """
         inbox = {}
         if type(sends) is Slices:
-            sent, received = sends.charges()
+            budget = self._budget
+            src, sw, dst, dw = sends.charges()
+            sent = dict(zip(src.tolist(), sw.tolist()))
+            received = dict(zip(dst.tolist(), dw.tolist()))
+            violations = [(mid, "SendBudget")
+                          for mid in src[sw > budget[src]].tolist()]
+            violations += [(mid, "RecvBudget")
+                           for mid in dst[dw > budget[dst]].tolist()]
         else:
             sent, received = {}, {}
             last = _NO_PAYLOAD
@@ -515,25 +587,20 @@ class Cluster:
                     box.append((src, payload))
             # stable: messages of one sender stay in send order
             for box in inbox.values():
-                box.sort(key=_SENDER)
-
-        machines = self.machines
-        violations = []
-        for mid, w in sent.items():
-            if w > machines[mid].budget:
-                violations.append((mid, "SendBudget"))
-        for mid, w in received.items():
-            if w > machines[mid].budget:
-                violations.append((mid, "RecvBudget"))
+                if len(box) > 1:
+                    box.sort(key=_SENDER)
+            machines = self.machines
+            violations = [(mid, "SendBudget") for mid, w in sent.items()
+                          if w > machines[mid].budget]
+            violations += [(mid, "RecvBudget") for mid, w in received.items()
+                           if w > machines[mid].budget]
         violations.extend((mid, "StateBudget") for mid in sorted(self._over))
 
-        tel = RoundTelemetry(
-            round=len(self.telemetry),
-            sent=sent,
-            received=received,
-            resident=dict(self._resident),
-            violations=violations,
-        )
+        changed = self._changed.copy()
+        self._changed.clear()
+        rows = self.telemetry
+        tel = RoundTelemetry(len(rows), sent, received, changed, violations,
+                             rows[-1] if rows else None, self._replay)
         self.telemetry.append(tel)
         if violations and self.strict:
             raise BudgetError(
@@ -593,11 +660,15 @@ def distribute_edges(cluster: Cluster, edges, placement="seeded", shard_size=Non
 
 
 def telemetry_json(cluster: Cluster) -> dict:
-    """Telemetry export: one JSON-ready document per run."""
-    name = {mid: machine_name(mid) for mid in cluster.machines}
+    """Telemetry export: one JSON-ready document per run.  Each row's
+    resident words are replayed from the rows' deltas."""
+    name = list(map(machine_name, cluster.machines))  # ids are 0..K
+    resident = [0] * len(name)
     rounds = []
     for t in cluster.telemetry:
-        sent, received, resident = t.sent, t.received, t.resident
+        for mid, w in t.changed.items():
+            resident[mid] = w
+        sent, received = t.sent, t.received
         rounds.append(
             {
                 "round": t.round,
@@ -606,7 +677,7 @@ def telemetry_json(cluster: Cluster) -> dict:
                         "machine": name[mid],
                         "sent": sent.get(mid, 0),
                         "received": received.get(mid, 0),
-                        "resident": resident.get(mid, 0),
+                        "resident": resident[mid],
                     }
                     for mid in sorted(sent.keys() | received.keys())
                 ],

@@ -197,7 +197,7 @@ def clustering_graphs(cluster: Cluster, graph) -> ClusteringDecomposition:
         return [(v, u) + mine[u] for u, v in copies if u < v]
 
     cluster.local(halves, "D", "A")
-    primitives.drop(cluster, "_sigma", "E", "D")
+    cluster.drop("_sigma", "E", "D")
 
     def level_records(recs, got):
         # (level, c, c', wu, wv) with this machine's lightest witness
@@ -382,7 +382,7 @@ def _baswana_sen(cluster, state_key, a, k, groups):
             itemgetter(*range(a + 2)), lambda r: r[a + 2:], min),
         reduce_fn=min,
     )
-    primitives.drop(cluster, state_key)
+    cluster.drop(state_key)
 
     for part, r in removal.items():
         chosen[part[:a]][_pair(part[a], r[0])] = r[1:]

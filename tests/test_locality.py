@@ -4,6 +4,11 @@ through `Cluster.local`, so each machine computes from its own memory.
 A module reaches a `Machine` and its `state` only through the cluster's
 `machines` attribute, so every `machines` access in these modules must be
 one of the reads that need a protocol change before they can be local.
+
+Metering stays in `simcore`: no other module reaches the metering
+internals of a `Machine` or a `Cluster`, or writes a machine's `state`
+except through `Machine.put` and `Machine.pop`, so every bulk store is
+made, and metered, in `simcore`.
 """
 
 import ast
@@ -78,3 +83,61 @@ def test_guard_sees_every_access():
         "X = object().machines\n"
     )
     assert machines_accesses(source) == {"f": 3, "<module>": 1}
+
+
+# attributes that only simcore's metering reads and writes
+METERING = frozenset({"_words", "_total", "_retotal", "_resident", "_changed",
+                      "_over"})
+# dict methods that change a dict in place
+MUTATORS = frozenset({"update", "pop", "popitem", "setdefault", "clear",
+                      "__setitem__", "__delitem__"})
+
+
+def _is_state(node):
+    return isinstance(node, ast.Attribute) and node.attr == "state"
+
+
+def metering_reaches(source):
+    """(line, what) of each reach to metering internals in `source`: an
+    access to a METERING attribute (or the string of its name, as getattr
+    would take it), and a write to a `state`: an item store or delete, an
+    in-place dict method, or an assignment of the attribute itself."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            if node.attr in METERING:
+                found.append((node.lineno, "." + node.attr))
+            elif _is_state(node) and not isinstance(node.ctx, ast.Load):
+                found.append((node.lineno, "state assigned"))
+            elif node.attr in MUTATORS and _is_state(node.value):
+                found.append((node.lineno, f"state.{node.attr}"))
+        elif isinstance(node, ast.Constant) and node.value in METERING:
+            found.append((node.lineno, repr(node.value)))
+        elif (isinstance(node, ast.Subscript) and _is_state(node.value)
+                and not isinstance(node.ctx, ast.Load)):
+            found.append((node.lineno, "state[...] written"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")
+                                          if p.stem != "simcore"))
+def test_metering_stays_in_simcore(module):
+    assert metering_reaches((SRC / f"{module}.py").read_text()) == []
+
+
+def test_metering_guard_sees_every_reach():
+    source = (
+        "def f(cluster, m, key, v):\n"
+        "    m.state[key] = v\n"
+        "    del m.state[key]\n"
+        "    m.state.update({key: v})\n"
+        "    m.state = {}\n"
+        "    m._words[key] = 1\n"
+        "    m._retotal(1)\n"
+        "    t = m._total + cluster._resident[0] + len(cluster._changed)\n"
+        "    return getattr(cluster, '_over'), m.state.get(key), m.state[key]\n"
+    )
+    assert [what for _, what in metering_reaches(source)] == [
+        "state[...] written", "state[...] written", "state.update",
+        "state assigned", "._words", "._retotal", "._changed", "._resident",
+        "._total", "'_over'"]

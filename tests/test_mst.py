@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from hetmpc import mst, oracles, primitives
 from hetmpc.graphio import SimGraph, generate_graph
-from hetmpc.simcore import ClusterConfig, Records, as_records, distribute_edges, init_cluster
+from hetmpc.simcore import (
+    Cluster,
+    ClusterConfig,
+    Records,
+    as_records,
+    distribute_edges,
+    init_cluster,
+)
 
 import mst_reference  # the tuple steps, beside this file
 import sort_reference  # the tuple sort, beside this file
@@ -286,3 +293,40 @@ def test_weights_beyond_int64_run_the_same_protocol():
         assert sorted(forest) == sorted(oracles.kruskal_msf(graph.n, graph.edges))
         runs.append([(t.sent, t.received, t.resident, t.violations) for t in cl.telemetry])
     assert runs[0] == runs[1]
+
+
+def _local_on_every_machine(self, fn, key, out=None):
+    """`Cluster.local` as it ran before idle machines were skipped: fn on
+    every small machine, an idle one with an empty batch."""
+    results = {}
+    for i in self.small_ids:
+        mach = self.machines[i]
+        value = results[i] = fn(i, mach.state.get(key, Records()))
+        if out is None:
+            continue
+        if value is None:
+            mach.pop(out)
+        else:
+            mach.put(out, as_records(value))
+    return results
+
+
+@pytest.mark.parametrize("held", ["absent", "empty"])
+def test_kkt_sample_runs_nothing_on_idle_machines(monkeypatch, held):
+    # with "E" empty everywhere no machine draws, and the rounds read as
+    # when every machine ran its (empty) draw
+    rows, draws = [], []
+    for local in (Cluster.local, _local_on_every_machine):
+        monkeypatch.setattr(Cluster, "local", local)
+        cl = make_cluster(256, 4096)
+        if held == "empty":
+            for i in cl.small_ids:
+                cl.machines[i].put("E", Records())
+        calls, rng = [], cl.rng
+        cl.rng = lambda *tags: calls.append(tags) or rng(*tags)
+        assert mst.kkt_sample(cl, 0.5, 1) == []
+        draws.append(len(calls))
+        rows.append([(t.sent, t.received, t.resident, t.violations)
+                     for t in cl.telemetry])
+    assert draws == [0, len(cl.small_ids)] and len(cl.small_ids) == 256
+    assert rows[0] == rows[1] and len(rows[0]) == 2

@@ -274,17 +274,19 @@ def test_sort_sends_records_in_total_order(records, which, m):
 
 def test_sort_routes_touch_only_busy_machines(monkeypatch):
     # a route pops and stores only the machines that hold or receive
-    # records; an idle machine keeps its empty Records object
+    # records, and stores each shard as a view of one read-only matrix;
+    # an idle machine keeps its empty Records object
     cl = make_cluster(m=400)  # K = 50
     distribute_edges(cl, [(3, 1), (2, 7), (5, 5)], placement="adversarial",
                      shard_size=1)
     before = {i: cl.machines[i].state["E"] for i in cl.small_ids}
-    touched = set()
+    touched, stored = set(), []
     for name in ("put", "pop"):
         method = getattr(Machine, name)
 
         def spy(self, key, *value, method=method):
             touched.add(self.mid)
+            stored.extend(value)
             return method(self, key, *value)
 
         monkeypatch.setattr(Machine, name, spy)
@@ -295,6 +297,11 @@ def test_sort_routes_touch_only_busy_machines(monkeypatch):
     for i in set(cl.small_ids) - touched:
         assert cl.machines[i].state["E"] is before[i]
         assert type(before[i]) is Records and not before[i]
+    # the shards the last route stored are views of one read-only matrix
+    final = [cl.machines[i].state["E"] for i in sorted(holders)]
+    assert all(any(s is f for s in stored) for f in final)
+    bases = {id(f.columns().base) for f in final}
+    assert len(bases) == 1 and not final[0].columns().base.flags.writeable
 
 
 def test_sort_keeps_nonconforming_records_as_lists():
@@ -314,7 +321,7 @@ def test_sort_keeps_nonconforming_records_as_lists():
     for i in cl.small_ids:
         shard = cl.machines[i].state["E"]
         assert type(shard) is list or not shard  # an empty shard may be Records
-        assert cl._resident[i] == payload_words(list(shard))
+        assert cl.telemetry[-1].resident[i] == payload_words(list(shard))
 
 
 def test_arrange_star_hub():
@@ -404,21 +411,22 @@ def test_deliver_by_endpoint_covers_held_endpoints(edges, extra, side):
 
     def apply(records, got):
         # got covers every held endpoint and nothing outside the held range
-        assert all(at(r) in got for r in records)
-        if records:
-            first, last = at(records[0]), at(records[-1])
-            want = {v: x for v, x in values.items() if first <= v <= last}
-        else:
-            want = {}
-        assert got == want
-        applied.append(len(records))
+        assert records
+        first, last = at(records[0]), at(records[-1])
+        assert got == {v: x for v, x in values.items() if first <= v <= last}
+        applied.append(records)
         return records
 
     before = cl.rounds_used
     primitives.deliver_by_endpoint(cl, "E", values, side, apply=apply)
     assert cl.rounds_used - before == (primitives.sort_rounds(0.5)
                                        + primitives.tree_rounds(0.5))
-    assert len(applied) == len(cl.small_ids) and sum(applied) == len(edges)
+    # apply ran exactly on the machines that hold records, in ascending
+    # order, and each stores what apply returned; an idle machine keeps
+    # its empty shard
+    shards = [cl.machines[i].state["E"] for i in cl.small_ids]
+    assert list(map(id, applied)) == [id(s) for s in shards if s]
+    assert sum(map(len, applied)) == len(edges)
     assert sorted(gathered(cl)) == sorted(edges)
 
 

@@ -200,7 +200,7 @@ def test_records_forms_agree(forms, data):
     count = np.diff([0] + cuts + [n])
     src = np.arange(1, len(count) + 1)
     dst = src[::-1].copy()
-    charges = [Slices(r, src, dst, count, header=1).charges()
+    charges = [[x.tolist() for x in Slices(r, src, dst, count, header=1).charges()]
                for r in (a, b, list(records))]
     assert charges[0] == charges[1] == charges[2]
 
@@ -283,7 +283,6 @@ def test_resident_words_follow_put_and_pop():
         fresh = {mid: sum(payload_words(v) for v in mach.state.values())
                  for mid, mach in cl.machines.items()}
         assert cl.telemetry[-1].resident == fresh
-        assert cl._resident == fresh
     assert cl.telemetry[3].resident[1] == 5 + 3  # E re-metered after the mutation
     assert cl.telemetry[5].resident[1] == 5
 
@@ -294,14 +293,15 @@ def test_resident_words_follow_put_and_pop():
                           st.integers(0, 3), st.sampled_from("ABC"),
                           st.lists(st.integers(), max_size=8)),
                 max_size=30),
-       st.booleans())
-def test_resident_words_match_fresh_walk(ops, tiny):
+       st.booleans(), st.randoms(use_true_random=False))
+def test_resident_words_match_fresh_walk(ops, tiny, rnd):
     # tiny: 16-word small machines on a tolerant cluster, so machines go
     # over budget and back; one left over budget and untouched is reported
     # in every later round
     cfg = ClusterConfig(n=16, m=64, gamma=0.5, polylog_c=1 if tiny else 128,
                         polylog_e=1 if tiny else 2)
     cl = init_cluster(cfg, strict=False)
+    snapshots, read = [], []  # each row's fresh walk, and its table as read
     for op, mid, key, value in ops:
         mach = cl.machines[mid]
         if op == "put":
@@ -324,18 +324,34 @@ def test_resident_words_match_fresh_walk(ops, tiny):
         cl.empty_round()
         fresh = {m: sum(payload_words(v) for v in mm.state.values())
                  for m, mm in cl.machines.items()}
+        snapshots.append(fresh)
         row = cl.telemetry[-1]
+        read.append(row.resident)
         assert row.resident == fresh and list(row.resident) == sorted(fresh)
         assert row.violations == [(m, "StateBudget") for m in sorted(fresh)
                                   if fresh[m] > cl.machines[m].budget]
         if op == "transient" and len(cl.telemetry) > 1:
             assert row.resident == cl.telemetry[-2].resident
+    # rows read in any order, and again after later rounds, read as their
+    # fresh walks did; a table read earlier is not changed by later reads
+    order = list(range(len(cl.telemetry)))
+    rnd.shuffle(order)
+    for r in order + order[::-1]:
+        got = cl.telemetry[r].resident
+        assert got == snapshots[r] and list(got) == sorted(snapshots[r])
+    assert read == snapshots
 
 
 def test_local_step():
+    # fn runs exactly on the machines that hold records under the key, in
+    # ascending order; the results have no idle entries
     cl = init_cluster(ClusterConfig(n=16, m=64, gamma=0.5))
+    cl.machines[1].put("E", [(1, 5)])
     cl.machines[2].put("E", [(1, 2)])
     cl.machines[3].put("E", [(3, 4)])
+    cl.machines[4].put("E", [(4, 4)])
+    cl.machines[5].put("E", Records())  # holds nothing: idle
+    cl.machines[6].put("E", [])  # idle too
     label = FlowLabel(vertex=3, entries=[(0, 0, 7)], component=0)
     calls = []
 
@@ -347,24 +363,34 @@ def test_local_step():
             return None  # pops the key
         if i == 3:
             return [r + (label,) for r in recs]  # carries a label: a list
-        return [(i,)]
+        return np.array([[i, i]])  # int64 columns: stored as Records
 
     got = cl.local(fn, "E", "E")
-    # one call per small machine, in ascending order, with what it stores
-    assert [i for i, _ in calls] == cl.small_ids
-    assert calls[:3] == [(1, []), (2, [(1, 2)]), (3, [(3, 4)])]
-    assert got[1] == [(1, 5), (1, 6)] and got[2] is None and got[4] == [(4,)]
+    assert calls == [(1, [(1, 5)]), (2, [(1, 2)]), (3, [(3, 4)]), (4, [(4, 4)])]
+    assert list(got) == [1, 2, 3, 4]
+    assert got[1] == [(1, 5), (1, 6)] and got[2] is None
     stored = {i: m.state.get("E") for i, m in cl.machines.items()}
     assert type(stored[1]) is Records and stored[1] == ((1, 5), (1, 6))
     assert "E" not in cl.machines[2].state
     assert type(stored[3]) is list and stored[3] == [(3, 4, label)]
+    assert type(stored[4]) is Records and stored[4] == ((4, 4),)
+    # an idle machine keeps what it stores under the key when out is key
+    assert type(stored[5]) is Records and stored[6] == [] and stored[7] is None
     cl.empty_round()
     assert cl.telemetry[-1].resident[1] == 4
     assert cl.telemetry[-1].resident[2] == 0
     assert cl.telemetry[-1].resident[3] == 2 + 2  # the label's words too
-    # without an output key nothing is stored
-    assert cl.local(lambda i, recs: len(recs), "E") == {
-        i: 2 if i == 1 else 0 if i == 2 else 1 for i in cl.small_ids}
+    # without an output key nothing is stored; only busy machines report
+    assert cl.local(lambda i, recs: len(recs), "E") == {1: 2, 3: 1, 4: 1}
+    # with another output key, an idle machine's output is popped
+    for i in (5, 7, 8):
+        cl.machines[i].put("X", [(9, 9)])
+    calls.clear()
+    got = cl.local(fn, "E", "X")
+    assert [i for i, _ in calls] == [1, 3, 4] and list(got) == [1, 3, 4]
+    assert [i for i in cl.small_ids if "X" in cl.machines[i].state] == [1, 3, 4]
+    cl.empty_round()
+    assert cl.telemetry[-1].changed == {1: 8, 3: 4 + 6, 4: 4, 5: 0, 7: 0, 8: 0}
 
 
 def test_empty_round_all_zero():
@@ -507,6 +533,37 @@ def test_telemetry_json_matches_reference_export(polylog_c):
     assert any(t.violations for t in cl.telemetry) == (polylog_c == 1)
     got = json.dumps(telemetry_json(cl))
     assert got == json.dumps(_reference_telemetry_json(cl))
+
+
+def _by_machine_reference(mids, words):
+    """{machine: summed words} in order of first send, by np.unique."""
+    if not len(mids):
+        return {}
+    total = np.bincount(mids, weights=words).astype(np.int64)
+    seen, first = np.unique(mids, return_index=True)
+    seen = seen[np.argsort(first)].tolist()
+    return dict(zip(seen, total[seen].tolist()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from(["unsorted", "ascending", "repeated", "single",
+                                   "empty"]))
+def test_first_send_order_matches_unique(data, shape):
+    lo, hi = {"single": (1, 1), "empty": (0, 0)}.get(shape, (2, 30))
+    mids = data.draw(st.lists(st.integers(0, 12), min_size=lo, max_size=hi))
+    if shape == "ascending":
+        mids.sort()
+    elif shape == "repeated":
+        mids = [mids[0]] * len(mids)
+    # words of 0 included: such a machine keeps its entry
+    words = data.draw(st.lists(st.integers(0, 3), min_size=len(mids),
+                               max_size=len(mids)))
+    mids, words = np.array(mids, np.int64), np.array(words, np.int64)
+    seen, total = simcore._by_machine(mids, words)
+    got = dict(zip(seen.tolist(), total.tolist()))
+    want = _by_machine_reference(mids, words)
+    assert list(got.items()) == list(want.items())
+    assert sorted(got) == sorted(set(mids.tolist()))
 
 
 def test_slices_charged_per_sender_and_receiver():
