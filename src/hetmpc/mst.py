@@ -255,11 +255,9 @@ def _finish_by_sampling(cluster, state, p):
     light_counts = []
     winner = None
     for rep in range(1, R + 1):
-        # stored values are never mutated in place, so no copies
-        snapshot = {
-            mid: cluster.machines[mid].state.get("E") or []
-            for mid in cluster.small_ids
-        }
+        # stored values are never mutated in place, so no copies; each
+        # machine's own object is kept (None where it stores nothing)
+        snapshot = dict(zip(cluster.small_ids, cluster.shards("E")))
         sample = kkt_sample(cluster, p, rep)
         if sample is None:
             light_counts.append(None)
@@ -271,7 +269,11 @@ def _finish_by_sampling(cluster, state, p):
         light_counts.append(total)
         # the filter pass consumed the stored edges; restore them
         for mid, es in snapshot.items():
-            cluster.machines[mid].put("E", es)
+            mach = cluster.machines[mid]
+            if es is None:
+                mach.pop("E")
+            else:
+                mach.put("E", es)
         if light is not None:
             winner = (rep, light, sample)
             break

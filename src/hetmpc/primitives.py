@@ -331,12 +331,14 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
     when the records are flat int tuples of one arity, taken from the
     columns of the joined records; other records stay lists, which are
     walked when metered.  A route pops and stores only the machines that
-    hold or receive records; an idle machine keeps its empty Records.
+    hold or receive records, with `Cluster.unload` before its round and
+    `Cluster.load` after it; an idle machine keeps its empty Records.
+    `summarize` runs on the machines that hold records, and every idle
+    machine's payload is the one value `summarize(Records())`.
     """
     start = cluster.rounds_used
     K = len(cluster.small_ids)
-    machines = cluster.machines
-    stored = [machines[i].state.get(state_key) for i in cluster.small_ids]
+    stored = cluster.shards(state_key)
     held = [s if type(s) is Records else as_records(s or _EMPTY) for s in stored]
     sizes = list(map(len, held))
     recs = _join([h for h, n in zip(held, sizes) if n])
@@ -376,23 +378,19 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
         # send each (machine, bucket) slice that starts at a first
         # position to the dst of its records, which store it sorted; the
         # machines that hold or receive records, and those of mask busy,
-        # pop and store their shards
+        # pop their shards before the round and store them after it
         rec, at, bounds, ordered = layout
         busy = busy.copy()
         busy[1:] |= bounds[1:] > bounds[:-1]
         busy[dst[first]] = True
-        busy = list(map(machines.__getitem__, np.flatnonzero(busy).tolist()))
-        for mach in busy:
-            mach.pop(state_key)
+        busy = np.flatnonzero(busy).tolist()
+        cluster.unload(state_key, busy)
         count = np.diff(np.append(first, len(rec)))
         cluster.round(Slices(ordered, at[first], dst[first], count))
         layout = local_sort(rec, dst)
         # a Records shard is a view of the one read-only matrix of
         # layout.ordered
-        cut, ordered = layout.bounds.tolist(), layout.ordered
-        for mach in busy:
-            shard = ordered[cut[mach.mid - 1]:cut[mach.mid]]
-            mach.put(state_key, shard if type(shard) is Records else as_records(shard))
+        cluster.load(state_key, busy, layout.ordered, layout.bounds.tolist())
         return layout
 
     # the local sort permutes each machine's records, which meters the
@@ -444,7 +442,8 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
 
     # the summary: each machine sends the large machine its count (a
     # header word), its first and last records if it holds any, and
-    # summarize(shard)
+    # summarize(shard); every idle machine's is summarize of an empty
+    # batch, computed once
     counts = np.diff(layout.bounds)
     full = np.flatnonzero(counts)
     ends = take(layout.rec[np.column_stack((layout.bounds[full],
@@ -452,8 +451,14 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
     header = np.ones(K, np.int64)
     extras = [None] * K
     if summarize is not None:
-        extras = [summarize(machines[i].state[state_key]) for i in cluster.small_ids]
-        header += [payload_words(x) for x in extras]
+        idle = summarize(_EMPTY)
+        extras = [idle] * K
+        words = [payload_words(idle)] * K
+        shards = cluster.shards(state_key)
+        for i in full.tolist():
+            x = extras[i] = summarize(shards[i])
+            words[i] = payload_words(x)
+        header += words
     cluster.round(Slices(ends, ids, np.full(K, LARGE), 2 * (counts > 0), header))
     boundaries = [None] * K
     pairs = iter(ends)
@@ -562,14 +567,18 @@ def disseminate(cluster: Cluster, values: dict, machine_ranges: dict):
             row.append((min(r[0] for r in rs), max(r[1] for r in rs)) if rs else None)
         spans.append(row)
 
-    def narrow(level, idx, have):
+    # spans nest, so each node keeps the sorted parts within its own span
+    parts = sorted(values)
+    vals = [values[p] for p in parts]
+
+    def narrow(level, idx, _):
         rng = spans[level][idx]
         if rng is None:
             return None
-        lo, hi = rng
-        return {p: v for p, v in have.items() if lo <= p <= hi} or None
+        a, b = bisect_left(parts, rng[0]), bisect_right(parts, rng[1])
+        return dict(zip(parts[a:b], vals[a:b])) if a < b else None
 
-    got = _down(cluster, {p: values[p] for p in sorted(values)}, narrow)
+    got = _down(cluster, None, narrow)
     return {idx + 1: sub for idx, sub in got.items()}
 
 
@@ -654,7 +663,15 @@ def query_k_lightest(cluster: Cluster, arranged: Arranged, k_of: dict,
                      dst_key="D") -> dict:
     """Collection protocol on an arranged layout: the large machine asks
     each machine holding part of v's first k_of[v] outgoing edges for its
-    share (queries (v, k)) and gathers the replies.  2 rounds."""
+    share (queries (v, k)) and gathers the replies.  2 rounds.
+
+    `arranged` is the layout of the shards under `dst_key`, each sorted
+    by source, so a query's reply is the first k records of the run of v
+    in its machine's shard.  The replies are one segmented pass:
+    every query is found in its machine's segment of the queried shards by
+    one searchsorted on (machine, source) keys, and the replies are sent
+    as one `Slices` batch, one send a querying machine.  Returns {v: its
+    records}, read in sender order."""
     plans = {}
     for v, k in k_of.items():
         left = k
@@ -666,24 +683,44 @@ def query_k_lightest(cluster: Cluster, arranged: Arranged, k_of: dict,
             left -= take
     cluster.round([(LARGE, mi, qs) for mi, qs in plans.items()])
 
-    def reply(mi, shard):
-        qs = plans.get(mi)
-        if qs is None:
-            return None
-        by_v = {}
-        for r in shard:
-            by_v.setdefault(r[0], []).append(r)
-        out = []
-        for v, take in qs:
-            out.extend(by_v.get(v, [])[:take])
-        return out
+    mids = list(plans)
+    held = cluster.shards(dst_key)
+    segs = [held[mi - 1] for mi in mids]  # each holds records of its queries
+    recs = _join(segs)
+    take = np.array([t for qs in plans.values() for _, t in qs], np.int64)
+    at = np.zeros(len(take), np.int64)
+    if plans:
+        # the records of segment j key to j * span + (source - lo); each
+        # queried vertex is a source of its machine's segment
+        if type(recs) is Records:
+            src = recs.columns()[:, 0]
+        else:
+            src = np.array([r[0] for r in recs], object)
+        lo = int(src.min())
+        span = int(src.max()) - lo + 1
+        fits = src.dtype == np.int64 and len(mids) * span < 2 ** 63
+        dtype = np.int64 if fits else object
+        seg = np.repeat(np.arange(len(mids)), list(map(len, segs))).astype(dtype)
+        keys = seg * span + (src.astype(dtype) - lo)
+        at = np.searchsorted(keys, np.array(
+            [j * span + v - lo for j, qs in enumerate(plans.values()) for v, _ in qs],
+            dtype))
+    # the position in recs of each reply record, in plans order
+    pos = np.repeat(at - (np.cumsum(take) - take), take) + np.arange(int(take.sum()))
+    if type(recs) is Records:
+        replies = _of_columns(recs.columns()[pos])
+    else:
+        replies = [recs[p] for p in pos.tolist()]
+    count = [sum(t for _, t in qs) for qs in plans.values()]
+    cluster.round(Slices(replies, np.array(mids, np.int64),
+                         np.full(len(mids), LARGE), np.array(count, np.int64)))
 
-    replies = cluster.local(reply, dst_key)
-    inbox = cluster.round([(mi, LARGE, replies.get(mi, [])) for mi in plans])
-
+    rows = list(replies)
+    ends = np.cumsum(count, dtype=np.int64).tolist()
+    starts = [e - c for e, c in zip(ends, count)]
     collected = {}
-    for _, reply in inbox.get(LARGE, []):
-        for r in reply:
+    for j in sorted(range(len(mids)), key=mids.__getitem__):
+        for r in rows[starts[j]:ends[j]]:
             collected.setdefault(r[0], []).append(r)
     return collected
 

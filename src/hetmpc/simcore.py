@@ -479,7 +479,9 @@ class Cluster:
     """1 large + K small machines exchanging messages in synchronous rounds.
 
     `local(fn, key, out)` runs one machine-local step between rounds, and
-    `drop(*keys)` pops keys on every small machine.
+    `drop(*keys)` pops keys on every small machine.  The bulk shard moves
+    `shards(key)`, `unload(key, mids)` and `load(key, mids, ordered, cut)`
+    read, pop and store one key on many machines in one loop.
     `round(sends)` runs one communication round: it delivers the queued
     messages (canonically ordered by sender then sequence number), meters
     per-machine traffic and resident state, and records telemetry.  Budget
@@ -547,10 +549,55 @@ class Cluster:
 
     def drop(self, *keys):
         """Each small machine discards what it stores under `keys`."""
-        for mach in self._small:
-            for key in keys:
-                if key in mach.state:
-                    mach.pop(key)
+        for key in keys:
+            self.unload(key, self.small_ids)
+
+    # -- bulk shard moves ------------------------------------------------
+    # One loop each over the machines that act, metering as `Machine.put`
+    # and `Machine.pop` do, through `Machine._retotal`.
+
+    def shards(self, key) -> list:
+        """What each small machine stores under `key` (None where it
+        stores nothing), in machine order."""
+        return [mach.state.get(key) for mach in self._small]
+
+    def unload(self, key, mids):
+        """Machines `mids` (small machine ids) each pop `key`."""
+        machines = self.machines
+        for mid in mids:
+            mach = machines[mid]
+            mach.state.pop(key, None)
+            w = mach._words.pop(key, 0)
+            if w:
+                mach._retotal(-w)
+
+    def load(self, key, mids, ordered, cut):
+        """Each machine i of `mids` (small machine ids) stores
+        `ordered[cut[i-1]:cut[i]]` under `key`.  A slice of Records is
+        Records, metered as its count times the arity; a slice of a list
+        is stored through `as_records`."""
+        machines = self.machines
+        arity = None
+        if type(ordered) is Records:
+            arity = ordered.words() // len(ordered) if len(ordered) else 0
+            rows, cols = ordered._tuples, ordered._cols
+        for mid in mids:
+            a, b = cut[mid - 1], cut[mid]
+            if arity is None:
+                shard = as_records(ordered[a:b])
+                w = payload_words(shard)
+            else:  # ordered[a:b], built here
+                shard = object.__new__(Records)
+                shard._tuples = None if rows is None else rows[a:b]
+                shard._cols = None if cols is None else cols[a:b]
+                w = (b - a) * arity
+            mach = machines[mid]
+            mach.state[key] = shard
+            words = mach._words
+            delta = w - words.get(key, 0)
+            words[key] = w
+            if delta:
+                mach._retotal(delta)
 
     def round(self, sends) -> dict:
         """Deliver messages; returns {dst: [(src, payload), ...]}.

@@ -1,7 +1,11 @@
 """The tuple sample sort that `primitives.het_sort` replaced, kept verbatim
 as the reference its rank-oracle port is compared with: each machine sorts
 (key, record) pairs, cuts its shard with bisect, and routes one list-built
-message per bucket through the ordinary send list."""
+message per bucket through the ordinary send list.
+
+Beside it, the per-machine `query_k_lightest` that the segmented pass
+replaced, kept verbatim: each queried machine groups its shard's records
+by source and replies with one list through the ordinary send list."""
 
 from __future__ import annotations
 
@@ -9,7 +13,14 @@ import math
 from bisect import bisect_left
 from operator import itemgetter
 
-from hetmpc.primitives import SortedLayout, _pad, branching, sort_rounds, tree_broadcast
+from hetmpc.primitives import (
+    Arranged,
+    SortedLayout,
+    _pad,
+    branching,
+    sort_rounds,
+    tree_broadcast,
+)
 from hetmpc.simcore import LARGE, Cluster, Records, _join, as_records
 
 # the unchecked constructor this sort used is gone; the checked one builds
@@ -190,3 +201,41 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
             extras[i] = payload[j] if len(payload) > j else None
     _pad(cluster, start, sort_rounds(gamma))
     return SortedLayout(counts, boundaries, extras)
+
+
+def query_k_lightest(cluster: Cluster, arranged: Arranged, k_of: dict,
+                     dst_key="D") -> dict:
+    """Collection protocol on an arranged layout: the large machine asks
+    each machine holding part of v's first k_of[v] outgoing edges for its
+    share (queries (v, k)) and gathers the replies.  2 rounds."""
+    plans = {}
+    for v, k in k_of.items():
+        left = k
+        for mi, cnt in arranged.slices.get(v, []):
+            if left <= 0:
+                break
+            take = min(left, cnt)
+            plans.setdefault(mi, []).append((v, take))
+            left -= take
+    cluster.round([(LARGE, mi, qs) for mi, qs in plans.items()])
+
+    def reply(mi, shard):
+        qs = plans.get(mi)
+        if qs is None:
+            return None
+        by_v = {}
+        for r in shard:
+            by_v.setdefault(r[0], []).append(r)
+        out = []
+        for v, take in qs:
+            out.extend(by_v.get(v, [])[:take])
+        return out
+
+    replies = cluster.local(reply, dst_key)
+    inbox = cluster.round([(mi, LARGE, replies.get(mi, [])) for mi in plans])
+
+    collected = {}
+    for _, reply in inbox.get(LARGE, []):
+        for r in reply:
+            collected.setdefault(r[0], []).append(r)
+    return collected

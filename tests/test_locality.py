@@ -23,7 +23,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "hetmpc"
 ALLOWED = {
     "mst": {
         "_finish_by_sampling": (
-            2, "snapshots and restores 'E' through the host (ROADMAP item 3)"),
+            1, "restores 'E' through the host (ROADMAP item 3)"),
     },
     "matching": {
         "phase1_low_degree": (
@@ -40,9 +40,6 @@ ALLOWED = {
         "_sketch_components": (
             1, "builds one CoordTable from every machine's edges "
                "(ROADMAP item 3)"),
-    },
-    "primitives": {
-        "het_sort": (1, "the sort moves the records it routes between machines"),
     },
 }
 
@@ -62,9 +59,11 @@ def machines_accesses(source):
     return found
 
 
-@pytest.mark.parametrize("module", sorted(ALLOWED))
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")
+                                          if p.stem != "simcore"))
 def test_machines_reached_only_where_allowed(module):
-    allowed = ALLOWED[module]
+    # a module without an entry (primitives among them) may reach none
+    allowed = ALLOWED.get(module, {})
     source = (SRC / f"{module}.py").read_text()
     for fn, count in machines_accesses(source).items():
         assert fn in allowed, f"{module}.{fn} reaches cluster.machines"

@@ -1,5 +1,6 @@
 """Minimum spanning forest: contraction, sampling, exactness."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -147,6 +148,42 @@ def test_sampling_repetitions_run_in_sequence(monkeypatch, m, rounds):
     assert cl.rounds_used == rounds + rep_rounds
     assert stored[0] == stored[1]
     assert sorted(forest) == sorted(oracles.kruskal_msf(256, g.edges))
+
+
+# sha256 prefix of the telemetry rows of the run above, recorded before the
+# snapshot kept each machine's own object
+RESTORED_ROWS = {4096: "568cdb5ba46087bf", 512: "b75a3b0bd226a3e1"}
+
+
+@pytest.mark.parametrize("m", [4096, 512])
+def test_sampling_restores_each_snapshot_object(monkeypatch, m):
+    # repetition 1 aborts; repetition 2 starts on the very objects each
+    # machine stored under "E" before repetition 1 (at m=4096 every one is
+    # an empty Records), and the rows are as before
+    g = generate_graph("gnm", 256, seed=0, m=m, weighted=True)
+    cl = make_cluster(256, m)
+    real_filter, real_sample = mst.f_light_filter, mst.kkt_sample
+    at_start, filtered = [], []
+
+    def first_aborts(cluster, labels, threshold):
+        filtered.append(1)
+        light, total = real_filter(cluster, labels, threshold)
+        return (None, total) if len(filtered) == 1 else (light, total)
+
+    def sample(cluster, p, rep):
+        at_start.append(cluster.shards("E"))
+        return real_sample(cluster, p, rep)
+
+    monkeypatch.setattr(mst, "f_light_filter", first_aborts)
+    monkeypatch.setattr(mst, "kkt_sample", sample)
+    mst.mst(cl, g)
+    first, second = at_start
+    assert all(a is b for a, b in zip(first, second))
+    if m == 4096:
+        assert all(type(a) is Records and not a for a in first)
+    rows = repr([(t.round, t.sent, t.received, t.resident, t.violations)
+                 for t in cl.telemetry])
+    assert hashlib.sha256(rows.encode()).hexdigest()[:16] == RESTORED_ROWS[m]
 
 
 def test_kkt_sample_edge_probabilities():

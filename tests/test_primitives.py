@@ -16,6 +16,7 @@ from hetmpc import primitives
 from hetmpc.graphio import generate_graph
 from hetmpc.simcore import (
     CapacityError,
+    Cluster,
     ClusterConfig,
     ConfigError,
     Machine,
@@ -273,23 +274,29 @@ def test_sort_sends_records_in_total_order(records, which, m):
 
 
 def test_sort_routes_touch_only_busy_machines(monkeypatch):
-    # a route pops and stores only the machines that hold or receive
-    # records, and stores each shard as a view of one read-only matrix;
-    # an idle machine keeps its empty Records object
+    # a route pops and stores, in bulk, only the machines that hold or
+    # receive records, and stores each shard as a view of one read-only
+    # matrix; an idle machine keeps its empty Records object
     cl = make_cluster(m=400)  # K = 50
     distribute_edges(cl, [(3, 1), (2, 7), (5, 5)], placement="adversarial",
                      shard_size=1)
     before = {i: cl.machines[i].state["E"] for i in cl.small_ids}
     touched, stored = set(), []
-    for name in ("put", "pop"):
-        method = getattr(Machine, name)
+    unload, load = Cluster.unload, Cluster.load
 
-        def spy(self, key, *value, method=method):
-            touched.add(self.mid)
-            stored.extend(value)
-            return method(self, key, *value)
+    def spy_unload(self, key, mids):
+        touched.update(mids)
+        return unload(self, key, mids)
 
-        monkeypatch.setattr(Machine, name, spy)
+    def spy_load(self, key, mids, ordered, cut):
+        touched.update(mids)
+        load(self, key, mids, ordered, cut)
+        stored.extend(self.machines[i].state[key] for i in mids)
+
+    monkeypatch.setattr(Cluster, "unload", spy_unload)
+    monkeypatch.setattr(Cluster, "load", spy_load)
+    for name in ("put", "pop"):  # the sort reaches no machine one by one
+        monkeypatch.setattr(Machine, name, None)
     layout = primitives.het_sort(cl)
     assert gathered(cl) == [(2, 7), (3, 1), (5, 5)]
     holders = {i for i in cl.small_ids if layout.counts[i - 1]}
@@ -498,6 +505,52 @@ def test_query_k_lightest_two_rounds():
     degs = g.degrees()
     assert len(got.get(0, [])) == min(3, degs[0])
     assert len(got.get(1, [])) == min(2, degs[1])
+
+
+# (record of edge (u, v) with weight w, vertex id of u): flat ints, a
+# weight or vertex ids beyond int64 (object columns), and a field that
+# meters itself (list shards)
+QUERY_KINDS = {
+    "ints": (lambda u, v, w: (u, v, w), lambda u: u),
+    "bigweights": (lambda u, v, w: (u, v, w << 62), lambda u: u),
+    "bigvertices": (lambda u, v, w: (u << 62, v << 62, w), lambda u: u << 62),
+    "labels": (lambda u, v, w: (u, v, Label(w)), lambda u: u),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)),
+             max_size=120),
+    st.sampled_from(sorted(QUERY_KINDS)),
+    st.sampled_from([None, (0, 2)]),
+    st.sampled_from([1, 8, 40, 200, 400]),
+    st.sampled_from(["seeded", "roundrobin", "adversarial"]),
+    st.dictionaries(st.integers(0, 7), st.integers(0, 12), max_size=8),
+)
+def test_query_matches_the_reference(raw, kind, key, m, placement, k_raw):
+    # m = 1 or 8 gives K = 1; adversarial placement leaves trailing shards
+    # empty; vertex 7 has no edges, and k may exceed a degree; with K = 5
+    # (m = 40) a vertex's run spans machines
+    record, vertex = QUERY_KINDS[kind]
+    records = [record(*r) for r in raw]
+    k_of = {vertex(v): k for v, k in k_raw.items()}
+    out = []
+    for query in (primitives.query_k_lightest, sort_reference.query_k_lightest):
+        cl = init_cluster(ClusterConfig(n=64, m=m, gamma=0.5, seed=3))
+        try:
+            distribute_edges(cl, records, placement=placement)
+        except CapacityError:
+            assume(False)
+        arranged = primitives.arrange_nodes(cl, key=key)
+        out.append((cl, query(cl, arranged, k_of)))
+    (new, got), (ref, want) = out
+    assert list(got.items()) == list(want.items())
+    assert new.rounds_used == ref.rounds_used
+    for t, u in zip(new.telemetry, ref.telemetry):
+        assert list(t.sent.items()) == list(u.sent.items())
+        assert list(t.received.items()) == list(u.received.items())
+        assert (t.changed, t.violations) == (u.changed, u.violations)
 
 
 def test_gather_and_scatter_single_rounds():

@@ -289,7 +289,7 @@ def test_resident_words_follow_put_and_pop():
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(["put", "pop", "mutate", "transient", "local",
-                                           "barrier"]),
+                                           "unload", "load", "barrier"]),
                           st.integers(0, 3), st.sampled_from("ABC"),
                           st.lists(st.integers(), max_size=8)),
                 max_size=30),
@@ -321,6 +321,16 @@ def test_resident_words_match_fresh_walk(ops, tiny, rnd):
             cl.local(lambda i, recs: None if i == mid else
                      list(recs) + [tuple(value)] if i % 2 else list(value),
                      key, key)
+        elif op == "unload":  # small machines 1..mid+1 pop key in bulk
+            cl.unload(key, range(1, mid + 2))
+        elif op == "load":
+            # small machines 1..mid+1 store consecutive pairs of records in
+            # bulk: slices of Records (key A), of a list that ends in a
+            # record with a str (key B), or of a conforming list (key C)
+            recs = [(x, j) for j, x in enumerate(value)]
+            ordered = {"A": Records(recs), "B": recs + [(0, "s")], "C": recs}[key]
+            cut = [min(2 * i, len(ordered)) for i in range(len(cl.small_ids) + 1)]
+            cl.load(key, range(1, mid + 2), ordered, cut)
         cl.empty_round()
         fresh = {m: sum(payload_words(v) for v in mm.state.values())
                  for m, mm in cl.machines.items()}
