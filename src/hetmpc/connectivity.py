@@ -12,14 +12,13 @@ give a (1 +/- 2*eps) estimate of the minimum spanning forest weight.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import chain
 
 import numpy as np
 
 from . import primitives
-from .simcore import Cluster, ConfigError, RunFailed, as_records, distribute_edges
+from .simcore import Cluster, ConfigError, RunFailed, distribute_edges
 
 
 # ---------------------------------------------------------------------------
@@ -190,16 +189,17 @@ class CoordTable:
         self.coords = c[np.diff(c, prepend=-1) != 0]  # coordinates are >= 0
         q, R, L = keys.q, keys.R, keys.L
         mc = len(self.coords)
-        self.member = np.zeros((mc, R, L), dtype=bool)
+        self.member = np.empty((mc, R, L), dtype=bool)
+        self.member[:, :, 0] = True  # u < q: level 0 holds every coordinate
         self.check = np.zeros((mc, R), dtype=np.int64)
         # (u << l) < q, i.e. u <= (q - 1) >> l, without the shifted copy
-        top = (q - 1) >> np.arange(L, dtype=np.int64)[:, None]
+        top = (q - 1) >> np.arange(1, L, dtype=np.int64)[:, None]
         for r in range(R):
-            # instance r's L level polynomials and its checksum polynomial
-            u = _poly_eval(np.vstack((keys.level_coeffs[r],
+            # instance r's level polynomials 1..L-1 and its checksum one
+            u = _poly_eval(np.vstack((keys.level_coeffs[r, 1:],
                                       keys.check_coeffs[r])), self.coords, q)
-            self.member[:, r] = (u[:L] <= top).T
-            self.check[:, r] = u[L]
+            self.member[:, r, 1:] = (u[:-1] <= top).T
+            self.check[:, r] = u[-1]
 
 
 def edge_coord(n, u, v):
@@ -250,67 +250,85 @@ def _sum_partials(parts, keys: SketchKeys):
     return SketchPartial._of_flat(flat, keys)
 
 
-def _leaf_partials(table: CoordTable, part_fn, records):
-    """One machine's leaf sketches: {part: SketchPartial} summing the
-    signed coordinates of its directed records (u, v, ...), +x for u < v
-    and -x otherwise, x being the coordinate of edge {u, v}, grouped by
-    `part_fn`.  A part's records must be consecutive.
+def _weight_classes(taus):
+    """Part columns (source, smallest i with w <= taus[i]) of records
+    (u, v, w), compared exactly: w <= tau iff w <= floor(tau) for int w."""
+    floors = np.array([math.floor(t) for t in taus])
+    return lambda cols: (cols[:, 0], np.searchsorted(floors, cols[:, 2]))
 
-    One gather of the table rows of the records' endpoint columns, then
-    one segment sum over the occupied (part, cell) keys only, so memory
-    stays proportional to the occupied cells rather than to records x R*L.
+
+def _leaf_partials(table: CoordTable, cut, cols, parts):
+    """A `Cluster.segmented` step: machine j's leaf sketches {part:
+    SketchPartial} sum the signed coordinates of its directed records
+    `cols[cut[j-1]:cut[j]]` (u, v, ...), +x for u < v and -x otherwise, x
+    being the coordinate of edge {u, v}, grouped by part.  `parts` holds
+    one column per field of a part (a one-field part is its int, others
+    a tuple); a part's records must be consecutive on a machine.
+
+    One gather of the table rows of the endpoints, then one segment sum
+    over the occupied (run, cell) keys, a run being a part on one machine:
+    memory follows the occupied cells, not records x R*L.
     """
-    if not records:
-        return {}
     keys = table.keys
-    n, k, RL = keys.n, len(records), keys.R * keys.L
-    parts = [part_fn(r) for r in records]
-    starts = [0] + [i for i in range(1, k) if parts[i] != parts[i - 1]]
-    uv = as_records(records).columns()[:, :2].astype(np.int64)
+    n, k, RL = keys.n, len(cols), keys.R * keys.L
+    uv = cols[:, :2].astype(np.int64)
     sign = np.where(uv[:, 0] < uv[:, 1], 1, -1)
     x = uv.min(axis=1) * n + uv.max(axis=1)
     rows = np.searchsorted(table.coords, x)
     if not (table.coords[np.minimum(rows, len(table.coords) - 1)] == x).all():
         raise KeyError("a record's edge is not a table coordinate")
-    # every (record, r, l) membership; level 0 holds every coordinate
-    i, r, l = np.nonzero(table.member[rows])
-    run = np.repeat(np.arange(len(starts)), np.diff(starts + [k]))
-    key = run[i] * RL + r * keys.L + l
+    # runs break where a part field changes and at every machine boundary
+    new = np.zeros(k, bool)
+    new[np.r_[0, cut[:-1]]] = True
+    for p in parts:
+        new[1:] |= p[1:] != p[:-1]
+    starts = np.flatnonzero(new)
+    run = np.cumsum(new) - 1
+    # every (record, cell r*L + l) membership
+    i, c = np.divmod(np.flatnonzero(table.member[rows]), RL)
+    key = run[i] * RL + c
     s = sign[i]
-    contrib = np.stack((s, s * x[i], s * table.check[rows[i], r]), axis=1)
+    contrib = np.stack((s, s * x[i], s * table.check[rows[i], c // keys.L]),
+                       axis=1)
     order = np.argsort(key, kind="stable")
     key = key[order]
     first = np.flatnonzero(np.diff(key, prepend=-1))
     sums = np.add.reduceat(contrib[order], first, axis=0)
     _mod(sums[:, 2], keys.q)
-    occupied = sums.any(axis=1)
-    at, cells = np.divmod(key[first][occupied], RL)
+    occupied = (sums[:, 0] | sums[:, 1] | sums[:, 2]) != 0
+    at, cells = np.divmod(key[first[occupied]], RL)
     vals = sums[occupied]
     bounds = np.searchsorted(at, np.arange(len(starts) + 1)).tolist()
-    # copies, so that no partial keeps this machine's arrays alive
-    return {parts[j]: SketchPartial(cells[a:b].copy(), vals[a:b].copy(), keys)
-            for j, a, b in zip(starts, bounds, bounds[1:])}
+    # copies, so that no partial keeps this group's arrays alive
+    partials = [SketchPartial(cells[a:b].copy(), vals[a:b].copy(), keys)
+                for a, b in zip(bounds, bounds[1:])]
+    names = [p[starts].tolist() for p in parts]
+    names = names[0] if len(names) == 1 else list(zip(*names))
+    ends = np.searchsorted(starts, cut).tolist()  # of each machine's runs
+    return [dict(zip(names[a:b], partials[a:b]))
+            for a, b in zip([0] + ends, ends)]
 
 
 def sketch_build(cluster: Cluster, keys: SketchKeys, table: CoordTable,
-                 state_key="E", key=None, part_fn=itemgetter(0)):
+                 state_key="E", key=None, part_cols=lambda c: (c[:, 0],)):
     """Per-part sketches at the large machine.
 
     Keys are broadcast, edges arranged by endpoint (ordered by `key`, as
-    in `arrange_nodes`), and each small machine sketches its records in
-    one pass (`_leaf_partials`); the partial sketches are summed up the
-    aggregation tree using linearity.  A part is `part_fn` of a directed
-    record (source, target, ...); parts must be contiguous in the
-    arranged order.  The default part is the source vertex.
+    in `arrange_nodes`), and the small machines sketch their records in
+    groups, one `_leaf_partials` pass a `Cluster.segmented` group; the
+    partial sketches are summed up the aggregation tree using linearity.
+    `part_cols` maps the columns of directed records (source, target,
+    ...) to their part columns; parts must be contiguous in the arranged
+    order.  The default part is the source vertex.
     Returns {part: SketchPartial}.
     """
     primitives.tree_broadcast(cluster, keys)
     primitives.arrange_nodes(cluster, state_key, "D", key=key)
-    out = primitives.aggregate(
-        cluster, "D",
-        leaf_fn=lambda records: _leaf_partials(table, part_fn, records),
-        reduce_fn=lambda parts: _sum_partials(parts, keys),
-    )
+    leaves = cluster.segmented(
+        lambda cut, cols: _leaf_partials(table, cut, cols, part_cols(cols)),
+        "D")
+    out = primitives.aggregate(cluster, leaves,
+                               lambda parts: _sum_partials(parts, keys))
     cluster.drop("D")
     return out
 
@@ -365,18 +383,23 @@ def _decode(count, idsum, check, keys: SketchKeys, r: int, n: int,
 
 
 def _add_into(stack, sketches, keys: SketchKeys):
-    """Add {vertex: SketchPartial} into the (n, R, 3, L) per-vertex cells
-    `stack` with one fancy-indexed add, which is exact because the
-    (vertex, r, l) triples are distinct.  The checksums of the cells it
-    adds to are reduced mod q; every other checksum must be reduced
-    already."""
+    """Add {vertex: SketchPartial} into the C-contiguous (n, R, 3, L)
+    per-vertex cells `stack` with one fancy-indexed add a field on its
+    flat view, which is exact because the (vertex, r, l) triples are
+    distinct.  The checksums of the cells it adds to are reduced mod q;
+    every other checksum must be reduced already."""
     if sketches:
         parts = sketches.values()
         v = np.repeat(np.fromiter(sketches, np.int64, len(sketches)),
                       [len(s.cells) for s in parts])
         r, l = np.divmod(np.concatenate([s.cells for s in parts]), keys.L)
-        stack[v, r, :, l] += np.concatenate([s.vals for s in parts])
-        stack[v, r, 2, l] = _mod(stack[v, r, 2, l], keys.q)
+        vals = np.concatenate([s.vals for s in parts])
+        flat = stack.reshape(-1)
+        at = (v * keys.R + r) * 3 * keys.L + l  # the count cells
+        flat[at] += vals[:, 0]
+        flat[at + keys.L] += vals[:, 1]
+        at += 2 * keys.L
+        flat[at] = _mod(flat[at] + vals[:, 2], keys.q)
 
 
 def _stack(sketches, keys: SketchKeys, n: int):
@@ -441,11 +464,9 @@ def _boruvka(stack, keys: SketchKeys, n: int, table: CoordTable):
 def _sketch_components(cluster: Cluster, keys: SketchKeys, state_key):
     """Sketch the edges under state_key and run `_boruvka` on them."""
     n = cluster.config.n
-    table = CoordTable(keys, {
-        edge_coord(n, e[0], e[1])
-        for mid in cluster.small_ids
-        for e in cluster.machines[mid].state.get(state_key) or []
-    })
+    coords = cluster.local(
+        lambda _, es: [edge_coord(n, e[0], e[1]) for e in es], state_key)
+    table = CoordTable(keys, chain.from_iterable(coords.values()))
     stack = _stack(sketch_build(cluster, keys, table, state_key), keys, n)
     return _boruvka(stack, keys, n, table)
 
@@ -508,10 +529,8 @@ def mst_weight_estimate(cluster: Cluster, graph, eps, max_weight=None):
         cluster.local(lambda _, es: [e for e in es if e[2] <= taus[i]], "E", "T")
 
     keep(r)
-    partials = sketch_build(
-        cluster, keys, table, "T", key=(0, 2, 1),
-        part_fn=lambda rec: (rec[0], bisect_left(taus, rec[2])),
-    )
+    partials = sketch_build(cluster, keys, table, "T", key=(0, 2, 1),
+                            part_cols=_weight_classes(taus))
     cluster.drop("T")
     by_class = {}
     for (v, c), s in partials.items():

@@ -473,16 +473,16 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
 # aggregation
 
 
-def aggregate(cluster: Cluster, state_key, leaf_fn, reduce_fn):
+def aggregate(cluster: Cluster, leaves, reduce_fn):
     """Tree-aggregate f over per-part multisets stored on small machines.
 
-    Requires parts to be contiguous in the machine order (run het_sort
-    first if they are not).  Each small machine holding records turns
-    them into its leaf values with one call leaf_fn(records) ->
-    {part: value} (`per_record` builds one from per-record functions).
-    reduce_fn takes a list of values/partials and must satisfy
-    f({f(X1),...,f(Xk)}) = f(X1 u ... u Xk).  Returns {part: value}
-    computed at the large machine.
+    `leaves` is {i: {part: value}}, small machine i's leaf values, which
+    the caller computes in one local step (`Cluster.local`, with
+    `per_record` say, or `Cluster.segmented`).  Parts must be contiguous
+    in the machine order (run het_sort first if they are not).  reduce_fn
+    takes a list of values/partials and must satisfy f({f(X1),...,f(Xk)})
+    = f(X1 u ... u Xk).  Returns {part: value} computed at the large
+    machine.
     """
     start = cluster.rounds_used
     tree = _global_tree(cluster)
@@ -505,7 +505,6 @@ def aggregate(cluster: Cluster, state_key, leaf_fn, reduce_fn):
                 results.setdefault(p, []).append(v)
 
     # each node's partials on the current level, by index
-    leaves = cluster.local(lambda _, items: leaf_fn(items), state_key)
     row = [leaves.get(i, {}) for i in cluster.small_ids]
     for level in range(1, tree.depth + 1):
         below = tree.levels[level - 1]
@@ -537,9 +536,10 @@ def aggregate(cluster: Cluster, state_key, leaf_fn, reduce_fn):
 
 
 def per_record(part_fn, map_fn, reduce_fn):
-    """leaf_fn for `aggregate`: each record r adds map_fn(r) to part
-    part_fn(r), and a part's values are combined with reduce_fn."""
-    def leaf_fn(records):
+    """A `Cluster.local` step computing `aggregate`'s leaves: each record
+    r adds map_fn(r) to part part_fn(r), and a part's values are combined
+    with reduce_fn."""
+    def leaf_fn(_, records):
         vals = {}
         for r in records:
             vals.setdefault(part_fn(r), []).append(map_fn(r))

@@ -37,13 +37,10 @@ def _neighbor_or(cluster, masks, bits):
         return Packed(reduce(or_, (p.value for p in ps)), bits, wb)
 
     # each leaf ORs the plain masks of a part and packs the result once
-    got = primitives.aggregate(
-        cluster, "D",
-        leaf_fn=primitives.per_record(
-            itemgetter(0), lambda r: masks.get(r[1], 0),
-            lambda vs: Packed(reduce(or_, vs), bits, wb)),
-        reduce_fn=or_all,
-    )
+    leaves = cluster.local(primitives.per_record(
+        itemgetter(0), lambda r: masks.get(r[1], 0),
+        lambda vs: Packed(reduce(or_, vs), bits, wb)), "D")
+    got = primitives.aggregate(cluster, leaves, or_all)
     return {v: p.value for v, p in got.items()}
 
 
@@ -164,13 +161,10 @@ def clustering_graphs(cluster: Cluster, graph) -> ClusteringDecomposition:
                 if not in_b(u, i_u[u]) and in_b(v, i_u[u])]
 
     cluster.local(outward, "D", "_sigma")
-    cand = primitives.aggregate(
-        cluster, "_sigma",
-        leaf_fn=primitives.per_record(
-            itemgetter(0), lambda r: (_hash_int(seed, "sigma", r[0], r[1]), r[1]),
-            min),
-        reduce_fn=min,
-    )
+    leaves = cluster.local(primitives.per_record(
+        itemgetter(0), lambda r: (_hash_int(seed, "sigma", r[0], r[1]), r[1]),
+        min), "_sigma")
+    cand = primitives.aggregate(cluster, leaves, min)
     sigma, star_edges = {}, []
     for v in range(n):
         if in_b(v, i_of[v]):
@@ -376,12 +370,9 @@ def _baswana_sen(cluster, state_key, a, k, groups):
         cluster, state_key, tails, group + (a + 1,), apply=candidates)
 
     primitives.het_sort(cluster, state_key)  # the part r[:a+2] is a prefix
-    removal = primitives.aggregate(
-        cluster, state_key,
-        leaf_fn=primitives.per_record(
-            itemgetter(*range(a + 2)), lambda r: r[a + 2:], min),
-        reduce_fn=min,
-    )
+    leaves = cluster.local(primitives.per_record(
+        itemgetter(*range(a + 2)), lambda r: r[a + 2:], min), state_key)
+    removal = primitives.aggregate(cluster, leaves, min)
     cluster.drop(state_key)
 
     for part, r in removal.items():

@@ -1,7 +1,9 @@
 """Linear sketches, one-sparse decoding, and sketch connectivity."""
 
+import functools
 import math
 import random
+from bisect import bisect_left
 from dataclasses import replace
 from operator import itemgetter
 
@@ -13,9 +15,10 @@ from hypothesis import strategies as st
 from hetmpc import connectivity as cn
 from hetmpc import oracles, primitives
 from hetmpc.graphio import SimGraph, generate_graph
-from hetmpc.simcore import ClusterConfig, ConfigError, init_cluster
+from hetmpc.simcore import (SEGMENT_RECORDS, ClusterConfig, ConfigError,
+                            Records, init_cluster)
 
-import sketch_reference  # the Boruvka phase loop, beside this file
+import sketch_reference  # Boruvka and the leaf pass, beside this file
 
 
 def zero(keys):
@@ -40,10 +43,22 @@ def of_dense(count, idsum, check, keys):
     return cn.SketchPartial._of_flat(flat.astype(np.int64), keys)
 
 
+def leaves_of(table, records, part=None):
+    """One machine's leaf sketches of the directed `records`
+    ({part: SketchPartial}, by one `_leaf_partials` call whose group is
+    that machine), each record's part being its source or, when given,
+    `part`."""
+    if not records:
+        return {}
+    cols = np.array(records, np.int64)
+    parts = (cols[:, 0],) if part is None else (np.full(len(cols), part),)
+    return cn._leaf_partials(table, np.array([len(cols)]), cols, parts)[0]
+
+
 def vertex_sketch(keys, table, n, v, edges):
     """Host-side sketch of vertex v's signed incidence vector."""
     records = [(v, b if a == v else a) for a, b in edges if v in (a, b)]
-    return cn._leaf_partials(table, itemgetter(0), records).get(v, zero(keys))
+    return leaves_of(table, records).get(v, zero(keys))
 
 
 def test_field_prime():
@@ -188,7 +203,7 @@ def test_boruvka_matches_the_reference(case):
     keys = cn.keys_from_seed(seed, n)
     table = cn.CoordTable(keys, [cn.edge_coord(n, a, b) for a, b in edges])
     records = sorted([(a, b) for a, b in edges] + [(b, a) for a, b in edges])
-    sketches = cn._leaf_partials(table, itemgetter(0), records)
+    sketches = leaves_of(table, records)
     stack = cn._stack(sketches, keys, n)
     # a second add reduces only the checksums it adds to, and matches a
     # dense sum reduced mod q
@@ -428,8 +443,7 @@ def signed_records(leaves):
 
 
 def sparse_partial(leaves):
-    return cn._leaf_partials(FTABLE, lambda r: 0, signed_records(leaves)).get(
-        0, zero(DKEYS))
+    return leaves_of(FTABLE, signed_records(leaves), part=0).get(0, zero(DKEYS))
 
 
 def assert_matches(s, want):
@@ -474,37 +488,118 @@ def test_opposite_signs_leave_no_cell():
 def test_leaf_pass_matches_dense():
     # machine 1 holds vertex 3's records (mixed signs) and the first half
     # of vertex 5's, machine 2 the rest of vertex 5's, machine 3 a single
-    # record; every machine's leaf partials and their aggregate equal the
-    # dense cells
+    # record; one segmented call sketches all three, and every machine's
+    # leaf partials and their aggregate equal the dense cells
     cl = init_cluster(ClusterConfig(n=DN, m=len(EDGES), gamma=0.5, seed=0))
     held = {1: [(3, 1), (3, 9), (3, 12), (5, 0), (5, 7)],
             2: [(5, 8), (5, 2), (5, 14)],
             3: [(7, 4)]}
     for i, recs in held.items():
-        cl.machines[i].put("D", recs)
+        cl.machines[i].put("D", Records(recs))
 
     def signed(recs):
         return [(1 if u < v else -1, cn.edge_coord(DN, u, v)) for u, v in recs]
 
     calls = []
 
-    def leaf_fn(recs):
-        calls.append(len(recs))
-        return cn._leaf_partials(FTABLE, itemgetter(0), recs)
+    def leaf_fn(cut, cols):
+        calls.append(cut.tolist())
+        return cn._leaf_partials(FTABLE, cut, cols, (cols[:, 0],))
 
-    for recs in held.values():
-        leaves = leaf_fn(recs)
-        assert list(leaves) == list(dict.fromkeys(r[0] for r in recs))
-        for v, s in leaves.items():
+    leaves = cl.segmented(leaf_fn, "D")
+    assert calls == [[5, 8, 9]]
+    assert list(leaves) == list(held)
+    for i, recs in held.items():
+        assert list(leaves[i]) == list(dict.fromkeys(r[0] for r in recs))
+        for v, s in leaves[i].items():
             assert_matches(s, dense_rebuild(signed(r for r in recs if r[0] == v)))
-    calls.clear()
-    got = primitives.aggregate(cl, "D", leaf_fn=leaf_fn,
-                               reduce_fn=lambda ps: cn._sum_partials(ps, DKEYS))
-    assert calls == [len(recs) for recs in held.values()]
+    got = primitives.aggregate(cl, leaves,
+                               lambda ps: cn._sum_partials(ps, DKEYS))
     assert sorted(got) == [3, 5, 7]
     everything = [r for recs in held.values() for r in recs]
     for v, s in got.items():
         assert_matches(s, dense_rebuild(signed(r for r in everything if r[0] == v)))
+
+
+@functools.cache
+def complete_table(n):
+    """A CoordTable over every edge of K_n."""
+    return cn.CoordTable(cn.keys_from_seed(n, n), [
+        cn.edge_coord(n, a, b) for a in range(n) for b in range(a + 1, n)])
+
+
+@st.composite
+def leaf_layouts(draw):
+    """(n, thresholds, part kind, each machine's directed (u, v, w)
+    records) for the leaf pass.  Records are sorted so that each part's
+    records are consecutive and cut into machines of drawn sizes: a
+    machine may be idle, hold one record or more records than a group
+    takes, and a part may span machines.  Weights sit at, below and above
+    thresholds, some past 2^53 or beyond int64; with n = 5, edges often
+    come in both directions, and they cancel in the one-part kind."""
+    n = draw(st.sampled_from([5, 40]))
+    eps = draw(st.sampled_from([0.1, 1.0]))
+    W = draw(st.sampled_from([8, 2 ** 70]))
+    r = math.ceil(math.log(W) / math.log(1 + eps))
+    taus = [(1 + eps) ** i for i in range(r + 1)]
+    kind = draw(st.sampled_from(["source", "class", "one"]))
+    sizes = draw(st.lists(st.sampled_from([0, 1, 1, 3, 30, SEGMENT_RECORDS + 1]),
+                          min_size=1, max_size=5))
+    # the first thresholds and the first past 2^53, where a float
+    # comparison would round an int64 weight; maybe the last ones too
+    near = taus[:6] + [t for t in taus if t > 2 ** 53][:2]
+    if draw(st.booleans()):
+        near += taus[-2:] + [2 ** 64]
+    weights = {w for t in near
+               for w in (math.floor(t), math.ceil(t), math.floor(t) + 1)}
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    weights = sorted(weights)
+    records = [(*rng.sample(range(n), 2), rng.choice(weights))
+               for _ in range(sum(sizes))]
+    if kind == "source":
+        records.sort()
+    elif kind == "class":
+        records.sort(key=itemgetter(0, 2, 1))
+    cuts = np.cumsum([0] + sizes).tolist()
+    return n, taus, kind, [records[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(leaf_layouts())
+def test_segmented_leaf_pass_matches_the_reference(layout):
+    # every machine's leaf partials equal the per-machine reference's, part
+    # keys (ints or tuples) in the same order, and each partial owns its
+    # arrays; a group holds at most SEGMENT_RECORDS records unless it is
+    # one machine
+    n, taus, kind, held = layout
+    part_fn, part_cols = {
+        "source": (itemgetter(0), lambda cols: (cols[:, 0],)),
+        "class": (lambda rec: (rec[0], bisect_left(taus, rec[2])),
+                  cn._weight_classes(taus)),
+        "one": (lambda rec: 0, lambda cols: (np.zeros(len(cols), np.int64),)),
+    }[kind]
+    table = complete_table(n)
+    cl = init_cluster(ClusterConfig(n=n, m=len(held) * (math.isqrt(n) + 1)))
+    for i, recs in enumerate(held, start=1):
+        cl.machines[i].put("D", Records(recs))
+    cuts = []
+
+    def leaf_fn(cut, cols):
+        cuts.append(cut.tolist())
+        return cn._leaf_partials(table, cut, cols, part_cols(cols))
+
+    got = cl.segmented(leaf_fn, "D")
+    assert all(c[-1] <= SEGMENT_RECORDS or len(c) == 1 for c in cuts)
+    want = {i: sketch_reference.leaf_partials(table, part_fn, recs)
+            for i, recs in enumerate(held, start=1) if recs}
+    assert list(got) == list(want)
+    for i, parts in want.items():
+        assert [repr(p) for p in got[i]] == [repr(p) for p in parts]
+        for p, s in parts.items():
+            g = got[i][p]
+            assert g.cells.tolist() == s.cells.tolist()
+            assert g.vals.tolist() == s.vals.tolist()
+            assert g.cells.base is None and g.vals.base is None
 
 
 def run_cc(graph, seed=0):
@@ -537,6 +632,33 @@ def test_random_sparse_matches_oracle():
         want = oracles.components(64, g.edges)
         assert [labels[v] for v in range(64)] == want
         assert not any(t.violations for t in cl.telemetry)
+
+
+def flaky_boruvka(monkeypatch, fails):
+    """Make `_boruvka` fail (return None) on its first `fails` calls."""
+    real, calls = cn._boruvka, []
+
+    def boruvka(*args):
+        calls.append(None)
+        return None if len(calls) <= fails else real(*args)
+
+    monkeypatch.setattr(cn, "_boruvka", boruvka)
+
+
+def test_cc_retries_with_fresh_keys(monkeypatch):
+    # samplers that fail on the first key draw are retried once with
+    # fresh keys, and no small machine keeps the arranged copies; a
+    # second failure raises
+    g = generate_graph("gnp", 64, seed=1, p=1.5 / 64)
+    flaky_boruvka(monkeypatch, 1)
+    cl, labels, report = run_cc(g, seed=1)
+    assert report["retried"] == 1
+    assert [labels[v] for v in range(64)] == oracles.components(64, g.edges)
+    assert cl.shards("D") == [None] * len(cl.small_ids)
+    monkeypatch.undo()
+    flaky_boruvka(monkeypatch, 2)
+    with pytest.raises(cn.RunFailed):
+        run_cc(g, seed=1)
 
 
 @pytest.mark.parametrize("seed", [0, 3])

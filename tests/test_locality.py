@@ -36,11 +36,6 @@ ALLOWED = {
         "modified_baswana_sen": (
             1, "collects the vertex set from every machine (ROADMAP item 3)"),
     },
-    "connectivity": {
-        "_sketch_components": (
-            1, "builds one CoordTable from every machine's edges "
-               "(ROADMAP item 3)"),
-    },
 }
 
 

@@ -356,10 +356,8 @@ def test_aggregate_degree_count():
     g = generate_graph("gnp", 64, seed=3, p=0.1)
     distribute_edges(cl, g.edges)
     primitives.arrange_nodes(cl)
-    got = primitives.aggregate(
-        cl, "D", leaf_fn=primitives.per_record(lambda r: r[0], lambda r: 1, sum),
-        reduce_fn=lambda vals: sum(vals),
-    )
+    leaves = cl.local(primitives.per_record(lambda r: r[0], lambda r: 1, sum), "D")
+    got = primitives.aggregate(cl, leaves, lambda vals: sum(vals))
     assert cl.rounds_used - primitives.sort_rounds(0.5) == primitives.tree_rounds(0.5)
     for v, d in enumerate(g.degrees()):
         assert got.get(v, 0) == d
@@ -372,11 +370,9 @@ def test_aggregate_min_per_key():
                for _ in range(200)]
     scatter_items(cl, triples)
     primitives.het_sort(cl, key=(0, 1))
-    got = primitives.aggregate(
-        cl, "E",
-        leaf_fn=primitives.per_record(lambda r: (r[0], r[1]), lambda r: r[2], min),
-        reduce_fn=min,
-    )
+    leaves = cl.local(
+        primitives.per_record(lambda r: (r[0], r[1]), lambda r: r[2], min), "E")
+    got = primitives.aggregate(cl, leaves, min)
     want = {}
     for v, c, u in triples:
         want[(v, c)] = min(want.get((v, c), u), u)
@@ -839,7 +835,10 @@ def test_aggregate_matches_the_reference(case, kind, seed, hole, tuple_parts,
     def walk(mod, cl):
         for i, recs in held.items():
             cl.machines[i].put("A", recs if as_lists or tuple_parts else Records(recs))
-        return mod.aggregate(cl, "A", leaf_fn, reduce_fn)
+        if mod is tree_reference:
+            return mod.aggregate(cl, "A", lambda recs: leaf_fn(None, recs),
+                                 reduce_fn)
+        return mod.aggregate(cl, cl.local(leaf_fn, "A"), reduce_fn)
 
     (new, new_rows), (ref, ref_rows) = _walked_twice(case, walk)
     assert new_rows == ref_rows

@@ -14,6 +14,7 @@ from hetmpc.graphio import generate_graph
 from hetmpc.labels import FlowLabel
 from hetmpc.simcore import (
     LARGE,
+    SEGMENT_RECORDS,
     BudgetError,
     Cluster,
     ClusterConfig,
@@ -401,6 +402,32 @@ def test_local_step():
     assert [i for i in cl.small_ids if "X" in cl.machines[i].state] == [1, 3, 4]
     cl.empty_round()
     assert cl.telemetry[-1].changed == {1: 8, 3: 4 + 6, 4: 4, 5: 0, 7: 0, 8: 0}
+
+
+def test_segmented_step_groups_busy_machines():
+    # consecutive busy machines share a call while their records fit one
+    # group; idle machines are skipped, a machine above the bound runs
+    # alone, and every busy machine gets the result of its own segment
+    cl = init_cluster(ClusterConfig(n=16, m=64, gamma=0.5))
+    sizes = {1: 3, 2: 0, 3: SEGMENT_RECORDS - 3, 4: 10,
+             5: SEGMENT_RECORDS + 1, 7: 1}
+    for i, k in sizes.items():
+        cl.machines[i].put("E", as_records(np.full((k, 2), i, np.int64)))
+    calls = []
+
+    def fn(cut, cols):
+        calls.append(cut.tolist())
+        starts = [0] + cut[:-1].tolist()
+        return [set(cols[a:b, 0].tolist()) | {b - a}
+                for a, b in zip(starts, cut.tolist())]
+
+    got = cl.segmented(fn, "E")
+    assert calls == [[3, SEGMENT_RECORDS], [10], [SEGMENT_RECORDS + 1], [1]]
+    assert got == {i: {i, k} for i, k in sizes.items() if k}
+    cl.machines[5].put("E", as_records(np.array([[1, 2, 3]])))
+    with pytest.raises(ValueError):  # one arity a group
+        cl.segmented(fn, "E")
+    assert cl.segmented(fn, "X") == {}
 
 
 def test_empty_round_all_zero():
