@@ -5,10 +5,11 @@ Run from the repository root:
     python3 scripts/perf_pairs.py --workload mst-dense --seeds 81 82 83 \
         84 85 86 87 88 89 90 --base HEAD
 
-The base revision is exported with `git archive` into a temporary
-directory.  Each seed is one pair: `perfbench/run.py` runs once in the base
-export and once in the working tree, and the side that goes first
-alternates from pair to pair.  For each pair the script prints both
+The base revision is exported once with `git archive` into a temporary
+directory.  `--workload` takes one or more workloads, which run one after
+another, each over every seed.  Each seed is one pair: `perfbench/run.py`
+runs once in the base export and once in the working tree, and the side
+that goes first alternates from pair to pair.  For each pair the script prints both
 `run_rel_p50` values, their ratio and whether the fingerprint lines agree;
 then each side's median and quartiles, the number of pairs the working
 tree won, and whether the gain rule holds: at least 9 of every 10 pairs
@@ -19,8 +20,8 @@ which the change is worse in the metric's `better` direction, its bound,
 and a verdict: `within bound`, `WORSE beyond bound`, or `unresolved` when
 the base's own interquartile range over its median is wider than the bound,
 not every change run reads better than every base run, and the two sides
-differ in some pair.  `--json PATH`
-writes every run's metrics.  Standard library only.
+differ in some pair.  `--json PATH` writes every run's metrics, by
+workload.  Standard library only.
 """
 
 from __future__ import annotations
@@ -85,45 +86,41 @@ def classify(base, change, better, bound):
     return ratio, worse, "WORSE beyond bound" if worse > bound else "within bound"
 
 
-def main(argv=None):
+def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", nargs="+", required=True,
+                    help="one or more workloads, each run over every seed")
     ap.add_argument("--seeds", type=int, nargs="+", required=True,
                     help="one pair per seed")
     ap.add_argument("--base", default="HEAD", help="base revision (default HEAD)")
     ap.add_argument("--seconds", type=float, default=None,
                     help="seconds per run (default: run_seconds of BENCHMARK.json)")
     ap.add_argument("--json", help="write every run's metrics to this file")
-    args = ap.parse_args(argv)
-    with open("BENCHMARK.json") as f:
-        benchmark = json.load(f)
-    seconds = args.seconds
-    if seconds is None:
-        seconds = benchmark["run_seconds"]
+    return ap.parse_args(argv)
 
+
+def compare(sides, workload, seeds, seconds, end_to_end):
+    """Run one pair per seed of `workload` in `sides` ({"base": dir,
+    "change": dir}), print each pair and the verdicts, and return the
+    pairs."""
     runs = {"base": [], "change": []}
     pairs, wins = [], 0
-    with tempfile.TemporaryDirectory(prefix="perf-pairs-") as tmp:
-        export(args.base, tmp)
-        sides = {"base": tmp, "change": os.getcwd()}
-        print(f"{args.workload}: {args.base} against the working tree, "
-              f"{seconds:g} s a run")
-        for j, seed in enumerate(args.seeds):
-            order = ("base", "change") if j % 2 == 0 else ("change", "base")
-            got = {side: bench(sides[side], args.workload, seed, seconds)
-                   for side in order}
-            (bm, bfp), (cm, cfp) = got["base"], got["change"]
-            runs["base"].append(bm)
-            runs["change"].append(cm)
-            b, c = bm["run_rel_p50"], cm["run_rel_p50"]
-            wins += c < b
-            pairs.append({"seed": seed, "first": order[0], "base": bm,
-                          "change": cm, "fingerprint_same": bfp == cfp})
-            same = "same" if bfp == cfp else f"DIFFERENT\n  base {bfp}\n  change {cfp}"
-            print(f"seed {seed}: base {b:.4f} change {c:.4f} "
-                  f"ratio {c / b:.3f} fingerprint {same}", flush=True)
-            if j == 0:
-                print(f"  {bfp}")
+    for j, seed in enumerate(seeds):
+        order = ("base", "change") if j % 2 == 0 else ("change", "base")
+        got = {side: bench(sides[side], workload, seed, seconds)
+               for side in order}
+        (bm, bfp), (cm, cfp) = got["base"], got["change"]
+        runs["base"].append(bm)
+        runs["change"].append(cm)
+        b, c = bm["run_rel_p50"], cm["run_rel_p50"]
+        wins += c < b
+        pairs.append({"seed": seed, "first": order[0], "base": bm,
+                      "change": cm, "fingerprint_same": bfp == cfp})
+        same = "same" if bfp == cfp else f"DIFFERENT\n  base {bfp}\n  change {cfp}"
+        print(f"seed {seed}: base {b:.4f} change {c:.4f} "
+              f"ratio {c / b:.3f} fingerprint {same}", flush=True)
+        if j == 0:
+            print(f"  {bfp}")
 
     base = [m["run_rel_p50"] for m in runs["base"]]
     bq, cq = quartiles(base), quartiles([m["run_rel_p50"] for m in runs["change"]])
@@ -135,17 +132,38 @@ def main(argv=None):
     print(f"change won {wins} of {len(base)} pairs; median gap {gap:.4f} "
           f"against base IQR {iqr:.4f}; gain rule "
           f"{'holds' if holds else 'does not hold'}")
-    for metric in benchmark["end_to_end"]:
+    for metric in end_to_end:
         name, bound = metric["name"], metric["bound"]
         b, c = ([m[name] for m in runs[side]] for side in ("base", "change"))
         ratio, worse, verdict = classify(b, c, metric["better"], bound)
         print(f"  {name:<20} median base {statistics.median(b):.6g} change "
               f"{statistics.median(c):.6g} ratio {ratio:.4f} worse "
               f"{worse:+.2%} bound {bound:.0%}: {verdict}")
+    return pairs
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    with open("BENCHMARK.json") as f:
+        benchmark = json.load(f)
+    seconds = args.seconds
+    if seconds is None:
+        seconds = benchmark["run_seconds"]
+
+    workloads = []
+    with tempfile.TemporaryDirectory(prefix="perf-pairs-") as tmp:
+        export(args.base, tmp)
+        sides = {"base": tmp, "change": os.getcwd()}
+        for workload in args.workload:
+            print(f"{workload}: {args.base} against the working tree, "
+                  f"{seconds:g} s a run")
+            pairs = compare(sides, workload, args.seeds, seconds,
+                            benchmark["end_to_end"])
+            workloads.append({"workload": workload, "pairs": pairs})
     if args.json:
         with open(args.json, "w") as f:
-            json.dump({"workload": args.workload, "base": args.base,
-                       "seconds": seconds, "pairs": pairs}, f, indent=1)
+            json.dump({"base": args.base, "seconds": seconds,
+                       "workloads": workloads}, f, indent=1)
 
 
 if __name__ == "__main__":

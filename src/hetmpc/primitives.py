@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -81,10 +82,8 @@ class AggregationTree:
     its range, so a chain of nodes shares one physical machine and the
     in-chain hops are free."""
 
-    lo: int
-    hi: int
     b: int
-    levels: list = field(default_factory=list)  # levels[r] = [(lo, hi), ...]
+    levels: list  # levels[r] = [(lo, hi), ...]
 
     @classmethod
     def build(cls, lo, hi, b):
@@ -96,7 +95,7 @@ class AggregationTree:
                 for j in range(0, len(nodes), b)
             ]
             levels.append(nodes)
-        return cls(lo, hi, b, levels)
+        return cls(b, levels)
 
     @property
     def depth(self) -> int:
@@ -112,8 +111,13 @@ class AggregationTree:
         return range(idx * b, min((idx + 1) * b, len(self.levels[level - 1])))
 
 
+_build_tree = lru_cache(maxsize=8)(AggregationTree.build)
+
+
 def _global_tree(cluster: Cluster) -> AggregationTree:
-    return AggregationTree.build(1, len(cluster.small_ids), branching(cluster))
+    """The tree over the small machines, built once per (K, b): no walk
+    changes it."""
+    return _build_tree(1, len(cluster.small_ids), branching(cluster))
 
 
 def _down(cluster: Cluster, payload, narrow):

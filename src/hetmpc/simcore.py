@@ -46,6 +46,13 @@ def machine_name(mid: int) -> str:
     return "L" if mid == LARGE else f"S{mid}"
 
 
+def seed_hash(seed, *tags) -> int:
+    """The int of an 8-byte blake2b hash of `repr((seed,) + tags)`: one
+    deterministic draw per (seed, *tags)."""
+    h = hashlib.blake2b(repr((seed,) + tags).encode(), digest_size=8).digest()
+    return int.from_bytes(h, "big")
+
+
 def global_tree_depth(gamma: float) -> int:
     """Depth bound for a tree over all K <= n^(2-gamma) small machines."""
     return math.ceil((2 - gamma) / gamma)
@@ -429,13 +436,9 @@ class _Replay:
 class Machine:
     """One machine: its word budget and its resident state.
 
-    State changes only through `put` and `pop`; `state` is read-only to
-    callers.  A value is metered when it is put (a Records batch in O(1)),
-    so a value mutated in place must be put again to be metered anew (the
-    same object may be put again).  When its resident words change, `put`
-    and `pop` write them into `changed`, the delta since the last round
-    that every machine of a cluster shares, and keep the machine's
-    membership of `over`, the shared set of machines over budget.
+    State changes only through `put` and `pop` (and the cluster's bulk
+    moves); `state` is read-only to callers.  Every store goes through
+    `_store`, which meters it.
     """
 
     __slots__ = ("mid", "budget", "state", "_words", "_total", "_changed", "_over")
@@ -448,27 +451,42 @@ class Machine:
         self._total = 0  # sum of _words
         self._changed, self._over = changed, over
 
-    def _retotal(self, delta):
-        total = self._total = self._total + delta
-        self._changed[self.mid] = total
-        if total > self.budget:
-            self._over.add(self.mid)
-        else:
-            self._over.discard(self.mid)
-
     def put(self, key, value):
-        self.state[key] = value
-        w = value.words() if type(value) is Records else payload_words(value)
-        delta = w - self._words.get(key, 0)
-        self._words[key] = w
-        if delta:
-            self._retotal(delta)
+        _store(key, ((self, value),))
 
     def pop(self, key):
-        w = self._words.pop(key, 0)
-        if w:
-            self._retotal(-w)
-        return self.state.pop(key, None)
+        _store(key, ((self, _POP),))
+
+
+_POP = object()  # the `_store` value that pops its key
+
+
+def _store(key, items):
+    """The one write of machine state.  Each (machine, value) of `items`
+    stores `value` under `key`, or pops `key` when `value` is `_POP`.  A
+    value is metered when it is stored (a Records batch in O(1)), so a
+    value mutated in place must be stored again to be metered anew (the
+    same object may be).  When a machine's resident words change, they
+    are written into `changed`, the delta since the last round that every
+    machine of a cluster shares, and the machine's membership of `over`,
+    the shared set of machines over budget, is kept."""
+    for mach, value in items:
+        words = mach._words
+        if value is _POP:
+            mach.state.pop(key, None)
+            delta = -words.pop(key, 0)
+        else:
+            mach.state[key] = value
+            w = value.words() if type(value) is Records else payload_words(value)
+            delta = w - words.get(key, 0)
+            words[key] = w
+        if delta:
+            total = mach._total = mach._total + delta
+            mach._changed[mach.mid] = total
+            if total > mach.budget:
+                mach._over.add(mach.mid)
+            else:
+                mach._over.discard(mach.mid)
 
 
 _SENDER = itemgetter(0)
@@ -499,15 +517,13 @@ class Cluster:
         self.config = config
         self.strict = strict
         # the resident words of the machines whose words changed since the
-        # last round, and the machines over budget; kept by Machine.put and
-        # Machine.pop
+        # last round, and the machines over budget; kept by `_store`
         self._changed, self._over = {}, set()
         self.small_ids = list(range(1, config.num_small + 1))
         budgets = [config.large_budget] + [config.small_budget] * len(self.small_ids)
         self.machines = {mid: Machine(mid, b, self._changed, self._over)
                          for mid, b in enumerate(budgets)}
         self._small = [self.machines[i] for i in self.small_ids]
-        self._budget = np.array(budgets, np.int64)  # by machine id
         self.telemetry: list[RoundTelemetry] = []
         self._replay = _Replay(self.machines)
 
@@ -519,9 +535,7 @@ class Cluster:
 
     def rng(self, *tags) -> random.Random:
         """Deterministic substream for (seed, *tags)."""
-        raw = repr((self.config.seed,) + tags).encode()
-        h = hashlib.blake2b(raw, digest_size=8).digest()
-        return random.Random(int.from_bytes(h, "big"))
+        return random.Random(seed_hash(self.config.seed, *tags))
 
     # -- local steps and the round barrier -------------------------------
 
@@ -533,25 +547,24 @@ class Cluster:
         int64 array of their columns) rest as Records and others as a
         list, and a None result pops `out`; an idle machine (nothing under
         `key`) runs nothing, and pops `out` when `out` is not `key`.
-        Returns {i: result} over the machines that ran.  (`Machine.put`
+        Every machine runs before any result is stored, in one `_store`
+        pass.  Returns {i: result} over the machines that ran.  (`Machine.put`
         stores what it is given, so a list that a caller mutates in place
         and puts again stays a list.)
         """
-        results = {}
+        results, items = {}, []
         idle_pop = out is not None and out != key
         for mach in self._small:
             recs = mach.state.get(key)
             if not recs:
                 if idle_pop and out in mach.state:
-                    mach.pop(out)
+                    items.append((mach, _POP))
                 continue
             value = results[mach.mid] = fn(mach.mid, recs)
-            if out is None:
-                continue
-            if value is None:
-                mach.pop(out)
-            else:
-                mach.put(out, value if type(value) is Records else as_records(value))
+            if out is not None:
+                items.append((mach, _POP if value is None else
+                              value if type(value) is Records else as_records(value)))
+        _store(out, items)
         return results
 
     def segmented(self, fn, key) -> dict:
@@ -578,11 +591,10 @@ class Cluster:
     def drop(self, *keys):
         """Each small machine discards what it stores under `keys`."""
         for key in keys:
-            self.unload(key, self.small_ids)
+            _store(key, [(mach, _POP) for mach in self._small])
 
     # -- bulk shard moves ------------------------------------------------
-    # One loop each over the machines that act, metering as `Machine.put`
-    # and `Machine.pop` do, through `Machine._retotal`.
+    # One `_store` pass each over the machines that act.
 
     def shards(self, key) -> list:
         """What each small machine stores under `key` (None where it
@@ -591,13 +603,7 @@ class Cluster:
 
     def unload(self, key, mids):
         """Machines `mids` (small machine ids) each pop `key`."""
-        machines = self.machines
-        for mid in mids:
-            mach = machines[mid]
-            mach.state.pop(key, None)
-            w = mach._words.pop(key, 0)
-            if w:
-                mach._retotal(-w)
+        _store(key, [(self.machines[mid], _POP) for mid in mids])
 
     def load(self, key, mids, ordered, cut):
         """Each machine i of `mids` (small machine ids) stores
@@ -605,27 +611,19 @@ class Cluster:
         Records, metered as its count times the arity; a slice of a list
         is stored through `as_records`."""
         machines = self.machines
-        arity = None
         if type(ordered) is Records:
-            arity = ordered.words() // len(ordered) if len(ordered) else 0
             rows, cols = ordered._tuples, ordered._cols
-        for mid in mids:
-            a, b = cut[mid - 1], cut[mid]
-            if arity is None:
-                shard = as_records(ordered[a:b])
-                w = payload_words(shard)
-            else:  # ordered[a:b], built here
+            items = []
+            for mid in mids:  # ordered[a:b], built here
+                a, b = cut[mid - 1], cut[mid]
                 shard = object.__new__(Records)
                 shard._tuples = None if rows is None else rows[a:b]
                 shard._cols = None if cols is None else cols[a:b]
-                w = (b - a) * arity
-            mach = machines[mid]
-            mach.state[key] = shard
-            words = mach._words
-            delta = w - words.get(key, 0)
-            words[key] = w
-            if delta:
-                mach._retotal(delta)
+                items.append((machines[mid], shard))
+        else:
+            items = [(machines[mid], as_records(ordered[cut[mid - 1]:cut[mid]]))
+                     for mid in mids]
+        _store(key, items)
 
     def round(self, sends) -> dict:
         """Deliver messages; returns {dst: [(src, payload), ...]}.
@@ -638,14 +636,9 @@ class Cluster:
         """
         inbox = {}
         if type(sends) is Slices:
-            budget = self._budget
             src, sw, dst, dw = sends.charges()
             sent = dict(zip(src.tolist(), sw.tolist()))
             received = dict(zip(dst.tolist(), dw.tolist()))
-            violations = [(mid, "SendBudget")
-                          for mid in src[sw > budget[src]].tolist()]
-            violations += [(mid, "RecvBudget")
-                           for mid in dst[dw > budget[dst]].tolist()]
         else:
             sent, received = {}, {}
             last = _NO_PAYLOAD
@@ -664,11 +657,11 @@ class Cluster:
             for box in inbox.values():
                 if len(box) > 1:
                     box.sort(key=_SENDER)
-            machines = self.machines
-            violations = [(mid, "SendBudget") for mid, w in sent.items()
-                          if w > machines[mid].budget]
-            violations += [(mid, "RecvBudget") for mid, w in received.items()
-                           if w > machines[mid].budget]
+        machines = self.machines
+        violations = [(mid, "SendBudget") for mid, w in sent.items()
+                      if w > machines[mid].budget]
+        violations += [(mid, "RecvBudget") for mid, w in received.items()
+                       if w > machines[mid].budget]
         violations.extend((mid, "StateBudget") for mid in sorted(self._over))
 
         changed = self._changed.copy()
@@ -731,7 +724,7 @@ def distribute_edges(cluster: Cluster, edges, placement="seeded", shard_size=Non
     for mid, shard in zip(cluster.small_ids, shards):
         if payload_words(shard) > cluster.config.small_budget:
             raise CapacityError(f"shard for {machine_name(mid)} exceeds its budget")
-        cluster.machines[mid].put("E", shard)
+    _store("E", zip(cluster._small, shards))
 
 
 def telemetry_json(cluster: Cluster) -> dict:

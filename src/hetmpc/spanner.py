@@ -9,7 +9,6 @@ spanners plus the star edges combine into a (6k-1)-spanner.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -18,12 +17,8 @@ from operator import itemgetter, or_
 
 from . import primitives
 from .primitives import _pair
-from .simcore import LARGE, Cluster, ConfigError, Packed, distribute_edges
-
-
-def _hash_int(seed, *tags):
-    h = hashlib.blake2b(repr((seed,) + tags).encode(), digest_size=8).digest()
-    return int.from_bytes(h, "big")
+from .simcore import (LARGE, Cluster, ConfigError, Packed, distribute_edges,
+                      seed_hash)
 
 
 def _neighbor_or(cluster, masks, bits):
@@ -162,7 +157,7 @@ def clustering_graphs(cluster: Cluster, graph) -> ClusteringDecomposition:
 
     cluster.local(outward, "D", "_sigma")
     leaves = cluster.local(primitives.per_record(
-        itemgetter(0), lambda r: (_hash_int(seed, "sigma", r[0], r[1]), r[1]),
+        itemgetter(0), lambda r: (seed_hash(seed, "sigma", r[0], r[1]), r[1]),
         min), "_sigma")
     cand = primitives.aggregate(cluster, leaves, min)
     sigma, star_edges = {}, []

@@ -8,7 +8,8 @@ one of the reads that need a protocol change before they can be local.
 Metering stays in `simcore`: no other module reaches the metering
 internals of a `Machine` or a `Cluster`, or writes a machine's `state`
 except through `Machine.put` and `Machine.pop`, so every bulk store is
-made, and metered, in `simcore`.
+made, and metered, in `simcore`.  Inside `simcore`, one loop, `_store`,
+makes every write of a machine's state and metering fields.
 """
 
 import ast
@@ -81,7 +82,7 @@ def test_guard_sees_every_access():
 
 # attributes that only simcore's metering reads and writes
 METERING = frozenset({"_words", "_total", "_retotal", "_resident", "_changed",
-                      "_over"})
+                      "_over", "_store"})
 # dict methods that change a dict in place
 MUTATORS = frozenset({"update", "pop", "popitem", "setdefault", "clear",
                       "__setitem__", "__delitem__"})
@@ -135,3 +136,103 @@ def test_metering_guard_sees_every_reach():
         "state[...] written", "state[...] written", "state.update",
         "state assigned", "._words", "._retotal", "._changed", "._resident",
         "._total", "'_over'"]
+
+
+def metering_names(source):
+    """(line, name) of each import of a METERING name, or use of it as a
+    plain name, in `source`: `from .simcore import _store` would call the
+    write path without an attribute access."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias) and node.name.split(".")[-1] in METERING:
+            found.append((node.lineno, node.name))
+        elif isinstance(node, ast.Name) and node.id in METERING:
+            found.append((node.lineno, node.id))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")
+                                          if p.stem != "simcore"))
+def test_metering_names_stay_in_simcore(module):
+    assert metering_names((SRC / f"{module}.py").read_text()) == []
+
+
+def test_name_guard_sees_every_import_and_call():
+    source = ("from .simcore import Records, _store as put\n"
+              "from .simcore import _store\n"
+              "_store('E', [])\n")
+    assert metering_names(source) == [(1, "_store"), (2, "_store"), (3, "_store")]
+
+
+# a machine's state and metering fields, and the simcore functions that
+# may write them: every store goes through `_store`, which meters it
+FIELDS = frozenset({"state", "_words", "_total", "_changed", "_over"})
+WRITERS = {
+    "_store": FIELDS,
+    "Machine.__init__": FIELDS,  # a machine starts empty
+    # the cluster makes the delta and the over set that its machines
+    # share, and each round takes the delta into its row and empties it
+    "Cluster.__init__": {"_changed", "_over"},
+    "Cluster.round": {"_changed"},
+}
+# dict and set methods that change them in place
+IN_PLACE = MUTATORS | {"add", "discard", "remove"}
+
+
+def field_writes(source):
+    """{function: the FIELDS it writes} over `source`'s functions, named
+    `f` or `Class.f` (other code as "<module>" or "Class.<body>").
+    A field is written by assigning or deleting it, storing or deleting
+    one of its items, or calling one of its in-place methods."""
+    found = {}
+
+    def scan(name, node):
+        for sub in ast.walk(node):
+            field = None
+            if isinstance(sub, ast.Attribute) and not isinstance(sub.ctx, ast.Load):
+                field = sub.attr
+            elif (isinstance(sub, ast.Subscript) and not isinstance(sub.ctx, ast.Load)
+                    and isinstance(sub.value, ast.Attribute)):
+                field = sub.value.attr
+            elif (isinstance(sub, ast.Attribute) and sub.attr in IN_PLACE
+                    and isinstance(sub.value, ast.Attribute)):
+                field = sub.value.attr
+            if field in FIELDS:
+                found.setdefault(name, set()).add(field)
+
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.ClassDef):
+            for item in top.body:
+                scan(f"{top.name}.{getattr(item, 'name', '<body>')}", item)
+        else:
+            scan(getattr(top, "name", "<module>"), top)
+    return found
+
+
+def test_only_store_writes_machine_state():
+    writes = field_writes((SRC / "simcore.py").read_text())
+    for fn, fields in writes.items():
+        extra = fields - WRITERS.get(fn, set())
+        assert not extra, f"simcore.{fn} writes {sorted(extra)} outside _store"
+    assert "_store" in writes
+
+
+def test_write_guard_sees_every_write():
+    source = (
+        "class M:\n"
+        "    def f(self, k, v):\n"
+        "        self.state[k] = v\n"
+        "        self._words.pop(k)\n"
+        "        self._total += 1\n"
+        "        return self.state.get(k), self._over, self._changed[k]\n"
+        "    def g(self):\n"
+        "        del self._changed[0]\n"
+        "        self._over.discard(1)\n"
+        "        self.state = {}\n"
+        "def h(m):\n"
+        "    m.budget = m._total\n"
+        "    m.state.update({})\n"
+    )
+    assert field_writes(source) == {
+        "M.f": {"state", "_words", "_total"},
+        "M.g": {"_changed", "_over", "state"}, "h": {"state"}}

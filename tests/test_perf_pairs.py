@@ -47,3 +47,15 @@ def test_classify_reports_ratio_and_worse_fraction():
     assert ratio == pytest.approx(1.25) and worse == pytest.approx(0.25)
     ratio, worse, _ = perf_pairs.classify([2.0] * 3, [2.5] * 3, "higher", 0.24)
     assert ratio == pytest.approx(1.25) and worse == pytest.approx(-0.25)
+
+
+def test_parse_args_takes_several_workloads():
+    args = perf_pairs.parse_args(["--workload", "mst-dense", "spanner",
+                                  "--seeds", "1", "2", "--base", "abc"])
+    assert args.workload == ["mst-dense", "spanner"]
+    assert args.seeds == [1, 2] and args.base == "abc"
+    assert args.seconds is None and args.json is None
+    assert perf_pairs.parse_args(["--workload", "spanner", "--seeds", "3"]
+                                 ).workload == ["spanner"]
+    with pytest.raises(SystemExit):
+        perf_pairs.parse_args(["--workload", "--seeds", "1"])
