@@ -23,11 +23,8 @@ from .simcore import (
     LARGE,
     CapacityError,
     Cluster,
-    Records,
     Slices,
     _join,
-    _of_columns,
-    as_records,
     global_tree_depth,
     payload_words,
 )
@@ -189,44 +186,38 @@ def _fields(side):
 
 
 def _rank(recs, key):
-    """Dense rank of each record in the order (key, r): records that
-    compare equal share a rank, and a smaller rank is a smaller record.
-    `key` is None (the records' own order), a tuple F of field positions
-    (the order (r[F], r)) or a column key of Records (see `het_sort`).
+    """Dense rank of each of the Records `recs` in the order (key, r):
+    records that compare equal share a rank, and a smaller rank is a
+    smaller record.  `key` is None (the records' own order), a tuple F of
+    field positions (the order (r[F], r)) or a column key (see
+    `het_sort`).
 
-    One lexsort over packed words when the records are Records with int64
-    columns; Python's sort otherwise (records that are not flat ints,
-    ints beyond int64).  For a tuple key the columns are the key's fields
-    and then the others in record order: (r[F], r) and (r[F], r[the
-    other fields]) order alike."""
+    One lexsort over packed words when the columns are int64; Python's
+    sort of the column rows otherwise (fields that are not ints, ints
+    beyond int64).  For a tuple key the columns are the key's fields and
+    then the others in record order: (r[F], r) and (r[F], r[the other
+    fields]) order alike."""
     if not len(recs):
         return np.zeros(0, np.int64)
-    if type(recs) is Records:
-        cols = recs.columns()
-        if type(key) is tuple:
-            rest = [j for j in range(cols.shape[1]) if j not in key]
-            cols = cols[:, list(key) + rest]
-        elif key is not None:
-            cols = np.column_stack((key(cols), cols))
-        if cols.dtype == np.int64:
-            words = _packed(cols)
-            if not words:  # every column constant: all records compare equal
-                return np.zeros(len(recs), np.int64)
-            order = np.lexsort(words[::-1])
-            step = np.zeros(len(recs) - 1, bool)
-            for w in words:
-                w = w[order]
-                step |= w[1:] != w[:-1]
-            rank = np.empty(len(recs), np.int64)
-            rank[order] = np.concatenate(([0], np.cumsum(step)))
-            return rank
-        items = cols.tolist()
-    elif key is None:
-        items = recs
-    elif type(key) is tuple:
-        items = list(zip(map(_fields(key), recs), recs))
-    else:
-        raise TypeError("a column key needs Records")
+    cols = recs.columns()
+    if type(key) is tuple:
+        rest = [j for j in range(cols.shape[1]) if j not in key]
+        cols = cols[:, list(key) + rest]
+    elif key is not None:
+        cols = np.column_stack((key(cols), cols))
+    if cols.dtype == np.int64:
+        words = _packed(cols)
+        if not words:  # every column constant: all records compare equal
+            return np.zeros(len(recs), np.int64)
+        order = np.lexsort(words[::-1])
+        step = np.zeros(len(recs) - 1, bool)
+        for w in words:
+            w = w[order]
+            step |= w[1:] != w[:-1]
+        rank = np.empty(len(recs), np.int64)
+        rank[order] = np.concatenate(([0], np.cumsum(step)))
+        return rank
+    items = cols.tolist()
     rank, r, prev = [0] * len(items), 0, None
     for j in sorted(range(len(items)), key=items.__getitem__):
         if prev is not None and items[prev] < items[j]:
@@ -301,8 +292,7 @@ def _cut(split, rank, at):
 class _Layout(NamedTuple):
     """Records in sorted-shard order: position p holds record rec[p] on
     machine at[p], machine i holds positions bounds[i-1]:bounds[i], and
-    ordered[p] is the record (ordered is Records, or a list of records
-    that are not flat ints)."""
+    ordered[p] is the record (ordered is Records)."""
 
     rec: np.ndarray
     at: np.ndarray
@@ -319,8 +309,11 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
     r), or a column key: a function that maps the (len, arity) columns of
     Records to the columns of their keys (one key row per record), for
     the order (key row, r).  Samples, splitters and summary boundaries
-    travel as bare records.  `summarize(shard)` may attach a per-machine
-    payload to the final summary message to the large machine.
+    travel as bare records.  `summarize(cut, columns)` may attach a
+    payload to each machine's summary message to the large machine: it
+    gets the columns of every sorted shard joined, machine j holding
+    `columns[cut[j-1]:cut[j]]` (from 0 for j = 0), and returns one
+    payload per machine, an idle one's included.
 
     The host ranks every record once in that order (`_rank`), and each
     comparison a machine makes between records it holds or received is a
@@ -331,30 +324,19 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
     splitters, the two routing rounds and the summary each send one
     `Slices` batch; a sample send carries one header word, the count of
     its sender's records, and a summary send that word and the words of
-    its summarize payload.  Shards are stored, and slices and samples sent, as Records
-    when the records are flat int tuples of one arity, taken from the
-    columns of the joined records; other records stay lists, which are
-    walked when metered.  A route pops and stores only the machines that
-    hold or receive records, with `Cluster.unload` before its round and
-    `Cluster.load` after it; an idle machine keeps its empty Records.
-    `summarize` runs on the machines that hold records, and every idle
-    machine's payload is the one value `summarize(Records())`.
+    its summarize payload.  The stored records must be Records (see
+    `Cluster.shards`); shards are stored, and slices and samples sent, as
+    Records taken from the columns of the joined records.  A route pops
+    and stores only the machines that hold or receive records, with
+    `Cluster.unload` before its round and `Cluster.load` after it; an idle
+    machine keeps its empty Records.
     """
     start = cluster.rounds_used
     K = len(cluster.small_ids)
     stored = cluster.shards(state_key)
-    held = [s if type(s) is Records else as_records(s or _EMPTY) for s in stored]
+    held = [_EMPTY if s is None else s for s in stored]
     sizes = list(map(len, held))
-    recs = _join([h for h, n in zip(held, sizes) if n])
-    if type(recs) is Records:
-        cols = recs.columns()
-
-        def take(rec):
-            # the records of record indices rec
-            return _of_columns(cols[rec])
-    else:
-        def take(rec):
-            return list(map(recs.__getitem__, rec.tolist()))
+    recs = _join(held)
     rank = _rank(recs, key)
     span = len(recs) + 1  # ranks are below it
     ids = np.arange(1, K + 1)
@@ -364,7 +346,7 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
         order = np.argsort(at * span + rank[rec], kind="stable")
         rec, at = rec[order], at[order]
         bounds = np.concatenate(([0], np.cumsum(np.bincount(at, minlength=K + 1)[1:])))
-        return _Layout(rec, at, bounds, take(rec))
+        return _Layout(rec, at, bounds, recs.take(rec))
 
     def samples(layout, k, dst):
         # each machine sends its count and even-position samples to dst;
@@ -374,7 +356,7 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
         sent = np.minimum(counts, k)
         shard, pos = _sample_positions(counts, k)
         srec = layout.rec[pos + layout.bounds[shard]]
-        cluster.round(Slices(take(srec), ids, dst, sent, header=1))
+        cluster.round(Slices(recs.take(srec), ids, dst, sent, header=1))
         weight = counts[shard] / sent[shard]
         return rank[srec], weight, srec, np.concatenate(([0], np.cumsum(sent))).tolist()
 
@@ -409,16 +391,16 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
     hi = np.minimum(lo + size - 1, K)
     gsize = hi - lo + 1
     gsplit = _splitters(srank, weight, len(lo))
-    tree_broadcast(cluster, take(srec[gsplit]))
+    tree_broadcast(cluster, recs.take(srec[gsplit]))
 
     # route each record to a machine of its target group (balanced by
     # sender index)
     at = layout.at
     bucket, first = _cut(srank[gsplit], rank[layout.rec], at)
-    # the first route also stores a shard on each machine whose key holds
-    # anything but Records (nothing, or a list)
-    untidy = np.array([False] + [type(s) is not Records for s in stored])
-    layout = route(layout, first, lo[bucket] + at % gsize[bucket], untidy)
+    # the first route also stores a shard on each machine that stores
+    # nothing under the key
+    absent = np.array([False] + [s is None for s in stored])
+    layout = route(layout, first, lo[bucket] + at % gsize[bucket], absent)
 
     # phase 2: per-group splitters chosen by the group leader, which sends
     # them to each other member of its group
@@ -433,7 +415,8 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
         fan.append(np.tile(srec[picked], z - a))
     member = ids[ids != leader]
     count = np.array([len(s) for s in split], np.int64)[group[member - 1]]
-    cluster.round(Slices(take(np.concatenate(fan)), leader[member - 1], member, count))
+    fan = recs.take(np.concatenate(fan))
+    cluster.round(Slices(fan, leader[member - 1], member, count))
 
     # one cut for all groups: group gi's splitters and records are offset
     # by gi * span
@@ -445,24 +428,17 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
                    np.zeros(K + 1, bool))
 
     # the summary: each machine sends the large machine its count (a
-    # header word), its first and last records if it holds any, and
-    # summarize(shard); every idle machine's is summarize of an empty
-    # batch, computed once
+    # header word), its first and last records if it holds any, and its
+    # summarize payload
     counts = np.diff(layout.bounds)
     full = np.flatnonzero(counts)
-    ends = take(layout.rec[np.column_stack((layout.bounds[full],
-                                            layout.bounds[full + 1] - 1)).ravel()])
+    ends = recs.take(layout.rec[np.column_stack((layout.bounds[full],
+                                                 layout.bounds[full + 1] - 1)).ravel()])
     header = np.ones(K, np.int64)
     extras = [None] * K
     if summarize is not None:
-        idle = summarize(_EMPTY)
-        extras = [idle] * K
-        words = [payload_words(idle)] * K
-        shards = cluster.shards(state_key)
-        for i in full.tolist():
-            x = extras[i] = summarize(shards[i])
-            words[i] = payload_words(x)
-        header += words
+        extras = summarize(layout.bounds[1:], layout.ordered.columns())
+        header += [payload_words(x) for x in extras]
     cluster.round(Slices(ends, ids, np.full(K, LARGE), 2 * (counts > 0), header))
     boundaries = [None] * K
     pairs = iter(ends)
@@ -618,29 +594,35 @@ class Arranged:
 
 
 def _directed_copies(_, es):
-    """Each edge record, then each with its endpoints swapped: for
-    Records, their columns stacked on the columns with the first two
+    """Each edge record, then each with its endpoints swapped: the
+    columns of the Records `es` stacked on the columns with the first two
     swapped."""
-    if type(es) is not Records:
-        return list(es) + [(e[1], e[0]) + tuple(e[2:]) for e in es]
     if not es:
         return es
     cols = es.columns()
     return np.concatenate((cols, cols[:, [1, 0] + list(range(2, cols.shape[1]))]))
 
 
-def _counts_by_vertex(shard):
-    """(source, count) of each run of one source in a sorted shard, read
-    from the source column of Records."""
-    if not shard:
-        return []
-    if type(shard) is Records:
-        src = shard.columns()[:, 0].tolist()
-    else:
-        src = [r[0] for r in shard]
-    ends = [j for j in range(1, len(src)) if src[j] != src[j - 1]]
-    ends.append(len(src))
-    return [(src[a], b - a) for a, b in zip([0] + ends, ends)]
+def _runs(src, cut):
+    """The first position of each run of one value in `src` that breaks at
+    value changes and at the ends `cut` of its segments."""
+    new = np.ones(len(src), bool)
+    new[1:] = src[1:] != src[:-1]
+    new[cut[cut < len(src)]] = True
+    return np.flatnonzero(new)
+
+
+def _counts_by_vertex(cut, cols):
+    """`het_sort`'s summarize of sorted shards: for each machine, the
+    (source, count) of each run of one source in its segment of `cols`,
+    in one run-length pass over the source column."""
+    if not len(cols):
+        return [[] for _ in cut]
+    src = cols[:, 0]
+    first = _runs(src, cut)
+    runs = list(zip(src[first].tolist(), np.diff(first, append=len(src)).tolist()))
+    ends = np.searchsorted(first, cut).tolist()  # runs before each segment end
+    return [runs[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def arrange_nodes(cluster: Cluster, state_key="E", dst_key="D", key=None) -> Arranged:
@@ -671,10 +653,10 @@ def query_k_lightest(cluster: Cluster, arranged: Arranged, k_of: dict,
 
     `arranged` is the layout of the shards under `dst_key`, each sorted
     by source, so a query's reply is the first k records of the run of v
-    in its machine's shard.  The replies are one segmented pass:
-    every query is found in its machine's segment of the queried shards by
-    one searchsorted on (machine, source) keys, and the replies are sent
-    as one `Slices` batch, one send a querying machine.  Returns {v: its
+    in its machine's shard.  The replies are one segmented pass: one
+    run-length pass over the joined queried shards finds where each run
+    of one source starts in each shard, and the replies are sent as one
+    `Slices` batch, one send a querying machine.  Returns {v: its
     records}, read in sender order."""
     plans = {}
     for v, k in k_of.items():
@@ -694,27 +676,18 @@ def query_k_lightest(cluster: Cluster, arranged: Arranged, k_of: dict,
     take = np.array([t for qs in plans.values() for _, t in qs], np.int64)
     at = np.zeros(len(take), np.int64)
     if plans:
-        # the records of segment j key to j * span + (source - lo); each
-        # queried vertex is a source of its machine's segment
-        if type(recs) is Records:
-            src = recs.columns()[:, 0]
-        else:
-            src = np.array([r[0] for r in recs], object)
-        lo = int(src.min())
-        span = int(src.max()) - lo + 1
-        fits = src.dtype == np.int64 and len(mids) * span < 2 ** 63
-        dtype = np.int64 if fits else object
-        seg = np.repeat(np.arange(len(mids)), list(map(len, segs))).astype(dtype)
-        keys = seg * span + (src.astype(dtype) - lo)
-        at = np.searchsorted(keys, np.array(
-            [j * span + v - lo for j, qs in enumerate(plans.values()) for v, _ in qs],
-            dtype))
+        # the start of each (segment, source) run; each queried vertex is
+        # a source of its machine's segment
+        sizes = list(map(len, segs))
+        src = recs.columns()[:, 0]
+        run = _runs(src, np.cumsum(sizes))
+        seg = np.repeat(np.arange(len(mids)), sizes)[run]
+        start = dict(zip(zip(seg.tolist(), src[run].tolist()), run.tolist()))
+        at = np.array([start[j, v] for j, qs in enumerate(plans.values()) for v, _ in qs],
+                      np.int64)
     # the position in recs of each reply record, in plans order
     pos = np.repeat(at - (np.cumsum(take) - take), take) + np.arange(int(take.sum()))
-    if type(recs) is Records:
-        replies = _of_columns(recs.columns()[pos])
-    else:
-        replies = [recs[p] for p in pos.tolist()]
+    replies = recs.take(pos)
     count = [sum(t for _, t in qs) for qs in plans.values()]
     cluster.round(Slices(replies, np.array(mids, np.int64),
                          np.full(len(mids), LARGE), np.array(count, np.int64)))

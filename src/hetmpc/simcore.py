@@ -152,38 +152,34 @@ _TUPLE_ONLY = frozenset({tuple})
 
 
 class Records:
-    """Immutable batch of flat records: tuples of ints, all of one arity.
+    """Immutable batch of records: tuples, all of one arity.
 
-    `Records(records)` checks every record (its type is `tuple`, every
-    record has the same length, every field's type is `int`; a bool or a
-    float is not an int) and raises TypeError otherwise, so a batch's
-    words are `len * arity` without walking it.
+    `Records(records)` checks that every record is a `tuple` and that all
+    have one length, and raises TypeError otherwise.  An all-int batch
+    (every field an int; a bool or a float is not) is charged `len *
+    arity` words without a walk; any other (flow labels, strings) is
+    charged the walked words of its fields.
 
-    A batch has two forms.  Each is built from the other when it is
-    first asked for, and then kept:
+    A batch has two forms, each built from the other when first asked
+    for, and then kept:
     - the tuple of its records, which iteration, indexing and equality
       read;
-    - its columns (`columns()`), a read-only (len, arity) int64 array,
-      which selections, concatenations and column steps read.  A batch
-      with a field beyond int64 has no int64 matrix: its columns are an
-      object array of its ints.
-    A slice of Records is Records.  Records are also built by
-    `as_records` from an int64 array of shape (len, arity), and by
-    `_of_columns`, private to simcore and primitives, from columns taken
-    from Records (selections, slices and concatenations).
+    - its columns (`columns()`), a read-only (len, arity) array, int64 or
+      else object, which selections (`take`), concatenations and column
+      steps read.  A slice or selection keeps the all-int flag.
+    `as_records` builds Records from an int64 (len, arity) array, and
+    `_of_columns` from columns taken from Records.
     """
 
-    __slots__ = ("_tuples", "_cols")
+    __slots__ = ("_tuples", "_cols", "_flat")
 
     def __init__(self, records=()):
         tuples = tuple(records)
-        if tuples and not (
-            _TUPLE_ONLY.issuperset(map(type, tuples))
-            and len(set(map(len, tuples))) == 1
-            and _INT_ONLY.issuperset(map(type, chain.from_iterable(tuples)))
-        ):
-            raise TypeError("Records holds tuples of ints of one arity")
+        if tuples and not (_TUPLE_ONLY.issuperset(map(type, tuples))
+                           and len(set(map(len, tuples))) == 1):
+            raise TypeError("Records holds tuples of one arity")
         self._tuples, self._cols = tuples, None
+        self._flat = _INT_ONLY.issuperset(map(type, chain.from_iterable(tuples)))
 
     def _rows(self) -> tuple:
         t = self._tuples
@@ -193,20 +189,27 @@ class Records:
 
     def columns(self) -> np.ndarray:
         """The records as a (len, arity) array: int64, or object when a
-        field is beyond int64."""
+        field is not an int or is beyond int64."""
         c = self._cols
         if c is None:
             t = self._tuples
             arity = len(t[0]) if t else 0
             try:
-                c = np.fromiter(chain.from_iterable(t), np.int64, len(t) * arity)
+                c = np.fromiter(chain.from_iterable(t),
+                                np.int64 if self._flat else object, len(t) * arity)
             except OverflowError:
                 c = np.fromiter(chain.from_iterable(t), object, len(t) * arity)
             c = self._cols = c.reshape(len(t), arity)
             c.flags.writeable = False
         return c
 
+    def take(self, idx) -> Records:
+        """The records at the positions `idx`, selected from the columns."""
+        return _of_columns(self.columns()[idx], self._flat)
+
     def words(self) -> int:
+        if not self._flat:
+            return payload_words(self._rows())
         t = self._tuples
         if t is not None:
             return len(t) * len(t[0]) if t else 0
@@ -225,6 +228,7 @@ class Records:
             out = object.__new__(Records)
             out._tuples = None if t is None else t[i]
             out._cols = None if c is None else c[i]
+            out._flat = self._flat
             return out
         return t[i] if t is not None else tuple(c[i].tolist())
 
@@ -242,14 +246,14 @@ class Records:
         return f"Records({list(self._rows())!r})"
 
 
-def _of_columns(cols) -> Records:
+def _of_columns(cols, flat=True) -> Records:
     """Records whose columns are `cols`, which it makes read-only, without
-    checking them: only for the int64 columns of records or an object
-    array of the ints of Records (selections, slices and concatenations
-    of columns)."""
+    checking them: only for the int64 columns of records, or for columns
+    taken from Records (selections, slices and concatenations), `flat`
+    being whether those Records are all-int."""
     cols.flags.writeable = False
     out = object.__new__(Records)
-    out._tuples, out._cols = None, cols
+    out._tuples, out._cols, out._flat = None, cols, flat
     return out
 
 
@@ -257,35 +261,32 @@ _EMPTY = Records()
 
 
 def _join(batches):
-    """The records of `batches` in order: Records if every batch is
-    Records and all have one arity, else a list.  Records are joined by
-    their columns."""
-    if all(type(b) is Records for b in batches):
-        full = [b for b in batches if len(b)]
-        if len({b.words() // len(b) for b in full}) <= 1:
-            if len(full) <= 1:
-                return full[0] if full else _EMPTY
-            return _of_columns(np.concatenate([b.columns() for b in full]))
-    return list(chain.from_iterable(batches))
+    """The records of the Records `batches` in order, joined by their
+    columns: Records, all-int when every batch is."""
+    full = [b for b in batches if len(b)]
+    if len(full) <= 1:
+        return full[0] if full else _EMPTY
+    return _of_columns(np.concatenate([b.columns() for b in full]),
+                       all(b._flat for b in full))
 
 
-def as_records(records):
-    """`records` (a list or tuple, or an array of shape (len, arity) whose
-    rows are the records) as Records if every record conforms, else as a
-    list (`records` itself if it is one), which is walked whenever it is
-    metered.  An int64 array becomes the columns of Records unchecked, and
-    read-only."""
-    t = type(records)
-    if t is Records:
-        return records
-    if t is np.ndarray and records.ndim == 2:
-        if records.dtype == np.int64:
-            return _of_columns(records)
-        records = list(map(tuple, records.tolist()))
-    try:
-        return Records(records)
-    except TypeError:
-        return records if type(records) is list else list(records)
+def as_records(value):
+    """`value` as Records when it is a record batch: a list or tuple of
+    tuples of one arity, or an array of shape (len, arity) whose rows are
+    the records (an int64 one becomes the columns of Records unchecked,
+    and read-only).  Any other value (Records, or one that is not a record
+    batch: mixed arities, bare ints, a dict) is returned as given."""
+    t = type(value)
+    if t is np.ndarray and value.ndim == 2:
+        if value.dtype == np.int64:
+            return _of_columns(value)
+        value, t = list(map(tuple, value.tolist())), list
+    if t is list or t is tuple:
+        try:
+            return Records(value)
+        except TypeError:
+            pass
+    return value
 
 
 def payload_words(obj) -> int:
@@ -293,9 +294,9 @@ def payload_words(obj) -> int:
 
     Integers, identifiers, weights and ranks are one word each; an edge
     record (tuple of three ints) is three words.  Floats are rejected:
-    all metered data is integral.  A Records batch is charged
-    `len * arity` without a walk; every other payload (lists and tuples,
-    dicts, Packed, records that carry objects such as flow labels) is
+    all metered data is integral.  An all-int Records batch is charged
+    `len * arity` without a walk; every other payload (Records with other
+    fields, such as flow labels, lists and tuples, dicts, Packed) is
     walked.
     """
     if type(obj) is Records:
@@ -333,10 +334,10 @@ class Slices:
     consecutive slices that cover `records` in order) from machine
     `src[j]` to machine `dst[j]`, after `header` words of its own (a
     count, say): one number for every send, or an array of one per send.
-    The barrier charges each send its header plus the words of its slice:
-    `count × arity` for Records, each record's walked words for a list.
-    The slices are not put into the inbox: the caller moves the records
-    it sent.
+    The barrier charges each send its header plus the words of its slice
+    of `records` (Records): `count × arity` when they are all-int, else
+    each record's walked words.  The slices are not put into the inbox:
+    the caller moves the records it sent.
     """
 
     __slots__ = ("records", "src", "dst", "count", "header")
@@ -355,7 +356,7 @@ class Slices:
         """(senders, their words, receivers, their words): arrays, each
         side's machines in order of first send (see `_by_machine`)."""
         recs, count = self.records, self.count
-        if type(recs) is Records:
+        if recs._flat:
             words = count * (recs.words() // len(recs) if recs else 0)
         else:
             per = np.fromiter(map(payload_words, recs), np.int64, len(recs))
@@ -438,7 +439,8 @@ class Machine:
 
     State changes only through `put` and `pop` (and the cluster's bulk
     moves); `state` is read-only to callers.  Every store goes through
-    `_store`, which meters it.
+    `_store`, which meters it; `put` stores a record batch as Records
+    (see `as_records`).
     """
 
     __slots__ = ("mid", "budget", "state", "_words", "_total", "_changed", "_over")
@@ -452,7 +454,7 @@ class Machine:
         self._changed, self._over = changed, over
 
     def put(self, key, value):
-        _store(key, ((self, value),))
+        _store(key, ((self, as_records(value)),))
 
     def pop(self, key):
         _store(key, ((self, _POP),))
@@ -464,7 +466,7 @@ _POP = object()  # the `_store` value that pops its key
 def _store(key, items):
     """The one write of machine state.  Each (machine, value) of `items`
     stores `value` under `key`, or pops `key` when `value` is `_POP`.  A
-    value is metered when it is stored (a Records batch in O(1)), so a
+    value is metered when it is stored (all-int Records in O(1)), so a
     value mutated in place must be stored again to be metered anew (the
     same object may be).  When a machine's resident words change, they
     are written into `changed`, the delta since the last round that every
@@ -490,6 +492,7 @@ def _store(key, items):
 
 
 _SENDER = itemgetter(0)
+_SHARD_TYPES = frozenset({Records, type(None)})
 _NO_PAYLOAD = object()
 # The most records a `Cluster.segmented` group joins: a step's temporaries
 # grow with its group (one group of all machines raised a sketch run's
@@ -543,14 +546,12 @@ class Cluster:
         """One machine-local step: `fn(i, records)` on each small machine i
         that holds records under `key`, in ascending order, `records`
         being what it stores there.  With `out`, each result is stored
-        under `out` through `as_records`, so conforming records (or an
-        int64 array of their columns) rest as Records and others as a
-        list, and a None result pops `out`; an idle machine (nothing under
-        `key`) runs nothing, and pops `out` when `out` is not `key`.
-        Every machine runs before any result is stored, in one `_store`
-        pass.  Returns {i: result} over the machines that ran.  (`Machine.put`
-        stores what it is given, so a list that a caller mutates in place
-        and puts again stays a list.)
+        under `out` through `as_records`, so a record batch (or an int64
+        array of its columns) rests as Records, and a None result pops
+        `out`; an idle machine (nothing under `key`) runs nothing, and pops
+        `out` when `out` is not `key`.  Every machine runs before any
+        result is stored, in one `_store` pass.  Returns {i: result} over
+        the machines that ran.
         """
         results, items = {}, []
         idle_pop = out is not None and out != key
@@ -562,8 +563,7 @@ class Cluster:
                 continue
             value = results[mach.mid] = fn(mach.mid, recs)
             if out is not None:
-                items.append((mach, _POP if value is None else
-                              value if type(value) is Records else as_records(value)))
+                items.append((mach, _POP if value is None else as_records(value)))
         _store(out, items)
         return results
 
@@ -574,8 +574,8 @@ class Cluster:
         `fn(cut, columns)` gets the joined columns of the group, machine j
         holding `columns[cut[j-1]:cut[j]]` (from 0 for j = 0), and returns
         one result per machine.  Returns {i: result}, as `local` does."""
-        busy = [(m.mid, m.state.get(key)) for m in self._small]
-        busy = [(mid, recs.columns()) for mid, recs in busy if recs]
+        busy = [(mid, recs.columns())
+                for mid, recs in zip(self.small_ids, self.shards(key)) if recs]
         mids, cols = [mid for mid, _ in busy], [c for _, c in busy]
         ends = np.cumsum([0] + [len(c) for c in cols])
         results, a = {}, 0
@@ -597,32 +597,31 @@ class Cluster:
     # One `_store` pass each over the machines that act.
 
     def shards(self, key) -> list:
-        """What each small machine stores under `key` (None where it
-        stores nothing), in machine order."""
-        return [mach.state.get(key) for mach in self._small]
+        """The Records each small machine stores under `key` (None where
+        it stores nothing), in machine order.  Raises TypeError, naming
+        the key, if a machine stores anything else there."""
+        out = [mach.state.get(key) for mach in self._small]
+        if not _SHARD_TYPES.issuperset(map(type, out)):
+            raise TypeError(f"state key {key!r} holds a value that is not Records")
+        return out
 
     def unload(self, key, mids):
         """Machines `mids` (small machine ids) each pop `key`."""
         _store(key, [(self.machines[mid], _POP) for mid in mids])
 
     def load(self, key, mids, ordered, cut):
-        """Each machine i of `mids` (small machine ids) stores
-        `ordered[cut[i-1]:cut[i]]` under `key`.  A slice of Records is
-        Records, metered as its count times the arity; a slice of a list
-        is stored through `as_records`."""
+        """Each machine i of `mids` (small machine ids) stores the slice
+        `ordered[cut[i-1]:cut[i]]` of the Records `ordered` under `key`."""
         machines = self.machines
-        if type(ordered) is Records:
-            rows, cols = ordered._tuples, ordered._cols
-            items = []
-            for mid in mids:  # ordered[a:b], built here
-                a, b = cut[mid - 1], cut[mid]
-                shard = object.__new__(Records)
-                shard._tuples = None if rows is None else rows[a:b]
-                shard._cols = None if cols is None else cols[a:b]
-                items.append((machines[mid], shard))
-        else:
-            items = [(machines[mid], as_records(ordered[cut[mid - 1]:cut[mid]]))
-                     for mid in mids]
+        rows, cols, flat = ordered._tuples, ordered._cols, ordered._flat
+        items = []
+        for mid in mids:  # ordered[a:b], built here
+            a, b = cut[mid - 1], cut[mid]
+            shard = object.__new__(Records)
+            shard._tuples = None if rows is None else rows[a:b]
+            shard._cols = None if cols is None else cols[a:b]
+            shard._flat = flat
+            items.append((machines[mid], shard))
         _store(key, items)
 
     def round(self, sends) -> dict:
@@ -692,7 +691,7 @@ def distribute_edges(cluster: Cluster, edges, placement="seeded", shard_size=Non
     roundrobin: stripe; seeded: permute with the global seed, then stripe.
     """
     K = len(cluster.small_ids)
-    records = as_records([tuple(e) for e in edges])
+    records = Records([tuple(e) for e in edges])
     rec_words = payload_words(records)
     if rec_words > K * cluster.config.small_budget:
         raise CapacityError(
@@ -714,13 +713,7 @@ def distribute_edges(cluster: Cluster, edges, placement="seeded", shard_size=Non
         shards = [order[k::K] for k in range(K)]
     else:
         raise ConfigError(f"unknown placement {placement!r}")
-    # each shard is a selection of the records: of their columns when
-    # they are Records
-    if type(records) is Records:
-        cols = records.columns()
-        shards = [_of_columns(cols[sel]) for sel in shards]
-    else:
-        shards = [[records[j] for j in sel.tolist()] for sel in shards]
+    shards = [records.take(sel) for sel in shards]
     for mid, shard in zip(cluster.small_ids, shards):
         if payload_words(shard) > cluster.config.small_budget:
             raise CapacityError(f"shard for {machine_name(mid)} exceeds its budget")

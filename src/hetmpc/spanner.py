@@ -201,8 +201,10 @@ def clustering_graphs(cluster: Cluster, graph) -> ClusteringDecomposition:
         return [key + w for key, w in best.items()]
 
     primitives.deliver_by_endpoint(cluster, "A", per_vertex, 0, apply=level_records)
-    keys = {r[:3] for mid in cluster.small_ids
-            for r in cluster.machines[mid].state["A"]}
+    # the report's (level, c, c') keys, read by a local step that stores
+    # nothing
+    held = cluster.local(lambda _, recs: [r[:3] for r in recs], "A")
+    keys = {k for ks in held.values() for k in ks}
     bucket_sizes = dict(Counter(lvl for lvl, _, _ in keys))
 
     return ClusteringDecomposition(

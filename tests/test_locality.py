@@ -10,6 +10,10 @@ internals of a `Machine` or a `Cluster`, or writes a machine's `state`
 except through `Machine.put` and `Machine.pop`, so every bulk store is
 made, and metered, in `simcore`.  Inside `simcore`, one loop, `_store`,
 makes every write of a machine's state and metering fields.
+
+Records have one form: the record primitives (`primitives`) and the MST
+steps (`mst`) test no value for being Records or a list, so no second
+path for record batches can grow back there.
 """
 
 import ast
@@ -31,9 +35,6 @@ ALLOWED = {
             3, "routes by the host set v_low and reads host dicts (ROADMAP item 5)"),
     },
     "spanner": {
-        "clustering_graphs": (
-            1, "reads every machine's level records for the bucket_sizes "
-               "report (ROADMAP item 3)"),
         "modified_baswana_sen": (
             1, "collects the vertex set from every machine (ROADMAP item 3)"),
     },
@@ -236,3 +237,60 @@ def test_write_guard_sees_every_write():
     assert field_writes(source) == {
         "M.f": {"state", "_words", "_total"},
         "M.g": {"_changed", "_over", "state"}, "h": {"state"}}
+
+
+# the modules whose record batches are always Records, and the type names
+# that a second record path would test for
+ONE_FORM = ("primitives", "mst")
+RECORD_FORMS = frozenset({"Records", "list"})
+
+
+def _type_names(node):
+    """The names in `node`: a name, an attribute, or a tuple, list or set
+    of them."""
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return set().union(*map(_type_names, node.elts))
+    return set()
+
+
+def record_form_tests(source):
+    """(line, form) of each test of a value's type against Records or
+    list in `source`: a comparison of `type(x)` with them (`is`, `is
+    not`, `==`, `!=`, `in`) or an `isinstance` call naming them."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(x, ast.Call) and _type_names(x.func) == {"type"}
+                   for x in operands):
+                for x in operands:
+                    found += [(node.lineno, f) for f in _type_names(x) & RECORD_FORMS]
+        elif (isinstance(node, ast.Call) and _type_names(node.func) == {"isinstance"}
+                and len(node.args) == 2):
+            found += [(node.lineno, f) for f in _type_names(node.args[1]) & RECORD_FORMS]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module", ONE_FORM)
+def test_record_batches_have_one_form(module):
+    assert record_form_tests((SRC / f"{module}.py").read_text()) == []
+
+
+def test_form_guard_sees_every_test():
+    source = (
+        "def f(x, y, key):\n"
+        "    if type(x) is Records or type(y) is not simcore.Records:\n"
+        "        return list(x)\n"
+        "    if type(x) == list or type(key) is tuple:\n"
+        "        return x\n"
+        "    if type(x) in (list, tuple) or isinstance(y, (Records, dict)):\n"
+        "        return y\n"
+        "    return isinstance(x, list) and type(key) is not Records\n"
+    )
+    assert record_form_tests(source) == [
+        (2, "Records"), (2, "Records"), (4, "list"), (6, "Records"), (6, "list"),
+        (8, "Records"), (8, "list")]

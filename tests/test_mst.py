@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from hetmpc import mst, oracles, primitives
 from hetmpc.graphio import SimGraph, generate_graph
+from hetmpc.labels import flow_label_marker
 from hetmpc.simcore import (
     Cluster,
     ClusterConfig,
@@ -18,6 +19,7 @@ from hetmpc.simcore import (
     as_records,
     distribute_edges,
     init_cluster,
+    payload_words,
 )
 
 import mst_reference  # the tuple steps, beside this file
@@ -211,6 +213,37 @@ def test_f_light_oracle_against_brute_force():
         assert e in kept
 
 
+@pytest.mark.parametrize("m", [8, 512])  # K = 1 and K = 64 small machines
+def test_label_records_are_records_metered_as_walked(monkeypatch, m):
+    # f_light_filter's first delivery appends each record's side-0 flow
+    # label, the second keeps the light records: after each, every small
+    # machine stores Records under "E", and its resident words are a fresh
+    # walk of its records; the labels differ in depth, so in words
+    g = generate_graph("gnm", 64, seed=8, m=512, weighted=True)
+    cl = make_cluster(64, m, seed=8)
+    mst.init_state(cl, g)
+    forest = oracles.kruskal_msf(64, g.edges[: len(g.edges) // 4])
+    labels = flow_label_marker(64, forest)
+    assert len({label.words() for label in labels.values()}) > 2
+    deliver, arities = primitives.deliver_by_endpoint, []
+
+    def checked(cluster, *args, **kwargs):
+        deliver(cluster, *args, **kwargs)
+        cluster.empty_round()  # a barrier, so that a row reads every machine
+        resident = cluster.telemetry[-1].resident
+        for i in cluster.small_ids:
+            state = cluster.machines[i].state
+            assert type(state["E"]) is Records
+            assert resident[i] == sum(payload_words(list(v)) for v in state.values())
+        arities.append({len(r) for i in cluster.small_ids
+                        for r in cluster.machines[i].state["E"]})
+
+    monkeypatch.setattr(primitives, "deliver_by_endpoint", checked)
+    _, total = mst.f_light_filter(cl, labels, float("inf"))
+    assert arities == [{6}, {5}]
+    assert total == len(oracles.f_light_edges(64, forest, g.edges))
+
+
 def test_superlinear_params():
     t, counts, p = mst.superlinear_params(256, 65536, Fraction(1, 2))
     assert t == 1
@@ -249,9 +282,9 @@ def edge_shards(draw):
 
 
 def _forms(recs):
-    """The batch in each form a machine may hold it: a list, Records from
-    tuples, and (when every field fits) Records from int64 columns."""
-    out = [list(recs), Records(recs)]
+    """The batch in each form a machine may hold it: Records from tuples,
+    and (when every field fits) Records from int64 columns."""
+    out = [Records(recs)]
     if all(r[2] != WIDE for r in recs):
         out.append(as_records(np.array(recs, np.int64).reshape(len(recs), 5)))
     return out
@@ -269,15 +302,20 @@ def _same(got, want):
 def test_mst_column_steps_match_the_reference(shards, rep, data):
     got = dict(enumerate(rep))  # a contraction map over every vertex
     for shard in shards:
-        for es in _forms(shard)[1:]:
+        for es in _forms(shard):
             for side in (0, 1):
                 _same(mst._renamed(side)(es, got), mst_reference.rename_apply(side)(es, got))
             _same(mst._drop_self_loops(0, es), mst_reference.drop_self_loops(0, es))
-        # the directed copies and their per-source counts, in every form
+        # the directed copies, in every form, and the per-source counts of
+        # the shard cut into machine segments (some empty), in one pass
         for es in _forms(shard):
             _same(primitives._directed_copies(0, es), mst_reference.copies(0, es))
+        n = len(shard)
+        cut = sorted(data.draw(st.lists(st.integers(0, n), max_size=3))) + [n]
         for es in _forms(shard) + _forms(sorted(shard)):
-            assert primitives._counts_by_vertex(es) == mst_reference.counts_by_vertex(es)
+            starts = [0] + cut[:-1]
+            assert primitives._counts_by_vertex(np.array(cut), es.columns()) == [
+                mst_reference.counts_by_vertex(es[a:b]) for a, b in zip(starts, cut)]
         # the parallel-edge sort: ranks in the order (pair key, record),
         # then the first record of each pair, after a predecessor whose
         # last pair is prev (possibly this shard's first pair)
@@ -286,9 +324,9 @@ def test_mst_column_steps_match_the_reference(shards, rep, data):
         pairs = [primitives._pair(r[0], r[1]) for r in shard]
         prev = data.draw(st.sampled_from([None, (0, 1)] + pairs))
         ordered = sorted(shard, key=lambda r: (mst_reference.pair_key(r), r))
-        for es in _forms(shard)[1:]:
+        for es in _forms(shard):
             assert primitives._rank(es, mst._pair_key).tolist() == want
-        for es in _forms(ordered)[1:]:
+        for es in _forms(ordered):
             _same(mst._first_per_pair(es, prev),
                   mst_reference.first_per_pair_step({7: prev})(7, es))
 

@@ -311,7 +311,9 @@ def test_sort_routes_touch_only_busy_machines(monkeypatch):
     assert len(bases) == 1 and not final[0].columns().base.flags.writeable
 
 
-def test_sort_keeps_nonconforming_records_as_lists():
+def test_sort_walks_records_with_other_fields():
+    # records with a str field are Records with object columns: routed and
+    # stored as Records, and charged their walked words
     cl = make_cluster()
     items = [(x % 7, "a" * (x % 3)) for x in range(60)]
     scatter_items(cl, items)
@@ -322,13 +324,28 @@ def test_sort_keeps_nonconforming_records_as_lists():
     for r in (bcast + 1, bcast + 4):
         # the slices are walked: 2 words a record, whatever its string
         batch = rounds[r]
-        assert type(batch) is Slices and type(batch.records) is list
+        assert type(batch) is Slices and type(batch.records) is Records
+        assert batch.records.columns().dtype == object
         assert sum(cl.telemetry[r].sent.values()) == payload_words(batch.records)
+        assert payload_words(batch.records) == payload_words(list(batch.records))
         assert payload_words(batch.records) == 2 * len(items)
     for i in cl.small_ids:
         shard = cl.machines[i].state["E"]
-        assert type(shard) is list or not shard  # an empty shard may be Records
+        assert type(shard) is Records
         assert cl.telemetry[-1].resident[i] == payload_words(list(shard))
+
+
+def test_record_primitives_name_a_key_that_holds_no_records():
+    # bare ints are not a record batch: put stores them as given, and the
+    # sort and a segmented step refuse them, naming the key
+    cl = make_cluster()
+    scatter_items(cl, [(x,) for x in range(10)])
+    cl.machines[2].put("E", [5, 6])
+    assert cl.machines[2].state["E"] == [5, 6]
+    for step in (lambda: primitives.het_sort(cl),
+                 lambda: cl.segmented(lambda cut, cols: [None] * len(cut), "E")):
+        with pytest.raises(TypeError, match="'E'"):
+            step()
 
 
 def test_arrange_star_hub():
@@ -505,7 +522,7 @@ def test_query_k_lightest_two_rounds():
 
 # (record of edge (u, v) with weight w, vertex id of u): flat ints, a
 # weight or vertex ids beyond int64 (object columns), and a field that
-# meters itself (list shards)
+# meters itself (object columns, walked)
 QUERY_KINDS = {
     "ints": (lambda u, v, w: (u, v, w), lambda u: u),
     "bigweights": (lambda u, v, w: (u, v, w << 62), lambda u: u),
@@ -648,6 +665,14 @@ def _counts_and_ends(shard):
     return [len(shard), shard[0] if shard else None]
 
 
+def _counts_and_ends_by_segment(cut, cols):
+    """`_counts_and_ends` of each machine's segment of the sorted columns:
+    the summarize that `het_sort` takes."""
+    starts = [0] + cut[:-1].tolist()
+    return [_counts_and_ends(Records(map(tuple, cols[a:b].tolist())))
+            for a, b in zip(starts, cut.tolist())]
+
+
 RECORD_KINDS = {
     "ints": lambda x, y, z: (x, y, z),
     "bigints": lambda x, y, z: (x, y << 62, z),  # beyond int64 from y = 2 on
@@ -656,8 +681,9 @@ RECORD_KINDS = {
 }
 
 
-def _sorted_twice(records, kind, which, m, placement, tight, summarize):
-    """(new, reference) clusters after sorting the same placed records."""
+def _sorted_twice(records, kind, which, m, placement, tight, summarized):
+    """(new, reference) clusters after sorting the same placed records;
+    when summarized, each machine attaches its count and first record."""
     key = SORT_KEYS[which][0] if kind.endswith("ints") else None
     out = []
     for sort in (primitives.het_sort, sort_reference.het_sort):
@@ -673,8 +699,10 @@ def _sorted_twice(records, kind, which, m, placement, tight, summarize):
             assume(False)  # the records do not fit the small machines
         # the reference takes a key as the per-record function of the
         # order it names
-        fn = SORT_KEYS[which][1] if key is not None and (
-            sort is sort_reference.het_sort) else key
+        ref = sort is sort_reference.het_sort
+        fn = SORT_KEYS[which][1] if key is not None and ref else key
+        summarize = (_counts_and_ends if ref else _counts_and_ends_by_segment
+                     ) if summarized else None
         layout = sort(cl, key=fn, summarize=summarize)
         out.append((cl, layout))
     return out
@@ -689,16 +717,16 @@ def _sorted_twice(records, kind, which, m, placement, tight, summarize):
     st.sampled_from([1, 8, 40, 200, 400]),
     st.sampled_from(["seeded", "roundrobin", "adversarial"]),
     st.booleans(),
-    st.sampled_from([None, _counts_and_ends]),
+    st.booleans(),
 )
 def test_sort_matches_the_tuple_sort(raw, kind, which, m, placement, tight,
-                                     summarize):
+                                     summarized):
     # m = 1 or 8 gives K = 1; adversarial placement leaves trailing shards
     # empty; the nested-tuple key and the non-int records take the rank
     # path that sorts in Python
     records = [RECORD_KINDS[kind](*r) for r in raw]
     (new, layout), (ref, want) = _sorted_twice(records, kind, which, m,
-                                               placement, tight, summarize)
+                                               placement, tight, summarized)
     for i in new.small_ids:
         got, exp = new.machines[i].state["E"], ref.machines[i].state["E"]
         assert type(got) is type(exp) and got == exp

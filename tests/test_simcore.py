@@ -131,12 +131,15 @@ def test_records_words_match_walk(a, b, i, j):
     piece = ra[i:j]
     assert type(piece) is Records
     assert payload_words(piece) == reference_words(a[i:j])
-    # concatenation: Records only when the arities agree
+    # concatenation: Records of one arity; batches of two arities do not
+    # join
+    if len({len(r) for r in a + b}) > 1:
+        with pytest.raises(ValueError):
+            simcore._join([ra, piece, rb])
+        return
     joined = simcore._join([ra, piece, rb])
-    assert list(joined) == a + a[i:j] + b
+    assert type(joined) is Records and list(joined) == a + a[i:j] + b
     assert payload_words(joined) == reference_words(a + a[i:j] + b)
-    one_arity = len({len(r) for r in a + b}) <= 1
-    assert (type(joined) is Records) == one_arity
 
 
 INT64 = st.integers(-2**63, 2**63 - 1)
@@ -196,25 +199,49 @@ def test_records_forms_agree(forms, data):
     joined = simcore._join([a[:i], b[i:], b, simcore._EMPTY, a])
     assert type(joined) is Records and list(joined) == records * 3
     assert joined.words() == 3 * reference_words(records)
-    # Slices charges: each form, and the walked list, charge alike
+    # Slices charges: each form charges each send its header and the
+    # walked words of its slice
     cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=4)))
-    count = np.diff([0] + cuts + [n])
+    bounds = [0] + cuts + [n]
+    count = np.diff(bounds)
     src = np.arange(1, len(count) + 1)
     dst = src[::-1].copy()
-    charges = [[x.tolist() for x in Slices(r, src, dst, count, header=1).charges()]
-               for r in (a, b, list(records))]
-    assert charges[0] == charges[1] == charges[2]
+    per = [1 + reference_words(records[s:e]) for s, e in zip(bounds, bounds[1:])]
+    want = [src.tolist(), per, dst.tolist(), per]
+    for r in (a, b):
+        assert [x.tolist() for x in Slices(r, src, dst, count, header=1).charges()] == want
+
+
+@pytest.mark.parametrize("records", [
+    [(1, 2), (3,)], [(1,), (2, 3)], [[1, 2]], [(1, 2), [3, 4]], [1, 2],
+    [(1,), 2], [None], [(), (1,)], ["ab"], [(1, "a"), (2,)],
+])
+def test_records_constructor_rejects(records):
+    # mixed arities, and records that are not tuples (lists, ints, None,
+    # strings): not a record batch, so as_records returns it as given
+    with pytest.raises(TypeError):
+        Records(records)
+    assert as_records(records) is records
 
 
 @pytest.mark.parametrize("records", [
     [(True, 1)], [(1, False)], [(1.0, 2)], [(1, 2.5)], [((1, 2), 3)],
-    [(1, (2,))], [(1, 2), (3,)], [(1,), (2, 3)], [[1, 2]], [(1, None)],
+    [(1, (2,))], [(1, None)], [(1, "ab"), (2, "")],
 ])
-def test_records_constructor_rejects(records):
-    # bools, floats, nested tuples, mixed arities, lists and None
-    with pytest.raises(TypeError):
-        Records(records)
-    assert type(as_records(records)) is list
+def test_records_with_other_fields_are_walked(records):
+    # bools, floats, nested tuples, None and strings: Records that are not
+    # all-int, whose columns are an object array of the fields as given,
+    # charged the walked words of their fields (a float is unmeterable)
+    batch = as_records(records)
+    assert type(batch) is Records and batch == tuple(records)
+    assert batch.columns().dtype == object
+    picked = batch.take(np.arange(len(records)))
+    assert picked == batch and [type(x) for x in picked[0]] == list(map(type, records[0]))
+    if any(type(x) is float for r in records for x in r):
+        with pytest.raises(TypeError):
+            payload_words(batch)
+    else:
+        assert payload_words(batch) == payload_words(picked) == reference_words(records)
 
 
 _bad_fields = st.one_of(
@@ -226,7 +253,7 @@ _bad_fields = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(_flat_batch(arity=3, min_size=1), st.data())  # one record is one arity
-def test_nonconforming_records_are_never_records(batch, data):
+def test_only_record_batches_become_records(batch, data):
     pos = data.draw(st.integers(0, len(batch)))
     kind = data.draw(st.sampled_from(["field", "arity", "list"]))
     if kind == "field":
@@ -239,10 +266,16 @@ def test_nonconforming_records_are_never_records(batch, data):
     else:
         bad = data.draw(st.lists(st.integers(), min_size=3, max_size=3))
     records = batch[:pos] + [bad] + batch[pos:]
-    with pytest.raises(TypeError):
-        Records(records)
     got = as_records(records)
-    assert type(got) is list and got == records
+    if kind != "field":  # not a record batch: returned as given
+        with pytest.raises(TypeError):
+            Records(records)
+        assert got is records
+        return
+    # a field that is not an int: Records, walked when metered
+    assert type(got) is Records and got == tuple(records)
+    joined = simcore._join([Records(batch), got])
+    assert type(joined) is Records and joined == tuple(batch + records)
     try:
         expected = reference_words(records)
     except TypeError:  # a float
@@ -250,8 +283,7 @@ def test_nonconforming_records_are_never_records(batch, data):
             payload_words(got)
     else:
         assert payload_words(got) == expected
-    # a batch joined to a nonconforming batch is not Records either
-    assert type(simcore._join([Records(batch), got])) is list
+        assert payload_words(joined) == reference_words(batch) + expected
 
 
 def test_machine_ids_are_ints():
@@ -326,10 +358,12 @@ def test_resident_words_match_fresh_walk(ops, tiny, rnd):
             cl.unload(key, range(1, mid + 2))
         elif op == "load":
             # small machines 1..mid+1 store consecutive pairs of records in
-            # bulk: slices of Records (key A), of a list that ends in a
-            # record with a str (key B), or of a conforming list (key C)
+            # bulk: slices of Records built from tuples (key A), of Records
+            # that end in a record with a str (key B), or of Records built
+            # from columns (key C)
             recs = [(x, j) for j, x in enumerate(value)]
-            ordered = {"A": Records(recs), "B": recs + [(0, "s")], "C": recs}[key]
+            ordered = {"A": Records(recs), "B": Records(recs + [(0, "s")]),
+                       "C": Records(recs).take(np.arange(len(recs)))}[key]
             cut = [min(2 * i, len(ordered)) for i in range(len(cl.small_ids) + 1)]
             cl.load(key, range(1, mid + 2), ordered, cut)
         cl.empty_round()
@@ -357,7 +391,9 @@ def test_local_step():
     # fn runs exactly on the machines that hold records under the key, in
     # ascending order; the results have no idle entries
     cl = init_cluster(ClusterConfig(n=16, m=64, gamma=0.5))
-    cl.machines[1].put("E", [(1, 5)])
+    cl.machines[1].put("E", [(1, 5)])  # a record batch: put stores Records
+    assert cl.machines[1].state["E"] == ((1, 5),)
+    assert type(cl.machines[1].state["E"]) is Records
     cl.machines[2].put("E", [(1, 2)])
     cl.machines[3].put("E", [(3, 4)])
     cl.machines[4].put("E", [(4, 4)])
@@ -373,7 +409,7 @@ def test_local_step():
         if i == 2:
             return None  # pops the key
         if i == 3:
-            return [r + (label,) for r in recs]  # carries a label: a list
+            return [r + (label,) for r in recs]  # carries a label: walked
         return np.array([[i, i]])  # int64 columns: stored as Records
 
     got = cl.local(fn, "E", "E")
@@ -383,10 +419,11 @@ def test_local_step():
     stored = {i: m.state.get("E") for i, m in cl.machines.items()}
     assert type(stored[1]) is Records and stored[1] == ((1, 5), (1, 6))
     assert "E" not in cl.machines[2].state
-    assert type(stored[3]) is list and stored[3] == [(3, 4, label)]
+    assert type(stored[3]) is Records and stored[3] == ((3, 4, label),)
     assert type(stored[4]) is Records and stored[4] == ((4, 4),)
     # an idle machine keeps what it stores under the key when out is key
-    assert type(stored[5]) is Records and stored[6] == [] and stored[7] is None
+    assert [type(stored[i]) for i in (5, 6)] == [Records, Records]
+    assert not stored[6] and stored[7] is None
     cl.empty_round()
     assert cl.telemetry[-1].resident[1] == 4
     assert cl.telemetry[-1].resident[2] == 0
@@ -613,8 +650,10 @@ def test_slices_charged_per_sender_and_receiver():
     t = cl.telemetry[-1]
     assert list(t.sent.items()) == [(2, 3), (1, 9)]  # in order of first send
     assert list(t.received.items()) == [(3, 6), (4, 6)]
-    # a list's records are walked: 1 + 2 words, then 1 word
-    cl.round(Slices([(1, "ab"), ("c",)], np.array([1]), np.array([2]), np.array([2])))
-    assert cl.telemetry[-1].sent == {1: 3} and cl.telemetry[-1].received == {2: 3}
+    # records with other fields are walked: 2 words, then 1 + 5
+    cl.round(Slices(Records([(1, "ab"), ("c", Packed(0, bits=40, word_bits=8))]),
+                    np.array([1, 1]), np.array([2, 3]), np.array([1, 1])))
+    assert cl.telemetry[-1].sent == {1: 8}
+    assert cl.telemetry[-1].received == {2: 2, 3: 6}
     with pytest.raises(ValueError):
         Slices(recs, src, dst, np.array([1, 1, 1]))
