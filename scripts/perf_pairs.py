@@ -20,8 +20,9 @@ which the change is worse in the metric's `better` direction, its bound,
 and a verdict: `within bound`, `WORSE beyond bound`, or `unresolved` when
 the base's own interquartile range over its median is wider than the bound,
 not every change run reads better than every base run, and the two sides
-differ in some pair.  `--json PATH` writes every run's metrics, by
-workload.  Standard library only.
+differ in some pair.  Last comes the number of pairs whose fingerprint
+lines agree.  `--json PATH` writes every run's metrics, by workload,
+with that number as `fingerprints_same`.  Standard library only.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def parse_args(argv=None):
 def compare(sides, workload, seeds, seconds, end_to_end):
     """Run one pair per seed of `workload` in `sides` ({"base": dir,
     "change": dir}), print each pair and the verdicts, and return the
-    pairs."""
+    workload's record: its pairs and how many agree in fingerprint."""
     runs = {"base": [], "change": []}
     pairs, wins = [], 0
     for j, seed in enumerate(seeds):
@@ -139,7 +140,9 @@ def compare(sides, workload, seeds, seconds, end_to_end):
         print(f"  {name:<20} median base {statistics.median(b):.6g} change "
               f"{statistics.median(c):.6g} ratio {ratio:.4f} worse "
               f"{worse:+.2%} bound {bound:.0%}: {verdict}")
-    return pairs
+    same = sum(p["fingerprint_same"] for p in pairs)
+    print(f"fingerprint lines agree in {same} of {len(pairs)} pairs")
+    return {"workload": workload, "pairs": pairs, "fingerprints_same": same}
 
 
 def main(argv=None):
@@ -157,9 +160,8 @@ def main(argv=None):
         for workload in args.workload:
             print(f"{workload}: {args.base} against the working tree, "
                   f"{seconds:g} s a run")
-            pairs = compare(sides, workload, args.seeds, seconds,
-                            benchmark["end_to_end"])
-            workloads.append({"workload": workload, "pairs": pairs})
+            workloads.append(compare(sides, workload, args.seeds, seconds,
+                                     benchmark["end_to_end"]))
     if args.json:
         with open(args.json, "w") as f:
             json.dump({"base": args.base, "seconds": seconds,

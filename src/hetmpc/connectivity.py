@@ -323,7 +323,7 @@ def sketch_build(cluster: Cluster, keys: SketchKeys, table: CoordTable,
     Returns {part: SketchPartial}.
     """
     primitives.tree_broadcast(cluster, keys)
-    primitives.arrange_nodes(cluster, state_key, "D", key=key)
+    primitives.arrange_nodes(cluster, state_key, key=key)
     leaves = cluster.segmented(
         lambda cut, cols: _leaf_partials(table, cut, cols, part_cols(cols)),
         "D")

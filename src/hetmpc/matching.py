@@ -45,7 +45,7 @@ class MatchingState:
 def degree_split(cluster: Cluster, graph) -> MatchingState:
     """Arrange the stored edges to learn degrees, then split vertices at
     the d^2 threshold (d = average-degree ceiling)."""
-    arranged = primitives.arrange_nodes(cluster, "E", "D")
+    arranged = primitives.arrange_nodes(cluster, "E")
     cluster.drop("D")
     deg = dict(arranged.deg_out)
     d = max(1, math.ceil(2 * graph.m / graph.n))
@@ -204,12 +204,12 @@ def phase2_high_degree(cluster: Cluster, state: MatchingState):
 
     for attempt in range(2):
         _ranked_records(cluster, attempt)
-        arranged = primitives.arrange_nodes(cluster, "R", "D", key=(0, 2))
+        arranged = primitives.arrange_nodes(cluster, "R", key=(0, 2))
         k_of = {
             v: min(budget, state.deg.get(v, 0))
             for v in sorted(state.v_high)
         }
-        collected = primitives.query_k_lightest(cluster, arranged, k_of, "D")
+        collected = primitives.query_k_lightest(cluster, arranged, k_of)
         cluster.drop("D", "R")
         # a high-high edge can be collected by both endpoints; only two
         # different edges with one rank are a collision

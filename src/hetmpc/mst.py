@@ -145,7 +145,7 @@ def boruvka_step(cluster: Cluster, state: ContractionState, s: int) -> Contracti
     per supervertex at the large machine, merge safely, rename, and
     dedupe parallel edges keeping the lightest."""
     # by source, then by wkey
-    arranged = primitives.arrange_nodes(cluster, "E", "D", key=(0, 2, 3, 4))
+    arranged = primitives.arrange_nodes(cluster, "E", key=(0, 2, 3, 4))
     k_of = {v: min(s, d) for v, d in arranged.deg_out.items() if d > 0}
     need = sum(k_of.values()) * 5
     if need > cluster.config.large_budget:

@@ -1,10 +1,12 @@
 """Constant-round communication primitives.
 
-Distributed sample-sort, aggregation trees, dissemination, broadcast, and
+Distributed sample-sort, tree aggregation, dissemination, broadcast, and
 arranging each vertex's outgoing edges on consecutive machines.  Every
 primitive executes real message rounds on the cluster and then pads with
 empty rounds up to a fixed per-primitive constant (a function of gamma
-only), so algorithm round counts are structurally constant.
+only), so algorithm round counts are structurally constant.  The tree
+walks find each node's machine and children by index arithmetic on
+(K, b) (see `_widths`); no tree is built or kept.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -73,48 +74,17 @@ def branching(cluster: Cluster) -> int:
 # machine trees
 
 
-@dataclass
-class AggregationTree:
-    """b-ary tree over a contiguous machine range; node = first machine of
-    its range, so a chain of nodes shares one physical machine and the
-    in-chain hops are free."""
-
-    b: int
-    levels: list  # levels[r] = [(lo, hi), ...]
-
-    @classmethod
-    def build(cls, lo, hi, b):
-        nodes = [(i, i) for i in range(lo, hi + 1)]
-        levels = [nodes]
-        while len(nodes) > 1:
-            nodes = [
-                (nodes[j][0], nodes[min(j + b, len(nodes)) - 1][1])
-                for j in range(0, len(nodes), b)
-            ]
-            levels.append(nodes)
-        return cls(b, levels)
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels) - 1
-
-    @property
-    def root(self) -> int:
-        return self.levels[-1][0][0]
-
-    def children(self, level, idx):
-        """Indices on level - 1 of the children of node idx on `level`."""
-        b = self.b
-        return range(idx * b, min((idx + 1) * b, len(self.levels[level - 1])))
-
-
-_build_tree = lru_cache(maxsize=8)(AggregationTree.build)
-
-
-def _global_tree(cluster: Cluster) -> AggregationTree:
-    """The tree over the small machines, built once per (K, b): no walk
-    changes it."""
-    return _build_tree(1, len(cluster.small_ids), branching(cluster))
+def _widths(K, b):
+    """Node counts of the levels of the b-ary tree over the K small
+    machines, from the leaves up to the root.  Node idx on level l is
+    machine idx * b^l + 1 (the root is machine 1) and covers the machines
+    up to (idx + 1) * b^l; its children are nodes idx * b up to
+    min(idx * b + b, widths[l - 1]) - 1 of level l - 1, and the first of
+    them sits on its machine."""
+    widths = [K]
+    while widths[-1] > 1:
+        widths.append(-(-widths[-1] // b))
+    return widths
 
 
 def _down(cluster: Cluster, payload, narrow):
@@ -124,27 +94,29 @@ def _down(cluster: Cluster, payload, narrow):
     narrow(level, idx, have) is what node idx on `level` keeps of its
     parent's payload `have` (the root's parent is the large machine), or
     None for nothing, which also ends the walk below that node; without
-    narrow every node keeps all of it.  A node whose machine is its
-    parent's gets its payload without a send.  Returns {leaf index:
-    payload} over the leaves that got one (leaf i is machine i + 1)."""
+    narrow every node keeps all of it.  Nodes are found by index as in
+    `_widths`, so a first child gets its payload without a send.  Returns
+    {leaf index: payload} over the leaves that got one (leaf i is machine
+    i + 1)."""
     start = cluster.rounds_used
-    tree = _global_tree(cluster)
-    top = payload if narrow is None else narrow(tree.depth, 0, payload)
-    cluster.round([] if top is None else [(LARGE, tree.root, top)])
+    b = branching(cluster)
+    widths = _widths(len(cluster.small_ids), b)
+    depth = len(widths) - 1
+    top = payload if narrow is None else narrow(depth, 0, payload)
+    cluster.round([] if top is None else [(LARGE, 1, top)])
     held = {} if top is None else {0: top}  # node index -> payload
-    for level in range(tree.depth, 0, -1):
-        nodes, below = tree.levels[level], tree.levels[level - 1]
+    for level in range(depth, 0, -1):
+        step = b ** (level - 1)  # machines under a node of level - 1
         sends, nxt = [], {}
         for idx, have in held.items():
-            rep = nodes[idx][0]
-            for c in tree.children(level, idx):
+            first = idx * b
+            for c in range(first, min(first + b, widths[level - 1])):
                 sub = have if narrow is None else narrow(level - 1, c, have)
                 if sub is None:
                     continue
                 nxt[c] = sub
-                crep = below[c][0]
-                if crep != rep:
-                    sends.append((rep, crep, sub))
+                if c != first:
+                    sends.append((first * step + 1, c * step + 1, sub))
         cluster.round(sends)
         held = nxt
     _pad(cluster, start, tree_rounds(cluster.config.gamma))
@@ -465,7 +437,8 @@ def aggregate(cluster: Cluster, leaves, reduce_fn):
     machine.
     """
     start = cluster.rounds_used
-    tree = _global_tree(cluster)
+    b = branching(cluster)
+    widths = _widths(len(cluster.small_ids), b)
     results = {}
 
     def up(sends, rep, reduced):
@@ -484,30 +457,30 @@ def aggregate(cluster: Cluster, leaves, reduce_fn):
             for p, v in payload.items():
                 results.setdefault(p, []).append(v)
 
-    # each node's partials on the current level, by index
+    # each node's partials on the current level, by index (see `_widths`)
     row = [leaves.get(i, {}) for i in cluster.small_ids]
-    for level in range(1, tree.depth + 1):
-        below = tree.levels[level - 1]
+    for level in range(1, len(widths)):
+        step = b ** (level - 1)  # machines under a node of level - 1
         sends, nxt = [], []
-        for idx, (rep, _) in enumerate(tree.levels[level]):
+        for first in range(0, widths[level - 1], b):
             slot = {}
-            for c in tree.children(level, idx):
+            for c in range(first, min(first + b, widths[level - 1])):
                 if not row[c]:
                     continue
-                crep = below[c][0]
+                crep = c * step + 1
                 boundary = up(sends, crep, row[c])
                 for p, v in boundary.items():
                     slot.setdefault(p, []).append(v)
-                if crep != rep:
-                    sends.append((crep, rep, boundary))
+                if c != first:
+                    sends.append((crep, first * step + 1, boundary))
             nxt.append({p: reduce_fn(vs) if len(vs) > 1 else vs[0]
                         for p, vs in slot.items()})
         collect(sends)
         row = nxt
     sends = []
     if row[0]:
-        boundary = up(sends, tree.root, row[0])
-        sends.append((tree.root, LARGE, boundary))
+        boundary = up(sends, 1, row[0])
+        sends.append((1, LARGE, boundary))
     collect(sends)
 
     out = {p: reduce_fn(vs) if len(vs) > 1 else vs[0] for p, vs in results.items()}
@@ -537,26 +510,22 @@ def disseminate(cluster: Cluster, values: dict, machine_ranges: dict):
     known after arranging or sorting the parts.  Requires parts contiguous
     in machine order.  Returns {machine index: {part: value}}.
     """
-    tree = _global_tree(cluster)
-    # spans[level][idx]: (min part, max part) under node idx, or None
-    spans = [[machine_ranges.get(lo) for lo, _ in tree.levels[0]]]
-    for level in range(1, tree.depth + 1):
-        below, row = spans[-1], []
-        for idx in range(len(tree.levels[level])):
-            rs = [below[c] for c in tree.children(level, idx) if below[c] is not None]
-            row.append((min(r[0] for r in rs), max(r[1] for r in rs)) if rs else None)
-        spans.append(row)
-
-    # spans nest, so each node keeps the sorted parts within its own span
+    # a node's parts run from the first part of the first busy machine
+    # under it to the last part of the last, and the ranges nest, so each
+    # node keeps the sorted parts within its own range
+    busy = sorted(machine_ranges)
     parts = sorted(values)
     vals = [values[p] for p in parts]
+    b = branching(cluster)
 
     def narrow(level, idx, _):
-        rng = spans[level][idx]
-        if rng is None:
+        span = b ** level  # machines idx * span + 1 ... (idx + 1) * span
+        i, j = bisect_right(busy, idx * span), bisect_right(busy, (idx + 1) * span)
+        if i == j:
             return None
-        a, b = bisect_left(parts, rng[0]), bisect_right(parts, rng[1])
-        return dict(zip(parts[a:b], vals[a:b])) if a < b else None
+        lo, hi = machine_ranges[busy[i]][0], machine_ranges[busy[j - 1]][1]
+        a, z = bisect_left(parts, lo), bisect_right(parts, hi)
+        return dict(zip(parts[a:z], vals[a:z])) if a < z else None
 
     got = _down(cluster, None, narrow)
     return {idx + 1: sub for idx, sub in got.items()}
@@ -625,18 +594,20 @@ def _counts_by_vertex(cut, cols):
     return [runs[a:b] for a, b in zip([0] + ends, ends)]
 
 
-def arrange_nodes(cluster: Cluster, state_key="E", dst_key="D", key=None) -> Arranged:
-    """Make directed copies of every stored edge and sort them so each
-    vertex's outgoing edges sit on consecutive machines; the large machine
-    learns deg_out(v) and the per-machine slice counts, the first of which
-    is on M_first(v).
+def arrange_nodes(cluster: Cluster, state_key="E", key=None) -> Arranged:
+    """Make directed copies of every edge stored under state_key, store
+    them under "D" and sort them so each vertex's outgoing edges sit on
+    consecutive machines; the large machine learns deg_out(v) and the
+    per-machine slice counts, the first of which is on M_first(v).
 
     `key`, a tuple of field positions or a column key as in `het_sort`,
     must order primarily by source vertex (default None: the record
-    itself, i.e. by (source, target, ...)).
+    itself, i.e. by (source, target, ...)).  The edges must be Records
+    (see `Cluster.shards`); nothing is stored if they are not.
     """
-    cluster.local(_directed_copies, state_key, dst_key)
-    layout = het_sort(cluster, state_key=dst_key, key=key, summarize=_counts_by_vertex)
+    cluster.shards(state_key)
+    cluster.local(_directed_copies, state_key, "D")
+    layout = het_sort(cluster, state_key="D", key=key, summarize=_counts_by_vertex)
     deg_out, slices = {}, {}
     for i, extra in enumerate(layout.extras, start=1):
         for v, cnt in extra or []:
@@ -645,13 +616,12 @@ def arrange_nodes(cluster: Cluster, state_key="E", dst_key="D", key=None) -> Arr
     return Arranged(layout, deg_out, slices)
 
 
-def query_k_lightest(cluster: Cluster, arranged: Arranged, k_of: dict,
-                     dst_key="D") -> dict:
+def query_k_lightest(cluster: Cluster, arranged: Arranged, k_of: dict) -> dict:
     """Collection protocol on an arranged layout: the large machine asks
     each machine holding part of v's first k_of[v] outgoing edges for its
     share (queries (v, k)) and gathers the replies.  2 rounds.
 
-    `arranged` is the layout of the shards under `dst_key`, each sorted
+    `arranged` is the layout of the shards under "D", each sorted
     by source, so a query's reply is the first k records of the run of v
     in its machine's shard.  The replies are one segmented pass: one
     run-length pass over the joined queried shards finds where each run
@@ -670,7 +640,7 @@ def query_k_lightest(cluster: Cluster, arranged: Arranged, k_of: dict,
     cluster.round([(LARGE, mi, qs) for mi, qs in plans.items()])
 
     mids = list(plans)
-    held = cluster.shards(dst_key)
+    held = cluster.shards("D")
     segs = [held[mi - 1] for mi in mids]  # each holds records of its queries
     recs = _join(segs)
     take = np.array([t for qs in plans.values() for _, t in qs], np.int64)

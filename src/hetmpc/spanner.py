@@ -77,7 +77,7 @@ def clustering_graphs(cluster: Cluster, graph) -> ClusteringDecomposition:
     n = cluster.config.n
     seed = cluster.config.seed
 
-    arranged = primitives.arrange_nodes(cluster, "E", "D")
+    arranged = primitives.arrange_nodes(cluster, "E")
     deg = dict(arranged.deg_out)
     delta = max(deg.values(), default=1)
     L = max(1, math.ceil(math.log2(delta))) if delta >= 2 else 1
@@ -377,18 +377,17 @@ def _baswana_sen(cluster, state_key, a, k, groups):
     return chosen, whole
 
 
-def modified_baswana_sen(cluster: Cluster, k, p, vertices=None, state_key="E"):
-    """(2k-1)-spanner of the unweighted graph stored under state_key as
-    (u, v) records with u < v, which it consumes.  Returns the spanner
-    edge list (held at the large machine)."""
+def modified_baswana_sen(cluster: Cluster, k, p):
+    """(2k-1)-spanner of the unweighted graph stored under "E" as (u, v)
+    records with u < v, which it consumes.  Returns the spanner edge list
+    (held at the large machine)."""
     _require_k(k)
-    if vertices is None:
-        vertices = set()
-        for mid in cluster.small_ids:
-            for u, v in cluster.machines[mid].state.get(state_key) or []:
-                vertices.add(u)
-                vertices.add(v)
-    chosen, _ = _baswana_sen(cluster, state_key, 0, k, {(): (p, vertices)})
+    vertices = set()
+    for mid in cluster.small_ids:
+        for u, v in cluster.machines[mid].state.get("E") or []:
+            vertices.add(u)
+            vertices.add(v)
+    chosen, _ = _baswana_sen(cluster, "E", 0, k, {(): (p, vertices)})
     return sorted(chosen[()])
 
 

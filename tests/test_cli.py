@@ -150,6 +150,8 @@ def test_absurd_budget_is_capacity_error(capsys):
     ("mst", ["--weighted"]),
     ("cc", []),
     ("mst-approx", ["--weighted", "--max-weight", "16"]),
+    ("matching-super", ["--f", "1/6"]),
+    ("mst-super", ["--weighted", "--f", "1/2"]),
 ])
 def test_algos_verify_exit_zero(tmp_path, algo, extra):
     rep = tmp_path / "rep.json"

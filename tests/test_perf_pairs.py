@@ -1,6 +1,8 @@
-"""The bound classifier of scripts/perf_pairs.py, on made-up runs."""
+"""scripts/perf_pairs.py on made-up runs: the bound classifier, the
+arguments and the fingerprint count."""
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -59,3 +61,28 @@ def test_parse_args_takes_several_workloads():
                                  ).workload == ["spanner"]
     with pytest.raises(SystemExit):
         perf_pairs.parse_args(["--workload", "--seeds", "1"])
+
+
+def test_fingerprint_agreement_is_counted(tmp_path, monkeypatch, capsys):
+    # no run: bench is made up, and the change's fingerprint line differs
+    # from the base's in the pair of seed 2 only
+    def bench(cwd, workload, seed, seconds):
+        line = "fingerprint rounds=7"
+        if cwd == str(tmp_path) and seed == 2:  # the working tree
+            line = "fingerprint rounds=8"
+        return {"run_rel_p50": 1.0, "ok_frac": 1.0}, line
+
+    monkeypatch.setattr(perf_pairs, "bench", bench)
+    monkeypatch.setattr(perf_pairs, "export", lambda rev, dest: None)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "end_to_end": [
+            {"name": "ok_frac", "better": "higher", "bound": 0.05}]}))
+    perf_pairs.main(["--workload", "spanner", "matching-sparse", "--seeds",
+                     "1", "2", "3", "--json", "out.json"])
+    out = capsys.readouterr().out
+    assert out.count("fingerprint lines agree in 2 of 3 pairs") == 2
+    got = json.loads((tmp_path / "out.json").read_text())
+    assert [(w["workload"], w["fingerprints_same"], len(w["pairs"]))
+            for w in got["workloads"]] == [("spanner", 2, 3),
+                                           ("matching-sparse", 2, 3)]

@@ -337,13 +337,14 @@ def test_sort_walks_records_with_other_fields():
 
 def test_record_primitives_name_a_key_that_holds_no_records():
     # bare ints are not a record batch: put stores them as given, and the
-    # sort and a segmented step refuse them, naming the key
+    # sort, a segmented step and the arrangement refuse them, naming the key
     cl = make_cluster()
     scatter_items(cl, [(x,) for x in range(10)])
     cl.machines[2].put("E", [5, 6])
     assert cl.machines[2].state["E"] == [5, 6]
     for step in (lambda: primitives.het_sort(cl),
-                 lambda: cl.segmented(lambda cut, cols: [None] * len(cut), "E")):
+                 lambda: cl.segmented(lambda cut, cols: [None] * len(cut), "E"),
+                 lambda: primitives.arrange_nodes(cl)):
         with pytest.raises(TypeError, match="'E'"):
             step()
 
@@ -482,29 +483,33 @@ def test_broadcast_charges_every_metered_edge():
     cl = make_cluster(m=1600)  # K = 200, b = 8: a three-level tree
     value = [(1, 2, 3), (4, 5, 6), 7]
     primitives.tree_broadcast(cl, value)
-    tree = primitives.AggregationTree.build(1, len(cl.small_ids),
-                                            primitives.branching(cl))
+    tree = tree_reference.AggregationTree.build(1, len(cl.small_ids),
+                                                primitives.branching(cl))
     assert tree.depth == 3
     edges = 1 + sum(  # large -> root, then each child off its parent's machine
-        tree.levels[level - 1][c][0] != lo
+        clo != lo
         for level in range(1, tree.depth + 1)
         for idx, (lo, _) in enumerate(tree.levels[level])
-        for c in tree.children(level, idx)
+        for clo, _ in tree_reference._children(tree, level, idx)
     )
     sent = sum(sum(t.sent.values()) for t in cl.telemetry)
     assert sent == payload_words(value) * edges
 
 
 def test_tree_children_are_contiguous_slices():
+    # the children of node idx on level l, indices idx * b up to
+    # min(idx * b + b, widths[l - 1]) - 1 of level l - 1, are the nodes
+    # whose machine ranges lie inside the node's
     for K in range(1, 40):
         for b in range(2, 6):
-            tree = primitives.AggregationTree.build(1, K, b)
+            tree = tree_reference.AggregationTree.build(1, K, b)
+            widths = primitives._widths(K, b)
             for level in range(1, tree.depth + 1):
                 for idx, (lo, hi) in enumerate(tree.levels[level]):
                     scan = [nd for nd in tree.levels[level - 1]
                             if lo <= nd[0] and nd[1] <= hi]
-                    assert [tree.levels[level - 1][c]
-                            for c in tree.children(level, idx)] == scan
+                    kids = range(idx * b, min(idx * b + b, widths[level - 1]))
+                    assert [tree.levels[level - 1][c] for c in kids] == scan
 
 
 def test_query_k_lightest_two_rounds():
@@ -594,8 +599,9 @@ def test_gather_if_fits_two_rounds_either_way():
 
 
 def _tree_depth(K, b):
-    """AggregationTree.build(1, K, b).depth without building the tree:
-    each level has ceil(len / b) nodes of the level below."""
+    """The depth of the reference AggregationTree.build(1, K, b) without
+    building the tree: each level has ceil(len / b) nodes of the level
+    below."""
     depth = 0
     while K > 1:
         K = -(-K // b)
@@ -604,12 +610,27 @@ def _tree_depth(K, b):
 
 
 def test_tree_depth_count_matches_the_tree():
+    # no run: against the reference tree, _tree_depth is its depth, and
+    # level l of _widths(K, b) has as many nodes as its level l, node idx
+    # is machine idx * b^l + 1, the first of its range, and its children
+    # are nodes idx * b up to min(idx * b + b, widths[l - 1]) - 1 of
+    # level l - 1
     for b in (2, 3, 5, 8, 27):
         edges = {b ** j + d for j in range(1, 20) if b ** j < 20000
                  for d in (-1, 0, 1)}
-        for K in sorted(set(range(1, 200)) | edges):
-            tree = primitives.AggregationTree.build(1, K, b)
+        for K in sorted(set(range(1, 201)) | edges):
+            tree = tree_reference.AggregationTree.build(1, K, b)
             assert _tree_depth(K, b) == tree.depth
+            widths = primitives._widths(K, b)
+            assert widths == [len(nodes) for nodes in tree.levels]
+            for level, nodes in enumerate(tree.levels):
+                assert [lo for lo, _ in nodes] == [
+                    idx * b ** level + 1 for idx in range(widths[level])]
+            for level in range(1, len(widths)):
+                for idx in range(widths[level]):
+                    kids = range(idx * b, min(idx * b + b, widths[level - 1]))
+                    assert [tree.levels[level - 1][c] for c in kids] == (
+                        tree_reference._children(tree, level, idx))
 
 
 def test_accepted_shapes_fit_the_tree_charge():
