@@ -18,6 +18,7 @@ from .simcore import (
     LARGE,
     Cluster,
     ConfigError,
+    Records,
     RunFailed,
     distribute_edges,
 )
@@ -81,6 +82,7 @@ def phase1_low_degree(cluster: Cluster, state: MatchingState):
         for dst, recs in buckets.items():
             sends.append((mid, dst, recs))
     inbox = cluster.round(sends)
+    pairs, cut = [], [0]
     for mid in cluster.small_ids:
         adj = {}
         for _, recs in inbox.get(mid, []):
@@ -89,9 +91,10 @@ def phase1_low_degree(cluster: Cluster, state: MatchingState):
                     if _owner(cluster, a) == mid:
                         adj.setdefault(a, set()).add(b)
         adj_of[mid] = adj
-        cluster.machines[mid].put("P", sorted(
-            (a, b) for a, nbrs in adj.items() for b in nbrs
-        ))
+        pairs += sorted((a, b) for a, nbrs in adj.items() for b in nbrs)
+        cut.append(len(pairs))
+    # each owner stores its sorted adjacency pairs
+    cluster.load("P", cluster.small_ids, Records(pairs), cut)
 
     matched = set()
     m1 = []
@@ -169,8 +172,7 @@ def phase1_low_degree(cluster: Cluster, state: MatchingState):
         cluster.round(sends)
         m1.extend(new_pairs)
 
-    for mid in cluster.small_ids:
-        cluster.machines[mid].pop("P")
+    cluster.drop("P")
     # ship M1 to the large machine
     shard = sorted(m1)
     cluster.round(
@@ -379,8 +381,10 @@ def _super_rec(cluster, key, depth, cap, p, attempt):
         return [e for e in es if rngm.random() < p]
 
     cluster.local(sample, key, key + "s")
-    M, sub_depth = _super_rec(cluster, key + "s", depth + 1, cap, p, attempt)
-    cluster.drop(key + "s")
+    try:  # an overflow below leaves no sample behind
+        M, sub_depth = _super_rec(cluster, key + "s", depth + 1, cap, p, attempt)
+    finally:
+        cluster.drop(key + "s")
 
     # matched statuses out, free-free edges back, then extend greedily
     _keep_free_free(cluster, key, {v for e in M for v in e})

@@ -7,9 +7,9 @@ filter the remaining edges down to the light ones, and finish the MSF on
 the large machine.  A superlinear-memory variant raises the per-step
 select counts and drops the sampling probability accordingly.
 
-Edge records on the machines are (u, v, w, ou, ov): current supervertex
-endpoints, weight, and the original edge this record represents, stored
-with ou < ov.
+Each small machine stores edge records (u, v, w, ou, ov): current
+supervertex endpoints, weight, and the original edge this record
+represents, stored with ou < ov.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ wkey = itemgetter(2, 3, 4)
 
 @dataclass
 class ContractionState:
-    level: int
     vertices: set
     c: dict  # original vertex -> current supervertex
     forest: list = field(default_factory=list)  # chosen original (u, v, w)
@@ -46,7 +45,7 @@ class ContractionState:
 def init_state(cluster: Cluster, graph, placement="seeded") -> ContractionState:
     records = [(u, v, w, min(u, v), max(u, v)) for u, v, w in graph.edges]
     distribute_edges(cluster, records, placement=placement)
-    return ContractionState(0, set(range(graph.n)), {v: v for v in range(graph.n)})
+    return ContractionState(set(range(graph.n)), {v: v for v in range(graph.n)})
 
 
 def _safe_merge(collected, deg_out, vertices):
@@ -128,8 +127,8 @@ def _pair_key(cols):
 def _first_per_pair(es, prev):
     """The columns of the first record of each endpoint pair in the sorted
     records, where a first record whose pair is `prev` (the predecessor's
-    last pair, or None) is not first: a pair spanning machines survives
-    only on the first machine."""
+    last pair, or None) is not first: a pair split across a machine
+    boundary survives only on the first machine."""
     if not es:
         return es
     cols = es.columns()
@@ -176,7 +175,7 @@ def boruvka_step(cluster: Cluster, state: ContractionState, s: int) -> Contracti
     cluster.local(lambda i, es: _first_per_pair(es, pred.get(i)), "E", "E")
 
     new_c = {v: cmap[sv] for v, sv in state.c.items()}
-    return ContractionState(state.level + 1, new_vertices, new_c, forest)
+    return ContractionState(new_vertices, new_c, forest)
 
 
 def near_linear_steps(n, m) -> int:
@@ -230,15 +229,19 @@ def _keep_light(es, got):
 def f_light_filter(cluster: Cluster, labels, threshold):
     """Filter to light edges, count them, and ship them to the large
     machine unless the count exceeds the abort threshold; returns (light
-    records or None, count).  The labels are delivered by each endpoint:
-    the first pass appends the side-0 label to each record, the second
-    keeps the light records."""
+    records or None, count).  Each machine copies its edges "E" to "F",
+    which the filter consumes and drops, so "E" is left as it was.  The
+    labels are delivered by each endpoint: the first pass appends the
+    side-0 label to each record, the second keeps the light records."""
+    cluster.local(lambda _, es: es, "E", "F")
     primitives.deliver_by_endpoint(
-        cluster, "E", labels, 0,
+        cluster, "F", labels, 0,
         apply=lambda es, got: [r + (got[r[0]],) for r in es],
     )
-    primitives.deliver_by_endpoint(cluster, "E", labels, 1, apply=_keep_light)
-    return primitives.gather_if_fits(cluster, "E", threshold)
+    primitives.deliver_by_endpoint(cluster, "F", labels, 1, apply=_keep_light)
+    out = primitives.gather_if_fits(cluster, "F", threshold)
+    cluster.drop("F")
+    return out
 
 
 ALPHA = 4
@@ -255,9 +258,6 @@ def _finish_by_sampling(cluster, state, p):
     light_counts = []
     winner = None
     for rep in range(1, R + 1):
-        # stored values are never mutated in place, so no copies; each
-        # machine's own object is kept (None where it stores nothing)
-        snapshot = dict(zip(cluster.small_ids, cluster.shards("E")))
         sample = kkt_sample(cluster, p, rep)
         if sample is None:
             light_counts.append(None)
@@ -267,13 +267,6 @@ def _finish_by_sampling(cluster, state, p):
         labels = {v: labels[v] for v in state.vertices}
         light, total = f_light_filter(cluster, labels, threshold)
         light_counts.append(total)
-        # the filter pass consumed the stored edges; restore them
-        for mid, es in snapshot.items():
-            mach = cluster.machines[mid]
-            if es is None:
-                mach.pop("E")
-            else:
-                mach.put("E", es)
         if light is not None:
             winner = (rep, light, sample)
             break

@@ -296,12 +296,11 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
     splitters, the two routing rounds and the summary each send one
     `Slices` batch; a sample send carries one header word, the count of
     its sender's records, and a summary send that word and the words of
-    its summarize payload.  The stored records must be Records (see
-    `Cluster.shards`); shards are stored, and slices and samples sent, as
-    Records taken from the columns of the joined records.  A route pops
-    and stores only the machines that hold or receive records, with
-    `Cluster.unload` before its round and `Cluster.load` after it; an idle
-    machine keeps its empty Records.
+    its summarize payload.  Shards are stored, and slices and samples
+    sent, as Records taken from the columns of the joined records.  A
+    route pops and stores only the machines that hold or receive records,
+    with `Cluster.unload` before its round and `Cluster.load` after it; an
+    idle machine keeps its empty Records.
     """
     start = cluster.rounds_used
     K = len(cluster.small_ids)
@@ -602,10 +601,8 @@ def arrange_nodes(cluster: Cluster, state_key="E", key=None) -> Arranged:
 
     `key`, a tuple of field positions or a column key as in `het_sort`,
     must order primarily by source vertex (default None: the record
-    itself, i.e. by (source, target, ...)).  The edges must be Records
-    (see `Cluster.shards`); nothing is stored if they are not.
+    itself, i.e. by (source, target, ...)).
     """
-    cluster.shards(state_key)
     cluster.local(_directed_copies, state_key, "D")
     layout = het_sort(cluster, state_key="D", key=key, summarize=_counts_by_vertex)
     deg_out, slices = {}, {}

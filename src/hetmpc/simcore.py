@@ -270,23 +270,22 @@ def _join(batches):
                        all(b._flat for b in full))
 
 
-def as_records(value):
-    """`value` as Records when it is a record batch: a list or tuple of
-    tuples of one arity, or an array of shape (len, arity) whose rows are
-    the records (an int64 one becomes the columns of Records unchecked,
-    and read-only).  Any other value (Records, or one that is not a record
-    batch: mixed arities, bare ints, a dict) is returned as given."""
+def as_records(value) -> Records:
+    """`value` as Records: Records as given, a list or tuple of tuples of
+    one arity, or an array of shape (len, arity) whose rows are the
+    records (an int64 one becomes the columns of Records unchecked, and
+    read-only).  Raises TypeError for any other value (mixed arities,
+    bare ints, a dict)."""
     t = type(value)
+    if t is Records:
+        return value
     if t is np.ndarray and value.ndim == 2:
         if value.dtype == np.int64:
             return _of_columns(value)
         value, t = list(map(tuple, value.tolist())), list
     if t is list or t is tuple:
-        try:
-            return Records(value)
-        except TypeError:
-            pass
-    return value
+        return Records(value)
+    raise TypeError(f"{t.__name__} is not a record batch")
 
 
 def payload_words(obj) -> int:
@@ -435,12 +434,12 @@ class _Replay:
 
 
 class Machine:
-    """One machine: its word budget and its resident state.
+    """One machine: its word budget and its resident state, a dict from
+    key to Records.
 
-    State changes only through `put` and `pop` (and the cluster's bulk
-    moves); `state` is read-only to callers.  Every store goes through
-    `_store`, which meters it; `put` stores a record batch as Records
-    (see `as_records`).
+    State changes only through the cluster's steps (`Cluster.local`,
+    `drop`, `load`, `unload` and `distribute_edges`); `state` is read-only
+    to callers.  Every store goes through `_store`, which meters it.
     """
 
     __slots__ = ("mid", "budget", "state", "_words", "_total", "_changed", "_over")
@@ -453,25 +452,19 @@ class Machine:
         self._total = 0  # sum of _words
         self._changed, self._over = changed, over
 
-    def put(self, key, value):
-        _store(key, ((self, as_records(value)),))
-
-    def pop(self, key):
-        _store(key, ((self, _POP),))
-
 
 _POP = object()  # the `_store` value that pops its key
 
 
 def _store(key, items):
     """The one write of machine state.  Each (machine, value) of `items`
-    stores `value` under `key`, or pops `key` when `value` is `_POP`.  A
-    value is metered when it is stored (all-int Records in O(1)), so a
-    value mutated in place must be stored again to be metered anew (the
-    same object may be).  When a machine's resident words change, they
-    are written into `changed`, the delta since the last round that every
-    machine of a cluster shares, and the machine's membership of `over`,
-    the shared set of machines over budget, is kept."""
+    stores the Records `value` under `key`, or pops `key` when `value` is
+    `_POP`.  A value is metered when it is stored (all-int Records in
+    O(1)); Records are immutable, so that charge stays true.  When a
+    machine's resident words change, they are written into `changed`, the
+    delta since the last round that every machine of a cluster shares,
+    and the machine's membership of `over`, the shared set of machines
+    over budget, is kept."""
     for mach, value in items:
         words = mach._words
         if value is _POP:
@@ -479,7 +472,7 @@ def _store(key, items):
             delta = -words.pop(key, 0)
         else:
             mach.state[key] = value
-            w = value.words() if type(value) is Records else payload_words(value)
+            w = value.words()
             delta = w - words.get(key, 0)
             words[key] = w
         if delta:
@@ -492,7 +485,6 @@ def _store(key, items):
 
 
 _SENDER = itemgetter(0)
-_SHARD_TYPES = frozenset({Records, type(None)})
 _NO_PAYLOAD = object()
 # The most records a `Cluster.segmented` group joins: a step's temporaries
 # grow with its group (one group of all machines raised a sketch run's
@@ -546,12 +538,13 @@ class Cluster:
         """One machine-local step: `fn(i, records)` on each small machine i
         that holds records under `key`, in ascending order, `records`
         being what it stores there.  With `out`, each result is stored
-        under `out` through `as_records`, so a record batch (or an int64
-        array of its columns) rests as Records, and a None result pops
-        `out`; an idle machine (nothing under `key`) runs nothing, and pops
-        `out` when `out` is not `key`.  Every machine runs before any
-        result is stored, in one `_store` pass.  Returns {i: result} over
-        the machines that ran.
+        under `out` as Records (see `as_records`: a record batch, or an
+        int64 array of its columns), and a None result pops `out`; an
+        idle machine (nothing under `key`) runs nothing, and pops `out`
+        when `out` is not `key`.  A result that is neither raises
+        TypeError naming `out`.  Every machine runs before any result is
+        stored, in one `_store` pass, so a raise stores nothing.  Returns
+        {i: result} over the machines that ran.
         """
         results, items = {}, []
         idle_pop = out is not None and out != key
@@ -563,7 +556,10 @@ class Cluster:
                 continue
             value = results[mach.mid] = fn(mach.mid, recs)
             if out is not None:
-                items.append((mach, _POP if value is None else as_records(value)))
+                try:
+                    items.append((mach, _POP if value is None else as_records(value)))
+                except TypeError as err:
+                    raise TypeError(f"state key {out!r}: {err}") from None
         _store(out, items)
         return results
 
@@ -598,12 +594,8 @@ class Cluster:
 
     def shards(self, key) -> list:
         """The Records each small machine stores under `key` (None where
-        it stores nothing), in machine order.  Raises TypeError, naming
-        the key, if a machine stores anything else there."""
-        out = [mach.state.get(key) for mach in self._small]
-        if not _SHARD_TYPES.issuperset(map(type, out)):
-            raise TypeError(f"state key {key!r} holds a value that is not Records")
-        return out
+        it stores nothing), in machine order."""
+        return [mach.state.get(key) for mach in self._small]
 
     def unload(self, key, mids):
         """Machines `mids` (small machine ids) each pop `key`."""

@@ -289,8 +289,8 @@ def _baswana_sen(cluster, state_key, a, k, groups):
     sample round.  Consumes the records.
 
     Per group, k-1 sampled subgraphs ship to the large machine, which runs
-    the center levels on them alone; the removal edges come from the small
-    machines, one aggregated edge per (group, removed vertex, adjacent
+    the center levels on them alone; the removal edges come from each small
+    machine, one aggregated edge per (group, removed vertex, adjacent
     prior-level cluster).  The groups share every round.  Returns
     ({group: {pair: lightest witness}}, records shipped whole), held at
     the large machine.
@@ -379,14 +379,11 @@ def _baswana_sen(cluster, state_key, a, k, groups):
 
 def modified_baswana_sen(cluster: Cluster, k, p):
     """(2k-1)-spanner of the unweighted graph stored under "E" as (u, v)
-    records with u < v, which it consumes.  Returns the spanner edge list
-    (held at the large machine)."""
+    records with u < v, which it consumes; centers are sampled from all
+    of V = {0..n-1}.  Returns the spanner edge list (held at the large
+    machine)."""
     _require_k(k)
-    vertices = set()
-    for mid in cluster.small_ids:
-        for u, v in cluster.machines[mid].state.get("E") or []:
-            vertices.add(u)
-            vertices.add(v)
+    vertices = set(range(cluster.config.n))
     chosen, _ = _baswana_sen(cluster, "E", 0, k, {(): (p, vertices)})
     return sorted(chosen[()])
 

@@ -30,6 +30,15 @@ _trusted = Records
 _FIRST, _SECOND = itemgetter(0), itemgetter(1)
 
 
+def place(cluster: Cluster, key, shards):
+    """Each machine mid of `shards` ({mid: record batch}) stores its batch
+    under `key` as Records, through `Cluster.load`: how a test sets up
+    machine state one machine at a time."""
+    for mid, recs in shards.items():
+        recs = as_records(recs)
+        cluster.load(key, [mid], recs, {mid - 1: 0, mid: len(recs)})
+
+
 def _even_sample(seq, k):
     if not seq or k <= 0:
         return []
@@ -88,9 +97,8 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
     `summarize(shard)` may attach a per-machine payload to the final
     summary message to the large machine.
 
-    Each sorted shard is stored, and routed in slices, as Records when its
-    records are flat int tuples of one arity (metered as len * arity);
-    other records stay lists, which are walked when metered.
+    Each sorted shard is stored, and routed in slices, as Records: metered
+    as len * arity when its records are flat int tuples, else walked.
     """
     start = cluster.rounds_used
     gamma = cluster.config.gamma
@@ -115,7 +123,7 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
         # a reordering of Records is Records; anything else is checked
         recs = _trusted(recs) if type(records) is Records else as_records(recs)
         keyed[i], shard[i] = (recs if key is None else keys), recs
-        cluster.machines[i].put(state_key, recs)
+        place(cluster, state_key, {i: recs})
         return recs
 
     def sample_keys(msgs):
@@ -124,7 +132,7 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
 
     def route(sends, i, split, dsts):
         # bucket j is one contiguous slice of the sorted shard, sent to dsts[j]
-        cluster.machines[i].pop(state_key)
+        cluster.unload(state_key, [i])
         recs = shard[i]
         pack = _trusted if type(recs) is Records else list
         for j, a, c in _buckets(keyed[i], split):

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 from hetmpc import connectivity as cn
 from hetmpc import oracles, primitives
 from hetmpc.graphio import SimGraph, generate_graph
-from hetmpc.simcore import (SEGMENT_RECORDS, ClusterConfig, ConfigError,
-                            Records, init_cluster)
+from hetmpc.simcore import SEGMENT_RECORDS, ClusterConfig, ConfigError, init_cluster
 
 import sketch_reference  # Boruvka and the leaf pass, beside this file
+import sort_reference  # its `place` sets up machine state, beside this file
 
 
 def zero(keys):
@@ -494,8 +494,7 @@ def test_leaf_pass_matches_dense():
     held = {1: [(3, 1), (3, 9), (3, 12), (5, 0), (5, 7)],
             2: [(5, 8), (5, 2), (5, 14)],
             3: [(7, 4)]}
-    for i, recs in held.items():
-        cl.machines[i].put("D", Records(recs))
+    sort_reference.place(cl, "D", held)
 
     def signed(recs):
         return [(1 if u < v else -1, cn.edge_coord(DN, u, v)) for u, v in recs]
@@ -580,8 +579,7 @@ def test_segmented_leaf_pass_matches_the_reference(layout):
     }[kind]
     table = complete_table(n)
     cl = init_cluster(ClusterConfig(n=n, m=len(held) * (math.isqrt(n) + 1)))
-    for i, recs in enumerate(held, start=1):
-        cl.machines[i].put("D", Records(recs))
+    sort_reference.place(cl, "D", dict(enumerate(held, start=1)))
     cuts = []
 
     def leaf_fn(cut, cols):

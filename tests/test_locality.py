@@ -1,15 +1,19 @@
 """Machine locality: the algorithm modules compute on machine state only
-through `Cluster.local`, so each machine computes from its own memory.
+through `Cluster.local` and the other cluster steps, so each machine
+computes from its own memory.
 
 A module reaches a `Machine` and its `state` only through the cluster's
 `machines` attribute, so every `machines` access in these modules must be
-one of the reads that need a protocol change before they can be local.
+one of the reads that need a protocol change before they can be local,
+and each allowance must match its reads exactly: one that outlives its
+read would hide a new one.
 
-Metering stays in `simcore`: no other module reaches the metering
-internals of a `Machine` or a `Cluster`, or writes a machine's `state`
-except through `Machine.put` and `Machine.pop`, so every bulk store is
-made, and metered, in `simcore`.  Inside `simcore`, one loop, `_store`,
-makes every write of a machine's state and metering fields.
+Machine state is written only in `simcore`: no other module writes a
+machine's `state` or reaches the metering internals of a `Machine` or a
+`Cluster`, and a `Machine` has no method that writes its state, so every
+store is made, and metered, by a cluster step.  Inside `simcore`, one
+loop, `_store`, makes every write of a machine's state and metering
+fields.
 
 Records have one form: the record primitives (`primitives`) and the MST
 steps (`mst`) test no value for being Records or a list, so no second
@@ -26,17 +30,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "hetmpc"
 
 # module -> {function: (accesses allowed, why it is not local yet)}
 ALLOWED = {
-    "mst": {
-        "_finish_by_sampling": (
-            1, "restores 'E' through the host (ROADMAP item 3)"),
-    },
     "matching": {
-        "phase1_low_degree": (
-            3, "routes by the host set v_low and reads host dicts (ROADMAP item 5)"),
-    },
-    "spanner": {
-        "modified_baswana_sen": (
-            1, "collects the vertex set from every machine (ROADMAP item 3)"),
+        "phase1_low_degree": (1, "routes by the host set v_low (ROADMAP item 5)"),
     },
 }
 
@@ -56,17 +51,29 @@ def machines_accesses(source):
     return found
 
 
+def allowance_errors(source, allowed):
+    """What breaks the allowances `allowed` ({function: (count, why)}) in
+    `source`: an allowance naming no top-level function, and a function
+    whose `machines` accesses are not exactly its allowance (none
+    without one)."""
+    found = machines_accesses(source)
+    defined = {getattr(top, "name", None) for top in ast.parse(source).body}
+    errors = [f"{fn} is allowed but not defined" for fn in sorted(allowed)
+              if fn not in defined | {"<module>"}]
+    for fn in sorted(found.keys() | allowed.keys()):
+        count, why = allowed.get(fn, (0, "none allowed"))
+        if found[fn] != count:
+            errors.append(f"{fn} reaches cluster.machines {found[fn]} times, "
+                          f"allowed {count}: {why}")
+    return errors
+
+
 @pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")
                                           if p.stem != "simcore"))
 def test_machines_reached_only_where_allowed(module):
     # a module without an entry (primitives among them) may reach none
-    allowed = ALLOWED.get(module, {})
     source = (SRC / f"{module}.py").read_text()
-    for fn, count in machines_accesses(source).items():
-        assert fn in allowed, f"{module}.{fn} reaches cluster.machines"
-        assert count <= allowed[fn][0], (
-            f"{module}.{fn} reaches cluster.machines {count} times, "
-            f"allowed {allowed[fn][0]}: {allowed[fn][1]}")
+    assert allowance_errors(source, ALLOWED.get(module, {})) == []
 
 
 def test_guard_sees_every_access():
@@ -79,6 +86,13 @@ def test_guard_sees_every_access():
         "X = object().machines\n"
     )
     assert machines_accesses(source) == {"f": 3, "<module>": 1}
+    assert allowance_errors(source, {"f": (3, ""), "<module>": (1, "")}) == []
+    # an unallowed read, a stale allowance, and one whose function is gone
+    assert allowance_errors(source, {"f": (4, "stale"), "h": (1, "gone")}) == [
+        "h is allowed but not defined",
+        "<module> reaches cluster.machines 1 times, allowed 0: none allowed",
+        "f reaches cluster.machines 3 times, allowed 4: stale",
+        "h reaches cluster.machines 0 times, allowed 1: gone"]
 
 
 # attributes that only simcore's metering reads and writes
@@ -176,18 +190,31 @@ WRITERS = {
     "Cluster.__init__": {"_changed", "_over"},
     "Cluster.round": {"_changed"},
 }
+# the cluster steps, the only simcore functions that call `_store`
+STEPS = frozenset({"Cluster.local", "Cluster.drop", "Cluster.unload",
+                   "Cluster.load", "distribute_edges"})
 # dict and set methods that change them in place
 IN_PLACE = MUTATORS | {"add", "discard", "remove"}
 
 
-def field_writes(source):
-    """{function: the FIELDS it writes} over `source`'s functions, named
-    `f` or `Class.f` (other code as "<module>" or "Class.<body>").
-    A field is written by assigning or deleting it, storing or deleting
-    one of its items, or calling one of its in-place methods."""
-    found = {}
+def _functions(source):
+    """(name, node) of `source`'s functions, named `f` or `Class.f`
+    (other code as "<module>" or "Class.<body>")."""
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.ClassDef):
+            for item in top.body:
+                yield f"{top.name}.{getattr(item, 'name', '<body>')}", item
+        else:
+            yield getattr(top, "name", "<module>"), top
 
-    def scan(name, node):
+
+def field_writes(source):
+    """{function: the FIELDS it writes} over `source`'s functions (see
+    `_functions`).  A field is written by assigning or deleting it,
+    storing or deleting one of its items, or calling one of its in-place
+    methods."""
+    found = {}
+    for name, node in _functions(source):
         for sub in ast.walk(node):
             field = None
             if isinstance(sub, ast.Attribute) and not isinstance(sub.ctx, ast.Load):
@@ -200,14 +227,13 @@ def field_writes(source):
                 field = sub.value.attr
             if field in FIELDS:
                 found.setdefault(name, set()).add(field)
-
-    for top in ast.parse(source).body:
-        if isinstance(top, ast.ClassDef):
-            for item in top.body:
-                scan(f"{top.name}.{getattr(item, 'name', '<body>')}", item)
-        else:
-            scan(getattr(top, "name", "<module>"), top)
     return found
+
+
+def store_callers(source):
+    """The functions of `source` (see `_functions`) that name `_store`."""
+    return {name for name, node in _functions(source) for sub in ast.walk(node)
+            if isinstance(sub, ast.Name) and sub.id == "_store"}
 
 
 def test_only_store_writes_machine_state():
@@ -216,6 +242,17 @@ def test_only_store_writes_machine_state():
         extra = fields - WRITERS.get(fn, set())
         assert not extra, f"simcore.{fn} writes {sorted(extra)} outside _store"
     assert "_store" in writes
+
+
+def test_only_cluster_steps_store():
+    # no Machine method, and no other function, writes machine state
+    assert store_callers((SRC / "simcore.py").read_text()) == STEPS
+    source = ("class M:\n"
+              "    def put(self, k, v):\n"
+              "        _store(k, ((self, v),))\n"
+              "def f(items):\n"
+              "    return _store\n")
+    assert store_callers(source) == {"M.put", "f"}
 
 
 def test_write_guard_sees_every_write():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hetmpc import mst, oracles, primitives
+from hetmpc import mst, oracles, primitives, spanner
 from hetmpc.graphio import SimGraph, generate_graph
 from hetmpc.labels import flow_label_marker
 from hetmpc.simcore import (
@@ -152,16 +152,19 @@ def test_sampling_repetitions_run_in_sequence(monkeypatch, m, rounds):
     assert sorted(forest) == sorted(oracles.kruskal_msf(256, g.edges))
 
 
-# sha256 prefix of the telemetry rows of the run above, recorded before the
-# snapshot kept each machine's own object
-RESTORED_ROWS = {4096: "568cdb5ba46087bf", 512: "b75a3b0bd226a3e1"}
+# sha256 prefix of the telemetry rows of the run above.  The one at m=512
+# was re-recorded when the F-light filter moved to a copy "F" of "E": a
+# machine holds both during the filter, so its resident words rose (peak
+# 929 to 1,009); the rows without them, and the forest, are as before
+RESTORED_ROWS = {4096: "568cdb5ba46087bf", 512: "d991782c82759e52"}
 
 
 @pytest.mark.parametrize("m", [4096, 512])
-def test_sampling_restores_each_snapshot_object(monkeypatch, m):
+def test_sampling_leaves_each_edge_object_in_place(monkeypatch, m):
     # repetition 1 aborts; repetition 2 starts on the very objects each
     # machine stored under "E" before repetition 1 (at m=4096 every one is
-    # an empty Records), and the rows are as before
+    # an empty Records), since the filter works on its copy "F"; only "E"
+    # is left afterwards
     g = generate_graph("gnm", 256, seed=0, m=m, weighted=True)
     cl = make_cluster(256, m)
     real_filter, real_sample = mst.f_light_filter, mst.kkt_sample
@@ -183,6 +186,7 @@ def test_sampling_restores_each_snapshot_object(monkeypatch, m):
     assert all(a is b for a, b in zip(first, second))
     if m == 4096:
         assert all(type(a) is Records and not a for a in first)
+    assert {key for i in cl.small_ids for key in cl.machines[i].state} == {"E"}
     rows = repr([(t.round, t.sent, t.received, t.resident, t.violations)
                  for t in cl.telemetry])
     assert hashlib.sha256(rows.encode()).hexdigest()[:16] == RESTORED_ROWS[m]
@@ -216,9 +220,10 @@ def test_f_light_oracle_against_brute_force():
 @pytest.mark.parametrize("m", [8, 512])  # K = 1 and K = 64 small machines
 def test_label_records_are_records_metered_as_walked(monkeypatch, m):
     # f_light_filter's first delivery appends each record's side-0 flow
-    # label, the second keeps the light records: after each, every small
-    # machine stores Records under "E", and its resident words are a fresh
-    # walk of its records; the labels differ in depth, so in words
+    # label to its copy "F" of the edges, the second keeps the light
+    # records: after each, every small machine stores Records under "F",
+    # and its resident words are a fresh walk of its records; the labels
+    # differ in depth, so in words
     g = generate_graph("gnm", 64, seed=8, m=512, weighted=True)
     cl = make_cluster(64, m, seed=8)
     mst.init_state(cl, g)
@@ -233,10 +238,10 @@ def test_label_records_are_records_metered_as_walked(monkeypatch, m):
         resident = cluster.telemetry[-1].resident
         for i in cluster.small_ids:
             state = cluster.machines[i].state
-            assert type(state["E"]) is Records
+            assert type(state["F"]) is Records
             assert resident[i] == sum(payload_words(list(v)) for v in state.values())
         arities.append({len(r) for i in cluster.small_ids
-                        for r in cluster.machines[i].state["E"]})
+                        for r in cluster.machines[i].state["F"]})
 
     monkeypatch.setattr(primitives, "deliver_by_endpoint", checked)
     _, total = mst.f_light_filter(cl, labels, float("inf"))
@@ -375,14 +380,13 @@ def _local_on_every_machine(self, fn, key, out=None):
     every small machine, an idle one with an empty batch."""
     results = {}
     for i in self.small_ids:
-        mach = self.machines[i]
-        value = results[i] = fn(i, mach.state.get(key, Records()))
+        value = results[i] = fn(i, self.machines[i].state.get(key, Records()))
         if out is None:
             continue
         if value is None:
-            mach.pop(out)
+            self.unload(out, [i])
         else:
-            mach.put(out, as_records(value))
+            sort_reference.place(self, out, {i: value})
     return results
 
 
@@ -395,8 +399,7 @@ def test_kkt_sample_runs_nothing_on_idle_machines(monkeypatch, held):
         monkeypatch.setattr(Cluster, "local", local)
         cl = make_cluster(256, 4096)
         if held == "empty":
-            for i in cl.small_ids:
-                cl.machines[i].put("E", Records())
+            sort_reference.place(cl, "E", dict.fromkeys(cl.small_ids, Records()))
         calls, rng = [], cl.rng
         cl.rng = lambda *tags: calls.append(tags) or rng(*tags)
         assert mst.kkt_sample(cl, 0.5, 1) == []
@@ -405,3 +408,18 @@ def test_kkt_sample_runs_nothing_on_idle_machines(monkeypatch, held):
                      for t in cl.telemetry])
     assert draws == [0, len(cl.small_ids)] and len(cl.small_ids) == 256
     assert rows[0] == rows[1] and len(rows[0]) == 2
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_modified_baswana_sen_spans_graphs_with_isolated_vertices(k):
+    # centers are sampled from all of V = {0..n-1}, a third of which has
+    # no edge here; the result is still a (2k-1)-spanner of the edges
+    for seed in range(3):
+        edges = generate_graph("gnp", 64, seed=seed, p=0.15).edges
+        g = SimGraph(96, edges)
+        cl = make_cluster(g.n, g.m, seed=seed)
+        distribute_edges(cl, g.edges)
+        H = spanner.modified_baswana_sen(cl, k, g.n ** (-1 / k))
+        assert set(H) <= {tuple(sorted(e)) for e in g.edges}
+        assert oracles.max_stretch(g, H) <= 2 * k - 1
+        assert not any(t.violations for t in cl.telemetry)

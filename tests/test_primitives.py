@@ -19,7 +19,6 @@ from hetmpc.simcore import (
     Cluster,
     ClusterConfig,
     ConfigError,
-    Machine,
     Packed,
     Records,
     Slices,
@@ -38,8 +37,7 @@ def make_cluster(n=64, m=256, gamma=0.5, seed=0):
 
 def scatter_items(cluster, items):
     K = len(cluster.small_ids)
-    for i in range(1, K + 1):
-        cluster.machines[i].put("E", [items[j] for j in range(i - 1, len(items), K)])
+    sort_reference.place(cluster, "E", {i: items[i - 1::K] for i in range(1, K + 1)})
 
 
 def gathered(cluster, key="E"):
@@ -295,8 +293,6 @@ def test_sort_routes_touch_only_busy_machines(monkeypatch):
 
     monkeypatch.setattr(Cluster, "unload", spy_unload)
     monkeypatch.setattr(Cluster, "load", spy_load)
-    for name in ("put", "pop"):  # the sort reaches no machine one by one
-        monkeypatch.setattr(Machine, name, None)
     layout = primitives.het_sort(cl)
     assert gathered(cl) == [(2, 7), (3, 1), (5, 5)]
     holders = {i for i in cl.small_ids if layout.counts[i - 1]}
@@ -336,17 +332,24 @@ def test_sort_walks_records_with_other_fields():
 
 
 def test_record_primitives_name_a_key_that_holds_no_records():
-    # bare ints are not a record batch: put stores them as given, and the
-    # sort, a segmented step and the arrangement refuse them, naming the key
+    # a local step whose result on machine 2 is not a record batch (a
+    # dict, a batch of mixed arity, bare ints, a 1-d array) raises
+    # TypeError naming its output key; every machine runs before any
+    # result is stored, so no machine's state or resident words change
     cl = make_cluster()
     scatter_items(cl, [(x,) for x in range(10)])
-    cl.machines[2].put("E", [5, 6])
-    assert cl.machines[2].state["E"] == [5, 6]
-    for step in (lambda: primitives.het_sort(cl),
-                 lambda: cl.segmented(lambda cut, cols: [None] * len(cut), "E"),
-                 lambda: primitives.arrange_nodes(cl)):
-        with pytest.raises(TypeError, match="'E'"):
-            step()
+    cl.empty_round()
+    before = {i: dict(cl.machines[i].state) for i in cl.small_ids}
+    for bad in ({4: (5, 6)}, [(1,), (2, 3)], [5, 6], np.arange(3)):
+        for out in ("E", "X"):
+            with pytest.raises(TypeError, match=f"state key {out!r}"):
+                cl.local(lambda i, recs: bad if i == 2 else [r + r for r in recs],
+                         "E", out)
+    for i in cl.small_ids:
+        state = cl.machines[i].state
+        assert state == before[i] and all(state[k] is v for k, v in before[i].items())
+    cl.empty_round()
+    assert cl.telemetry[-1].changed == {}
 
 
 def test_arrange_star_hub():
@@ -870,9 +873,8 @@ def test_disseminate_matches_the_reference(case, kind, seed, hole, density,
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(TREE_GRID), st.sampled_from(sorted(TREE_REDUCE)),
        st.integers(0, 2 ** 16), st.sampled_from([0.0, 0.3, 1.0]),
-       st.booleans(), st.booleans())
-def test_aggregate_matches_the_reference(case, kind, seed, hole, tuple_parts,
-                                         as_lists):
+       st.booleans())
+def test_aggregate_matches_the_reference(case, kind, seed, hole, tuple_parts):
     K = ClusterConfig(n=64, m=case[1], gamma=case[0]).num_small
     rng, spans, name, _ = _tree_layout(K, seed, hole, 1.0, tuple_parts)
     held = {i: [(name(p), rng.randrange(10))
@@ -882,8 +884,7 @@ def test_aggregate_matches_the_reference(case, kind, seed, hole, tuple_parts,
     leaf_fn = primitives.per_record(itemgetter(0), leaf, reduce_fn)
 
     def walk(mod, cl):
-        for i, recs in held.items():
-            cl.machines[i].put("A", recs if as_lists or tuple_parts else Records(recs))
+        sort_reference.place(cl, "A", held)
         if mod is tree_reference:
             return mod.aggregate(cl, "A", lambda recs: leaf_fn(None, recs),
                                  reduce_fn)

@@ -30,6 +30,8 @@ from hetmpc.simcore import (
     telemetry_json,
 )
 
+from sort_reference import place  # sets up machine state, beside this file
+
 
 def test_budget_formulas_frozen():
     cfg = ClusterConfig(n=16, m=64, gamma=0.5, polylog_c=1, polylog_e=1)
@@ -218,10 +220,11 @@ def test_records_forms_agree(forms, data):
 ])
 def test_records_constructor_rejects(records):
     # mixed arities, and records that are not tuples (lists, ints, None,
-    # strings): not a record batch, so as_records returns it as given
+    # strings): not a record batch, so as_records refuses it too
     with pytest.raises(TypeError):
         Records(records)
-    assert as_records(records) is records
+    with pytest.raises(TypeError):
+        as_records(records)
 
 
 @pytest.mark.parametrize("records", [
@@ -266,12 +269,13 @@ def test_only_record_batches_become_records(batch, data):
     else:
         bad = data.draw(st.lists(st.integers(), min_size=3, max_size=3))
     records = batch[:pos] + [bad] + batch[pos:]
-    got = as_records(records)
-    if kind != "field":  # not a record batch: returned as given
+    if kind != "field":  # not a record batch: refused
         with pytest.raises(TypeError):
             Records(records)
-        assert got is records
+        with pytest.raises(TypeError):
+            as_records(records)
         return
+    got = as_records(records)
     # a field that is not an int: Records, walked when metered
     assert type(got) is Records and got == tuple(records)
     joined = simcore._join([Records(batch), got])
@@ -294,21 +298,21 @@ def test_machine_ids_are_ints():
     assert [machine_name(m) for m in (0, 1, 16)] == ["L", "S1", "S16"]
 
 
-def test_resident_words_follow_put_and_pop():
+def test_resident_words_follow_load_and_unload():
     cl = init_cluster(ClusterConfig(n=16, m=64, gamma=0.5))
-    shared = [(1, 2, 3)]
+    edge = [(1, 2, 3)]
     steps = [
-        lambda: cl.machines[1].put("E", shared),
-        lambda: cl.machines[2].put("E", shared),  # one object on two machines
-        lambda: cl.machines[1].put("X", {4: (5, 6)}),
-        lambda: (shared.append((7, 8)), cl.machines[1].put("E", shared),
-                 cl.machines[2].put("E", shared)),
-        lambda: cl.machines[1].put("E", shared),  # same object, unchanged
-        lambda: cl.machines[1].pop("X"),
-        lambda: cl.machines[1].pop("missing"),
-        lambda: cl.machines[LARGE].put("E", [Packed(0, bits=40, word_bits=4), None, "s"]),
-        lambda: (shared.clear(), cl.machines[1].put("E", shared), cl.machines[2].put("E", shared)),
-        lambda: cl.machines[3].put("E", []),
+        lambda: place(cl, "E", {1: edge}),
+        lambda: place(cl, "E", {2: edge}),
+        lambda: place(cl, "X", {1: [(4, "ab")]}),  # a str field: walked
+        lambda: place(cl, "E", dict.fromkeys((1, 2), edge + [(7, 8, 9)])),
+        lambda: place(cl, "E", {1: edge + [(7, 8, 9)]}),  # same words again
+        lambda: cl.unload("X", [1]),
+        lambda: cl.unload("missing", [1]),
+        lambda: cl.local(lambda i, es: [(Packed(0, bits=40, word_bits=4), None, "s")],
+                         "E", "P"),
+        lambda: (place(cl, "E", {1: []}), cl.local(lambda i, es: es, "E", "P")),
+        lambda: cl.drop("E", "P"),
     ]
     for step in steps:
         step()
@@ -316,14 +320,30 @@ def test_resident_words_follow_put_and_pop():
         fresh = {mid: sum(payload_words(v) for v in mach.state.values())
                  for mid, mach in cl.machines.items()}
         assert cl.telemetry[-1].resident == fresh
-    assert cl.telemetry[3].resident[1] == 5 + 3  # E re-metered after the mutation
-    assert cl.telemetry[5].resident[1] == 5
+    assert cl.telemetry[3].resident[1] == 6 + 2  # E re-metered when stored anew
+    assert cl.telemetry[5].resident[1] == 6
+    assert [cl.telemetry[r].resident[1] for r in (7, 8, 9)] == [6 + 12, 0, 0]
+    assert cl.telemetry[8].resident[2] == 6 + 6  # P a copy of E
+
+
+def _batch(key, value):
+    """Records of the ints of `value`, with an int (key A), a str (key B)
+    or a Packed or flow label (key C) beside each."""
+    def other(j, x):
+        if key == "A":
+            return j
+        if key == "B":
+            return "s" * (j % 3)
+        if j % 2:
+            return Packed(x, bits=1 + j * 5, word_bits=4)
+        return FlowLabel(vertex=j, entries=[(0, 0, x)] * j, component=0)
+    return Records([(x, other(j, x)) for j, x in enumerate(value)])
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(["put", "pop", "mutate", "transient", "local",
+@given(st.lists(st.tuples(st.sampled_from(["store", "pop", "transient", "local",
                                            "unload", "load", "barrier"]),
-                          st.integers(0, 3), st.sampled_from("ABC"),
+                          st.integers(1, 4), st.sampled_from("ABC"),
                           st.lists(st.integers(), max_size=8)),
                 max_size=30),
        st.booleans(), st.randoms(use_true_random=False))
@@ -336,23 +356,21 @@ def test_resident_words_match_fresh_walk(ops, tiny, rnd):
     cl = init_cluster(cfg, strict=False)
     snapshots, read = [], []  # each row's fresh walk, and its table as read
     for op, mid, key, value in ops:
-        mach = cl.machines[mid]
-        if op == "put":
-            mach.put(key, list(value))
+        # small machine mid stores, or pops, Records of its own (see
+        # _batch: their fields are walked under keys B and C)
+        if op == "store":
+            place(cl, key, {mid: _batch(key, value)})
         elif op == "pop":
-            mach.pop(key)
-        elif op == "mutate" and type(mach.state.get(key)) is list:
-            mach.state[key].extend(value)
-            mach.put(key, mach.state[key])
-        elif op == "transient":  # put and pop one key between barriers
-            mach.put("T", list(value))
-            mach.pop("T")
+            cl.unload(key, [mid])
+        elif op == "transient":  # store and pop one key between barriers
+            place(cl, "T", {mid: _batch(key, value)})
+            cl.unload("T", [mid])
         elif op == "local":
-            # small machine mid pops key, the other odd ones append a
-            # record (Records while their records have one arity), and
-            # the even ones store the ints of value (a list)
+            # small machine mid pops key, the other odd ones store their
+            # records and a copy of the first, and the even ones store
+            # the ints of value as records of one field
             cl.local(lambda i, recs: None if i == mid else
-                     list(recs) + [tuple(value)] if i % 2 else list(value),
+                     list(recs) + [recs[0]] if i % 2 else [(x,) for x in value],
                      key, key)
         elif op == "unload":  # small machines 1..mid+1 pop key in bulk
             cl.unload(key, range(1, mid + 2))
@@ -391,14 +409,11 @@ def test_local_step():
     # fn runs exactly on the machines that hold records under the key, in
     # ascending order; the results have no idle entries
     cl = init_cluster(ClusterConfig(n=16, m=64, gamma=0.5))
-    cl.machines[1].put("E", [(1, 5)])  # a record batch: put stores Records
+    place(cl, "E", {1: [(1, 5)], 2: [(1, 2)], 3: [(3, 4)], 4: [(4, 4)],
+                    5: Records(),  # holds nothing: idle
+                    6: []})  # idle too
     assert cl.machines[1].state["E"] == ((1, 5),)
     assert type(cl.machines[1].state["E"]) is Records
-    cl.machines[2].put("E", [(1, 2)])
-    cl.machines[3].put("E", [(3, 4)])
-    cl.machines[4].put("E", [(4, 4)])
-    cl.machines[5].put("E", Records())  # holds nothing: idle
-    cl.machines[6].put("E", [])  # idle too
     label = FlowLabel(vertex=3, entries=[(0, 0, 7)], component=0)
     calls = []
 
@@ -431,8 +446,7 @@ def test_local_step():
     # without an output key nothing is stored; only busy machines report
     assert cl.local(lambda i, recs: len(recs), "E") == {1: 2, 3: 1, 4: 1}
     # with another output key, an idle machine's output is popped
-    for i in (5, 7, 8):
-        cl.machines[i].put("X", [(9, 9)])
+    place(cl, "X", dict.fromkeys((5, 7, 8), [(9, 9)]))
     calls.clear()
     got = cl.local(fn, "E", "X")
     assert [i for i, _ in calls] == [1, 3, 4] and list(got) == [1, 3, 4]
@@ -448,8 +462,7 @@ def test_segmented_step_groups_busy_machines():
     cl = init_cluster(ClusterConfig(n=16, m=64, gamma=0.5))
     sizes = {1: 3, 2: 0, 3: SEGMENT_RECORDS - 3, 4: 10,
              5: SEGMENT_RECORDS + 1, 7: 1}
-    for i, k in sizes.items():
-        cl.machines[i].put("E", as_records(np.full((k, 2), i, np.int64)))
+    place(cl, "E", {i: np.full((k, 2), i, np.int64) for i, k in sizes.items()})
     calls = []
 
     def fn(cut, cols):
@@ -461,7 +474,7 @@ def test_segmented_step_groups_busy_machines():
     got = cl.segmented(fn, "E")
     assert calls == [[3, SEGMENT_RECORDS], [10], [SEGMENT_RECORDS + 1], [1]]
     assert got == {i: {i, k} for i, k in sizes.items() if k}
-    cl.machines[5].put("E", as_records(np.array([[1, 2, 3]])))
+    place(cl, "E", {5: np.array([[1, 2, 3]])})
     with pytest.raises(ValueError):  # one arity a group
         cl.segmented(fn, "E")
     assert cl.segmented(fn, "X") == {}
@@ -514,7 +527,7 @@ def test_repeated_payload_charged_per_send():
 def test_state_budget_metered():
     cfg = ClusterConfig(n=16, m=64, gamma=0.5, polylog_c=1, polylog_e=1)
     cl = init_cluster(cfg, strict=False)
-    cl.machines[1].put("E", list(range(17)))
+    place(cl, "E", {1: [(x,) for x in range(17)]})
     cl.empty_round()
     assert (1, "StateBudget") in cl.telemetry[0].violations
 
