@@ -155,8 +155,10 @@ def test_sampling_repetitions_run_in_sequence(monkeypatch, m, rounds):
 # sha256 prefix of the telemetry rows of the run above.  The one at m=512
 # was re-recorded when the F-light filter moved to a copy "F" of "E": a
 # machine holds both during the filter, so its resident words rose (peak
-# 929 to 1,009); the rows without them, and the forest, are as before
+# 929 to 1,009); the rows without them (SENT_ROWS), and the forest, are
+# as before
 RESTORED_ROWS = {4096: "568cdb5ba46087bf", 512: "d991782c82759e52"}
+SENT_ROWS = {4096: "070afb0dbabd848c", 512: "47ff3c199ba26c1c"}
 
 
 @pytest.mark.parametrize("m", [4096, 512])
@@ -190,6 +192,8 @@ def test_sampling_leaves_each_edge_object_in_place(monkeypatch, m):
     rows = repr([(t.round, t.sent, t.received, t.resident, t.violations)
                  for t in cl.telemetry])
     assert hashlib.sha256(rows.encode()).hexdigest()[:16] == RESTORED_ROWS[m]
+    rows = repr([(t.round, t.sent, t.received, t.violations) for t in cl.telemetry])
+    assert hashlib.sha256(rows.encode()).hexdigest()[:16] == SENT_ROWS[m]
 
 
 def test_kkt_sample_edge_probabilities():
