@@ -94,7 +94,7 @@ def phase1_low_degree(cluster: Cluster, state: MatchingState):
         pairs += sorted((a, b) for a, nbrs in adj.items() for b in nbrs)
         cut.append(len(pairs))
     # each owner stores its sorted adjacency pairs
-    cluster.load("P", cluster.small_ids, Records(pairs), cut)
+    cluster.store("P", Records(pairs), cut)
 
     matched = set()
     m1 = []

@@ -109,12 +109,10 @@ def _renamed(side):
     return apply
 
 
-def _drop_self_loops(_, es):
-    """The columns of the records whose endpoints differ."""
-    if not es:
-        return es
-    cols = es.columns()
-    return cols[cols[:, 0] != cols[:, 1]]
+def _drop_self_loops(cut, cols):
+    """A `Cluster.segmented` step: the records whose endpoints differ."""
+    keep = cols[:, 0] != cols[:, 1]
+    return np.cumsum(keep)[cut - 1], cols[keep]
 
 
 def _pair_key(cols):
@@ -124,19 +122,30 @@ def _pair_key(cols):
     return np.column_stack((np.minimum(u, v), np.maximum(u, v), cols[:, 2:5]))
 
 
-def _first_per_pair(es, prev):
-    """The columns of the first record of each endpoint pair in the sorted
-    records, where a first record whose pair is `prev` (the predecessor's
-    last pair, or None) is not first: a pair split across a machine
-    boundary survives only on the first machine."""
-    if not es:
-        return es
-    cols = es.columns()
-    lo, hi = np.minimum(cols[:, 0], cols[:, 1]), np.maximum(cols[:, 0], cols[:, 1])
-    first = np.empty(len(cols), bool)
-    first[0] = (lo[0], hi[0]) != prev
-    first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-    return cols[first]
+def _last_pairs(cut, cols):
+    """A `Cluster.segmented` step: each machine's last endpoint pair."""
+    u, v = cols[cut - 1, 0], cols[cut - 1, 1]
+    return list(zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist()))
+
+
+def _first_per_pair(prevs):
+    """The `Cluster.segmented` step that keeps the first record of each
+    endpoint pair in each machine's sorted records, but not a first one
+    whose pair is its predecessor's last (received in `prevs`, one pair or
+    None a busy machine, in machine order, which the groups take in
+    turn), so a pair split across machines survives only on the first."""
+    pending = list(prevs)
+
+    def step(cut, cols):
+        lo, hi = np.minimum(cols[:, 0], cols[:, 1]), np.maximum(cols[:, 0], cols[:, 1])
+        first = np.empty(len(cols), bool)
+        first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+        start = cut - np.diff(cut, prepend=0)
+        first[start] = [pair != prev for pair, prev in zip(
+            zip(lo[start].tolist(), hi[start].tolist()), pending)]
+        del pending[:len(cut)]
+        return np.cumsum(first)[cut - 1], cols[first]
+    return step
 
 
 def boruvka_step(cluster: Cluster, state: ContractionState, s: int) -> ContractionState:
@@ -163,16 +172,15 @@ def boruvka_step(cluster: Cluster, state: ContractionState, s: int) -> Contracti
     # endpoint from the delivered map
     for side in (0, 1):
         primitives.deliver_by_endpoint(cluster, "E", cmap, side, apply=_renamed(side))
-    cluster.local(_drop_self_loops, "E", "E")
+    cluster.segmented(_drop_self_loops, "E", "E")
 
     # drop parallel edges: sort by (pair, weight key); each machine keeps
     # its first record per pair, and drops its leading pair if the
     # predecessor's trailing pair matches
     primitives.het_sort(cluster, "E", key=_pair_key)
-    last_pair = cluster.local(
-        lambda _, es: primitives._pair(es[-1][0], es[-1][1]) if es else None, "E")
+    last_pair = cluster.segmented(_last_pairs, "E")
     pred = primitives.neighbor_shift(cluster, last_pair.get)
-    cluster.local(lambda i, es: _first_per_pair(es, pred.get(i)), "E", "E")
+    cluster.segmented(_first_per_pair([pred.get(i) for i in last_pair]), "E", "E")
 
     new_c = {v: cmap[sv] for v, sv in state.c.items()}
     return ContractionState(new_vertices, new_c, forest)
@@ -233,7 +241,7 @@ def f_light_filter(cluster: Cluster, labels, threshold):
     which the filter consumes and drops, so "E" is left as it was.  The
     labels are delivered by each endpoint: the first pass appends the
     side-0 label to each record, the second keeps the light records."""
-    cluster.local(lambda _, es: es, "E", "F")
+    cluster.segmented(lambda cut, cols: (cut, cols), "E", "F")
     primitives.deliver_by_endpoint(
         cluster, "F", labels, 0,
         apply=lambda es, got: [r + (got[r[0]],) for r in es],

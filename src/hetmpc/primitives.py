@@ -19,16 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .simcore import (
-    _EMPTY,
-    LARGE,
-    CapacityError,
-    Cluster,
-    Slices,
-    _join,
-    global_tree_depth,
-    payload_words,
-)
+from .simcore import (LARGE, Cluster, Slices, _stable_order, as_records,
+                      global_tree_depth, payload_words)
 
 
 def _pair(a, b):
@@ -87,47 +79,33 @@ def _widths(K, b):
     return widths
 
 
-def _down(cluster: Cluster, payload, narrow):
-    """Walk `payload` from the large machine to the root of the global
-    tree, then level by level to the leaves; fixed charge tree_rounds.
-
-    narrow(level, idx, have) is what node idx on `level` keeps of its
-    parent's payload `have` (the root's parent is the large machine), or
-    None for nothing, which also ends the walk below that node; without
-    narrow every node keeps all of it.  Nodes are found by index as in
-    `_widths`, so a first child gets its payload without a send.  Returns
-    {leaf index: payload} over the leaves that got one (leaf i is machine
-    i + 1)."""
+def tree_broadcast(cluster: Cluster, value):
+    """Large machine sends `value` to every small machine down the global
+    tree (value is known host-side, traffic is metered).  A level's sends,
+    one a tree edge (see `_widths`), are one round: a record batch as one
+    `Slices` batch, each send all of it, else a list of the one object."""
     start = cluster.rounds_used
     b = branching(cluster)
     widths = _widths(len(cluster.small_ids), b)
-    depth = len(widths) - 1
-    top = payload if narrow is None else narrow(depth, 0, payload)
-    cluster.round([] if top is None else [(LARGE, 1, top)])
-    held = {} if top is None else {0: top}  # node index -> payload
-    for level in range(depth, 0, -1):
+    try:
+        recs = as_records(value)
+    except TypeError:
+        recs = None
+
+    def sends(src, dst):
+        if recs is None:
+            return [(s, d, value) for s, d in zip(src.tolist(), dst.tolist())]
+        n = len(recs)
+        return Slices(recs.take(np.tile(np.arange(n), len(src))), src, dst,
+                      np.full(len(src), n))
+
+    cluster.round(sends(np.array([LARGE]), np.array([1])))
+    for level in range(len(widths) - 1, 0, -1):
         step = b ** (level - 1)  # machines under a node of level - 1
-        sends, nxt = [], {}
-        for idx, have in held.items():
-            first = idx * b
-            for c in range(first, min(first + b, widths[level - 1])):
-                sub = have if narrow is None else narrow(level - 1, c, have)
-                if sub is None:
-                    continue
-                nxt[c] = sub
-                if c != first:
-                    sends.append((first * step + 1, c * step + 1, sub))
-        cluster.round(sends)
-        held = nxt
+        child = np.arange(widths[level - 1])
+        child = child[child % b > 0]  # a first child is on its parent's machine
+        cluster.round(sends((child - child % b) * step + 1, child * step + 1))
     _pad(cluster, start, tree_rounds(cluster.config.gamma))
-    return held
-
-
-def tree_broadcast(cluster: Cluster, value):
-    """Large machine sends `value` to every small machine down the global
-    tree; returns nothing (value is known host-side, traffic is metered).
-    Every hop carries the one object, so each round meters it once."""
-    _down(cluster, value, None)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +142,7 @@ def _rank(recs, key):
     field positions (the order (r[F], r)) or a column key (see
     `het_sort`).
 
-    One lexsort over packed words when the columns are int64; Python's
+    One sort over packed words when the columns are int64; Python's
     sort of the column rows otherwise (fields that are not ints, ints
     beyond int64).  For a tuple key the columns are the key's fields and
     then the others in record order: (r[F], r) and (r[F], r[the other
@@ -181,7 +159,7 @@ def _rank(recs, key):
         words = _packed(cols)
         if not words:  # every column constant: all records compare equal
             return np.zeros(len(recs), np.int64)
-        order = np.lexsort(words[::-1])
+        order = np.lexsort(words[::-1]) if len(words) > 1 else words[0].argsort()
         step = np.zeros(len(recs) - 1, bool)
         for w in words:
             w = w[order]
@@ -232,21 +210,32 @@ def _sample_positions(counts, k):
     return shard, np.where(n <= kk, j, spread)
 
 
-def _splitters(rank, weight, parts):
-    """Indices into `rank` of the parts-1 weighted quantile samples.
-
-    The pool is the samples stably sorted by rank; splitter i is the first
-    sample whose running weight reaches i * total / parts (the last sample
-    if none does).  The running weights are sequential float sums and the
-    total is Python's sum over the sorted pool, so every threshold test
-    comes out as when the samples are walked one by one."""
-    if parts <= 1 or not len(rank):
-        return np.zeros(0, np.int64)
-    pool = np.argsort(rank, kind="stable")
-    w = weight[pool]
-    total = sum(w.tolist())
-    j = np.searchsorted(np.cumsum(w), np.arange(1, parts) * total / parts)
-    return pool[np.minimum(j, len(pool) - 1)]
+def _splitters(rank, weight, group, parts):
+    """Indices into `rank` of the parts[g]-1 weighted quantile samples of
+    each group g of samples (`group` of each), group by group, and each
+    group's number of them.  A group's pool is its samples stably sorted
+    by rank; its splitter i is the first sample whose running weight
+    reaches i * total / parts[g] (else the last).  The running weights are
+    one row-wise cumsum of the pools zero-padded into a (groups, largest
+    pool) matrix, and the total is Python's sum over the pool: sequential
+    float sums, as when the samples are walked one by one."""
+    pool = _stable_order(group * (int(rank.max(initial=0)) + 1) + rank)
+    g, w = group[pool], weight[pool]
+    size = np.bincount(group, minlength=len(parts))
+    start = np.cumsum(size) - size
+    pad = np.zeros((len(parts), int(size.max(initial=0))))
+    pad[g, np.arange(len(pool)) - start[g]] = w
+    run = np.cumsum(pad, axis=1)
+    w = w.tolist()
+    total = np.array([sum(w[a:a + k]) for a, k in zip(start.tolist(), size.tolist())])
+    nsplit = np.where(size > 0, parts - 1, 0)
+    tg = np.repeat(np.arange(len(parts)), nsplit)
+    ends = np.cumsum(nsplit)
+    t = (np.arange(1, len(tg) + 1) - (ends - nsplit)[tg]) * total[tg] / parts[tg]
+    j = np.concatenate([np.zeros(0, np.int64)] + [
+        np.searchsorted(run[gi, :size[gi]], t[e - n:e])
+        for gi, (n, e) in enumerate(zip(nsplit.tolist(), ends.tolist())) if n])
+    return pool[start[tg] + np.minimum(j, size[tg] - 1)], nsplit
 
 
 def _cut(split, rank, at):
@@ -296,107 +285,86 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
     splitters, the two routing rounds and the summary each send one
     `Slices` batch; a sample send carries one header word, the count of
     its sender's records, and a summary send that word and the words of
-    its summarize payload.  Shards are stored, and slices and samples
-    sent, as Records taken from the columns of the joined records.  A
-    route pops and stores only the machines that hold or receive records,
-    with `Cluster.unload` before its round and `Cluster.load` after it; an
-    idle machine keeps its empty Records.
+    its summarize payload.  What is sent is a selection of the key's one
+    batch (gathered only when read); a route, which moves every record,
+    drops the key before its round and stores the re-cut batch after it.
     """
     start = cluster.rounds_used
     K = len(cluster.small_ids)
-    stored = cluster.shards(state_key)
-    held = [_EMPTY if s is None else s for s in stored]
-    sizes = list(map(len, held))
-    recs = _join(held)
+    recs, cut = cluster.batch(state_key)
     rank = _rank(recs, key)
     span = len(recs) + 1  # ranks are below it
     ids = np.arange(1, K + 1)
 
     def local_sort(rec, at):
         # each machine sorts what it holds; ties keep their arrival order
-        order = np.argsort(at * span + rank[rec], kind="stable")
+        order = _stable_order(at * span + rank[rec])
         rec, at = rec[order], at[order]
         bounds = np.concatenate(([0], np.cumsum(np.bincount(at, minlength=K + 1)[1:])))
         return _Layout(rec, at, bounds, recs.take(rec))
 
     def samples(layout, k, dst):
         # each machine sends its count and even-position samples to dst;
-        # returns the ranks, weights and record indices of every sample,
-        # and where each machine's samples start
+        # returns the ranks, weights, record indices and senders (machine
+        # index - 1) of every sample
         counts = np.diff(layout.bounds)
         sent = np.minimum(counts, k)
         shard, pos = _sample_positions(counts, k)
         srec = layout.rec[pos + layout.bounds[shard]]
         cluster.round(Slices(recs.take(srec), ids, dst, sent, header=1))
-        weight = counts[shard] / sent[shard]
-        return rank[srec], weight, srec, np.concatenate(([0], np.cumsum(sent))).tolist()
+        return rank[srec], counts[shard] / sent[shard], srec, shard
 
-    def route(layout, first, dst, busy):
+    def route(layout, first, dst):
         # send each (machine, bucket) slice that starts at a first
-        # position to the dst of its records, which store it sorted; the
-        # machines that hold or receive records, and those of mask busy,
-        # pop their shards before the round and store them after it
-        rec, at, bounds, ordered = layout
-        busy = busy.copy()
-        busy[1:] |= bounds[1:] > bounds[:-1]
-        busy[dst[first]] = True
-        busy = np.flatnonzero(busy).tolist()
-        cluster.unload(state_key, busy)
+        # position to the dst of its records, which store it sorted
+        rec, at, _, ordered = layout
+        cluster.drop(state_key)
         count = np.diff(np.append(first, len(rec)))
         cluster.round(Slices(ordered, at[first], dst[first], count))
         layout = local_sort(rec, dst)
-        # a Records shard is a view of the one read-only matrix of
-        # layout.ordered
-        cluster.load(state_key, busy, layout.ordered, layout.bounds.tolist())
+        cluster.store(state_key, layout.ordered, layout.bounds)
         return layout
 
     # the local sort permutes each machine's records, which meters the
-    # same words, so the shards stay as stored until the first route
-    layout = local_sort(np.arange(len(recs)), np.repeat(ids, sizes))
+    # same words, so the batch stays as stored until the first route
+    layout = local_sort(np.arange(len(recs)), np.repeat(ids, np.diff(cut)))
     srank, weight, srec, _ = samples(layout, np.full(K, branching(cluster)),
                                      np.full(K, LARGE))
 
     g = max(1, math.ceil(math.sqrt(K)))
     size = math.ceil(K / g)
     lo = np.arange(1, K + 1, size)
-    hi = np.minimum(lo + size - 1, K)
-    gsize = hi - lo + 1
-    gsplit = _splitters(srank, weight, len(lo))
+    gsize = np.minimum(lo + size, K + 1) - lo
+    gsplit, _ = _splitters(srank, weight, np.zeros(len(srank), np.int64),
+                           np.array([len(lo)]))
     tree_broadcast(cluster, recs.take(srec[gsplit]))
 
     # route each record to a machine of its target group (balanced by
     # sender index)
     at = layout.at
     bucket, first = _cut(srank[gsplit], rank[layout.rec], at)
-    # the first route also stores a shard on each machine that stores
-    # nothing under the key
-    absent = np.array([False] + [s is None for s in stored])
-    layout = route(layout, first, lo[bucket] + at % gsize[bucket], absent)
+    layout = route(layout, first, lo[bucket] + at % gsize[bucket])
 
     # phase 2: per-group splitters chosen by the group leader, which sends
     # them to each other member of its group
     group = (ids - 1) // size
     leader = lo[group]
-    srank, weight, srec, cut = samples(layout, 2 * gsize[group], leader)
-    split, fan = [], []
-    for gi, (a, z) in enumerate(zip(lo.tolist(), hi.tolist())):
-        s, e = cut[a - 1], cut[z]
-        picked = s + _splitters(srank[s:e], weight[s:e], z - a + 1)
-        split.append(gi * span + srank[picked])
-        fan.append(np.tile(srec[picked], z - a))
+    srank, weight, srec, shard = samples(layout, 2 * gsize[group], leader)
+    picked, nsplit = _splitters(srank, weight, group[shard], gsize)
+    offset = np.cumsum(nsplit) - nsplit  # where each group's splitters start
     member = ids[ids != leader]
-    count = np.array([len(s) for s in split], np.int64)[group[member - 1]]
-    fan = recs.take(np.concatenate(fan))
+    count = nsplit[group[member - 1]]
+    fan = np.repeat(offset[group[member - 1]] - (np.cumsum(count) - count), count)
+    fan = recs.take(srec[picked[fan + np.arange(len(fan))]])
     cluster.round(Slices(fan, leader[member - 1], member, count))
 
     # one cut for all groups: group gi's splitters and records are offset
     # by gi * span
     at = layout.at
     grp = group[at - 1]
-    bucket, first = _cut(np.concatenate(split), grp * span + rank[layout.rec], at)
-    offset = np.cumsum([0] + [len(s) for s in split[:-1]])
-    layout = route(layout, first, lo[grp] + bucket - offset[grp],
-                   np.zeros(K + 1, bool))
+    split = np.repeat(np.arange(len(lo)), nsplit) * span + srank[picked]
+    bucket, first = _cut(split, grp * span + rank[layout.rec], at)
+    layout = route(layout, first, lo[grp] + bucket - offset[grp])
 
     # the summary: each machine sends the large machine its count (a
     # header word), its first and last records if it holds any, and its
@@ -508,16 +476,20 @@ def disseminate(cluster: Cluster, values: dict, machine_ranges: dict):
     part i.  machine_ranges maps machine index -> (min part, max part), as
     known after arranging or sorting the parts.  Requires parts contiguous
     in machine order.  Returns {machine index: {part: value}}.
+
+    The values walk down the global tree (charge tree_rounds; nodes as in
+    `_widths`).  A node keeps the parts from the first of the first busy
+    machine under it to the last of the last (the ranges nest); one with
+    none ends the walk below it.
     """
-    # a node's parts run from the first part of the first busy machine
-    # under it to the last part of the last, and the ranges nest, so each
-    # node keeps the sorted parts within its own range
+    start = cluster.rounds_used
     busy = sorted(machine_ranges)
     parts = sorted(values)
     vals = [values[p] for p in parts]
     b = branching(cluster)
+    widths = _widths(len(cluster.small_ids), b)
 
-    def narrow(level, idx, _):
+    def narrow(level, idx):
         span = b ** level  # machines idx * span + 1 ... (idx + 1) * span
         i, j = bisect_right(busy, idx * span), bisect_right(busy, (idx + 1) * span)
         if i == j:
@@ -526,8 +498,24 @@ def disseminate(cluster: Cluster, values: dict, machine_ranges: dict):
         a, z = bisect_left(parts, lo), bisect_right(parts, hi)
         return dict(zip(parts[a:z], vals[a:z])) if a < z else None
 
-    got = _down(cluster, None, narrow)
-    return {idx + 1: sub for idx, sub in got.items()}
+    top = narrow(len(widths) - 1, 0)
+    cluster.round([] if top is None else [(LARGE, 1, top)])
+    held = {} if top is None else {0: top}  # node index -> payload
+    for level in range(len(widths) - 1, 0, -1):
+        step = b ** (level - 1)  # machines under a node of level - 1
+        sends, nxt = [], {}
+        for first in (idx * b for idx in held):
+            for c in range(first, min(first + b, widths[level - 1])):
+                sub = narrow(level - 1, c)
+                if sub is None:
+                    continue
+                nxt[c] = sub
+                if c != first:
+                    sends.append((first * step + 1, c * step + 1, sub))
+        cluster.round(sends)
+        held = nxt
+    _pad(cluster, start, tree_rounds(cluster.config.gamma))
+    return {idx + 1: sub for idx, sub in held.items()}
 
 
 def deliver_by_endpoint(cluster: Cluster, state_key, values: dict, side, apply):
@@ -561,14 +549,15 @@ class Arranged:
     slices: dict  # vertex -> [(machine index, count here), ...]
 
 
-def _directed_copies(_, es):
-    """Each edge record, then each with its endpoints swapped: the
-    columns of the Records `es` stacked on the columns with the first two
-    swapped."""
-    if not es:
-        return es
-    cols = es.columns()
-    return np.concatenate((cols, cols[:, [1, 0] + list(range(2, cols.shape[1]))]))
+def _directed_copies(cut, cols):
+    """A `Cluster.segmented` step: each machine's edge records, then each
+    with its endpoints swapped, as (cut, columns) of the group."""
+    size = np.diff(cut, prepend=0)
+    at = np.arange(len(cols)) + np.repeat(cut - size, size)  # row p's place
+    out = np.empty((2 * len(cols), cols.shape[1]), cols.dtype)
+    out[at] = cols
+    out[at + np.repeat(size, size)] = cols[:, [1, 0] + list(range(2, cols.shape[1]))]
+    return 2 * cut, out
 
 
 def _runs(src, cut):
@@ -603,7 +592,7 @@ def arrange_nodes(cluster: Cluster, state_key="E", key=None) -> Arranged:
     must order primarily by source vertex (default None: the record
     itself, i.e. by (source, target, ...)).
     """
-    cluster.local(_directed_copies, state_key, "D")
+    cluster.segmented(_directed_copies, state_key, "D")
     layout = het_sort(cluster, state_key="D", key=key, summarize=_counts_by_vertex)
     deg_out, slices = {}, {}
     for i, extra in enumerate(layout.extras, start=1):
@@ -618,13 +607,11 @@ def query_k_lightest(cluster: Cluster, arranged: Arranged, k_of: dict) -> dict:
     each machine holding part of v's first k_of[v] outgoing edges for its
     share (queries (v, k)) and gathers the replies.  2 rounds.
 
-    `arranged` is the layout of the shards under "D", each sorted
-    by source, so a query's reply is the first k records of the run of v
-    in its machine's shard.  The replies are one segmented pass: one
-    run-length pass over the joined queried shards finds where each run
-    of one source starts in each shard, and the replies are sent as one
-    `Slices` batch, one send a querying machine.  Returns {v: its
-    records}, read in sender order."""
+    `arranged` is the layout of the batch under "D", sorted by source, so
+    a query's reply is the first k records of v's run in its machine's
+    shard, which starts where v's run in the batch or the shard starts,
+    whichever is later.  The replies are one `Slices` batch, one send a
+    querying machine.  Returns {v: its records}, read in sender order."""
     plans = {}
     for v, k in k_of.items():
         left = k
@@ -637,21 +624,14 @@ def query_k_lightest(cluster: Cluster, arranged: Arranged, k_of: dict) -> dict:
     cluster.round([(LARGE, mi, qs) for mi, qs in plans.items()])
 
     mids = list(plans)
-    held = cluster.shards("D")
-    segs = [held[mi - 1] for mi in mids]  # each holds records of its queries
-    recs = _join(segs)
+    recs, cut = cluster.batch("D")
     take = np.array([t for qs in plans.values() for _, t in qs], np.int64)
     at = np.zeros(len(take), np.int64)
     if plans:
-        # the start of each (segment, source) run; each queried vertex is
-        # a source of its machine's segment
-        sizes = list(map(len, segs))
         src = recs.columns()[:, 0]
-        run = _runs(src, np.cumsum(sizes))
-        seg = np.repeat(np.arange(len(mids)), sizes)[run]
-        start = dict(zip(zip(seg.tolist(), src[run].tolist()), run.tolist()))
-        at = np.array([start[j, v] for j, qs in enumerate(plans.values()) for v, _ in qs],
-                      np.int64)
+        qv = np.array([v for qs in plans.values() for v, _ in qs], src.dtype)
+        mi = np.repeat(mids, [len(qs) for qs in plans.values()])
+        at = np.maximum(np.searchsorted(src, qv), cut[mi - 1])
     # the position in recs of each reply record, in plans order
     pos = np.repeat(at - (np.cumsum(take) - take), take) + np.arange(int(take.sum()))
     replies = recs.take(pos)
@@ -687,7 +667,8 @@ def gather_to_large(cluster: Cluster, state_key):
 def count_records(cluster: Cluster, state_key):
     """Each small machine reports how many records it stores under
     state_key to the large machine in one round; returns the total."""
-    counts = cluster.local(lambda _, items: len(items), state_key)
+    counts = cluster.segmented(lambda cut, _: np.diff(cut, prepend=0).tolist(),
+                               state_key)
     inbox = cluster.round([(i, LARGE, counts.get(i, 0)) for i in cluster.small_ids])
     return sum(c for _, c in inbox.get(LARGE, []))
 

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -161,30 +163,29 @@ class Records:
     charged the walked words of its fields.
 
     A batch has two forms, each built from the other when first asked
-    for, and then kept:
-    - the tuple of its records, which iteration, indexing and equality
-      read;
-    - its columns (`columns()`), a read-only (len, arity) array, int64 or
-      else object, which selections (`take`), concatenations and column
-      steps read.  A slice or selection keeps the all-int flag.
-    `as_records` builds Records from an int64 (len, arity) array, and
-    `_of_columns` from columns taken from Records.
+    for, and then kept: the tuple of its records, which iteration,
+    indexing and equality read, and its columns (`columns()`), a
+    read-only (len, arity) array, int64 or else object, which selections,
+    concatenations and column steps read.  A selection (`take`) holds the
+    columns it selects from and the positions until it is first read, so
+    one that is only counted, charged or sliced is never gathered.  A
+    slice or selection keeps the all-int flag.
     """
 
-    __slots__ = ("_tuples", "_cols", "_flat")
+    __slots__ = ("_tuples", "_cols", "_flat", "_pick")
 
     def __init__(self, records=()):
         tuples = tuple(records)
         if tuples and not (_TUPLE_ONLY.issuperset(map(type, tuples))
                            and len(set(map(len, tuples))) == 1):
             raise TypeError("Records holds tuples of one arity")
-        self._tuples, self._cols = tuples, None
+        self._tuples, self._cols, self._pick = tuples, None, None
         self._flat = _INT_ONLY.issuperset(map(type, chain.from_iterable(tuples)))
 
     def _rows(self) -> tuple:
         t = self._tuples
         if t is None:
-            t = self._tuples = tuple(map(tuple, self._cols.tolist()))
+            t = self._tuples = tuple(map(tuple, self.columns().tolist()))
         return t
 
     def columns(self) -> np.ndarray:
@@ -192,45 +193,49 @@ class Records:
         field is not an int or is beyond int64."""
         c = self._cols
         if c is None:
-            t = self._tuples
-            arity = len(t[0]) if t else 0
-            try:
-                c = np.fromiter(chain.from_iterable(t),
-                                np.int64 if self._flat else object, len(t) * arity)
-            except OverflowError:
-                c = np.fromiter(chain.from_iterable(t), object, len(t) * arity)
-            c = self._cols = c.reshape(len(t), arity)
+            if self._pick is not None:
+                base, idx = self._pick
+                c, self._pick = base[idx], None
+            else:
+                t = self._tuples
+                arity = len(t[0]) if t else 0
+                try:
+                    c = np.fromiter(chain.from_iterable(t),
+                                    np.int64 if self._flat else object, len(t) * arity)
+                except OverflowError:
+                    c = np.fromiter(chain.from_iterable(t), object, len(t) * arity)
+                c = c.reshape(len(t), arity)
             c.flags.writeable = False
+            self._cols = c
         return c
 
     def take(self, idx) -> Records:
-        """The records at the positions `idx`, selected from the columns."""
-        return _of_columns(self.columns()[idx], self._flat)
+        """The records at the positions `idx` (an int array)."""
+        p = self._pick
+        return _records(None, None, (p[0], p[1][idx]) if p is not None
+                        else (self.columns(), np.asarray(idx, np.int64)), self._flat)
 
     def words(self) -> int:
         if not self._flat:
             return payload_words(self._rows())
-        t = self._tuples
+        t, c = self._tuples, self._cols
         if t is not None:
             return len(t) * len(t[0]) if t else 0
-        return self._cols.size
+        return c.size if c is not None else len(self._pick[1]) * self._pick[0].shape[1]
 
     def __len__(self):
-        t = self._tuples
-        return len(t) if t is not None else len(self._cols)
+        t, c = self._tuples, self._cols
+        return len(t if t is not None else c if c is not None else self._pick[1])
 
     def __iter__(self):
         return iter(self._rows())
 
     def __getitem__(self, i):
-        t, c = self._tuples, self._cols
+        t, c, p = self._tuples, self._cols, self._pick
         if type(i) is slice:
-            out = object.__new__(Records)
-            out._tuples = None if t is None else t[i]
-            out._cols = None if c is None else c[i]
-            out._flat = self._flat
-            return out
-        return t[i] if t is not None else tuple(c[i].tolist())
+            return _records(None if t is None else t[i], None if c is None else c[i],
+                            None if p is None else (p[0], p[1][i]), self._flat)
+        return t[i] if t is not None else tuple(self.columns()[i].tolist())
 
     def __eq__(self, other):
         if type(other) is Records:
@@ -252,8 +257,13 @@ def _of_columns(cols, flat=True) -> Records:
     taken from Records (selections, slices and concatenations), `flat`
     being whether those Records are all-int."""
     cols.flags.writeable = False
+    return _records(None, cols, None, flat)
+
+
+def _records(tuples, cols, pick, flat) -> Records:
+    """Records of the forms given, unchecked."""
     out = object.__new__(Records)
-    out._tuples, out._cols, out._flat = None, cols, flat
+    out._tuples, out._cols, out._pick, out._flat = tuples, cols, pick, flat
     return out
 
 
@@ -261,13 +271,19 @@ _EMPTY = Records()
 
 
 def _join(batches):
-    """The records of the Records `batches` in order, joined by their
-    columns: Records, all-int when every batch is."""
+    """The records of the Records `batches` in order, all-int when every
+    batch is: joined as tuples when some batch is held as tuples only (a
+    local step's list), else by columns.  Two arities raise ValueError."""
     full = [b for b in batches if len(b)]
     if len(full) <= 1:
         return full[0] if full else _EMPTY
-    return _of_columns(np.concatenate([b.columns() for b in full]),
-                       all(b._flat for b in full))
+    flat = all(b._flat for b in full)
+    if all(b._tuples is not None for b in full) and any(b._cols is None for b in full):
+        if len({len(b._tuples[0]) for b in full}) > 1:
+            raise ValueError("batches of two arities do not join")
+        return _records(tuple(chain.from_iterable(b._tuples for b in full)), None,
+                        None, flat)
+    return _of_columns(np.concatenate([b.columns() for b in full]), flat)
 
 
 def as_records(value) -> Records:
@@ -344,9 +360,8 @@ class Slices:
     def __init__(self, records, src, dst, count, header=0):
         if int(count.sum()) != len(records):
             raise ValueError("the slices must cover the records")
-        self.records = records
-        self.src, self.dst, self.count = src, dst, count
-        self.header = header
+        self.records, self.src, self.dst = records, src, dst
+        self.count, self.header = count, header
 
     def __len__(self):
         return len(self.count)
@@ -354,16 +369,33 @@ class Slices:
     def charges(self):
         """(senders, their words, receivers, their words): arrays, each
         side's machines in order of first send (see `_by_machine`)."""
-        recs, count = self.records, self.count
-        if recs._flat:
-            words = count * (recs.words() // len(recs) if recs else 0)
-        else:
-            per = np.fromiter(map(payload_words, recs), np.int64, len(recs))
-            cum = np.concatenate(([0], np.cumsum(per)))
-            ends = np.cumsum(count)
-            words = cum[ends] - cum[ends - count]
-        words = words + self.header
+        words = _slice_words(self.records, self.count) + self.header
         return _by_machine(self.src, words) + _by_machine(self.dst, words)
+
+
+def _slice_words(recs, count):
+    """The words of each of the consecutive slices of `count` records that
+    cover the Records `recs`: count × arity when all-int, else its records'
+    walked words, a selection walking each distinct record it picks once."""
+    if recs._flat:
+        return count * (recs.words() // len(recs) if recs else 0)
+    if recs._pick is not None:
+        base, idx = recs._pick
+        seen, inv = np.unique(idx, return_inverse=True)
+        rows = base[seen].tolist()
+    else:
+        rows, inv = recs._rows(), slice(None)
+    per = np.fromiter(map(payload_words, rows), np.int64, len(rows))[inv]
+    return np.diff(np.concatenate(([0], np.cumsum(per)))[np.cumsum(count)], prepend=0)
+
+
+def _stable_order(key):
+    """np.argsort(key, kind="stable") of a non-negative int64 array, as
+    one plain sort of key * n + position when that fits in int64."""
+    n = len(key)
+    if n and int(key.max()) * n + n < 2 ** 63:
+        return np.sort(key * n + np.arange(n)) % n
+    return np.argsort(key, kind="stable")
 
 
 def _by_machine(mids, words):
@@ -386,102 +418,66 @@ def _by_machine(mids, words):
 
 class RoundTelemetry:
     """One round's row: the words each machine sent and received
-    ({machine: words}, in order of first send), its budget violations, and
+    ({machine: words}, in order of first send), its budget violations,
     `changed`, the resident words of the machines whose words changed
-    since the previous row.  `resident`, the resident words of every
-    machine in machine order, is replayed from the rows' deltas when read;
-    it is read-only, like `Machine.state`."""
+    since the previous row, and `resident`, every machine's resident
+    words in machine order (a new dict each read)."""
 
-    __slots__ = ("round", "sent", "received", "changed", "violations", "_prev",
-                 "_replay")
+    __slots__ = ("round", "sent", "received", "changed", "violations", "_words")
 
-    def __init__(self, round, sent, received, changed, violations, prev, replay):
+    def __init__(self, round, sent, received, changed, violations, words):
         self.round, self.sent, self.received = round, sent, received
-        self.changed, self.violations = changed, violations
-        self._prev, self._replay = prev, replay  # the previous row, or None
+        self.changed, self.violations, self._words = changed, violations, words
 
     @property
     def resident(self) -> dict:
-        return self._replay.resident(self)
-
-
-class _Replay:
-    """Replays the resident words of a cluster's rows from their deltas.
-    It keeps the table of the row read last, so reading the rows in order
-    replays each delta once; a row before it is replayed from zeros.  A
-    table, once returned, is never changed.  It holds no row, so the rows
-    and it hold no reference cycle."""
-
-    __slots__ = ("zero", "at", "table")
-
-    def __init__(self, mids):
-        self.zero = dict.fromkeys(mids, 0)
-        self.at, self.table = -1, self.zero
-
-    def resident(self, row) -> dict:
-        r = row.round
-        if r != self.at:
-            at, table = (self.at, self.table) if r > self.at else (-1, self.zero)
-            deltas = []
-            while row is not None and row.round > at:
-                deltas.append(row.changed)
-                row = row._prev
-            table = dict(table)
-            for changed in reversed(deltas):
-                table.update(changed)
-            self.at, self.table = r, table
-        return self.table
+        return dict(enumerate(self._words.tolist()))
 
 
 class Machine:
-    """One machine: its word budget and its resident state, a dict from
-    key to Records.
+    """One machine: its id, its word budget and its state."""
 
-    State changes only through the cluster's steps (`Cluster.local`,
-    `drop`, `load`, `unload` and `distribute_edges`); `state` is read-only
-    to callers.  Every store goes through `_store`, which meters it.
-    """
+    __slots__ = ("mid", "budget", "_tables")
 
-    __slots__ = ("mid", "budget", "state", "_words", "_total", "_changed", "_over")
+    def __init__(self, mid, budget, batches, shards):
+        # the cluster's batches and shard cache, not the cluster, so that
+        # a cluster and its machines hold no reference cycle
+        self.mid, self.budget, self._tables = mid, budget, (batches, shards)
 
-    def __init__(self, mid, budget, changed, over):
-        self.mid = mid
-        self.budget = budget
-        self.state = {}
-        self._words = {}  # key -> words of its value
-        self._total = 0  # sum of _words
-        self._changed, self._over = changed, over
-
-
-_POP = object()  # the `_store` value that pops its key
+    @property
+    def state(self):
+        """The read-only mapping from each key this machine stores to its
+        Records, read off the cluster's batches."""
+        (batches, cache), mid = self._tables, self.mid
+        return MappingProxyType({key: _shards_of(batches, cache, key)[mid]
+                                 for key, b in batches.items() if b.held[mid]})
 
 
-def _store(key, items):
-    """The one write of machine state.  Each (machine, value) of `items`
-    stores the Records `value` under `key`, or pops `key` when `value` is
-    `_POP`.  A value is metered when it is stored (all-int Records in
-    O(1)); Records are immutable, so that charge stays true.  When a
-    machine's resident words change, they are written into `changed`, the
-    delta since the last round that every machine of a cluster shares,
-    and the machine's membership of `over`, the shared set of machines
-    over budget, is kept."""
-    for mach, value in items:
-        words = mach._words
-        if value is _POP:
-            mach.state.pop(key, None)
-            delta = -words.pop(key, 0)
-        else:
-            mach.state[key] = value
-            w = value.words()
-            delta = w - words.get(key, 0)
-            words[key] = w
-        if delta:
-            total = mach._total = mach._total + delta
-            mach._changed[mach.mid] = total
-            if total > mach.budget:
-                mach._over.add(mach.mid)
-            else:
-                mach._over.discard(mach.mid)
+def _shards_of(batches, cache, key) -> list:
+    """Each machine's Records under `key` by machine id (None where it
+    stores nothing): slices of its batch in `batches` (None when no
+    machine stores it), built when first read and kept in `cache`."""
+    shards = cache.get(key)
+    if shards is None and key in batches:
+        b = batches[key]
+        if b.records._pick is not None:
+            b.records.columns()  # gather once, then slice views
+        ends = b.cut.tolist()
+        shards = cache[key] = [None if not h else b.records[x:y] if x < y else _EMPTY
+                               for x, y, h in zip([0] + ends, ends, b.held.tolist())]
+    return shards
+
+
+class _Batch(NamedTuple):
+    """One state key: `records` in machine order, machine i holding
+    records[cut[i-1]:cut[i]] (cut[0] = 0: the large machine holds none),
+    and by machine id whether each machine stores the key at all and its
+    resident words of it."""
+
+    records: Records
+    cut: np.ndarray
+    held: np.ndarray
+    words: np.ndarray
 
 
 _SENDER = itemgetter(0)
@@ -495,32 +491,31 @@ SEGMENT_RECORDS = 512
 class Cluster:
     """1 large + K small machines exchanging messages in synchronous rounds.
 
-    `local(fn, key, out)` runs one machine-local step between rounds, one
-    call a machine; `segmented(fn, key)` runs a read-only one, one call a
-    group of machines, so that a step vectorized over records pays its
-    fixed cost once a group while its memory stays bounded.
-    `drop(*keys)` pops keys on every small machine.  The bulk shard moves
-    `shards(key)`, `unload(key, mids)` and `load(key, mids, ordered, cut)`
-    read, pop and store one key on many machines in one loop.
-    `round(sends)` runs one communication round: it delivers the queued
-    messages (canonically ordered by sender then sequence number), meters
-    per-machine traffic and resident state, and records telemetry.  Budget
-    violations raise in strict mode and are only logged otherwise.
+    Each state key is one batch (`_Batch`) of Records in machine order
+    and its cut.  `local(fn, key, out)` runs a machine-local step between
+    rounds, one call a machine; `segmented(fn, key, out)` runs one a group
+    of machines, so that a step vectorized over records pays its fixed
+    cost once a group while its memory stays bounded.  `store`, `drop`
+    and `batch` store, pop and read a whole key.  `round(sends)` runs one
+    communication round: it delivers the queued messages (canonically
+    ordered by sender then sequence number), meters per-machine traffic
+    and resident state, and records telemetry.  Budget violations raise
+    in strict mode and are only logged otherwise.
     """
 
     def __init__(self, config: ClusterConfig, strict: bool = True):
-        self.config = config
-        self.strict = strict
-        # the resident words of the machines whose words changed since the
-        # last round, and the machines over budget; kept by `_store`
-        self._changed, self._over = {}, set()
+        self.config, self.strict = config, strict
         self.small_ids = list(range(1, config.num_small + 1))
         budgets = [config.large_budget] + [config.small_budget] * len(self.small_ids)
-        self.machines = {mid: Machine(mid, b, self._changed, self._over)
+        self._budget = np.array(budgets, np.int64)
+        # each key's batch, and the words of the machines whose words
+        # changed since the last round; kept by `_store` with `_resident`
+        self._batches, self._changed = {}, {}
+        self._resident = np.zeros(len(budgets), np.int64)
+        self._shards = {}  # key -> each machine's Records, built when read
+        self.machines = {mid: Machine(mid, b, self._batches, self._shards)
                          for mid, b in enumerate(budgets)}
-        self._small = [self.machines[i] for i in self.small_ids]
         self.telemetry: list[RoundTelemetry] = []
-        self._replay = _Replay(self.machines)
 
     # -- basic accessors -------------------------------------------------
 
@@ -532,89 +527,104 @@ class Cluster:
         """Deterministic substream for (seed, *tags)."""
         return random.Random(seed_hash(self.config.seed, *tags))
 
+    # -- machine state ---------------------------------------------------
+
+    def _store(self, key, records=None, cut=None, held=None, shards=None):
+        """The one write of machine state: replaces the batch of `key` by
+        the Records `records` cut by `cut`, `held` (default: every small
+        machine) saying which machines store the key at all; or joins
+        `shards`, each machine's Records (None: stores nothing); or, with
+        neither, pops `key`.  It meters every machine's words in array
+        operations (`_slice_words`) and writes each machine whose resident
+        words change into `changed`, the delta since the last round."""
+        if records is None and shards is not None:
+            held = np.array([s is not None for s in shards])
+            records = _join([s for s in shards if s is not None])
+            cut = np.cumsum([0 if s is None else len(s) for s in shards])
+        old = self._batches.pop(key, None)
+        self._shards[key] = shards
+        words = 0
+        if records is not None and (held is None or held.any()):
+            if held is None:
+                held = np.arange(len(cut)) > 0
+            cut.flags.writeable = held.flags.writeable = False
+            words = _slice_words(records, np.diff(cut, prepend=0))
+            self._batches[key] = _Batch(records, cut, held, words)
+        delta = words if old is None else words - old.words
+        moved = np.flatnonzero(delta)
+        if len(moved):
+            self._resident += delta
+            self._changed.update(zip(moved.tolist(), self._resident[moved].tolist()))
+
+    def batch(self, key):
+        """(records, cut): the Records every small machine stores under
+        `key`, in machine order, machine i holding records[cut[i-1]:cut[i]]
+        (cut[0] = 0); empty when no machine stores the key."""
+        b = self._batches.get(key)
+        return (b.records, b.cut) if b else (_EMPTY, np.zeros_like(self._resident))
+
+    def store(self, key, records, cut):
+        """Every small machine i stores records[cut[i-1]:cut[i]] of the
+        Records `records` under `key` (`cut` by machine id, cut[0] = 0)."""
+        self._store(key, records, np.asarray(cut, np.int64))
+
+    def drop(self, *keys):
+        """Each small machine discards what it stores under `keys`."""
+        for key in keys:
+            self._store(key)
+
     # -- local steps and the round barrier -------------------------------
 
     def local(self, fn, key, out=None) -> dict:
         """One machine-local step: `fn(i, records)` on each small machine i
         that holds records under `key`, in ascending order, `records`
-        being what it stores there.  With `out`, each result is stored
-        under `out` as Records (see `as_records`: a record batch, or an
-        int64 array of its columns), and a None result pops `out`; an
-        idle machine (nothing under `key`) runs nothing, and pops `out`
-        when `out` is not `key`.  A result that is neither raises
-        TypeError naming `out`.  Every machine runs before any result is
-        stored, in one `_store` pass, so a raise stores nothing.  Returns
-        {i: result} over the machines that ran.
+        being its slice of the batch.  With `out`, each result is stored
+        under `out` as Records (see `as_records`), and a None result pops
+        `out`; an idle machine runs nothing, and pops `out` when `out` is
+        not `key`.  Any other result raises TypeError naming `out`, before
+        anything is stored.  Returns {i: result} over the machines that ran.
         """
-        results, items = {}, []
-        idle_pop = out is not None and out != key
-        for mach in self._small:
-            recs = mach.state.get(key)
-            if not recs:
-                if idle_pop and out in mach.state:
-                    items.append((mach, _POP))
-                continue
-            value = results[mach.mid] = fn(mach.mid, recs)
-            if out is not None:
-                try:
-                    items.append((mach, _POP if value is None else as_records(value)))
-                except TypeError as err:
-                    raise TypeError(f"state key {out!r}: {err}") from None
-        _store(out, items)
+        cut = self.batch(key)[1]
+        shards = _shards_of(self._batches, self._shards, key) or [None] * len(cut)
+        busy = (np.flatnonzero(np.diff(cut)) + 1).tolist()
+        results = {mid: fn(mid, shards[mid]) for mid in busy}
+        if out is not None:
+            parts = list(shards) if out == key else [None] * len(cut)
+            try:
+                for mid, value in results.items():
+                    parts[mid] = None if value is None else as_records(value)
+            except TypeError as err:
+                raise TypeError(f"state key {out!r}: {err}") from None
+            self._store(out, shards=parts)
         return results
 
-    def segmented(self, fn, key) -> dict:
-        """A read-only local step, one call per group of consecutive small
-        machines that hold Records under `key`, at most SEGMENT_RECORDS
-        records a group (a larger machine is a group of its own):
-        `fn(cut, columns)` gets the joined columns of the group, machine j
-        holding `columns[cut[j-1]:cut[j]]` (from 0 for j = 0), and returns
-        one result per machine.  Returns {i: result}, as `local` does."""
-        busy = [(mid, recs.columns())
-                for mid, recs in zip(self.small_ids, self.shards(key)) if recs]
-        mids, cols = [mid for mid, _ in busy], [c for _, c in busy]
-        ends = np.cumsum([0] + [len(c) for c in cols])
-        results, a = {}, 0
-        while a < len(cols):  # the group of machines a..b-1
-            top = np.searchsorted(ends, ends[a] + SEGMENT_RECORDS, "right")
-            b = max(a + 1, int(top) - 1)
-            joined = cols[a] if b == a + 1 else np.concatenate(cols[a:b])
-            cut = ends[a + 1:b + 1] - ends[a]
-            results.update(zip(mids[a:b], fn(cut, joined), strict=True))
+    def segmented(self, fn, key, out=None):
+        """A local step, one call per group of consecutive small machines
+        that hold records under `key`, at most SEGMENT_RECORDS records a
+        group (a larger machine is a group of its own): `fn(cut, columns)`
+        gets the group's columns, machine j holding columns[cut[j-1]:cut[j]]
+        (from 0).  Without `out`, fn returns one result per machine, and it
+        returns {i: result} as `local` does.  With `out`, fn returns the
+        group's (cut, columns), stored under `out` as `local` stores."""
+        records, cut = self.batch(key)
+        busy = np.flatnonzero(np.diff(cut)) + 1
+        ends = np.concatenate(([0], cut[busy]))
+        cols, got, a = records.columns(), [], 0
+        while a < len(busy):  # the group of machines a..b-1
+            b = int(np.searchsorted(ends, ends[a] + SEGMENT_RECORDS, "right")) - 1
+            b = max(a + 1, b)
+            got.append(fn(ends[a + 1:b + 1] - ends[a], cols[ends[a]:ends[b]]))
             a = b
-        return results
-
-    def drop(self, *keys):
-        """Each small machine discards what it stores under `keys`."""
-        for key in keys:
-            _store(key, [(mach, _POP) for mach in self._small])
-
-    # -- bulk shard moves ------------------------------------------------
-    # One `_store` pass each over the machines that act.
-
-    def shards(self, key) -> list:
-        """The Records each small machine stores under `key` (None where
-        it stores nothing), in machine order."""
-        return [mach.state.get(key) for mach in self._small]
-
-    def unload(self, key, mids):
-        """Machines `mids` (small machine ids) each pop `key`."""
-        _store(key, [(self.machines[mid], _POP) for mid in mids])
-
-    def load(self, key, mids, ordered, cut):
-        """Each machine i of `mids` (small machine ids) stores the slice
-        `ordered[cut[i-1]:cut[i]]` of the Records `ordered` under `key`."""
-        machines = self.machines
-        rows, cols, flat = ordered._tuples, ordered._cols, ordered._flat
-        items = []
-        for mid in mids:  # ordered[a:b], built here
-            a, b = cut[mid - 1], cut[mid]
-            shard = object.__new__(Records)
-            shard._tuples = None if rows is None else rows[a:b]
-            shard._cols = None if cols is None else cols[a:b]
-            shard._flat = flat
-            items.append((machines[mid], shard))
-        _store(key, items)
+        if out is None:
+            return dict(zip(busy.tolist(), chain.from_iterable(got), strict=True))
+        held = (self._batches[key].held.copy() if out == key and key in self._batches
+                else np.zeros(len(cut), bool))
+        held[busy] = True
+        size = np.zeros(len(cut), np.int64)
+        if got:
+            size[busy] = np.concatenate([np.diff(c, prepend=0) for c, _ in got])
+            records = _of_columns(np.concatenate([c for _, c in got]), records._flat)
+        self._store(out, records, np.cumsum(size), held)
 
     def round(self, sends) -> dict:
         """Deliver messages; returns {dst: [(src, payload), ...]}.
@@ -648,19 +658,17 @@ class Cluster:
             for box in inbox.values():
                 if len(box) > 1:
                     box.sort(key=_SENDER)
-        machines = self.machines
-        violations = [(mid, "SendBudget") for mid, w in sent.items()
-                      if w > machines[mid].budget]
+        budget = self._budget.tolist()
+        violations = [(mid, "SendBudget") for mid, w in sent.items() if w > budget[mid]]
         violations += [(mid, "RecvBudget") for mid, w in received.items()
-                       if w > machines[mid].budget]
-        violations.extend((mid, "StateBudget") for mid in sorted(self._over))
+                       if w > budget[mid]]
+        over = np.flatnonzero(self._resident > self._budget)
+        violations.extend((mid, "StateBudget") for mid in over.tolist())
 
         changed = self._changed.copy()
         self._changed.clear()
-        rows = self.telemetry
-        tel = RoundTelemetry(len(rows), sent, received, changed, violations,
-                             rows[-1] if rows else None, self._replay)
-        self.telemetry.append(tel)
+        self.telemetry.append(RoundTelemetry(len(self.telemetry), sent, received, changed,
+                                             violations, self._resident.copy()))
         if violations and self.strict:
             raise BudgetError(
                 "budget violations: "
@@ -690,26 +698,29 @@ def distribute_edges(cluster: Cluster, edges, placement="seeded", shard_size=Non
             f"{rec_words} edge words exceed aggregate small memory "
             f"{K * cluster.config.small_budget}"
         )
-    order = np.arange(len(records))
+    n = len(records)
+    order = np.arange(n)
     if placement == "adversarial":
-        per = shard_size if shard_size is not None else math.ceil(len(records) / K)
-        if len(records) > per * K:
+        per = shard_size if shard_size is not None else math.ceil(n / K)
+        if n > per * K:
             raise CapacityError("adversarial shard size too small for machine count")
-        shards = [order[k * per:(k + 1) * per] for k in range(K)]
-    elif placement == "roundrobin":
-        shards = [order[k::K] for k in range(K)]
-    elif placement == "seeded":
-        order = order.tolist()
-        cluster.rng("placement").shuffle(order)
-        order = np.array(order, np.int64)
-        shards = [order[k::K] for k in range(K)]
+        counts = np.clip(n - per * np.arange(K), 0, per)
+    elif placement in ("roundrobin", "seeded"):
+        if placement == "seeded":
+            order = order.tolist()
+            cluster.rng("placement").shuffle(order)
+            order = np.array(order, np.int64)
+        # machine k holds order[k::K]
+        order = order[_stable_order(np.arange(n) % K)]
+        counts = np.bincount(np.arange(n) % K, minlength=K)
     else:
         raise ConfigError(f"unknown placement {placement!r}")
-    shards = [records.take(sel) for sel in shards]
-    for mid, shard in zip(cluster.small_ids, shards):
-        if payload_words(shard) > cluster.config.small_budget:
-            raise CapacityError(f"shard for {machine_name(mid)} exceeds its budget")
-    _store("E", zip(cluster._small, shards))
+    placed = records.take(order)
+    cut = np.concatenate(([0], np.cumsum(counts)))
+    over = np.flatnonzero(_slice_words(placed, counts) > cluster.config.small_budget) + 1
+    if len(over):
+        raise CapacityError(f"shard for {machine_name(int(over[0]))} exceeds its budget")
+    cluster._store("E", placed, cut)
 
 
 def telemetry_json(cluster: Cluster) -> dict:

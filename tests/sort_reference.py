@@ -31,12 +31,14 @@ _FIRST, _SECOND = itemgetter(0), itemgetter(1)
 
 
 def place(cluster: Cluster, key, shards):
-    """Each machine mid of `shards` ({mid: record batch}) stores its batch
-    under `key` as Records, through `Cluster.load`: how a test sets up
-    machine state one machine at a time."""
+    """Each machine mid of `shards` ({mid: record batch, or None}) stores
+    its batch under `key` as Records, or pops `key` for None, while every
+    other machine keeps what it stores: how a test sets up machine state
+    machine by machine, through the cluster's one store."""
+    held = [cluster.machines[mid].state.get(key) for mid in cluster.machines]
     for mid, recs in shards.items():
-        recs = as_records(recs)
-        cluster.load(key, [mid], recs, {mid - 1: 0, mid: len(recs)})
+        held[mid] = None if recs is None else as_records(recs)
+    cluster._store(key, shards=held)
 
 
 def _even_sample(seq, k):
@@ -132,7 +134,7 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
 
     def route(sends, i, split, dsts):
         # bucket j is one contiguous slice of the sorted shard, sent to dsts[j]
-        cluster.unload(state_key, [i])
+        place(cluster, state_key, {i: None})
         recs = shard[i]
         pack = _trusted if type(recs) is Records else list
         for j, a, c in _buckets(keyed[i], split):

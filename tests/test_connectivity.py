@@ -652,7 +652,7 @@ def test_cc_retries_with_fresh_keys(monkeypatch):
     cl, labels, report = run_cc(g, seed=1)
     assert report["retried"] == 1
     assert [labels[v] for v in range(64)] == oracles.components(64, g.edges)
-    assert cl.shards("D") == [None] * len(cl.small_ids)
+    assert not any("D" in cl.machines[i].state for i in cl.small_ids)
     monkeypatch.undo()
     flaky_boruvka(monkeypatch, 2)
     with pytest.raises(cn.RunFailed):

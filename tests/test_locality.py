@@ -9,10 +9,10 @@ and each allowance must match its reads exactly: one that outlives its
 read would hide a new one.
 
 Machine state is written only in `simcore`: no other module writes a
-machine's `state` or reaches the metering internals of a `Machine` or a
-`Cluster`, and a `Machine` has no method that writes its state, so every
-store is made, and metered, by a cluster step.  Inside `simcore`, one
-loop, `_store`, makes every write of a machine's state and metering
+machine's `state` or reaches the metering internals of a `Cluster`, and a
+`Machine` has no method that writes its state, so every store is made,
+and metered, by a cluster step.  Inside `simcore`, one method,
+`Cluster._store`, writes every key's batch, its cut and the metering
 fields.
 
 Records have one form: the record primitives (`primitives`) and the MST
@@ -96,8 +96,7 @@ def test_guard_sees_every_access():
 
 
 # attributes that only simcore's metering reads and writes
-METERING = frozenset({"_words", "_total", "_retotal", "_resident", "_changed",
-                      "_over", "_store"})
+METERING = frozenset({"_batches", "_resident", "_changed", "_store"})
 # dict methods that change a dict in place
 MUTATORS = frozenset({"update", "pop", "popitem", "setdefault", "clear",
                       "__setitem__", "__delitem__"})
@@ -142,15 +141,15 @@ def test_metering_guard_sees_every_reach():
         "    del m.state[key]\n"
         "    m.state.update({key: v})\n"
         "    m.state = {}\n"
-        "    m._words[key] = 1\n"
-        "    m._retotal(1)\n"
-        "    t = m._total + cluster._resident[0] + len(cluster._changed)\n"
-        "    return getattr(cluster, '_over'), m.state.get(key), m.state[key]\n"
+        "    cluster._batches[key] = v\n"
+        "    cluster._store(key)\n"
+        "    t = cluster._resident[0] + len(cluster._changed)\n"
+        "    return getattr(cluster, '_batches'), m.state.get(key), m.state[key]\n"
     )
     assert [what for _, what in metering_reaches(source)] == [
         "state[...] written", "state[...] written", "state.update",
-        "state assigned", "._words", "._retotal", "._changed", "._resident",
-        "._total", "'_over'"]
+        "state assigned", "._batches", "._store", "._changed", "._resident",
+        "'_batches'"]
 
 
 def metering_names(source):
@@ -179,22 +178,24 @@ def test_name_guard_sees_every_import_and_call():
     assert metering_names(source) == [(1, "_store"), (2, "_store"), (3, "_store")]
 
 
-# a machine's state and metering fields, and the simcore functions that
-# may write them: every store goes through `_store`, which meters it
-FIELDS = frozenset({"state", "_words", "_total", "_changed", "_over"})
+# the metering fields (the batch of each key, every machine's resident
+# words, the delta since the last round) and the fields of a key's batch
+# whose arrays could be written in place, and the simcore functions that
+# may write them: every store goes through `Cluster._store`, which meters
+# it
+FIELDS = frozenset({"_batches", "_resident", "_changed", "cut", "held", "words"})
 WRITERS = {
-    "_store": FIELDS,
-    "Machine.__init__": FIELDS,  # a machine starts empty
-    # the cluster makes the delta and the over set that its machines
-    # share, and each round takes the delta into its row and empties it
-    "Cluster.__init__": {"_changed", "_over"},
+    "Cluster._store": FIELDS,
+    # a cluster starts with no batch, and each round takes the delta into
+    # its row and empties it
+    "Cluster.__init__": {"_batches", "_resident", "_changed"},
     "Cluster.round": {"_changed"},
 }
 # the cluster steps, the only simcore functions that call `_store`
-STEPS = frozenset({"Cluster.local", "Cluster.drop", "Cluster.unload",
-                   "Cluster.load", "distribute_edges"})
-# dict and set methods that change them in place
-IN_PLACE = MUTATORS | {"add", "discard", "remove"}
+STEPS = frozenset({"Cluster.local", "Cluster.segmented", "Cluster.drop",
+                   "Cluster.store", "distribute_edges"})
+# dict and set methods, and the in-place numpy methods, that change them
+IN_PLACE = MUTATORS | {"add", "discard", "remove", "fill", "put", "sort", "resize"}
 
 
 def _functions(source):
@@ -230,26 +231,36 @@ def field_writes(source):
     return found
 
 
+def stray_writes(source):
+    """{function: the FIELDS it writes beyond WRITERS} over `source`."""
+    found = {fn: fields - WRITERS.get(fn, set())
+             for fn, fields in field_writes(source).items()}
+    return {fn: fields for fn, fields in found.items() if fields}
+
+
 def store_callers(source):
-    """The functions of `source` (see `_functions`) that name `_store`."""
+    """The functions of `source` (see `_functions`) that name `_store`,
+    as a name or an attribute."""
     return {name for name, node in _functions(source) for sub in ast.walk(node)
-            if isinstance(sub, ast.Name) and sub.id == "_store"}
+            if isinstance(sub, ast.Name) and sub.id == "_store"
+            or isinstance(sub, ast.Attribute) and sub.attr == "_store"}
+
+
+SIMCORE = (SRC / "simcore.py").read_text()
 
 
 def test_only_store_writes_machine_state():
-    writes = field_writes((SRC / "simcore.py").read_text())
-    for fn, fields in writes.items():
-        extra = fields - WRITERS.get(fn, set())
-        assert not extra, f"simcore.{fn} writes {sorted(extra)} outside _store"
-    assert "_store" in writes
+    assert stray_writes(SIMCORE) == {}
+    assert field_writes(SIMCORE)["Cluster._store"] >= {"_batches", "_resident",
+                                                        "_changed"}
 
 
 def test_only_cluster_steps_store():
     # no Machine method, and no other function, writes machine state
-    assert store_callers((SRC / "simcore.py").read_text()) == STEPS
+    assert store_callers(SIMCORE) == STEPS
     source = ("class M:\n"
               "    def put(self, k, v):\n"
-              "        _store(k, ((self, v),))\n"
+              "        self.cluster._store(k, v)\n"
               "def f(items):\n"
               "    return _store\n")
     assert store_callers(source) == {"M.put", "f"}
@@ -259,21 +270,28 @@ def test_write_guard_sees_every_write():
     source = (
         "class M:\n"
         "    def f(self, k, v):\n"
-        "        self.state[k] = v\n"
-        "        self._words.pop(k)\n"
-        "        self._total += 1\n"
-        "        return self.state.get(k), self._over, self._changed[k]\n"
+        "        self._batches[k] = v\n"
+        "        self._resident += 1\n"
+        "        self._batches[k].cut[0] = 1\n"
+        "        return self._batches.get(k), self._changed[k]\n"
         "    def g(self):\n"
         "        del self._changed[0]\n"
-        "        self._over.discard(1)\n"
-        "        self.state = {}\n"
-        "def h(m):\n"
-        "    m.budget = m._total\n"
-        "    m.state.update({})\n"
+        "        self._batches.pop(0)\n"
+        "        self._resident.fill(0)\n"
+        "def h(b):\n"
+        "    b.held[1:] = False\n"
+        "    b.words.sort()\n"
     )
     assert field_writes(source) == {
-        "M.f": {"state", "_words", "_total"},
-        "M.g": {"_changed", "_over", "state"}, "h": {"state"}}
+        "M.f": {"_batches", "_resident", "cut"},
+        "M.g": {"_changed", "_batches", "_resident"}, "h": {"held", "words"}}
+    # one write planted in simcore outside `_store`: the read
+    # `Cluster.batch` replaces a batch
+    tree = ast.parse(SIMCORE)
+    cluster = next(n for n in tree.body if getattr(n, "name", None) == "Cluster")
+    read = next(n for n in cluster.body if getattr(n, "name", None) == "batch")
+    read.body.insert(1, ast.parse("self._batches[key] = None").body[0])
+    assert stray_writes(ast.unparse(tree)) == {"Cluster.batch": {"_batches"}}
 
 
 # the modules whose record batches are always Records, and the type names

@@ -163,10 +163,10 @@ SENT_ROWS = {4096: "070afb0dbabd848c", 512: "47ff3c199ba26c1c"}
 
 @pytest.mark.parametrize("m", [4096, 512])
 def test_sampling_leaves_each_edge_object_in_place(monkeypatch, m):
-    # repetition 1 aborts; repetition 2 starts on the very objects each
-    # machine stored under "E" before repetition 1 (at m=4096 every one is
-    # an empty Records), since the filter works on its copy "F"; only "E"
-    # is left afterwards
+    # repetition 1 aborts; repetition 2 starts on the very batch the
+    # machines stored under "E" before repetition 1 (at m=4096 every
+    # machine's shard is an empty Records), since the filter works on its
+    # copy "F"; only "E" is left afterwards
     g = generate_graph("gnm", 256, seed=0, m=m, weighted=True)
     cl = make_cluster(256, m)
     real_filter, real_sample = mst.f_light_filter, mst.kkt_sample
@@ -178,16 +178,17 @@ def test_sampling_leaves_each_edge_object_in_place(monkeypatch, m):
         return (None, total) if len(filtered) == 1 else (light, total)
 
     def sample(cluster, p, rep):
-        at_start.append(cluster.shards("E"))
+        at_start.append((cluster.batch("E"),
+                         [cluster.machines[i].state["E"] for i in cluster.small_ids]))
         return real_sample(cluster, p, rep)
 
     monkeypatch.setattr(mst, "f_light_filter", first_aborts)
     monkeypatch.setattr(mst, "kkt_sample", sample)
     mst.mst(cl, g)
-    first, second = at_start
-    assert all(a is b for a, b in zip(first, second))
+    (first, shards), (second, _) = at_start
+    assert first[0] is second[0] and first[1] is second[1]
     if m == 4096:
-        assert all(type(a) is Records and not a for a in first)
+        assert all(type(a) is Records and not a for a in shards)
     assert {key for i in cl.small_ids for key in cl.machines[i].state} == {"E"}
     rows = repr([(t.round, t.sent, t.received, t.resident, t.violations)
                  for t in cl.telemetry])
@@ -305,6 +306,18 @@ def _same(got, want):
     assert type(got) is type(want) and got == want
 
 
+def _per_segment(step, es, cut):
+    """The `Cluster.segmented` step `step` run once over the columns of
+    `es` cut at the ends `cut` (its nonempty segments are the machines),
+    split back into each machine's output."""
+    ends = [b for a, b in zip([0] + cut[:-1], cut) if b > a]
+    if not ends:
+        return []
+    out_cut, cols = step(np.array(ends), es.columns())
+    bounds = [0] + out_cut.tolist()
+    return [cols[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 @settings(max_examples=200, deadline=None)
 @given(edge_shards(), st.lists(st.integers(0, 4), min_size=5, max_size=5),
        st.data())
@@ -314,13 +327,19 @@ def test_mst_column_steps_match_the_reference(shards, rep, data):
         for es in _forms(shard):
             for side in (0, 1):
                 _same(mst._renamed(side)(es, got), mst_reference.rename_apply(side)(es, got))
-            _same(mst._drop_self_loops(0, es), mst_reference.drop_self_loops(0, es))
-        # the directed copies, in every form, and the per-source counts of
-        # the shard cut into machine segments (some empty), in one pass
-        for es in _forms(shard):
-            _same(primitives._directed_copies(0, es), mst_reference.copies(0, es))
+        # the self-loop filter and the directed copies, in every form, and
+        # the per-source counts, of the shard cut into machine segments
+        # (some empty), each in one pass
         n = len(shard)
         cut = sorted(data.draw(st.lists(st.integers(0, n), max_size=3))) + [n]
+        pieces = [shard[a:b] for a, b in zip([0] + cut[:-1], cut) if b > a]
+        for es in _forms(shard):
+            for step, ref in ((mst._drop_self_loops, mst_reference.drop_self_loops),
+                              (primitives._directed_copies, mst_reference.copies)):
+                outs = _per_segment(step, es, cut)
+                assert len(outs) == len(pieces)
+                for out, piece in zip(outs, pieces):
+                    _same(out, ref(0, Records(piece)))
         for es in _forms(shard) + _forms(sorted(shard)):
             starts = [0] + cut[:-1]
             assert primitives._counts_by_vertex(np.array(cut), es.columns()) == [
@@ -335,9 +354,11 @@ def test_mst_column_steps_match_the_reference(shards, rep, data):
         ordered = sorted(shard, key=lambda r: (mst_reference.pair_key(r), r))
         for es in _forms(shard):
             assert primitives._rank(es, mst._pair_key).tolist() == want
-        for es in _forms(ordered):
-            _same(mst._first_per_pair(es, prev),
-                  mst_reference.first_per_pair_step({7: prev})(7, es))
+        for es in _forms(ordered) if ordered else []:
+            (out,) = _per_segment(mst._first_per_pair([prev]), es, [n])
+            _same(out, mst_reference.first_per_pair_step({7: prev})(7, es))
+            assert mst._last_pairs(np.array([n]), es.columns()) == [
+                primitives._pair(*ordered[-1][:2])]
 
 
 @settings(max_examples=60, deadline=None)
@@ -348,18 +369,20 @@ def test_parallel_edge_filter_matches_the_reference(shards, m):
     records = [r for shard in shards for r in shard]
     assume(records)
     out = []
-    for sort, key, keep in (
-            (primitives.het_sort, mst._pair_key,
-             lambda pred: lambda i, es: mst._first_per_pair(es, pred.get(i))),
-            (sort_reference.het_sort, mst_reference.pair_key,
-             mst_reference.first_per_pair_step)):
+    for sort, key in ((primitives.het_sort, mst._pair_key),
+                      (sort_reference.het_sort, mst_reference.pair_key)):
         cl = make_cluster(16, m)  # K = m / 4 small machines
         distribute_edges(cl, records, placement="roundrobin")
         sort(cl, "E", key=key)
-        last = cl.local(lambda _, es: primitives._pair(es[-1][0], es[-1][1]) if es else None,
-                        "E")
-        pred = primitives.neighbor_shift(cl, last.get)
-        cl.local(keep(pred), "E", "E")
+        if sort is primitives.het_sort:
+            last = cl.segmented(mst._last_pairs, "E")
+            pred = primitives.neighbor_shift(cl, last.get)
+            cl.segmented(mst._first_per_pair([pred.get(i) for i in last]), "E", "E")
+        else:
+            last = cl.local(lambda _, es: primitives._pair(es[-1][0], es[-1][1])
+                            if es else None, "E")
+            pred = primitives.neighbor_shift(cl, last.get)
+            cl.local(mst_reference.first_per_pair_step(pred), "E", "E")
         out.append(([cl.machines[i].state["E"] for i in cl.small_ids],
                     [(t.sent, t.received, t.resident) for t in cl.telemetry]))
     assert out[0] == out[1]
@@ -387,10 +410,7 @@ def _local_on_every_machine(self, fn, key, out=None):
         value = results[i] = fn(i, self.machines[i].state.get(key, Records()))
         if out is None:
             continue
-        if value is None:
-            self.unload(out, [i])
-        else:
-            sort_reference.place(self, out, {i: value})
+        sort_reference.place(self, out, {i: value})
     return results
 
 

@@ -251,9 +251,12 @@ def test_sort_sends_records_in_total_order(records, which, m):
         for src, _, sample in slices_of(batch):
             assert len(sample) <= shard[src] and all(rec in held for rec in sample)
             assert cl.telemetry[r].sent[src] == 3 * len(sample) + 1
-    # the splitters broadcast down the tree are held records
+    # the splitters broadcast down the tree are held records, one Slices
+    # batch a level (the padding rounds send nothing)
     for r in range(1, bcast + 1):
-        for _, _, payload in rounds[r]:
+        batch = rounds[r]
+        assert type(batch) is Slices or batch == []
+        for _, _, payload in slices_of(batch) if batch else []:
             assert type(payload) is Records and all(rec in held for rec in payload)
     # each group leader sends its group's splitters, held records in
     # total order, to every other member of its group
@@ -271,40 +274,25 @@ def test_sort_sends_records_in_total_order(records, which, m):
         assert list(piece) == sorted(piece, key=lambda r: (order(r), r))
 
 
-def test_sort_routes_touch_only_busy_machines(monkeypatch):
-    # a route pops and stores, in bulk, only the machines that hold or
-    # receive records, and stores each shard as a view of one read-only
-    # matrix; an idle machine keeps its empty Records object
+def test_sort_routes_touch_only_busy_machines():
+    # a route re-cuts the key's one batch: only the machines that hold or
+    # receive records change resident words, and every machine's shard,
+    # an idle one's empty Records included, is a slice of the one stored
+    # read-only batch
     cl = make_cluster(m=400)  # K = 50
     distribute_edges(cl, [(3, 1), (2, 7), (5, 5)], placement="adversarial",
                      shard_size=1)
-    before = {i: cl.machines[i].state["E"] for i in cl.small_ids}
-    touched, stored = set(), []
-    unload, load = Cluster.unload, Cluster.load
-
-    def spy_unload(self, key, mids):
-        touched.update(mids)
-        return unload(self, key, mids)
-
-    def spy_load(self, key, mids, ordered, cut):
-        touched.update(mids)
-        load(self, key, mids, ordered, cut)
-        stored.extend(self.machines[i].state[key] for i in mids)
-
-    monkeypatch.setattr(Cluster, "unload", spy_unload)
-    monkeypatch.setattr(Cluster, "load", spy_load)
+    cl.empty_round()
     layout = primitives.het_sort(cl)
     assert gathered(cl) == [(2, 7), (3, 1), (5, 5)]
     holders = {i for i in cl.small_ids if layout.counts[i - 1]}
+    touched = set().union(*(t.changed for t in cl.telemetry[1:]))
     assert {1, 2, 3} | holders <= touched and len(touched) <= 9
-    for i in set(cl.small_ids) - touched:
-        assert cl.machines[i].state["E"] is before[i]
-        assert type(before[i]) is Records and not before[i]
-    # the shards the last route stored are views of one read-only matrix
-    final = [cl.machines[i].state["E"] for i in sorted(holders)]
-    assert all(any(s is f for s in stored) for f in final)
-    bases = {id(f.columns().base) for f in final}
-    assert len(bases) == 1 and not final[0].columns().base.flags.writeable
+    records, cut = cl.batch("E")
+    for i in cl.small_ids:
+        shard = cl.machines[i].state["E"]
+        assert type(shard) is Records and shard == records[cut[i - 1]:cut[i]]
+    assert not records.columns().flags.writeable
 
 
 def test_sort_walks_records_with_other_fields():

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetmpc import mst, simcore
+from hetmpc import mst, primitives, simcore
 from hetmpc.graphio import generate_graph
 from hetmpc.labels import FlowLabel
 from hetmpc.simcore import (
     LARGE,
     SEGMENT_RECORDS,
     BudgetError,
+    CapacityError,
     Cluster,
     ClusterConfig,
     ConfigError,
@@ -307,8 +308,8 @@ def test_resident_words_follow_load_and_unload():
         lambda: place(cl, "X", {1: [(4, "ab")]}),  # a str field: walked
         lambda: place(cl, "E", dict.fromkeys((1, 2), edge + [(7, 8, 9)])),
         lambda: place(cl, "E", {1: edge + [(7, 8, 9)]}),  # same words again
-        lambda: cl.unload("X", [1]),
-        lambda: cl.unload("missing", [1]),
+        lambda: place(cl, "X", {1: None}),
+        lambda: place(cl, "missing", {1: None}),
         lambda: cl.local(lambda i, es: [(Packed(0, bits=40, word_bits=4), None, "s")],
                          "E", "P"),
         lambda: (place(cl, "E", {1: []}), cl.local(lambda i, es: es, "E", "P")),
@@ -340,9 +341,23 @@ def _batch(key, value):
     return Records([(x, other(j, x)) for j, x in enumerate(value)])
 
 
+def _sortable(key, value, mid):
+    """Records (x, mid, j, field) of the ints x of `value`, the field as
+    in `_batch`: (x, mid, j) differs between any two of them, so a sort
+    never compares the fields."""
+    return Records([(x, mid, j, r[1]) for j, (x, r) in enumerate(zip(value, _batch(key, value)))])
+
+
+def _every_other(cut, cols):
+    """A segmented step that stores every other record of each machine."""
+    keep = np.arange(len(cols)) % 2 == 0
+    return np.cumsum(keep)[cut - 1], cols[keep]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(["store", "pop", "transient", "local",
-                                           "unload", "load", "barrier"]),
+                                           "unload", "load", "segmented", "sort",
+                                           "place", "barrier"]),
                           st.integers(1, 4), st.sampled_from("ABC"),
                           st.lists(st.integers(), max_size=8)),
                 max_size=30),
@@ -355,46 +370,68 @@ def test_resident_words_match_fresh_walk(ops, tiny, rnd):
                         polylog_e=1 if tiny else 2)
     cl = init_cluster(cfg, strict=False)
     snapshots, read = [], []  # each row's fresh walk, and its table as read
-    for op, mid, key, value in ops:
-        # small machine mid stores, or pops, Records of its own (see
-        # _batch: their fields are walked under keys B and C)
-        if op == "store":
-            place(cl, key, {mid: _batch(key, value)})
-        elif op == "pop":
-            cl.unload(key, [mid])
-        elif op == "transient":  # store and pop one key between barriers
-            place(cl, "T", {mid: _batch(key, value)})
-            cl.unload("T", [mid])
-        elif op == "local":
-            # small machine mid pops key, the other odd ones store their
-            # records and a copy of the first, and the even ones store
-            # the ints of value as records of one field
-            cl.local(lambda i, recs: None if i == mid else
-                     list(recs) + [recs[0]] if i % 2 else [(x,) for x in value],
-                     key, key)
-        elif op == "unload":  # small machines 1..mid+1 pop key in bulk
-            cl.unload(key, range(1, mid + 2))
-        elif op == "load":
-            # small machines 1..mid+1 store consecutive pairs of records in
-            # bulk: slices of Records built from tuples (key A), of Records
-            # that end in a record with a str (key B), or of Records built
-            # from columns (key C)
-            recs = [(x, j) for j, x in enumerate(value)]
-            ordered = {"A": Records(recs), "B": Records(recs + [(0, "s")]),
-                       "C": Records(recs).take(np.arange(len(recs)))}[key]
-            cut = [min(2 * i, len(ordered)) for i in range(len(cl.small_ids) + 1)]
-            cl.load(key, range(1, mid + 2), ordered, cut)
-        cl.empty_round()
+    deliver = cl.round
+
+    def checked(sends):
+        # after every round, the het_sort rounds among them: its row reads
+        # as a fresh walk of every machine's state
+        inbox = deliver(sends)
         fresh = {m: sum(payload_words(v) for v in mm.state.values())
                  for m, mm in cl.machines.items()}
         snapshots.append(fresh)
         row = cl.telemetry[-1]
         read.append(row.resident)
         assert row.resident == fresh and list(row.resident) == sorted(fresh)
-        assert row.violations == [(m, "StateBudget") for m in sorted(fresh)
-                                  if fresh[m] > cl.machines[m].budget]
+        assert [v for v in row.violations if v[1] == "StateBudget"] == [
+            (m, "StateBudget") for m in sorted(fresh) if fresh[m] > cl.machines[m].budget]
+        return inbox
+
+    cl.round = checked
+    for op, mid, key, value in ops:
+        # small machine mid stores, or pops, Records of its own (see
+        # _batch: their fields are walked under keys B and C)
+        if op == "store":
+            place(cl, key, {mid: _batch(key, value)})
+        elif op == "pop":
+            place(cl, key, {mid: None})
+        elif op == "transient":  # store and pop one key between barriers
+            place(cl, "T", {mid: _batch(key, value)})
+            place(cl, "T", {mid: None})
+        elif op == "local":
+            # small machine mid pops key, the other odd ones store their
+            # records and a copy of the first, and the even ones store
+            # the ints of value as records of two fields
+            cl.local(lambda i, recs: None if i == mid else
+                     list(recs) + [recs[0]] if i % 2 else [(x, i) for x in value],
+                     key, key)
+        elif op == "unload":  # small machines 1..mid+1 pop key
+            place(cl, key, dict.fromkeys(range(1, mid + 2)))
+        elif op == "load":
+            # the small machines store key in one batch, machines 1..mid+1
+            # consecutive pairs of its records: Records built from tuples
+            # (key A), Records that end in a record with a str (key B), or
+            # Records selected from columns (key C)
+            recs = [(x, j) for j, x in enumerate(value)]
+            ordered = {"A": Records(recs), "B": Records(recs + [(0, "s")]),
+                       "C": Records(recs).take(np.arange(len(recs)))}[key]
+            cl.store(key, ordered, [min(2 * min(i, mid + 1), len(ordered))
+                                    for i in range(len(cl.small_ids) + 1)])
+        elif op == "segmented":  # every other record of key, stored under S
+            cl.segmented(_every_other, key, "S")
+        elif op == "sort":
+            # machine mid alone holds records under R (their fields as
+            # under key), and het_sort routes them over every machine
+            cl.drop("R")
+            place(cl, "R", {mid: _sortable(key, value, mid)})
+            primitives.het_sort(cl, "R")
+        elif op == "place":  # the edges (x, field) placed afresh under E
+            try:
+                distribute_edges(cl, list(_batch(key, value)), placement="roundrobin")
+            except CapacityError:  # a shard over budget: nothing is stored
+                pass
+        cl.empty_round()
         if op == "transient" and len(cl.telemetry) > 1:
-            assert row.resident == cl.telemetry[-2].resident
+            assert cl.telemetry[-1].resident == cl.telemetry[-2].resident
     # rows read in any order, and again after later rounds, read as their
     # fresh walks did; a table read earlier is not changed by later reads
     order = list(range(len(cl.telemetry)))
@@ -424,7 +461,7 @@ def test_local_step():
         if i == 2:
             return None  # pops the key
         if i == 3:
-            return [r + (label,) for r in recs]  # carries a label: walked
+            return [r[:1] + (label,) for r in recs]  # carries a label: walked
         return np.array([[i, i]])  # int64 columns: stored as Records
 
     got = cl.local(fn, "E", "E")
@@ -434,7 +471,7 @@ def test_local_step():
     stored = {i: m.state.get("E") for i, m in cl.machines.items()}
     assert type(stored[1]) is Records and stored[1] == ((1, 5), (1, 6))
     assert "E" not in cl.machines[2].state
-    assert type(stored[3]) is Records and stored[3] == ((3, 4, label),)
+    assert type(stored[3]) is Records and stored[3] == ((3, label),)
     assert type(stored[4]) is Records and stored[4] == ((4, 4),)
     # an idle machine keeps what it stores under the key when out is key
     assert [type(stored[i]) for i in (5, 6)] == [Records, Records]
@@ -442,7 +479,8 @@ def test_local_step():
     cl.empty_round()
     assert cl.telemetry[-1].resident[1] == 4
     assert cl.telemetry[-1].resident[2] == 0
-    assert cl.telemetry[-1].resident[3] == 2 + 2  # the label's words too
+    labelled = 1 + payload_words(label)  # the label's words too
+    assert cl.telemetry[-1].resident[3] == labelled
     # without an output key nothing is stored; only busy machines report
     assert cl.local(lambda i, recs: len(recs), "E") == {1: 2, 3: 1, 4: 1}
     # with another output key, an idle machine's output is popped
@@ -452,7 +490,7 @@ def test_local_step():
     assert [i for i, _ in calls] == [1, 3, 4] and list(got) == [1, 3, 4]
     assert [i for i in cl.small_ids if "X" in cl.machines[i].state] == [1, 3, 4]
     cl.empty_round()
-    assert cl.telemetry[-1].changed == {1: 8, 3: 4 + 6, 4: 4, 5: 0, 7: 0, 8: 0}
+    assert cl.telemetry[-1].changed == {1: 8, 3: 2 * labelled, 4: 4, 5: 0, 7: 0, 8: 0}
 
 
 def test_segmented_step_groups_busy_machines():
@@ -474,9 +512,8 @@ def test_segmented_step_groups_busy_machines():
     got = cl.segmented(fn, "E")
     assert calls == [[3, SEGMENT_RECORDS], [10], [SEGMENT_RECORDS + 1], [1]]
     assert got == {i: {i, k} for i, k in sizes.items() if k}
-    place(cl, "E", {5: np.array([[1, 2, 3]])})
-    with pytest.raises(ValueError):  # one arity a group
-        cl.segmented(fn, "E")
+    with pytest.raises(ValueError):  # one arity a key
+        place(cl, "E", {5: np.array([[1, 2, 3]])})
     assert cl.segmented(fn, "X") == {}
 
 
@@ -630,6 +667,15 @@ def _by_machine_reference(mids, words):
     seen, first = np.unique(mids, return_index=True)
     seen = seen[np.argsort(first)].tolist()
     return dict(zip(seen, total[seen].tolist()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 6), max_size=40), st.sampled_from([1, 2**40, 2**59]))
+def test_stable_order_matches_stable_argsort(keys, scale):
+    # small keys take the one plain sort of key * n + position; keys of
+    # 2^59 and more overflow that and take the stable argsort
+    key = np.array(keys, np.int64) * scale
+    assert simcore._stable_order(key).tolist() == np.argsort(key, kind="stable").tolist()
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,5 +1,5 @@
-"""The three machine-tree walks that `primitives._down` and the index-keyed
-`primitives.aggregate` replaced, kept verbatim as the reference the shared
+"""The three machine-tree walks that the index-keyed walks of
+`primitives.tree_broadcast`, `disseminate` and `aggregate` replaced, kept verbatim as the reference the shared
 walk is compared with: `tree_broadcast` with its own level loop and
 `_children`, `disseminate` with `(level, idx)`-keyed ranges and payloads,
 and `aggregate` with a `(level, idx)`-keyed node dict and `parent_rep`."""
