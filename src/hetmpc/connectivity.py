@@ -322,7 +322,7 @@ def sketch_build(cluster: Cluster, keys: SketchKeys, table: CoordTable,
     order.  The default part is the source vertex.
     Returns {part: SketchPartial}.
     """
-    primitives.tree_broadcast(cluster, keys)
+    primitives.tree_broadcast(cluster, [(keys,)])
     primitives.arrange_nodes(cluster, state_key, key=key)
     leaves = cluster.segmented(
         lambda cut, cols: _leaf_partials(table, cut, cols, part_cols(cols)),

@@ -67,11 +67,11 @@ def phase1_low_degree(cluster: Cluster, state: MatchingState):
     """Maximal matching of the low-degree induced subgraph, found by the
     small machines alone (default plug-in: round-synchronous randomized
     proposals; each free vertex flips proposer/acceptor, proposers pick a
-    random free neighbor, acceptors take the smallest proposal)."""
+    random free neighbor, acceptors take the smallest proposal).  Every
+    round's messages are int records of one or two fields."""
     v_low = state.v_low
     # route every low-low edge to both endpoint owners
     sends = []
-    adj_of = {}
     for mid in cluster.small_ids:
         buckets = {}
         for e in cluster.machines[mid].state.get("E") or []:
@@ -81,16 +81,18 @@ def phase1_low_degree(cluster: Cluster, state: MatchingState):
                     buckets.setdefault(_owner(cluster, w), []).append((u, v))
         for dst, recs in buckets.items():
             sends.append((mid, dst, recs))
-    inbox = cluster.round(sends)
+    primitives.send_rows(cluster, sends)
+    # each owner reads the records it got in sender order: the sends
+    # ascend by sender
+    adj_of = {mid: {} for mid in cluster.small_ids}
+    for _, mid, recs in sends:
+        adj = adj_of[mid]
+        for u, v in recs:
+            for a, b in ((u, v), (v, u)):
+                if _owner(cluster, a) == mid:
+                    adj.setdefault(a, set()).add(b)
     pairs, cut = [], [0]
-    for mid in cluster.small_ids:
-        adj = {}
-        for _, recs in inbox.get(mid, []):
-            for u, v in recs:
-                for a, b in ((u, v), (v, u)):
-                    if _owner(cluster, a) == mid:
-                        adj.setdefault(a, set()).add(b)
-        adj_of[mid] = adj
+    for adj in adj_of.values():
         pairs += sorted((a, b) for a, nbrs in adj.items() for b in nbrs)
         cut.append(len(pairs))
     # each owner stores its sorted adjacency pairs
@@ -135,11 +137,10 @@ def phase1_low_degree(cluster: Cluster, state: MatchingState):
                 buckets.setdefault(_owner(cluster, u), []).append((v, u))
             for dst, recs in buckets.items():
                 sends.append((mid, dst, recs))
-        inbox = cluster.round(sends)
-        for mid in cluster.small_ids:
-            for _, recs in inbox.get(mid, []):
-                for v, u in recs:
-                    proposals.setdefault(u, []).append(v)
+        primitives.send_rows(cluster, sends)
+        for _, _, recs in sends:
+            for v, u in recs:
+                proposals.setdefault(u, []).append(v)
 
         # round B: free acceptors take their smallest proposer and notify
         sends = []
@@ -155,8 +156,8 @@ def phase1_low_degree(cluster: Cluster, state: MatchingState):
             matched.add(u)
             matched.add(v)
             new_pairs.append(_pair(u, v))
-            sends.append((_owner(cluster, u), _owner(cluster, v), (u, v)))
-        cluster.round(sends)
+            sends.append((_owner(cluster, u), _owner(cluster, v), [(u, v)]))
+        primitives.send_rows(cluster, sends)
 
         # round C: owners of newly matched vertices tell their neighbors'
         # owners, keeping the believed-free views current
@@ -169,15 +170,13 @@ def phase1_low_degree(cluster: Cluster, state: MatchingState):
                     buckets.setdefault(_owner(cluster, nb), []).append((w,))
                 for dst, recs in buckets.items():
                     sends.append((own, dst, recs))
-        cluster.round(sends)
+        primitives.send_rows(cluster, sends)
         m1.extend(new_pairs)
 
     cluster.drop("P")
     # ship M1 to the large machine
     shard = sorted(m1)
-    cluster.round(
-        [(_owner(cluster, e[0]), LARGE, e) for e in shard] if shard else []
-    )
+    primitives.send_rows(cluster, [(_owner(cluster, e[0]), LARGE, [e]) for e in shard])
     state.m1 = shard
     return shard
 

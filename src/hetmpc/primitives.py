@@ -14,13 +14,14 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
-from .simcore import (LARGE, Cluster, Slices, _stable_order, as_records,
-                      global_tree_depth, payload_words)
+from .simcore import (LARGE, Cluster, Records, Slices, _stable_order, as_records,
+                      global_tree_depth)
 
 
 def _pair(a, b):
@@ -62,6 +63,17 @@ def branching(cluster: Cluster) -> int:
     return cluster.config.branching
 
 
+def send_rows(cluster: Cluster, sends, header=0):
+    """One round of the (src, dst, rows) triples `sends`, in send order,
+    each `rows` a list of records (one arity over all the sends): one
+    `Slices` batch, a send a slice after its `header` words (see
+    `Slices`)."""
+    src, dst, rows = zip(*sends) if sends else ((), (), ())
+    cluster.round(Slices(Records(chain.from_iterable(rows)), np.array(src, np.int64),
+                         np.array(dst, np.int64), np.array(list(map(len, rows)), np.int64),
+                         np.array(header, np.int64)))
+
+
 # ---------------------------------------------------------------------------
 # machine trees
 
@@ -80,23 +92,18 @@ def _widths(K, b):
 
 
 def tree_broadcast(cluster: Cluster, value):
-    """Large machine sends `value` to every small machine down the global
-    tree (value is known host-side, traffic is metered).  A level's sends,
-    one a tree edge (see `_widths`), are one round: a record batch as one
-    `Slices` batch, each send all of it, else a list of the one object."""
+    """Large machine sends the record batch `value` (see `as_records`) to
+    every small machine down the global tree (value is known host-side,
+    traffic is metered).  A level's sends, one a tree edge (see
+    `_widths`), are one `Slices` batch, each send all of `value`."""
     start = cluster.rounds_used
     b = branching(cluster)
     widths = _widths(len(cluster.small_ids), b)
-    try:
-        recs = as_records(value)
-    except TypeError:
-        recs = None
+    value = as_records(value)
+    n = len(value)
 
     def sends(src, dst):
-        if recs is None:
-            return [(s, d, value) for s, d in zip(src.tolist(), dst.tolist())]
-        n = len(recs)
-        return Slices(recs.take(np.tile(np.arange(n), len(src))), src, dst,
+        return Slices(value.take(np.tile(np.arange(n), len(src))), src, dst,
                       np.full(len(src), n))
 
     cluster.round(sends(np.array([LARGE]), np.array([1])))
@@ -116,7 +123,7 @@ def tree_broadcast(cluster: Cluster, value):
 class SortedLayout:
     counts: list  # per small machine (index 0 = machine 1)
     boundaries: list  # per machine: (first record, last record) or None
-    extras: list  # per machine summarize() payloads (or None)
+    extras: list  # per machine summarize() Records (or None)
 
     def ranges(self, side) -> dict:
         """{machine index: (first r[side], last r[side])} over the machines
@@ -270,11 +277,11 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
     r), or a column key: a function that maps the (len, arity) columns of
     Records to the columns of their keys (one key row per record), for
     the order (key row, r).  Samples, splitters and summary boundaries
-    travel as bare records.  `summarize(cut, columns)` may attach a
-    payload to each machine's summary message to the large machine: it
+    travel as bare records.  `summarize(cut, columns)` may attach
+    Records to each machine's summary message to the large machine: it
     gets the columns of every sorted shard joined, machine j holding
     `columns[cut[j-1]:cut[j]]` (from 0 for j = 0), and returns one
-    payload per machine, an idle one's included.
+    Records per machine, an idle one's included.
 
     The host ranks every record once in that order (`_rank`), and each
     comparison a machine makes between records it holds or received is a
@@ -285,7 +292,7 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
     splitters, the two routing rounds and the summary each send one
     `Slices` batch; a sample send carries one header word, the count of
     its sender's records, and a summary send that word and the words of
-    its summarize payload.  What is sent is a selection of the key's one
+    its summarize Records.  What is sent is a selection of the key's one
     batch (gathered only when read); a route, which moves every record,
     drops the key before its round and stores the re-cut batch after it.
     """
@@ -368,7 +375,7 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
 
     # the summary: each machine sends the large machine its count (a
     # header word), its first and last records if it holds any, and its
-    # summarize payload
+    # summarize Records
     counts = np.diff(layout.bounds)
     full = np.flatnonzero(counts)
     ends = recs.take(layout.rec[np.column_stack((layout.bounds[full],
@@ -377,7 +384,7 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
     extras = [None] * K
     if summarize is not None:
         extras = summarize(layout.bounds[1:], layout.ordered.columns())
-        header += [payload_words(x) for x in extras]
+        header += [x.words() for x in extras]
     cluster.round(Slices(ends, ids, np.full(K, LARGE), 2 * (counts > 0), header))
     boundaries = [None] * K
     pairs = iter(ends)
@@ -390,6 +397,13 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
 
 # ---------------------------------------------------------------------------
 # aggregation
+
+
+def _row(part, value):
+    """A {part: value} item as one record: the part's fields, then the
+    value's (a tuple is its fields, any other value one field)."""
+    return ((part if type(part) is tuple else (part,))
+            + (value if type(value) is tuple else (value,)))
 
 
 def aggregate(cluster: Cluster, leaves, reduce_fn):
@@ -419,10 +433,14 @@ def aggregate(cluster: Cluster, leaves, reduce_fn):
         return {p: v for p, v in reduced.items() if p == lo or p == hi}
 
     def collect(sends):
-        inbox = cluster.round(sends)
-        for _, payload in inbox.get(LARGE, []):
-            for p, v in payload.items():
-                results.setdefault(p, []).append(v)
+        # a level's dicts travel as rows (see `_row`); the large machine
+        # reads the dicts it got in sender order
+        send_rows(cluster, [(src, dst, [_row(p, v) for p, v in payload.items()])
+                            for src, dst, payload in sends])
+        for _, dst, payload in sorted(sends, key=itemgetter(0)):
+            if dst == LARGE:
+                for p, v in payload.items():
+                    results.setdefault(p, []).append(v)
 
     # each node's partials on the current level, by index (see `_widths`)
     row = [leaves.get(i, {}) for i in cluster.small_ids]
@@ -480,42 +498,54 @@ def disseminate(cluster: Cluster, values: dict, machine_ranges: dict):
     The values walk down the global tree (charge tree_rounds; nodes as in
     `_widths`).  A node keeps the parts from the first of the first busy
     machine under it to the last of the last (the ranges nest); one with
-    none ends the walk below it.
+    none ends the walk below it.  The parts' rows (see `_row`) are sorted
+    once, and each send is a selection of its node's run of them.
     """
     start = cluster.rounds_used
     busy = sorted(machine_ranges)
     parts = sorted(values)
     vals = [values[p] for p in parts]
+    rows = Records(map(_row, parts, vals))
     b = branching(cluster)
     widths = _widths(len(cluster.small_ids), b)
 
     def narrow(level, idx):
+        # the run parts[a:z] that a node keeps, as (a, z), or None
         span = b ** level  # machines idx * span + 1 ... (idx + 1) * span
         i, j = bisect_right(busy, idx * span), bisect_right(busy, (idx + 1) * span)
         if i == j:
             return None
         lo, hi = machine_ranges[busy[i]][0], machine_ranges[busy[j - 1]][1]
         a, z = bisect_left(parts, lo), bisect_right(parts, hi)
-        return dict(zip(parts[a:z], vals[a:z])) if a < z else None
+        return (a, z) if a < z else None
+
+    def send(sends):
+        # one round of (src, dst, run) sends
+        src, dst, runs = zip(*sends) if sends else ((), (), ())
+        a, z = np.array(runs, np.int64).reshape(-1, 2).T
+        count = z - a
+        at = np.repeat(a - (np.cumsum(count) - count), count) + np.arange(int(count.sum()))
+        cluster.round(Slices(rows.take(at), np.array(src, np.int64),
+                             np.array(dst, np.int64), count))
 
     top = narrow(len(widths) - 1, 0)
-    cluster.round([] if top is None else [(LARGE, 1, top)])
-    held = {} if top is None else {0: top}  # node index -> payload
+    held = {} if top is None else {0: top}  # node index -> its run
+    send([(LARGE, 1, top)] if held else [])
     for level in range(len(widths) - 1, 0, -1):
         step = b ** (level - 1)  # machines under a node of level - 1
         sends, nxt = [], {}
         for first in (idx * b for idx in held):
             for c in range(first, min(first + b, widths[level - 1])):
-                sub = narrow(level - 1, c)
-                if sub is None:
+                run = narrow(level - 1, c)
+                if run is None:
                     continue
-                nxt[c] = sub
+                nxt[c] = run
                 if c != first:
-                    sends.append((first * step + 1, c * step + 1, sub))
-        cluster.round(sends)
+                    sends.append((first * step + 1, c * step + 1, run))
+        send(sends)
         held = nxt
     _pad(cluster, start, tree_rounds(cluster.config.gamma))
-    return {idx + 1: sub for idx, sub in held.items()}
+    return {idx + 1: dict(zip(parts[a:z], vals[a:z])) for idx, (a, z) in held.items()}
 
 
 def deliver_by_endpoint(cluster: Cluster, state_key, values: dict, side, apply):
@@ -570,14 +600,14 @@ def _runs(src, cut):
 
 
 def _counts_by_vertex(cut, cols):
-    """`het_sort`'s summarize of sorted shards: for each machine, the
-    (source, count) of each run of one source in its segment of `cols`,
-    in one run-length pass over the source column."""
+    """`het_sort`'s summarize of sorted shards: for each machine, Records
+    of the (source, count) of each run of one source in its segment of
+    `cols`, in one run-length pass over the source column."""
     if not len(cols):
-        return [[] for _ in cut]
+        return [Records()] * len(cut)
     src = cols[:, 0]
     first = _runs(src, cut)
-    runs = list(zip(src[first].tolist(), np.diff(first, append=len(src)).tolist()))
+    runs = Records(zip(src[first].tolist(), np.diff(first, append=len(src)).tolist()))
     ends = np.searchsorted(first, cut).tolist()  # runs before each segment end
     return [runs[a:b] for a, b in zip([0] + ends, ends)]
 
@@ -621,7 +651,7 @@ def query_k_lightest(cluster: Cluster, arranged: Arranged, k_of: dict) -> dict:
             take = min(left, cnt)
             plans.setdefault(mi, []).append((v, take))
             left -= take
-    cluster.round([(LARGE, mi, qs) for mi, qs in plans.items()])
+    send_rows(cluster, [(LARGE, mi, qs) for mi, qs in plans.items()])
 
     mids = list(plans)
     recs, cut = cluster.batch("D")
@@ -654,23 +684,25 @@ def query_k_lightest(cluster: Cluster, arranged: Arranged, k_of: dict) -> dict:
 
 
 def gather_to_large(cluster: Cluster, state_key):
-    """Each small machine ships its stored items to the large machine in
-    one round; returns the combined list."""
-    held = cluster.local(lambda _, items: items, state_key)
-    inbox = cluster.round([(i, LARGE, items) for i, items in held.items() if items])
-    out = []
-    for _, items in inbox.get(LARGE, []):
-        out.extend(items)
-    return out
+    """Each small machine that stores records under state_key ships them,
+    its slice of the key's batch, to the large machine in one round;
+    returns the combined list, in machine order."""
+    recs, cut = cluster.batch(state_key)
+    size = np.diff(cut)
+    busy = np.flatnonzero(size)
+    cluster.round(Slices(recs, busy + 1, np.full(len(busy), LARGE), size[busy]))
+    return list(recs)
 
 
 def count_records(cluster: Cluster, state_key):
     """Each small machine reports how many records it stores under
-    state_key to the large machine in one round; returns the total."""
-    counts = cluster.segmented(lambda cut, _: np.diff(cut, prepend=0).tolist(),
-                               state_key)
-    inbox = cluster.round([(i, LARGE, counts.get(i, 0)) for i in cluster.small_ids])
-    return sum(c for _, c in inbox.get(LARGE, []))
+    state_key (the diff of the key's cut) to the large machine in one
+    round, a header word each; returns the total, the batch's length."""
+    recs, _ = cluster.batch(state_key)
+    K = len(cluster.small_ids)
+    cluster.round(Slices(Records(), np.arange(1, K + 1), np.full(K, LARGE),
+                         np.zeros(K, np.int64), header=1))
+    return len(recs)
 
 
 def gather_if_fits(cluster: Cluster, state_key, cap):
@@ -685,21 +717,16 @@ def gather_if_fits(cluster: Cluster, state_key, cap):
 
 
 def neighbor_shift(cluster: Cluster, payload_fn):
-    """Each machine sends payload_fn(machine index) to its successor; one
-    round; returns {machine index: payload from predecessor}."""
+    """Each machine sends the record payload_fn(machine index) (None:
+    nothing) to its successor; one round; returns {machine index: record
+    from predecessor}."""
     sends = []
-    K = len(cluster.small_ids)
-    for i in range(1, K):
+    for i in range(1, len(cluster.small_ids)):
         p = payload_fn(i)
         if p is not None:
-            sends.append((i, i + 1, p))
-    inbox = cluster.round(sends)
-    out = {}
-    for i in range(2, K + 1):
-        got = inbox.get(i, [])
-        if got:
-            out[i] = got[0][1]
-    return out
+            sends.append((i, i + 1, [p]))
+    send_rows(cluster, sends)
+    return {dst: rows[0] for _, dst, rows in sends}
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import itemgetter
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -160,7 +159,7 @@ class Records:
     have one length, and raises TypeError otherwise.  An all-int batch
     (every field an int; a bool or a float is not) is charged `len *
     arity` words without a walk; any other (flow labels, strings) is
-    charged the walked words of its fields.
+    charged the `payload_words` of each of its fields.
 
     A batch has two forms, each built from the other when first asked
     for, and then kept: the tuple of its records, which iteration,
@@ -217,7 +216,7 @@ class Records:
 
     def words(self) -> int:
         if not self._flat:
-            return payload_words(self._rows())
+            return int(_row_words(self.columns()).sum())
         t, c = self._tuples, self._cols
         if t is not None:
             return len(t) * len(t[0]) if t else 0
@@ -304,46 +303,34 @@ def as_records(value) -> Records:
     raise TypeError(f"{t.__name__} is not a record batch")
 
 
-def payload_words(obj) -> int:
-    """Number of words a payload occupies when serialized.
-
-    Integers, identifiers, weights and ranks are one word each; an edge
-    record (tuple of three ints) is three words.  Floats are rejected:
-    all metered data is integral.  An all-int Records batch is charged
-    `len * arity` without a walk; every other payload (Records with other
-    fields, such as flow labels, lists and tuples, dicts, Packed) is
-    walked.
+def payload_words(field) -> int:
+    """Words of one field of a record: an int (a bool among them), a str
+    or None is one word, and any other value (Packed, Records, sketch
+    keys and partials, flow labels) its `words()`.  A value without
+    `words()`, a float or a nested tuple say, is unmeterable: TypeError.
     """
-    if type(obj) is Records:
-        return obj.words()
-    if isinstance(obj, (tuple, list)):
-        # Fast path for the common flat shapes: plain ints and tuples of
-        # plain ints are counted in this loop; anything else recurses.
-        total = 0
-        for x in obj:
-            t = type(x)
-            if t is int:
-                total += 1
-            elif t is tuple and _INT_ONLY.issuperset(map(type, x)):
-                total += len(x)
-            else:
-                total += payload_words(x)
-        return total
-    if isinstance(obj, int) or obj is None or isinstance(obj, str):
+    if isinstance(field, (int, str)) or field is None:
         return 1
-    if isinstance(obj, dict):
-        if _INT_ONLY.issuperset(map(type, obj)) and _INT_ONLY.issuperset(
-                map(type, obj.values())):
-            return 2 * len(obj)  # plain int keys and values: a word each
-        return sum(payload_words(k) + payload_words(v) for k, v in obj.items())
-    w = getattr(obj, "words", None)
-    if w is not None:
-        return w() if callable(w) else int(w)
-    raise TypeError(f"unmeterable payload of type {type(obj).__name__}")
+    w = getattr(field, "words", None)
+    if w is None:
+        raise TypeError(f"unmeterable field of type {type(field).__name__}")
+    return w()
+
+
+def _row_words(cols) -> np.ndarray:
+    """The words of each record of the (len, arity) columns `cols`: the
+    sum of its fields' `payload_words`, a column of ints one word a row."""
+    per = np.zeros(len(cols), np.int64)
+    for col in cols.T.tolist():
+        if _INT_ONLY.issuperset(map(type, col)):
+            per += 1
+        else:
+            per += np.fromiter(map(payload_words, col), np.int64, len(col))
+    return per
 
 
 class Slices:
-    """A columnar batch of record-slice sends for `Cluster.round`.
+    """One round's sends for `Cluster.round`, the one send form.
 
     Send j moves the next `count[j]` records of `records` (the sends take
     consecutive slices that cover `records` in order) from machine
@@ -351,8 +338,8 @@ class Slices:
     count, say): one number for every send, or an array of one per send.
     The barrier charges each send its header plus the words of its slice
     of `records` (Records): `count × arity` when they are all-int, else
-    each record's walked words.  The slices are not put into the inbox:
-    the caller moves the records it sent.
+    the words of each record's fields.  Nothing is delivered: each
+    receiver reads, in sender order, values its caller holds.
     """
 
     __slots__ = ("records", "src", "dst", "count", "header")
@@ -382,11 +369,15 @@ def _slice_words(recs, count):
     if recs._pick is not None:
         base, idx = recs._pick
         seen, inv = np.unique(idx, return_inverse=True)
-        rows = base[seen].tolist()
+        cols = base[seen]
     else:
-        rows, inv = recs._rows(), slice(None)
-    per = np.fromiter(map(payload_words, rows), np.int64, len(rows))[inv]
+        cols, inv = recs.columns(), slice(None)
+    per = _row_words(cols)[inv]
     return np.diff(np.concatenate(([0], np.cumsum(per)))[np.cumsum(count)], prepend=0)
+
+
+_NONE = np.zeros(0, np.int64)
+_NO_SENDS = Slices(_EMPTY, _NONE, _NONE, _NONE)
 
 
 def _stable_order(key):
@@ -480,8 +471,6 @@ class _Batch(NamedTuple):
     words: np.ndarray
 
 
-_SENDER = itemgetter(0)
-_NO_PAYLOAD = object()
 # The most records a `Cluster.segmented` group joins: a step's temporaries
 # grow with its group (one group of all machines raised a sketch run's
 # peak RSS by a quarter), and one call still serves many small machines.
@@ -497,10 +486,9 @@ class Cluster:
     of machines, so that a step vectorized over records pays its fixed
     cost once a group while its memory stays bounded.  `store`, `drop`
     and `batch` store, pop and read a whole key.  `round(sends)` runs one
-    communication round: it delivers the queued messages (canonically
-    ordered by sender then sequence number), meters per-machine traffic
-    and resident state, and records telemetry.  Budget violations raise
-    in strict mode and are only logged otherwise.
+    communication round of one `Slices` batch: it meters per-machine
+    traffic and resident state and records telemetry.  Budget violations
+    raise in strict mode and are only logged otherwise.
     """
 
     def __init__(self, config: ClusterConfig, strict: bool = True):
@@ -626,38 +614,14 @@ class Cluster:
             records = _of_columns(np.concatenate([c for _, c in got]), records._flat)
         self._store(out, records, np.cumsum(size), held)
 
-    def round(self, sends) -> dict:
-        """Deliver messages; returns {dst: [(src, payload), ...]}.
-
-        `sends` is a list of (src, dst, payload) triples in send order.
-        Consecutive sends of one payload object are metered once and each
-        is charged its words.  `sends` may instead be one `Slices` batch of
-        record slices, charged per sender and receiver in bulk and left out
-        of the inbox.
-        """
-        inbox = {}
-        if type(sends) is Slices:
-            src, sw, dst, dw = sends.charges()
-            sent = dict(zip(src.tolist(), sw.tolist()))
-            received = dict(zip(dst.tolist(), dw.tolist()))
-        else:
-            sent, received = {}, {}
-            last = _NO_PAYLOAD
-            for src, dst, payload in sends:
-                if payload is not last:  # a repeated payload is metered once
-                    w = payload_words(payload)
-                    last = payload
-                sent[src] = sent.get(src, 0) + w
-                received[dst] = received.get(dst, 0) + w
-                box = inbox.get(dst)
-                if box is None:
-                    inbox[dst] = [(src, payload)]
-                else:
-                    box.append((src, payload))
-            # stable: messages of one sender stay in send order
-            for box in inbox.values():
-                if len(box) > 1:
-                    box.sort(key=_SENDER)
+    def round(self, sends):
+        """One round of the `Slices` batch `sends` (any other value raises
+        TypeError), charged per sender and receiver in bulk."""
+        if type(sends) is not Slices:
+            raise TypeError(f"a round sends one Slices batch, not {type(sends).__name__}")
+        src, sw, dst, dw = sends.charges()
+        sent = dict(zip(src.tolist(), sw.tolist()))
+        received = dict(zip(dst.tolist(), dw.tolist()))
         budget = self._budget.tolist()
         violations = [(mid, "SendBudget") for mid, w in sent.items() if w > budget[mid]]
         violations += [(mid, "RecvBudget") for mid, w in received.items()
@@ -674,10 +638,9 @@ class Cluster:
                 "budget violations: "
                 + ", ".join(f"{machine_name(mid)}:{kind}" for mid, kind in violations)
             )
-        return inbox
 
     def empty_round(self):
-        return self.round([])
+        self.round(_NO_SENDS)
 
 
 def init_cluster(config: ClusterConfig, strict: bool = True) -> Cluster:
@@ -692,7 +655,7 @@ def distribute_edges(cluster: Cluster, edges, placement="seeded", shard_size=Non
     """
     K = len(cluster.small_ids)
     records = Records([tuple(e) for e in edges])
-    rec_words = payload_words(records)
+    rec_words = records.words()
     if rec_words > K * cluster.config.small_budget:
         raise CapacityError(
             f"{rec_words} edge words exceed aggregate small memory "

@@ -17,8 +17,8 @@ from operator import itemgetter, or_
 
 from . import primitives
 from .primitives import _pair
-from .simcore import (LARGE, Cluster, ConfigError, Packed, distribute_edges,
-                      seed_hash)
+from .simcore import (LARGE, Cluster, ConfigError, Packed, Records,
+                      distribute_edges, seed_hash)
 
 
 def _neighbor_or(cluster, masks, bits):
@@ -26,7 +26,7 @@ def _neighbor_or(cluster, masks, bits):
     vertex's neighbors over the directed edges under "D" (sorted by
     source); returns {vertex: OR of its neighbors' masks}."""
     wb = cluster.config.word_bits
-    primitives.tree_broadcast(cluster, Packed(masks, cluster.config.n * bits, wb))
+    primitives.tree_broadcast(cluster, [(Packed(masks, cluster.config.n * bits, wb),)])
 
     def or_all(ps):
         return Packed(reduce(or_, (p.value for p in ps)), bits, wb)
@@ -300,25 +300,28 @@ def _baswana_sen(cluster, state_key, a, k, groups):
         return g[0] if g else state_key
 
     def sample(i, recs):
-        payload = [r for r in recs if r[:a] not in groups]
+        # (the records shipped whole, the samples (group, j, r[a:]))
+        drawn = []
         for g, (p, _) in groups.items():
             rngm = cluster.rng("bs-sample", tag(g), i)
             mine = [r for r in recs if r[:a] == g]
             for j in range(1, k):
-                payload.extend(g + (j,) + r[a:] for r in mine if rngm.random() < p)
-        return payload
+                drawn.extend(g + (j,) + r[a:] for r in mine if rngm.random() < p)
+        return Records(r for r in recs if r[:a] not in groups), drawn
 
-    payloads = cluster.local(sample, state_key)
-    inbox = cluster.round([(i, LARGE, p) for i, p in payloads.items() if p])
+    # one send a machine that ships anything: the samples are its slice,
+    # and the records shipped whole, one field fewer, are in its header
+    sends = [(i, w, d) for i, (w, d) in cluster.local(sample, state_key).items()
+             if w or d]
+    primitives.send_rows(cluster, [(i, LARGE, d) for i, _, d in sends],
+                         [w.words() for _, w, _ in sends])
     samples = {g: [set() for _ in range(max(0, k - 1))] for g in groups}
     witness = {g: {} for g in groups}
     whole = []
-    for _, payload in inbox.get(LARGE, []):
-        for r in payload:
+    for _, w, drawn in sends:  # in sender order
+        whole.extend(w)
+        for r in drawn:
             g = r[:a]
-            if g not in groups:
-                whole.append(r)
-                continue
             pr = _pair(r[a + 1], r[a + 2])
             samples[g][r[a] - 1].add(pr)
             if pr not in witness[g] or r[a + 3:] < witness[g][pr]:

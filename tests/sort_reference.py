@@ -23,6 +23,8 @@ from hetmpc.primitives import (
 )
 from hetmpc.simcore import LARGE, Cluster, Records, _join, as_records
 
+from meter_reference import reference_round  # beside this file
+
 # the unchecked constructor this sort used is gone; the checked one builds
 # the same Records
 _trusted = Records
@@ -145,7 +147,7 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
     for i in cluster.small_ids:
         recs = store(i, cluster.machines[i].state.get(state_key) or [])
         sends.append((i, LARGE, [len(recs)] + _even_sample(recs, b)))
-    inbox = cluster.round(sends)
+    inbox = reference_round(cluster, sends)
 
     g = max(1, math.ceil(math.sqrt(K)))
     size = math.ceil(K / g)
@@ -160,7 +162,7 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
     sends = []
     for i in cluster.small_ids:
         route(sends, i, gsplit, [lo + i % (hi - lo + 1) for lo, hi in groups])
-    inbox = cluster.round(sends)
+    inbox = reference_round(cluster, sends)
     for i in cluster.small_ids:
         store(i, _join([batch for _, batch in inbox.get(i, [])]))
 
@@ -170,7 +172,7 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
         for i in range(lo, hi + 1):
             recs = shard[i]
             sends.append((i, lo, [len(recs)] + _even_sample(recs, 2 * (hi - lo + 1))))
-    inbox = cluster.round(sends)
+    inbox = reference_round(cluster, sends)
 
     leader_split = {}
     sends = []
@@ -180,13 +182,13 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
         split_recs = unkey(split)  # one object for the whole group
         for i in range(lo + 1, hi + 1):
             sends.append((lo, i, split_recs))
-    cluster.round(sends)
+    reference_round(cluster, sends)
 
     sends = []
     for lo, hi in groups:
         for i in range(lo, hi + 1):
             route(sends, i, leader_split[lo], range(lo, hi + 1))
-    inbox = cluster.round(sends)
+    inbox = reference_round(cluster, sends)
 
     sends = []
     for i in cluster.small_ids:
@@ -197,7 +199,7 @@ def het_sort(cluster: Cluster, state_key="E", key=None, summarize=None) -> Sorte
         if summarize is not None:
             payload.append(summarize(recs))
         sends.append((i, LARGE, payload))
-    inbox = cluster.round(sends)
+    inbox = reference_round(cluster, sends)
 
     counts, boundaries, extras = [0] * K, [None] * K, [None] * K
     for src, payload in inbox.get(LARGE, []):
@@ -227,7 +229,7 @@ def query_k_lightest(cluster: Cluster, arranged: Arranged, k_of: dict,
             take = min(left, cnt)
             plans.setdefault(mi, []).append((v, take))
             left -= take
-    cluster.round([(LARGE, mi, qs) for mi, qs in plans.items()])
+    reference_round(cluster, [(LARGE, mi, qs) for mi, qs in plans.items()])
 
     def reply(mi, shard):
         qs = plans.get(mi)
@@ -242,7 +244,7 @@ def query_k_lightest(cluster: Cluster, arranged: Arranged, k_of: dict,
         return out
 
     replies = cluster.local(reply, dst_key)
-    inbox = cluster.round([(mi, LARGE, replies.get(mi, [])) for mi in plans])
+    inbox = reference_round(cluster, [(mi, LARGE, replies.get(mi, [])) for mi in plans])
 
     collected = {}
     for _, reply in inbox.get(LARGE, []):

@@ -8,6 +8,8 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from hetmpc import connectivity as cn
 from hetmpc import matching, mst, oracles, spanner
 from hetmpc.cli import main as cli_main
@@ -16,6 +18,8 @@ from hetmpc.labels import flow_label_decode, flow_label_marker
 from hetmpc.simcore import (
     LARGE,
     ClusterConfig,
+    Records,
+    Slices,
     distribute_edges,
     init_cluster,
 )
@@ -294,7 +298,8 @@ def test_criterion_12_budget_soundness(capsys):
     # forced violation through the CLI -> nonzero exit
     cfg = ClusterConfig(n=16, m=64, gamma=0.5, polylog_c=1, polylog_e=1)
     cl = init_cluster(cfg, strict=False)
-    cl.round([(1, LARGE, tuple(range(cfg.small_budget + 1)))])
+    cl.round(Slices(Records([tuple(range(cfg.small_budget + 1))]), np.array([1]),
+                    np.array([LARGE]), np.array([1])))
     cl.empty_round()
     injected = [v for t in cl.telemetry for v in t.violations]
     code = cli_main(["run", "--algo", "mst", "--gen", "gnm", "--n", "64",

@@ -11,6 +11,8 @@ from hetmpc import connectivity, matching, mst, oracles, spanner
 from hetmpc.graphio import generate_graph
 from hetmpc.simcore import Cluster, ClusterConfig, distribute_edges, init_cluster
 
+from meter_reference import reference_charges  # beside this file
+
 # seed -> (words sent, max resident words) for mst on weighted G(256, 4096)
 MST_FINGERPRINT = {
     0: (655_651, 360),
@@ -257,3 +259,23 @@ ROW_RUNS = {
 @pytest.mark.parametrize("name", sorted(TELEMETRY_ROWS))
 def test_telemetry_rows(name):
     assert rows_sha256(ROW_RUNS[name]()) == TELEMETRY_ROWS[name]
+
+
+@pytest.mark.parametrize("name", sorted(ROW_RUNS))
+def test_barrier_charges_match_the_reference_meter(name, monkeypatch):
+    # every send of every round re-metered by the slow meter: its header
+    # plus the recursive walk of each record of its slice
+    real = Cluster.round
+    checked = []
+
+    def metered(self, sends):
+        want = reference_charges(sends)
+        real(self, sends)
+        t = self.telemetry[-1]
+        assert (list(t.sent.items()), list(t.received.items())) == tuple(
+            list(side.items()) for side in want)
+        checked.append(len(sends))
+
+    monkeypatch.setattr(Cluster, "round", metered)
+    cl = ROW_RUNS[name]()
+    assert len(checked) == cl.rounds_used and sum(checked) > 0

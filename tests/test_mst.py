@@ -19,10 +19,10 @@ from hetmpc.simcore import (
     as_records,
     distribute_edges,
     init_cluster,
-    payload_words,
 )
 
 import mst_reference  # the tuple steps, beside this file
+from meter_reference import reference_words  # beside this file
 import sort_reference  # the tuple sort, beside this file
 
 
@@ -244,7 +244,7 @@ def test_label_records_are_records_metered_as_walked(monkeypatch, m):
         for i in cluster.small_ids:
             state = cluster.machines[i].state
             assert type(state["F"]) is Records
-            assert resident[i] == sum(payload_words(list(v)) for v in state.values())
+            assert resident[i] == sum(reference_words(list(v)) for v in state.values())
         arities.append({len(r) for i in cluster.small_ids
                         for r in cluster.machines[i].state["F"]})
 
@@ -342,7 +342,9 @@ def test_mst_column_steps_match_the_reference(shards, rep, data):
                     _same(out, ref(0, Records(piece)))
         for es in _forms(shard) + _forms(sorted(shard)):
             starts = [0] + cut[:-1]
-            assert primitives._counts_by_vertex(np.array(cut), es.columns()) == [
+            summary = primitives._counts_by_vertex(np.array(cut), es.columns())
+            assert all(type(runs) is Records for runs in summary)
+            assert [list(runs) for runs in summary] == [
                 mst_reference.counts_by_vertex(es[a:b]) for a, b in zip(starts, cut)]
         # the parallel-edge sort: ranks in the order (pair key, record),
         # then the first record of each pair, after a predecessor whose

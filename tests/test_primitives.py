@@ -24,10 +24,10 @@ from hetmpc.simcore import (
     Slices,
     distribute_edges,
     init_cluster,
-    payload_words,
 )
 
 import sort_reference  # the tuple sort, beside this file
+from meter_reference import reference_words  # beside this file
 import tree_reference  # the three tree walks, beside this file
 
 
@@ -310,13 +310,13 @@ def test_sort_walks_records_with_other_fields():
         batch = rounds[r]
         assert type(batch) is Slices and type(batch.records) is Records
         assert batch.records.columns().dtype == object
-        assert sum(cl.telemetry[r].sent.values()) == payload_words(batch.records)
-        assert payload_words(batch.records) == payload_words(list(batch.records))
-        assert payload_words(batch.records) == 2 * len(items)
+        assert sum(cl.telemetry[r].sent.values()) == batch.records.words()
+        assert batch.records.words() == reference_words(list(batch.records))
+        assert batch.records.words() == 2 * len(items)
     for i in cl.small_ids:
         shard = cl.machines[i].state["E"]
         assert type(shard) is Records
-        assert cl.telemetry[-1].resident[i] == payload_words(list(shard))
+        assert cl.telemetry[-1].resident[i] == reference_words(list(shard))
 
 
 def test_record_primitives_name_a_key_that_holds_no_records():
@@ -462,7 +462,7 @@ def test_deliver_by_endpoint_apply_reads_only_delivered():
 def test_broadcast_round_charge_and_traffic():
     cl = make_cluster()
     before = cl.rounds_used
-    primitives.tree_broadcast(cl, (1, 2, 3))
+    primitives.tree_broadcast(cl, Records([(1, 2, 3)]))
     assert cl.rounds_used - before == primitives.tree_rounds(0.5)
     # a rep chain covers one machine per tree level for free; every other
     # machine receives the 3-word payload exactly once
@@ -472,7 +472,7 @@ def test_broadcast_round_charge_and_traffic():
 
 def test_broadcast_charges_every_metered_edge():
     cl = make_cluster(m=1600)  # K = 200, b = 8: a three-level tree
-    value = [(1, 2, 3), (4, 5, 6), 7]
+    value = Records([(1, 2, 3), (4, 5, 6)])
     primitives.tree_broadcast(cl, value)
     tree = tree_reference.AggregationTree.build(1, len(cl.small_ids),
                                                 primitives.branching(cl))
@@ -484,7 +484,7 @@ def test_broadcast_charges_every_metered_edge():
         for clo, _ in tree_reference._children(tree, level, idx)
     )
     sent = sum(sum(t.sent.values()) for t in cl.telemetry)
-    assert sent == payload_words(value) * edges
+    assert sent == reference_words(value) * edges
 
 
 def test_tree_children_are_contiguous_slices():
@@ -674,7 +674,9 @@ class Label:
 
 
 def _counts_and_ends(shard):
-    return [len(shard), shard[0] if shard else None]
+    """Records of one record: the shard's count, then its first record's
+    fields (None for an empty shard)."""
+    return Records([(len(shard),) + (shard[0] if shard else (None,))])
 
 
 def _counts_and_ends_by_segment(cut, cols):
@@ -781,10 +783,12 @@ TREE_VALUES = {
     "ints": lambda p: p,
 }
 
-TREE_REDUCE = {  # leaf value of a record, and its reduce_fn
-    "sum": (itemgetter(1), sum),
-    "min": (lambda r: (r[1], r[0]), min),
-    "records": (lambda r: Records([r[1:]]),
+# leaf value of a record (*part, x), and its reduce_fn; a value is one
+# field or a flat tuple of fields
+TREE_REDUCE = {
+    "sum": (itemgetter(-1), sum),
+    "min": (lambda r: r[-1:] + r[:-1], min),
+    "records": (lambda r: Records([r[-1:]]),
                 lambda vs: Records(sorted(r for v in vs for r in v))),
 }
 
@@ -827,18 +831,27 @@ def _tree_layout(K, seed, hole, density, tuple_parts):
     return rng, spans, name, parts
 
 
-# the root send stays for an empty value (het_sort broadcasts empty
-# splitters at K = 1)
-BROADCAST_VALUES = [Records(()), Records([(1, 2), (3, 4)]), Packed(0, 0, 6),
-                    Packed(5, 40, 6), 7, [(1, 2), 3]]
+# (the value the reference walk sends, the Records of the same words that
+# the shared walk sends); the root send stays for an empty value (het_sort
+# broadcasts empty splitters at K = 1)
+BROADCAST_VALUES = [
+    (Records(()), Records(())),
+    (Records([(1, 2), (3, 4)]), Records([(1, 2), (3, 4)])),
+    (Packed(0, 0, 6), Records([(Packed(0, 0, 6),)])),
+    (Packed(5, 40, 6), Records([(Packed(5, 40, 6),)])),
+    (7, Records([(7,)])),
+    ([(1, 2), 3], Records([(1, 2, 3)])),
+]
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(TREE_GRID), st.sampled_from(range(len(BROADCAST_VALUES))))
 def test_broadcast_matches_the_reference(case, which):
-    value = BROADCAST_VALUES[which]
+    value, batch = BROADCAST_VALUES[which]
+    assert reference_words(value) == batch.words()
     (new, new_rows), (ref, ref_rows) = _walked_twice(
-        case, lambda mod, cl: mod.tree_broadcast(cl, value))
+        case, lambda mod, cl: mod.tree_broadcast(
+            cl, value if mod is tree_reference else batch))
     assert new == ref and new_rows == ref_rows
 
 
@@ -865,11 +878,14 @@ def test_disseminate_matches_the_reference(case, kind, seed, hole, density,
 def test_aggregate_matches_the_reference(case, kind, seed, hole, tuple_parts):
     K = ClusterConfig(n=64, m=case[1], gamma=case[0]).num_small
     rng, spans, name, _ = _tree_layout(K, seed, hole, 1.0, tuple_parts)
-    held = {i: [(name(p), rng.randrange(10))
+    # records (*part, x): a record's fields are not tuples
+    flat = (lambda p: name(p)) if tuple_parts else (lambda p: (p,))
+    held = {i: [flat(p) + (rng.randrange(10),)
                 for p in range(lo, hi + 1) for _ in range(rng.randint(1, 2))]
             for i, (lo, hi) in spans.items()}
     leaf, reduce_fn = TREE_REDUCE[kind]
-    leaf_fn = primitives.per_record(itemgetter(0), leaf, reduce_fn)
+    part = (lambda r: r[:-1]) if tuple_parts else itemgetter(0)
+    leaf_fn = primitives.per_record(part, leaf, reduce_fn)
 
     def walk(mod, cl):
         sort_reference.place(cl, "A", held)

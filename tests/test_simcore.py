@@ -31,6 +31,7 @@ from hetmpc.simcore import (
     telemetry_json,
 )
 
+from meter_reference import reference_words  # beside this file
 from sort_reference import place  # sets up machine state, beside this file
 
 
@@ -61,26 +62,24 @@ def test_config_validation():
 
 
 def test_payload_words():
-    assert payload_words(7) == 1
-    assert payload_words((1, 2, 3)) == 3
-    assert payload_words([(1, 2, 3), (4, 5, 6)]) == 6
+    # one field of a record: a scalar is a word, an object its words();
+    # containers are not fields and are not walked
+    assert payload_words(7) == payload_words(True) == payload_words(None) == 1
+    assert payload_words("ab") == 1
     assert payload_words(Packed(0b1011, bits=40, word_bits=8)) == 5
-    for payload in (1.5, [(1, 2.0)], [1, [2, (3, 0.5)]], ((1, 2), 3.0), {1: [0.5]}):
+    assert payload_words(Records([(1, 2, 3), (4, 5, 6)])) == 6
+    for payload in (1.5, (1, 2, 3), [(1, 2, 3), (4, 5, 6)], [1, [2, (3, 0.5)]],
+                    ((1, 2), 3.0), {1: [0.5]}, {1: 2}):
         with pytest.raises(TypeError):
             payload_words(payload)
 
 
-def reference_words(obj):
-    """The metering rules, written out recursively."""
-    if isinstance(obj, (bool, int, str)) or obj is None:
-        return 1
-    if isinstance(obj, (tuple, list)):
-        return sum(reference_words(x) for x in obj)
-    if isinstance(obj, dict):
-        return sum(reference_words(k) + reference_words(v) for k, v in obj.items())
-    if isinstance(obj, Packed):
-        return obj.words()
-    raise TypeError(type(obj).__name__)
+def record_words(records):
+    """reference_words of records whose fields are scalars or objects with
+    words(): a record with a nested tuple or list field is unmeterable."""
+    if any(isinstance(x, (tuple, list)) for r in records for x in r):
+        raise TypeError("a nested field")
+    return reference_words(records)
 
 
 _keys = st.one_of(st.integers(), st.booleans(), st.none(), st.text(max_size=3),
@@ -105,9 +104,13 @@ _payloads = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(_payloads)
 def test_payload_words_matches_reference(payload):
+    # a field (a leaf) is charged as the recursive walk charges it, and a
+    # container is refused: it travels as the rows of a record batch
     try:
         expected = reference_words(payload)
     except TypeError:  # a float somewhere in the payload
+        expected = None
+    if expected is None or isinstance(payload, (tuple, list, dict)):
         with pytest.raises(TypeError):
             payload_words(payload)
     else:
@@ -235,13 +238,14 @@ def test_records_constructor_rejects(records):
 def test_records_with_other_fields_are_walked(records):
     # bools, floats, nested tuples, None and strings: Records that are not
     # all-int, whose columns are an object array of the fields as given,
-    # charged the walked words of their fields (a float is unmeterable)
+    # charged the words of their fields (a float or a nested tuple is
+    # unmeterable)
     batch = as_records(records)
     assert type(batch) is Records and batch == tuple(records)
     assert batch.columns().dtype == object
     picked = batch.take(np.arange(len(records)))
     assert picked == batch and [type(x) for x in picked[0]] == list(map(type, records[0]))
-    if any(type(x) is float for r in records for x in r):
+    if any(type(x) in (float, tuple) for r in records for x in r):
         with pytest.raises(TypeError):
             payload_words(batch)
     else:
@@ -282,8 +286,8 @@ def test_only_record_batches_become_records(batch, data):
     joined = simcore._join([Records(batch), got])
     assert type(joined) is Records and joined == tuple(batch + records)
     try:
-        expected = reference_words(records)
-    except TypeError:  # a float
+        expected = record_words(records)
+    except TypeError:  # a float or a nested tuple
         with pytest.raises(TypeError):
             payload_words(got)
     else:
@@ -524,19 +528,24 @@ def test_empty_round_all_zero():
     assert t.sent == {} and t.received == {} and t.violations == []
 
 
+def _one_send(src, dst, record):
+    """A `Slices` batch of one send: the one record from src to dst."""
+    return Slices(Records([record]), np.array([src]), np.array([dst]), np.array([1]))
+
+
 def test_send_overflow_strict_raises():
     cfg = ClusterConfig(n=16, m=64, gamma=0.5, polylog_c=1, polylog_e=1)
     cl = init_cluster(cfg)
     src = 1
     with pytest.raises(BudgetError):
-        cl.round([(src, LARGE, tuple(range(17)))])
+        cl.round(_one_send(src, LARGE, tuple(range(17))))
 
 
 def test_send_overflow_tolerant_logs_one_violation():
     cfg = ClusterConfig(n=16, m=64, gamma=0.5, polylog_c=1, polylog_e=1)
     cl = init_cluster(cfg, strict=False)
     src = 1
-    cl.round([(src, LARGE, tuple(range(17)))])
+    cl.round(_one_send(src, LARGE, tuple(range(17))))
     assert cl.telemetry[0].violations == [(src, "SendBudget")]
 
 
@@ -544,21 +553,39 @@ def test_traffic_conservation():
     cl = init_cluster(ClusterConfig(n=16, m=64, gamma=0.5))
     a, b = 1, 2
     t5 = (1, 2, 3, 4, 5)
-    cl.round([(a, b, t5), (b, a, t5)])
+    cl.round(Slices(Records([t5, t5]), np.array([a, b]), np.array([b, a]),
+                    np.array([1, 1])))
     t = cl.telemetry[0]
     assert sum(t.sent.values()) == sum(t.received.values()) == 10
 
 
-def test_repeated_payload_charged_per_send():
+@pytest.mark.parametrize("sends", [[], [(1, LARGE, (1, 2))], (), {}, None,
+                                   Records([(1, 2)])])
+def test_round_takes_only_slices(sends):
+    # one send form: a list of (src, dst, payload) triples, or anything
+    # else that is not a Slices batch, raises before anything is metered
     cl = init_cluster(ClusterConfig(n=16, m=64, gamma=0.5))
-    shared = [(1, 2, 3), (4, (5, 6)), 7]
-    w = payload_words(shared)
-    cl.round([(LARGE, dst, shared) for dst in (1, 2, 3)])
-    t = cl.telemetry[0]
-    assert t.sent == {LARGE: 3 * w}
-    assert t.received == {1: w, 2: w, 3: w}
-    cl.round([(LARGE, 1, shared)] * 3)  # one object, one receiver
-    assert cl.telemetry[1].received == {1: 3 * w}
+    with pytest.raises(TypeError, match=type(sends).__name__):
+        cl.round(sends)
+    assert cl.telemetry == []
+
+
+def test_one_batch_charged_per_send():
+    # one batch sent to three receivers, each send a selection of all of
+    # it, is charged once a send; so is one batch sent three times to one
+    # receiver, and so are its object fields, walked once a record
+    cl = init_cluster(ClusterConfig(n=16, m=64, gamma=0.5))
+    for shared in (Records([(1, 2, 3), (4, 5, 6)]),
+                   Records([(1, Packed(0, bits=40, word_bits=8)), (7, "s")])):
+        w = reference_words(shared)
+        every = np.tile(np.arange(len(shared)), 3)
+        for dst in ([1, 2, 3], [1, 1, 1]):
+            cl.round(Slices(shared.take(every), np.full(3, LARGE), np.array(dst),
+                            np.full(3, len(shared))))
+            t = cl.telemetry[-1]
+            assert t.sent == {LARGE: 3 * w}
+            want = {d: w * dst.count(d) for d in dst}
+            assert t.received == want
 
 
 def test_state_budget_metered():
@@ -608,7 +635,7 @@ def test_rng_substreams_deterministic():
 
 def test_telemetry_json_shape():
     cl = init_cluster(ClusterConfig(n=16, m=64, gamma=0.5))
-    cl.round([(1, LARGE, (1, 2))])
+    cl.round(_one_send(1, LARGE, (1, 2)))
     doc = telemetry_json(cl)
     assert doc["rounds_used"] == 1
     assert doc["violations"] == []
@@ -705,7 +732,7 @@ def test_slices_charged_per_sender_and_receiver():
     src, dst = np.array([2, 1, 1]), np.array([3, 4, 3])
     batch = Slices(recs, src, dst, np.array([1, 2, 1]))
     assert len(batch) == 3
-    assert cl.round(batch) == {}  # the caller moves the records
+    assert cl.round(batch) is None  # the caller moves the records
     t = cl.telemetry[-1]
     assert list(t.sent.items()) == [(2, 3), (1, 9)]  # in order of first send
     assert list(t.received.items()) == [(3, 6), (4, 6)]

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from hetmpc.primitives import _pad, branching, global_tree_depth
 from hetmpc.simcore import LARGE, Cluster
 
+from meter_reference import reference_round  # beside this file
+
 
 def broadcast_rounds(gamma):
     return global_tree_depth(gamma) + 1
@@ -70,7 +72,7 @@ def tree_broadcast(cluster: Cluster, value):
     start = cluster.rounds_used
     K = len(cluster.small_ids)
     tree = AggregationTree.build(1, K, branching(cluster))
-    cluster.round([(LARGE, tree.root, value)])
+    reference_round(cluster, [(LARGE, tree.root, value)])
     for level in range(tree.depth, 0, -1):
         sends = []
         for idx, (lo, hi) in enumerate(tree.levels[level]):
@@ -78,7 +80,7 @@ def tree_broadcast(cluster: Cluster, value):
             for clo, chi in _children(tree, level, idx):
                 if clo != rep:  # first child shares the machine: free
                     sends.append((rep, clo, value))
-        cluster.round(sends)
+        reference_round(cluster, sends)
     _pad(cluster, start, broadcast_rounds(cluster.config.gamma))
 
 
@@ -137,7 +139,7 @@ def aggregate(cluster: Cluster, state_key, leaf_fn, reduce_fn):
                     slot.setdefault(p, []).append(v)
                 if prep != rep and boundary:
                     sends.append((rep, prep, boundary))
-        inbox = cluster.round(sends)
+        inbox = reference_round(cluster, sends)
         for _, payload in inbox.get(LARGE, []):
             for p, v in payload.items():
                 results.setdefault(p, []).append(v)
@@ -191,7 +193,8 @@ def disseminate(cluster: Cluster, values: dict, machine_ranges: dict):
     # down-phase: large -> root -> ... -> leaves, filtered per subtree
     top = node_range[(tree.depth, 0)]
     payloads = {(tree.depth, 0): overlap(top)}
-    cluster.round(
+    reference_round(
+        cluster,
         [(LARGE, tree.root, payloads[(tree.depth, 0)])]
         if payloads[(tree.depth, 0)]
         else []
@@ -216,7 +219,7 @@ def disseminate(cluster: Cluster, values: dict, machine_ranges: dict):
                 crep = tree.levels[level - 1][c][0]
                 if crep != rep:
                     sends.append((rep, crep, sub))
-        cluster.round(sends)
+        reference_round(cluster, sends)
         payloads = nxt
 
     delivered = {}
