@@ -1,19 +1,24 @@
-"""The large-K MST run: `mst.mst` in strict mode on a weighted G(n=2048,
-m=524,288) at gamma=0.5 and seed 0, which puts K = 11,586 small machines
-on the cluster.
+"""Large runs in strict mode at gamma=0.5 and seed 0.
+
+The default run is `mst.mst` on a weighted G(n=2048, m=524,288), which
+puts K = 11,586 small machines on the cluster; `--algo matching` runs
+`matching.maximal_matching` on G(n=4096, m=65,536), K = 1,024.
 
 Run from the repository root:
 
     python3 scripts/large_k.py
+    python3 scripts/large_k.py --algo matching
 
 Each of three runs is a fresh process.  For each it prints the seconds
-of the `mst.mst` call, the rounds used, the words sent, the forest
-weight and the peak resident memory of the process.  Standard library
+of the algorithm's call, the rounds used, the words sent and the peak
+resident memory of the process; for MST also the forest weight, and for
+matching the phase-1 rounds and the matching size.  Standard library
 and the repository's own code only.
 """
 
 from __future__ import annotations
 
+import argparse
 import multiprocessing
 import os
 import resource
@@ -22,34 +27,50 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-N, M, GAMMA, SEED, RUNS = 2048, 524_288, 0.5, 0, 3
+GAMMA, SEED, RUNS = 0.5, 0, 3
+# algo -> (n, m, weighted)
+SHAPES = {"mst": (2048, 524_288, True), "matching": (4096, 65_536, False)}
 
 
-def one_run():
-    """(seconds, rounds, words sent, forest weight, peak RSS in MB) of one
-    run in this process."""
-    from hetmpc import mst
+def one_run(algo):
+    """(seconds, rounds, words sent, peak RSS in MB, the algorithm's
+    report) of one run of `algo` in this process."""
+    from hetmpc import matching, mst
     from hetmpc.graphio import generate_graph
     from hetmpc.simcore import ClusterConfig, init_cluster
 
-    graph = generate_graph("gnm", N, seed=SEED, m=M, weighted=True)
-    cluster = init_cluster(ClusterConfig(n=N, m=M, gamma=GAMMA, seed=SEED), strict=True)
+    n, m, weighted = SHAPES[algo]
+    graph = generate_graph("gnm", n, seed=SEED, m=m, weighted=weighted)
+    cluster = init_cluster(ClusterConfig(n=n, m=m, gamma=GAMMA, seed=SEED), strict=True)
+    run = mst.mst if algo == "mst" else matching.maximal_matching
     start = time.perf_counter()
-    _, report = mst.mst(cluster, graph)
+    _, report = run(cluster, graph)
     seconds = time.perf_counter() - start
     words = sum(sum(t.sent.values()) for t in cluster.telemetry)
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    return seconds, cluster.rounds_used, words, report["total_weight"], peak_mb
+    return seconds, cluster.rounds_used, words, peak_mb, report
 
 
-def main():
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--algo", choices=sorted(SHAPES), default="mst")
+    algo = ap.parse_args(argv).algo
+    n, m, _ = SHAPES[algo]
+    name = "mst.mst" if algo == "mst" else "matching.maximal_matching"
     spawn = multiprocessing.get_context("spawn")
-    print(f"mst.mst on G(n={N}, m={M}), gamma={GAMMA}, seed={SEED}, strict")
+    print(f"{name} on G(n={n}, m={m}), gamma={GAMMA}, seed={SEED}, strict")
     for i in range(1, RUNS + 1):
         with spawn.Pool(1) as pool:
-            seconds, rounds, words, weight, peak_mb = pool.apply(one_run)
-        print(f"run {i}: {seconds:.2f} s, {rounds} rounds, {words:,} words sent, "
-              f"weight {weight:,}, peak RSS {peak_mb:.0f} MB", flush=True)
+            seconds, rounds, words, peak_mb, report = pool.apply(one_run, (algo,))
+        if algo == "mst":
+            print(f"run {i}: {seconds:.2f} s, {rounds} rounds, {words:,} words sent, "
+                  f"weight {report['total_weight']:,}, peak RSS {peak_mb:.0f} MB",
+                  flush=True)
+        else:
+            print(f"run {i}: {seconds:.2f} s, {rounds} rounds "
+                  f"({report['phase1_rounds']} in phase 1), {words:,} words sent, "
+                  f"matching size {report['size']:,}, peak RSS {peak_mb:.0f} MB",
+                  flush=True)
 
 
 if __name__ == "__main__":

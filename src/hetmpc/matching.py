@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 from . import primitives
 from .primitives import _pair
@@ -20,6 +23,8 @@ from .simcore import (
     ConfigError,
     Records,
     RunFailed,
+    Slices,
+    as_records,
     distribute_edges,
 )
 
@@ -56,11 +61,19 @@ def degree_split(cluster: Cluster, graph) -> MatchingState:
     return MatchingState(d=d, deg=deg, v_low=v_low, v_high=v_high)
 
 
-def _owner(cluster, v):
-    return 1 + v % len(cluster.small_ids)
-
-
 MAX_PHASE1_ITERS = 200
+
+
+def _sends(group, src, dst, rows):
+    """One round's `Slices` of the int64 `rows`, row j going from machine
+    src[j] to dst[j]: one send per (group, receiver) in order of its first
+    row, holding its rows in order (`group` ascends along the rows)."""
+    key = group * (int(dst.max(initial=0)) + 1) + dst
+    _, first, inv, count = np.unique(key, return_index=True, return_inverse=True,
+                                     return_counts=True)
+    sends = np.argsort(first)
+    return Slices(as_records(rows[np.argsort(first[inv], kind="stable")]),
+                  src[first[sends]], dst[first[sends]], count[sends])
 
 
 def phase1_low_degree(cluster: Cluster, state: MatchingState):
@@ -68,115 +81,96 @@ def phase1_low_degree(cluster: Cluster, state: MatchingState):
     small machines alone (default plug-in: round-synchronous randomized
     proposals; each free vertex flips proposer/acceptor, proposers pick a
     random free neighbor, acceptors take the smallest proposal).  Every
-    round's messages are int records of one or two fields."""
-    v_low = state.v_low
-    # route every low-low edge to both endpoint owners
-    sends = []
-    for mid in cluster.small_ids:
-        buckets = {}
-        for e in cluster.machines[mid].state.get("E") or []:
-            u, v = e[0], e[1]
-            if u in v_low and v in v_low:
-                for w in (u, v):
-                    buckets.setdefault(_owner(cluster, w), []).append((u, v))
-        for dst, recs in buckets.items():
-            sends.append((mid, dst, recs))
-    primitives.send_rows(cluster, sends)
-    # each owner reads the records it got in sender order: the sends
-    # ascend by sender
-    adj_of = {mid: {} for mid in cluster.small_ids}
-    for _, mid, recs in sends:
-        adj = adj_of[mid]
-        for u, v in recs:
-            for a, b in ((u, v), (v, u)):
-                if _owner(cluster, a) == mid:
-                    adj.setdefault(a, set()).add(b)
-    pairs, cut = [], [0]
-    for adj in adj_of.values():
-        pairs += sorted((a, b) for a, nbrs in adj.items() for b in nbrs)
-        cut.append(len(pairs))
-    # each owner stores its sorted adjacency pairs
-    cluster.store("P", Records(pairs), cut)
+    round's messages are int records of one or two fields, built by
+    array steps over vertex ids."""
+    n, K = cluster.config.n, len(cluster.small_ids)
 
-    matched = set()
+    def own(v):  # the owners of the vertices v
+        return 1 + v % K
+
+    low = np.zeros(n, bool)
+    low[list(state.v_low)] = True
+    # route every low-low edge to both endpoint owners, each sender's
+    # edges in order
+    cols = [cluster.machines[mid].state.get("E", Records()).columns()
+            for mid in cluster.small_ids]
+    src = np.repeat(cluster.small_ids, list(map(len, cols)))
+    edges = np.concatenate([c[:, :2] for c in cols if len(c)]
+                           + [np.zeros((0, 2), np.int64)])
+    keep = low[edges[:, 0]] & low[edges[:, 1]]
+    edges, src = edges[keep], np.repeat(src[keep], 2)
+    a, b = edges.ravel(), edges[:, ::-1].ravel()  # the arcs a -> b in arrival order
+    cluster.round(_sends(src, src, own(a), np.repeat(edges, 2, axis=0)))
+    # each owner's adjacency: its arcs sorted by vertex, then neighbour
+    # (the pairs "P"), each kept at its first arrival o
+    o = np.lexsort((np.arange(len(a)), b, a, own(a)))
+    o = o[(np.diff(a[o], prepend=-1) != 0) | (np.diff(b[o], prepend=-1) != 0)]
+    a, b = a[o], b[o]
+    cluster.store("P", as_records(np.stack([a, b], 1)),
+                  np.cumsum(np.bincount(own(a), minlength=K + 1)))
+    # by vertex: its arcs' start and stop, its neighbours in arrival
+    # order, and the vertices by owner, then by first arrival
+    first = np.diff(a, prepend=-1) != 0
+    head = np.flatnonzero(first)
+    by_arrival = np.lexsort((o, np.cumsum(first)))
+    arrival = b[by_arrival].tolist()
+    verts = a[head]
+    start, stop = np.zeros(n, np.int64), np.zeros(n, np.int64)
+    start[verts], stop[verts] = head, np.append(head[1:], len(a))
+    verts = verts[np.lexsort((o[by_arrival][head], own(verts)))]
+
+    matched = np.zeros(n, bool)
     m1 = []
     it = 0
-    while True:
-        live = any(
-            u not in matched and v not in matched
-            for adj in adj_of.values()
-            for u, nbrs in adj.items()
-            for v in nbrs
-        )
-        if not live:
-            break
+    while (~matched[a] & ~matched[b]).any():
         it += 1
         if it > MAX_PHASE1_ITERS:
+            cluster.drop("P")
             raise RunFailed("phase-1 proposal rounds did not converge")
         coin = cluster.rng("p1-coin", it)
-        role = {}
-        for adj in adj_of.values():
-            for v in adj:
-                if v not in matched and v not in role:
-                    role[v] = coin.random() < 0.5  # True = proposer
+        free = verts[~matched[verts]]
+        proposer = np.zeros(n, bool)
+        proposer[free] = [coin.random() < 0.5 for _ in range(len(free))]
 
-        # round A: proposers pick a random believed-free neighbor
-        sends = []
-        proposals = {}
-        for mid in cluster.small_ids:
-            buckets = {}
-            for v, nbrs in adj_of[mid].items():
-                if v in matched or not role.get(v, False):
-                    continue
-                free = sorted(
-                    u for u in nbrs if u not in matched and not role.get(u, False)
-                )
-                if not free:
-                    continue
-                u = free[cluster.rng("p1-pick", it, v).randrange(len(free))]
-                buckets.setdefault(_owner(cluster, u), []).append((v, u))
-            for dst, recs in buckets.items():
-                sends.append((mid, dst, recs))
-        primitives.send_rows(cluster, sends)
-        for _, _, recs in sends:
-            for v, u in recs:
-                proposals.setdefault(u, []).append(v)
+        # round A: proposers pick a random believed-free neighbor, one of
+        # the c free acceptors they see, in ascending order
+        ok = proposer[a] & ~proposer[b] & ~matched[b]
+        c = np.bincount(a[ok], minlength=n)
+        vs = free[c[free] > 0]
+        picks = [cluster.rng("p1-pick", it, v).randrange(k)
+                 for v, k in zip(vs.tolist(), c[vs].tolist())]
+        ahead = np.cumsum(ok) - ok  # the free acceptor arcs before each arc
+        us = b[np.flatnonzero(ok)[ahead[start[vs]] + np.array(picks, np.int64)]]
+        cluster.round(_sends(own(vs), own(vs), own(us), np.stack([vs, us], 1)))
 
         # round B: free acceptors take their smallest proposer and notify
-        sends = []
-        new_pairs = []
-        for u, props in sorted(proposals.items()):
-            if u in matched:
-                continue
-            v = min(p for p in props if p not in matched) if any(
-                p not in matched for p in props
-            ) else None
-            if v is None:
-                continue
-            matched.add(u)
-            matched.add(v)
-            new_pairs.append(_pair(u, v))
-            sends.append((_owner(cluster, u), _owner(cluster, v), [(u, v)]))
-        primitives.send_rows(cluster, sends)
+        o = np.lexsort((vs, us))
+        first = np.diff(us[o], prepend=-1) != 0
+        acc, pro = us[o][first], vs[o][first]
+        matched[acc] = matched[pro] = True
+        cluster.round(_sends(np.arange(len(acc)), own(acc), own(pro),
+                             np.stack([acc, pro], 1)))
 
         # round C: owners of newly matched vertices tell their neighbors'
-        # owners, keeping the believed-free views current
-        sends = []
-        for u, v in new_pairs:
-            for w in (u, v):
-                own = _owner(cluster, w)
-                buckets = {}
-                for nb in adj_of[own].get(w, ()):
-                    buckets.setdefault(_owner(cluster, nb), []).append((w,))
-                for dst, recs in buckets.items():
-                    sends.append((own, dst, recs))
-        primitives.send_rows(cluster, sends)
-        m1.extend(new_pairs)
+        # owners, keeping the believed-free views current; a vertex's
+        # neighbours go in the iteration order of a set built in arrival
+        # order (set() of a list adds its items in order, as .add does)
+        lo, hi = np.minimum(acc, pro), np.maximum(acc, pro)
+        ws = np.stack([lo, hi], 1).ravel()
+        nbrs = [list(set(arrival[x:y]))
+                for x, y in zip(start[ws].tolist(), stop[ws].tolist())]
+        size = list(map(len, nbrs))
+        told = np.repeat(ws, size)
+        dst = own(np.fromiter(chain.from_iterable(nbrs), np.int64, len(told)))
+        cluster.round(_sends(np.repeat(np.arange(len(ws)), size), own(told), dst,
+                             told[:, None]))
+        m1.extend(zip(lo.tolist(), hi.tolist()))
 
     cluster.drop("P")
     # ship M1 to the large machine
     shard = sorted(m1)
-    primitives.send_rows(cluster, [(_owner(cluster, e[0]), LARGE, [e]) for e in shard])
+    e = np.array(shard, np.int64).reshape(-1, 2)
+    cluster.round(_sends(np.arange(len(e)), own(e[:, 0]), np.full(len(e), LARGE), e))
     state.m1 = shard
     return shard
 

@@ -1,9 +1,14 @@
 """Command-line interface: generation, runs, reports, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hetmpc
 from hetmpc.cli import main
 
 
@@ -180,3 +185,17 @@ def test_config_file_tolerant_is_a_boolean(tmp_path, capsys, line, code,
         assert doc["runs"][0]["violations"]
     else:
         assert json.loads(capsys.readouterr().err)["error"] == error
+
+
+def test_python_m_hetmpc_runs_the_cli(tmp_path):
+    # `python -m hetmpc` is the same entry point as the console script
+    src = str(Path(hetmpc.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "hetmpc", "run", "--algo", "matching", "--gen", "gnp",
+         "--n", "64", "--p", "0.1", "--seed", "1", "--verify",
+         "--report", str(tmp_path / "rep.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads((tmp_path / "rep.json").read_text())["passed"] is True

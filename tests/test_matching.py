@@ -3,10 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from hetmpc import matching, oracles
 from hetmpc.graphio import SimGraph, generate_graph
 from hetmpc.simcore import ClusterConfig, RunFailed, distribute_edges, init_cluster
+
+import matching_reference  # the host-dict phase 1, beside this file
 
 
 def make_cluster(n, m, seed=0, f_exp=None):
@@ -204,3 +208,66 @@ def test_failed_retry_leaves_config_seed_unchanged(monkeypatch):
     with pytest.raises(RunFailed):
         matching.maximal_matching(cl, g)
     assert cl.config.seed == 7
+
+
+@st.composite
+def phase1_cases(draw):
+    """(graph, gamma, cluster seed): a gnp, gnm, star or grid graph with
+    at least one edge on n <= 128 vertices."""
+    kind = draw(st.sampled_from(["gnp", "gnm", "star", "grid"]))
+    n = draw(st.integers(2, 128))
+    kwargs = ({"p": draw(st.floats(0.0, 0.3))} if kind == "gnp"
+              else {"m": draw(st.integers(1, min(4 * n, n * (n - 1) // 2)))}
+              if kind == "gnm" else {})
+    g = generate_graph(kind, n, seed=draw(st.integers(0, 2 ** 16)), **kwargs)
+    assume(g.m > 0)
+    return g, draw(st.sampled_from([0.5, 0.8])), draw(st.integers(0, 2 ** 32))
+
+
+def phase1_trace(phase1, g, gamma, seed):
+    """(M1, what phase 1 stored as (key, records, cut), every telemetry
+    row as (sent items, received items, resident, violations), the
+    cluster, the state) of `phase1` on a fresh cluster of `g`."""
+    cl = init_cluster(ClusterConfig(n=g.n, m=g.m, gamma=gamma, seed=seed))
+    distribute_edges(cl, g.edges)
+    state = matching.degree_split(cl, g)
+    stored, store = [], cl.store
+
+    def spy(key, records, cut):
+        stored.append((key, records, list(cut)))
+        store(key, records, cut)
+
+    cl.store = spy
+    m1 = phase1(cl, state)
+    rows = [(list(t.sent.items()), list(t.received.items()), t.resident, t.violations)
+            for t in cl.telemetry]
+    return m1, stored, rows, cl, state
+
+
+# K = 1 (m <= n^gamma); a star, whose hub is high-degree and which has no
+# low-low edge; a grid of low-degree vertices only
+@example(case=(generate_graph("gnm", 128, seed=1, m=40), 0.8, 5))
+@example(case=(generate_graph("star", 64), 0.5, 3))
+@example(case=(generate_graph("grid", 100, seed=2), 0.5, 11))
+@settings(max_examples=100, deadline=None)
+@given(phase1_cases())
+def test_phase1_matches_the_reference(case):
+    # the array steps send, store and match exactly what the host dicts did
+    new = phase1_trace(matching.phase1_low_degree, *case)
+    ref = phase1_trace(matching_reference.phase1_low_degree, *case)
+    assert new[:3] == ref[:3]
+    assert [key for key, _, _ in new[1]] == ["P"]
+
+
+@example(case=(generate_graph("star", 64), 0.5, 3))
+@settings(max_examples=50, deadline=None)
+@given(phase1_cases())
+def test_phase1_leaves_no_free_low_low_edge(case):
+    g = case[0]
+    m1, _, _, cl, state = phase1_trace(matching.phase1_low_degree, *case)
+    matched = [v for e in m1 for v in e]
+    assert len(matched) == len(set(matched))
+    assert set(m1) <= set(g.edges)
+    low = state.v_low
+    assert not [e for e in g.edges if low.issuperset(e) and not set(e) & set(matched)]
+    assert "P" not in cl.machines[1].state

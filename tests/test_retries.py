@@ -103,3 +103,15 @@ def test_matching_superlinear_overflows(stop_c, retried):
         assert oracles.is_maximal_matching(g, M)
     # no sample key "Es", "Ess", ... is left behind
     assert keys_left(cl) <= clean == {"E"}
+
+
+def test_matching_phase1_iteration_cap(monkeypatch):
+    # one proposal round cannot match all of G(512, 8/512)'s low-degree
+    # subgraph, so phase 1 fails, and its pairs "P" must not outlive it
+    g = generate_graph("gnp", 512, seed=0, p=8 / 512)
+    clean = clean_keys(matching.maximal_matching, g)
+    monkeypatch.setattr(matching, "MAX_PHASE1_ITERS", 1)
+    cl = make_cluster(g)
+    with pytest.raises(RunFailed, match="did not converge"):
+        matching.maximal_matching(cl, g)
+    assert keys_left(cl) <= clean == {"E"}
