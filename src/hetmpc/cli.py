@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -291,7 +292,7 @@ def cmd_run(args):
     if cfg.get("report"):
         with open(cfg["report"], "w") as fh:
             fh.write(text + "\n")
-        csv_path = cfg["report"].rsplit(".", 1)[0] + ".csv"
+        csv_path = os.path.splitext(cfg["report"])[0] + ".csv"
         with open(csv_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["seed", "rounds_used", "violations",

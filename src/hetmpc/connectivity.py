@@ -22,9 +22,10 @@ from .simcore import Cluster, ConfigError, RunFailed, distribute_edges
 
 
 # ---------------------------------------------------------------------------
-# field arithmetic (prime q > n^4, int64-safe split multiplication)
+# field arithmetic (prime q > n^4, products split into _SPLIT-bit limbs)
 
-_SPLIT = 21  # exact while q < 2^41, i.e. n <= 1217 (see field_prime)
+_SPLIT = 21  # limb width: two limbs hold any value below q < 2^41 (n <= 1217)
+_LO = (1 << _SPLIT) - 1
 
 
 def _is_prime(x):
@@ -54,8 +55,8 @@ def field_prime(n):
     """Smallest prime above n^4 (checksums live in this field).
 
     Raises ConfigError when the prime reaches 2^41: past that, the split
-    product in `_mulmod` can exceed int64 (n=1300 already gives wrong
-    products).
+    products in `_mulmod` and `_poly_eval` can exceed int64 (n=1300
+    already gives wrong products).
     """
     q = n ** 4 + 1
     while not _is_prime(q):
@@ -71,7 +72,7 @@ def field_prime(n):
 def _mulmod(a, b, q):
     """(a*b) % q on int64 numpy arrays, a,b in [0,q), q < 2^41."""
     hi = b >> _SPLIT
-    lo = b & ((1 << _SPLIT) - 1)
+    lo = b & _LO
     return ((a * hi % q << _SPLIT) + a * lo) % q
 
 
@@ -80,7 +81,7 @@ def _mod(a, q):
 
     Floor division by a scalar runs through libdivide in NumPy 2.x, and
     `np.remainder` does not, so on a contiguous block of thousands of
-    entries, such as a Horner step's, a - (a // q) * q costs under half
+    entries, such as a limb product's, a - (a // q) * q costs under half
     of `%`.  It equals `%` for negative entries too, and
     |(a // q) * q| <= |a| + q, so it is exact while |a| + q < 2^63.
     """
@@ -90,22 +91,39 @@ def _mod(a, q):
     return a
 
 
-def _poly_eval(coeffs, xs, q):
-    """Horner evaluation mod q of every polynomial in the (..., t)
-    coefficient block `coeffs` at the int64 array xs; returns the
-    (..., len(xs)) values.
+def _powers(xs, t, q):
+    """The float64 high and low `_SPLIT`-bit limbs of the (t, len(xs))
+    powers x^(t-1-j) mod q at the 1-D int64 coordinates xs, from t-1
+    passes of (x^i mod q) * x < 2^62."""
+    p = np.empty((t, len(xs)), np.int64)
+    p[-1] = 1
+    for j in range(t - 2, -1, -1):
+        np.remainder(p[j + 1] * xs, q, out=p[j])
+    return (p >> _SPLIT).astype(np.float64), (p & _LO).astype(np.float64)
 
-    Exact in int64 without `_mulmod`'s split: every x is a coordinate
-    below n^2 < 2^21 and acc < q < 2^41, so acc*x + c < 2^62 + 2^41.
-    The field 2^61-1 (ROADMAP item 4(a)) would need limb splits again.
+
+def _poly_eval(coeffs, xs, q, powers=None):
+    """Evaluation mod q of every polynomial in the (..., t) coefficient
+    block `coeffs` (highest degree first) at the 1-D int64 array xs of
+    coordinates below n^2; returns the (..., len(xs)) values.  `powers`
+    is `_powers(xs, t, q)`, given when blocks share the coordinates.
+
+    Four float64 products of the coefficient and power limbs, then two
+    shift-and-`_mod` steps.  Exact while q < 2^41 (see field_prime): a
+    limb product is below 2^42 and a sum of t <= 22 of them below 2^47,
+    under 2^53 in any summation order, and each step stays below 2^63.
+    The field 2^61-1 (ROADMAP item 4(a)) would need three limbs a side.
     """
-    acc = np.empty(coeffs.shape[:-1] + xs.shape, dtype=np.int64)
-    acc[...] = coeffs[..., 0, None]  # the first step, from acc = 0
-    for j in range(1, coeffs.shape[-1]):
-        acc *= xs
-        acc += coeffs[..., j, None]
-        _mod(acc, q)
-    return acc
+    ph, pl = _powers(xs, coeffs.shape[-1], q) if powers is None else powers
+    ch = (coeffs >> _SPLIT).astype(np.float64)
+    cl = (coeffs & _LO).astype(np.float64)
+    acc = _mod((ch @ ph).astype(np.int64), q)
+    acc <<= _SPLIT
+    acc += (ch @ pl + cl @ ph).astype(np.int64)
+    _mod(acc, q)
+    acc <<= _SPLIT
+    acc += (cl @ pl).astype(np.int64)
+    return _mod(acc, q)
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +212,12 @@ class CoordTable:
         self.check = np.zeros((mc, R), dtype=np.int64)
         # (u << l) < q, i.e. u <= (q - 1) >> l, without the shifted copy
         top = (q - 1) >> np.arange(1, L, dtype=np.int64)[:, None]
+        powers = _powers(self.coords, keys.t, q)
         for r in range(R):
             # instance r's level polynomials 1..L-1 and its checksum one
             u = _poly_eval(np.vstack((keys.level_coeffs[r, 1:],
-                                      keys.check_coeffs[r])), self.coords, q)
+                                      keys.check_coeffs[r])), self.coords, q,
+                           powers)
             self.member[:, r, 1:] = (u[:-1] <= top).T
             self.check[:, r] = u[-1]
 
@@ -290,7 +310,7 @@ def _leaf_partials(table: CoordTable, cut, cols, parts):
     s = sign[i]
     contrib = np.stack((s, s * x[i], s * table.check[rows[i], c // keys.L]),
                        axis=1)
-    order = np.argsort(key, kind="stable")
+    order = np.argsort(key)
     key = key[order]
     first = np.flatnonzero(np.diff(key, prepend=-1))
     sums = np.add.reduceat(contrib[order], first, axis=0)

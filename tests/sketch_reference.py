@@ -8,6 +8,11 @@ references its ports are compared with.
 - `leaf_partials`, one machine's leaf sketches, which the segmented
   `connectivity._leaf_partials` replaced: it ran once per machine and
   took its parts from a per-record `part_fn`.
+- `poly_eval`, the Horner evaluator that the limb-product
+  `connectivity._poly_eval` replaced: one multiply-add-`_mod` step a
+  coefficient over the whole (..., len(xs)) block, and
+  `HornerCoordTable`, the `CoordTable` it built, one Horner pass per
+  sampler instance.
 """
 
 from __future__ import annotations
@@ -18,6 +23,47 @@ from hetmpc import primitives
 from hetmpc.connectivity import (EMPTY, FAIL, CoordTable, SketchKeys,
                                  SketchPartial, _decode, _mod)
 from hetmpc.simcore import as_records
+
+
+def poly_eval(coeffs, xs, q):
+    """Horner evaluation mod q of every polynomial in the (..., t)
+    coefficient block `coeffs` at the int64 array xs; returns the
+    (..., len(xs)) values.
+
+    Exact in int64 without `_mulmod`'s split: every x is a coordinate
+    below n^2 < 2^21 and acc < q < 2^41, so acc*x + c < 2^62 + 2^41.
+    The field 2^61-1 (ROADMAP item 4(a)) would need limb splits again.
+    """
+    acc = np.empty(coeffs.shape[:-1] + xs.shape, dtype=np.int64)
+    acc[...] = coeffs[..., 0, None]  # the first step, from acc = 0
+    for j in range(1, coeffs.shape[-1]):
+        acc *= xs
+        acc += coeffs[..., j, None]
+        _mod(acc, q)
+    return acc
+
+
+class HornerCoordTable(CoordTable):
+    """A `CoordTable` whose level and checksum values come from the Horner
+    `poly_eval`."""
+
+    def __init__(self, keys: SketchKeys, coords):
+        self.keys = keys
+        c = np.sort(np.fromiter(coords, np.int64))
+        self.coords = c[np.diff(c, prepend=-1) != 0]  # coordinates are >= 0
+        q, R, L = keys.q, keys.R, keys.L
+        mc = len(self.coords)
+        self.member = np.empty((mc, R, L), dtype=bool)
+        self.member[:, :, 0] = True  # u < q: level 0 holds every coordinate
+        self.check = np.zeros((mc, R), dtype=np.int64)
+        # (u << l) < q, i.e. u <= (q - 1) >> l, without the shifted copy
+        top = (q - 1) >> np.arange(1, L, dtype=np.int64)[:, None]
+        for r in range(R):
+            # instance r's level polynomials 1..L-1 and its checksum one
+            u = poly_eval(np.vstack((keys.level_coeffs[r, 1:],
+                                     keys.check_coeffs[r])), self.coords, q)
+            self.member[:, r, 1:] = (u[:-1] <= top).T
+            self.check[:, r] = u[-1]
 
 
 def boruvka(stack, keys: SketchKeys, n: int, table: CoordTable):

@@ -60,6 +60,20 @@ def test_report_json_and_csv(tmp_path):
     assert len(csv_text) == 3
 
 
+def test_report_csv_beside_a_name_without_extension(tmp_path):
+    # the dot in the directory name is not the report's extension
+    out = tmp_path / "runs.v2"
+    out.mkdir()
+    assert run_cli("run", "--algo", "matching", "--gen", "gnp", "--n", "32",
+                   "--p", "0.2", "--seed", "1",
+                   "--report", str(out / "report")) == 0
+    assert json.loads((out / "report").read_text())["runs"][0]["seed"] == 1
+    csv_text = (out / "report.csv").read_text().splitlines()
+    assert csv_text[0].startswith("seed,rounds_used,violations")
+    assert len(csv_text) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["runs.v2"]
+
+
 def test_report_deterministic_modulo_timestamp(tmp_path):
     docs = []
     for name in ("r1.json", "r2.json"):

@@ -97,12 +97,14 @@ def horner(coeffs, x, q):
 
 
 def test_poly_eval_exact_at_largest_accepted_n():
-    # x < n^2 < 2^21 and acc < q < 2^41: the unsplit Horner step stays
-    # inside int64 at the largest accepted n, for the extreme coordinates
-    # and the largest coefficients
+    # q < 2^41 and x < n^2 < 2^21 at the largest accepted n: every limb
+    # product of `_poly_eval` stays below 2^42, every sum of t of them
+    # below 2^47 (exact in float64), and each shift-and-`_mod` step below
+    # 2^63, for the extreme coordinates and the largest coefficients
     n = 1217
     keys = cn.keys_from_seed(3, n)
-    q, L = keys.q, keys.L
+    q, L, t = keys.q, keys.L, keys.t
+    assert q < 1 << 41 and n * n < 1 << 21 and t == 22
     level = keys.level_coeffs.copy()
     level[0] = q - 1
     check = keys.check_coeffs.copy()
@@ -113,6 +115,12 @@ def test_poly_eval_exact_at_largest_accepted_n():
     block = np.vstack((level[0], check[:2]))
     got = cn._poly_eval(block, np.array(xs, dtype=np.int64), q)
     assert got.tolist() == [[horner(c, x, q) for x in xs] for c in block]
+    # every coefficient q - 1, at n^2 - 1 and its neighbours, where the
+    # high limbs of the coefficients and of x peak
+    top = [n * n - 3, n * n - 2, n * n - 1]
+    got = cn._poly_eval(np.full((2, t), q - 1, np.int64),
+                        np.array(top, dtype=np.int64), q)
+    assert got.tolist() == [[horner([q - 1] * t, x, q) for x in top]] * 2
     table = cn.CoordTable(keys, xs)
     assert table.coords.tolist() == sorted(xs)
     for i, x in enumerate(table.coords.tolist()):
@@ -120,6 +128,47 @@ def test_poly_eval_exact_at_largest_accepted_n():
             assert table.check[i, r] == horner(check[r], x, q)
             assert table.member[i, r].tolist() == [
                 horner(level[r, l], x, q) << l < q for l in range(L)]
+
+
+@st.composite
+def poly_blocks(draw):
+    """(n, coefficient block, coordinates): a (t,), (k, t) or (R, L, t)
+    block of field elements, extremes included, and a coordinate list
+    over [0, n^2) that may be empty and may repeat."""
+    n = draw(st.sampled_from([2, 3, 8, 256, 1024, 1217]))
+    q, t = cn.field_prime(n), cn.sketch_params(n)[2]
+    lead = draw(st.sampled_from([(), (st.integers(1, 4),),
+                                 (st.integers(1, 3), st.integers(1, 3))]))
+    shape = tuple(draw(d) for d in lead) + (t,)
+    coeff = st.one_of(st.integers(0, q - 1), st.sampled_from([0, 1, q - 1]))
+    coeffs = draw(st.lists(coeff, min_size=math.prod(shape),
+                           max_size=math.prod(shape)))
+    coord = st.one_of(st.integers(0, n * n - 1), st.sampled_from([0, n * n - 1]))
+    xs = draw(st.lists(coord, max_size=12))
+    return n, np.array(coeffs, np.int64).reshape(shape), xs
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_blocks())
+@example((1217, np.full((2, 3, 22), cn.field_prime(1217) - 1, np.int64),
+          [0, 1217 ** 2 - 1]))
+@example((2, np.ones(2, np.int64), []))
+def test_poly_eval_matches_horner(case):
+    n, coeffs, xs = case
+    q = cn.field_prime(n)
+    x = np.array(xs, dtype=np.int64)
+    got = cn._poly_eval(coeffs, x, q)
+    assert got.shape == coeffs.shape[:-1] + x.shape
+    assert np.array_equal(got, sketch_reference.poly_eval(coeffs, x, q))
+    want = [horner(c, v, q) for c in coeffs.reshape(-1, coeffs.shape[-1])
+            for v in xs]
+    assert got.reshape(-1).tolist() == want
+    keys = cn.keys_from_seed(len(xs), n)
+    table = cn.CoordTable(keys, xs)
+    ref = sketch_reference.HornerCoordTable(keys, xs)
+    assert np.array_equal(table.coords, ref.coords)
+    assert np.array_equal(table.member, ref.member)
+    assert np.array_equal(table.check, ref.check)
 
 
 # int64 values of both signs, some near +-2^62, where Horner steps end
